@@ -8,9 +8,9 @@ and corroborate the identities by box-counting simulated images
 (`simulate`).  `fracdim.cli` wraps everything in a reproducible runner.
 """
 
-from .errors import (DegenerateLadder, FracdimError, MaxIterExceeded,
-                     MeshTooFine, MismatchedInputs, NetTooLarge, NoSampler,
-                     NonConvergedQuadrature, TooLarge)
+from .errors import (CertificateFailed, DegenerateLadder, FracdimError,
+                     MaxIterExceeded, MeshTooFine, MismatchedInputs,
+                     NetTooLarge, NoSampler, NonConvergedQuadrature, TooLarge)
 from .ladders import LadderEstimate
 from .process_models import (CharExponent, KernelFamily, LaplaceExponent,
                              LevyModel, cauchy_weighted_energy, energy_form,
@@ -19,8 +19,9 @@ from .set_models import (CompactSet, DeltaNet, PointCloud, discretize,
                          enlargement_volume, kolmogorov_capacity,
                          minkowski_dim_estimate)
 from .energy_min import (EnergyResult, KernelMatrix, SimplexWeights,
-                         build_kernel, is_psd, kkt_certificate, min_energy,
-                         min_energy_bruteforce, refinement_stability)
+                         build_kernel, exp_kernel_min_energy, is_psd,
+                         kkt_certificate, min_energy, min_energy_bruteforce,
+                         refinement_stability)
 from .profiles import (ProfileReport, box_profile, fh_profile,
                        fh_subordinator_predicted, phi_index,
                        stable_profile_via_fh, subordinator_box_dim,

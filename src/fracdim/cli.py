@@ -6,7 +6,8 @@ field and flags override file values.  Reports are byte-deterministic
 given (config, seed): keys are sorted, floats go through repr, and wall
 clocks live in a `.meta.json` sidecar, never in the report body.
 
-Exit codes: 0 success, 2 validation error, 3 numerical non-convergence.
+Exit codes: 0 success, 2 validation error, 3 numerical non-convergence
+or a failed optimality certificate.
 """
 
 from __future__ import annotations
@@ -222,8 +223,7 @@ def cmd_subordinator(cfg: RunConfig) -> int:
     phi = parse_phi(cfg.phi)
     start, ratio, count = cfg.ladder
     lam = geometric_ladder(float(start), float(ratio), int(count))
-    rep = subordinator_box_dim(phi, cset, lam, tol=cfg.tol, mode=cfg.mode,
-                               seed=cfg.seed or 0, max_iter=cfg.max_iter)
+    rep = subordinator_box_dim(phi, cset, lam, tol=cfg.tol, mode=cfg.mode)
     _emit(rep.to_json_dict(), cfg)
     if cfg.csv:
         rep.write_csv(cfg.csv)
@@ -244,7 +244,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     model = parse_model(cfg.model)
     start, ratio, count = cfg.ladder
     r = geometric_ladder(float(start), float(ratio), int(count))
-    exp = image_dim_experiment(model, cset, cfg.paths, r, seed=cfg.seed)
+    exp = image_dim_experiment(model, cset, cfg.paths, r, seed=cfg.seed,
+                               mode=cfg.mode)
     _emit(exp.to_json_dict(), cfg)
     if cfg.csv:
         exp.write_csv(cfg.csv)
@@ -333,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ladder", type=_ladder, help="start,ratio,count (ratio > 1)")
     p.add_argument("--mode", choices=("least_squares", "upper", "lower"))
     p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
     _add_common(p)
 
     p = sub.add_parser("theta", help="theta index of a Laplace exponent")
@@ -347,6 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="stable:a[,c[,d]] | subordinator:<phi> | subbrownian:<phi>,d")
     p.add_argument("--ladder", type=_ladder, help="start,ratio,count (ratio < 1)")
     p.add_argument("--paths", type=int)
+    p.add_argument("--mode", choices=("least_squares", "upper", "lower"))
     _add_common(p)
 
     p = sub.add_parser("verify", help="run the verification suite")

@@ -2,15 +2,18 @@
 
 The discrete surrogate of the minimum-energy problem is
 
-    Z = min { w' K w : w >= 0, sum w = 1 },    K_ij = K_scale(|t_i - t_j|),
+    Z = min { w' K w : w >= 0, sum w = 1 },    K_ij = K_scale(|t_i - t_j|).
 
-solved by Frank-Wolfe over the simplex (with away steps, so positive
-semidefinite kernels converge linearly instead of zigzagging).  The
-linear minimization oracle over the simplex is a coordinate argmin, ties
-broken at the lowest index, and the duality gap 2(w'Kw - min_i (Kw)_i)
-comes for free; for PSD kernels it certifies global optimality.  Kernels
-that fail a Cholesky probe are minimized from several starts and the best
-stationary point is returned, flagged.
+Exponential kernels exp(-a|t_i - t_j|) have an exact O(n) minimizer
+(`exp_kernel_min_energy`): the kernel is a Markov covariance, so no
+matrix is formed and no iteration runs.  Every other kernel is assembled
+densely and solved by Frank-Wolfe over the simplex (with away steps, so
+positive semidefinite kernels converge linearly instead of zigzagging).
+The linear minimization oracle over the simplex is a coordinate argmin,
+ties broken at the lowest index, and the duality gap
+2(w'Kw - min_i (Kw)_i) comes for free; for PSD kernels it certifies
+global optimality.  Kernels that fail a Cholesky probe are minimized from
+several starts and the best stationary point is returned, flagged.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaxIterExceeded, NetTooLarge, TooLarge
+from .errors import CertificateFailed, MaxIterExceeded, NetTooLarge, TooLarge
 from .process_models import KernelFamily
 from .set_models import DeltaNet, discretize
 
@@ -73,10 +76,6 @@ class KernelMatrix:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def known_psd(self) -> bool:
-        # exp(-a|t-s|) is a valid covariance for every a >= 0
-        return self.family_tag == "subexp"
-
 
 PSD_PROBE_CAP = 1024           # factorization probe only below this size
 
@@ -91,12 +90,15 @@ class EnergyResult:
     flagged_nonconvex: bool = False
     converged: bool = True
 
-    def to_json_dict(self, scale: float | None = None) -> dict:
+    def to_json_dict(self) -> dict:
+        """Solver diagnostics of one rung, free of timings."""
         return {
-            "scale": scale,
+            "n": int(self.weights.w.size),
             "Z": self.value,
-            "gap": self.duality_gap,
-            "iters": self.iterations,
+            "duality_gap": self.duality_gap,
+            "iterations": self.iterations,
+            "restarts_used": self.restarts_used,
+            "converged": self.converged,
             "flagged_nonconvex": self.flagged_nonconvex,
         }
 
@@ -221,17 +223,18 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
                restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> EnergyResult:
     """Minimum energy Z over the probability simplex, with certificate.
 
-    PSD kernels (Cholesky probe, or exponential kernels which are PSD by
-    construction) need a single run: the exit test duality_gap <= tol * Z
-    certifies global optimality.  Other kernels are run from a uniform
-    start plus seeded Dirichlet restarts and the best stationary point is
-    returned with `flagged_nonconvex` set.
+    Kernels that pass the Cholesky probe (run up to PSD_PROBE_CAP points)
+    need a single run: the exit test duality_gap <= tol * Z certifies
+    global optimality.  Other kernels are run from a uniform start plus
+    seeded Dirichlet restarts and the best stationary point is returned
+    with `flagged_nonconvex` set.  Exponential kernels need no solve at
+    all; see `exp_kernel_min_energy`.
     """
     A = K.values
     n = A.shape[0]
     # probe only at modest sizes; large unprobed kernels are treated as
     # possibly nonconvex (restarts + flag), which is the honest default
-    psd = K.known_psd() or (n <= PSD_PROBE_CAP and is_psd(A))
+    psd = n <= PSD_PROBE_CAP and is_psd(A)
     starts = [np.full(n, 1.0 / n)]
     if not psd:
         rng = np.random.default_rng(seed)
@@ -259,6 +262,104 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
             f"no start met gap <= {tol:g} * Z within {max_iter} iterations",
             result=result)
     return result
+
+
+# ---------------------------------------------------------------------------
+# exponential kernels: exact minimizer in O(n)
+# ---------------------------------------------------------------------------
+
+def _sorted_points(points) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 1 or pts.size == 0:
+        raise ValueError("need a nonempty 1-d array of points")
+    if np.any(np.diff(pts) < 0):
+        raise ValueError("points must be sorted")
+    return pts
+
+
+def exp_kernel_potential(points, a: float, w) -> np.ndarray:
+    """Potential (Kw)_i for K_ij = exp(-a|t_i - t_j|) on sorted points, in O(n).
+
+    With rho_i = exp(-a (t_{i+1} - t_i)), the one-sided sums
+    F_i = sum_{j <= i} K_ij w_j and B_i = sum_{j >= i} K_ij w_j obey
+    F_i = w_i + rho_{i-1} F_{i-1} and B_i = w_i + rho_i B_{i+1}, so
+    Kw = F + B - w without forming K.
+    """
+    pts = _sorted_points(points)
+    rho = np.exp(-a * np.diff(pts)).tolist()
+    wl = np.asarray(w, dtype=float).tolist()
+    n = len(wl)
+    fwd = wl[:]
+    bwd = wl[:]
+    for i in range(1, n):
+        fwd[i] += rho[i - 1] * fwd[i - 1]
+    for i in range(n - 2, -1, -1):
+        bwd[i] += rho[i] * bwd[i + 1]
+    return np.array(fwd) + np.array(bwd) - np.array(wl)
+
+
+def exp_kernel_certificate(points, a: float, w,
+                           tol: float = DEFAULT_TOL) -> EnergyResult:
+    """Certify a candidate minimizer w of the exponential kernel's energy.
+
+    Computes the potential with `exp_kernel_potential` and the duality
+    gap 2(w'Kw - min_i (Kw)_i), which bounds w'Kw - Z from above because
+    the kernel is positive semidefinite.  Raises CertificateFailed when a
+    weight is negative or the gap exceeds tol * w'Kw.
+    """
+    pts = _sorted_points(points)
+    w = np.asarray(w, dtype=float)
+    if np.any(w < 0):
+        raise CertificateFailed(f"negative weight {float(w.min())!r}")
+    pot = exp_kernel_potential(pts, a, w)
+    f = float(w @ pot)
+    gap = 2.0 * (f - float(pot.min()))
+    if not gap <= tol * f:
+        raise CertificateFailed(
+            f"duality gap {gap:.3e} exceeds {tol:g} * Z = {tol * f:.3e} "
+            f"on {pts.size} points")
+    return EnergyResult(value=f, weights=SimplexWeights(w, pts),
+                        duality_gap=gap, iterations=0)
+
+
+def exp_kernel_min_energy(points, a: float,
+                          tol: float = DEFAULT_TOL) -> EnergyResult:
+    """Exact minimum energy of K_ij = exp(-a|t_i - t_j|), a >= 0, on sorted
+    points, in O(n) time and memory.
+
+    K is the covariance of the Markov chain X_1 ~ N(0, 1),
+    X_{i+1} = rho_i X_i + sqrt(1 - rho_i^2) xi_i with rho_i =
+    exp(-a h_i) over the gaps h_i, so K^-1 is tridiagonal:
+    x'K^-1 x = x_1^2 + sum_i (x_{i+1} - rho_i x_i)^2 / (1 - rho_i^2).
+    Half its gradient at x = 1 is v = K^-1 1, with
+    v_i = (tau_{i-1} + tau_i) / 2, tau_i = (1 - rho_i)/(1 + rho_i) =
+    tanh(a h_i / 2) and tau_0 = tau_n = 1 at the ends.  Every v_i >= 0,
+    so w = v / sum(v) is the minimizer over the simplex as well as over
+    the hyperplane sum w = 1, and Z = 1 / (1 + sum_i tanh(a h_i / 2)).
+    Coincident points (h_i = 0) split one atom and leave Z unchanged.
+
+    The returned w is certified by `exp_kernel_certificate`, which does
+    not use this formula; the result reports 0 iterations and one start.
+    """
+    if not (math.isfinite(a) and a >= 0):
+        raise ValueError(f"kernel rate must be finite and >= 0, got {a!r}")
+    pts = _sorted_points(points)
+    tau = np.concatenate(([1.0], np.tanh(0.5 * a * np.diff(pts)), [1.0]))
+    v = 0.5 * (tau[:-1] + tau[1:])
+    return exp_kernel_certificate(pts, a, v / v.sum(), tol)
+
+
+def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
+                    tol: float = DEFAULT_TOL, **solver_kw) -> EnergyResult:
+    """Minimum energy of one family at one scale over a net.
+
+    Exponential kernels go to `exp_kernel_min_energy` (no matrix, no net
+    cap); every other family is assembled densely and passed to
+    `min_energy` with `solver_kw` (restarts, seed, max_iter).
+    """
+    if family.kind == "subexp":
+        return exp_kernel_min_energy(net.points, float(family.phi(scale)), tol)
+    return min_energy(build_kernel(family, scale, net), tol=tol, **solver_kw)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +478,7 @@ def refinement_stability(cset, family: KernelFamily, scale: float,
     """Measure |Z(delta) - Z(delta/2)| against the kernel's modulus of
     continuity at mesh scale; used to confirm a mesh choice."""
     nets = [discretize(cset, delta), discretize(cset, delta / 2)]
-    zs = [min_energy(build_kernel(family, scale, nt), **solver_kw).value
-          for nt in nets]
+    zs = [rung_min_energy(family, scale, nt, **solver_kw).value for nt in nets]
     lo, hi = cset.bounds()
     grid = np.linspace(0, max(hi - lo, delta), 512)
     kv = family.evaluate(scale, grid)

@@ -33,6 +33,10 @@ class MismatchedInputs(FracdimError):
     """Two records that must describe the same experiment do not."""
 
 
+class CertificateFailed(FracdimError):
+    """A minimizer failed its optimality certificate (duality gap or sign)."""
+
+
 class MaxIterExceeded(FracdimError):
     """Iteration budget exhausted before the convergence test was met.
 

@@ -3,7 +3,8 @@
 Everything here is a closed form or an exhaustive computation that does
 not share code with the estimator it checks: Gaussian/Cauchy ball
 probabilities, the half-stable subordinator law, the exact uniform-measure
-energy of an interval under the exponential kernel, lattice capacities,
+and minimum energies of an interval and the minimum energy of the Cantor
+set under the exponential kernel, lattice capacities,
 and a dynamic-programming exact maximum-separated-subset count.
 """
 
@@ -72,6 +73,28 @@ def interval_exp_kernel_min_energy(x: float) -> float:
     return 2.0 / (x + 2.0)
 
 
+def cantor_exp_kernel_min_energy(x: float) -> float:
+    """Continuous minimum energy of the middle-third Cantor set C under
+    exp(-x|t-s|): 1 / (1 + sum_{k>=1} 2^{k-1} tanh(x 3^{-k} / 2)).
+
+    On sorted points with gaps h_i the discrete minimum is
+    1 / (1 + sum_i tanh(x h_i / 2)) (the kernel's inverse is tridiagonal
+    and its minimizer nonnegative).  The endpoints of the 2^d depth-d
+    cylinders have as gaps the 2^{k-1} removed intervals of length 3^{-k},
+    k <= d, and the 2^d cylinders of length 3^{-d}, so
+    Z_d = 1 / (1 + sum_{k<=d} 2^{k-1} tanh(x 3^{-k}/2) + 2^d tanh(x 3^{-d}/2)).
+    Refining d -> d + 1 turns each cylinder term tanh(y) into
+    3 tanh(y/3) >= tanh(y) (tanh is subadditive on [0, inf)), so Z_d
+    decreases, and 2^d tanh(x 3^{-d}/2) <= x (2/3)^d / 2 -> 0 gives the
+    limit above.  The nets are dense in C and the kernel is continuous,
+    so the limit is the minimum over all probability measures on C.
+    The series is summed over 100 levels; the tail it drops is below
+    x (2/3)^100 / 2 < 1.3e-18 x.
+    """
+    k = np.arange(1, 101, dtype=float)
+    return float(1.0 / (1.0 + np.sum(2.0 ** (k - 1) * np.tanh(x * 3.0 ** -k / 2.0))))
+
+
 def theta_power_law(beta: float, s: float) -> float:
     """theta for Phi(lam) = lam^beta: max(0, 1 - beta/s)."""
     return max(0.0, 1.0 - beta / s)
@@ -114,6 +137,7 @@ NAMED_ORACLES = {
     "cantor-capacity": (cantor_triadic_capacity, ("k",)),
     "interval-exp-energy": (interval_exp_kernel_energy, ("x",)),
     "interval-exp-min-energy": (interval_exp_kernel_min_energy, ("x",)),
+    "cantor-exp-min-energy": (cantor_exp_kernel_min_energy, ("x",)),
     "theta-power": (theta_power_law, ("beta", "s")),
     "fh-interval-energy": (fh_interval_uniform_energy, ("s", "eps")),
 }

@@ -27,7 +27,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import NonConvergedQuadrature
-from .energy_min import DEFAULT_MAX_ITER, build_kernel, min_energy
+from .energy_min import DEFAULT_MAX_ITER, rung_min_energy
 from .ladders import LadderEstimate
 from .process_models import KernelFamily, LaplaceExponent
 from .set_models import CompactSet, discretize
@@ -49,6 +49,7 @@ class ProfileReport:
     mode: str
     ladder: LadderEstimate
     mesh_per_scale: list = field(default_factory=list)
+    rungs: list = field(default_factory=list)    # EnergyResult.to_json_dict per rung
     self_cover: bool = False
     flagged_nonconvex: bool = False
     sanity_window: tuple = SANITY_WINDOW
@@ -69,6 +70,7 @@ class ProfileReport:
             "self_cover_certificate": self.self_cover,
             "flagged_nonconvex": self.flagged_nonconvex,
             "mesh_per_scale": [float(m) for m in self.mesh_per_scale],
+            "rungs": list(self.rungs),
             "ladder": self.ladder.to_dict(),
         }
 
@@ -92,26 +94,33 @@ class ProfileReport:
 # ---------------------------------------------------------------------------
 
 def _energy_ladder(cset: CompactSet, family: KernelFamily, scales,
-                   mesh_for_scale, tol: float, restarts: int, seed: int,
-                   max_iter: int):
-    """Z(scale) over a ladder; one independent job per rung."""
+                   mesh_for_scale, tol: float, restarts: int = 1,
+                   seed: int = 0, max_iter: int = DEFAULT_MAX_ITER):
+    """Rung meshes and EnergyResults over a ladder; one independent job
+    per rung, solved by `rung_min_energy` (`restarts`, `seed` and
+    `max_iter` reach the Frank-Wolfe families only)."""
     scales = np.asarray(scales, dtype=float)
 
     def job(k_scale):
         k, scale = k_scale
         delta = mesh_for_scale(scale)
         net = discretize(cset, delta)
-        K = build_kernel(family, scale, net)
-        res = min_energy(K, tol=tol, restarts=restarts, seed=seed + k,
-                         max_iter=max_iter)
-        return delta, res
+        return delta, rung_min_energy(family, scale, net, tol, restarts=restarts,
+                                      seed=seed + k, max_iter=max_iter)
 
     out = parallel_map(job, list(enumerate(scales)))
-    meshes = [o[0] for o in out]
-    results = [o[1] for o in out]
-    zs = np.array([r.value for r in results])
-    flagged = any(r.flagged_nonconvex for r in results)
-    return meshes, zs, flagged
+    return [o[0] for o in out], [o[1] for o in out]
+
+
+def _ladder_report(cset: CompactSet, family_tag: str, param: dict,
+                   ladder: LadderEstimate, meshes, results) -> ProfileReport:
+    return ProfileReport(set_label=cset.label, family_tag=family_tag,
+                         param=param, estimate=ladder.slope, mode=ladder.mode,
+                         ladder=ladder, mesh_per_scale=meshes,
+                         rungs=[r.to_json_dict() for r in results],
+                         self_cover=cset.self_cover_certificate,
+                         flagged_nonconvex=any(r.flagged_nonconvex
+                                               for r in results))
 
 
 def box_profile(cset: CompactSet, family: KernelFamily, eps_ladder,
@@ -127,9 +136,10 @@ def box_profile(cset: CompactSet, family: KernelFamily, eps_ladder,
     eps = np.sort(np.asarray(eps_ladder, dtype=float))[::-1]
     if eps.size < 2 or eps[-1] <= 0:
         raise ValueError("need a decreasing positive eps ladder")
-    meshes, zs, flagged = _energy_ladder(
+    meshes, results = _energy_ladder(
         cset, family, eps, lambda e: e / mesh_ratio, tol, restarts, seed,
         max_iter)
+    zs = np.array([r.value for r in results])
     if np.all(zs == zs[0]):
         ladder = LadderEstimate(scales=eps, values=zs, mode=mode, slope=0.0,
                                 intercept=float(np.log(zs[0])), max_residual=0.0,
@@ -139,12 +149,9 @@ def box_profile(cset: CompactSet, family: KernelFamily, eps_ladder,
         ladder._asymptotic = "tail"
     else:
         ladder = LadderEstimate.fit(eps, zs, mode=mode, asymptotic="tail")
-    return ProfileReport(set_label=cset.label, family_tag=family.tag,
-                         param={k: float(v) for k, v in family.params.items()},
-                         estimate=ladder.slope, mode=mode, ladder=ladder,
-                         mesh_per_scale=meshes,
-                         self_cover=cset.self_cover_certificate,
-                         flagged_nonconvex=flagged)
+    return _ladder_report(cset, family.tag,
+                          {k: float(v) for k, v in family.params.items()},
+                          ladder, meshes, results)
 
 
 def fh_profile(cset: CompactSet, s: float, eps_ladder, **kw) -> ProfileReport:
@@ -166,20 +173,21 @@ def stable_profile_via_fh(cset: CompactSet, alpha: float, d: int,
                          param={"alpha": float(alpha), "d": int(d)},
                          estimate=alpha * rep.estimate, mode=rep.mode,
                          ladder=ladder, mesh_per_scale=rep.mesh_per_scale,
-                         self_cover=rep.self_cover,
+                         rungs=rep.rungs, self_cover=rep.self_cover,
                          flagged_nonconvex=rep.flagged_nonconvex)
 
 
 def subordinator_box_dim(phi: LaplaceExponent, cset: CompactSet, lam_ladder,
-                         tol: float = 1e-6, mode: str = "upper",
-                         restarts: int = 2, seed: int = 0,
-                         max_iter: int = DEFAULT_MAX_ITER) -> ProfileReport:
+                         tol: float = 1e-6, mode: str = "upper") -> ProfileReport:
     """Growth exponent of 1 / Z(lam) for the kernel exp(-|t-s| Phi(lam)).
 
     lam_ladder must increase geometrically.  The mesh rule keeps
     Phi(lam) * delta <= 0.1 (and at least a handful of net points even
-    when Phi(lam) is tiny).  The kernel is a covariance, so each rung is
-    a certified convex solve.
+    when Phi(lam) is tiny).  Each rung is solved exactly in O(n) by
+    `exp_kernel_min_energy`, with no kernel matrix and no net-size cap
+    beyond the discretization's; `tol` is the relative duality gap its
+    certificate must meet, and a rung that misses it raises
+    CertificateFailed.
     """
     lam = np.sort(np.asarray(lam_ladder, dtype=float))
     if lam.size < 2 or lam[0] <= 0:
@@ -192,16 +200,12 @@ def subordinator_box_dim(phi: LaplaceExponent, cset: CompactSet, lam_ladder,
         return min(SUBEXP_MESH_PRODUCT / p, guard) if p > 0 else guard
 
     family = KernelFamily.subordinator_exp(phi)
-    meshes, zs, flagged = _energy_ladder(cset, family, lam, mesh, tol,
-                                         restarts, seed, max_iter)
-    ladder = LadderEstimate.fit(lam, zs, mode=mode,
-                                y_transform=lambda v: -np.log(v),
+    meshes, results = _energy_ladder(cset, family, lam, mesh, tol)
+    ladder = LadderEstimate.fit(lam, np.array([r.value for r in results]),
+                                mode=mode, y_transform=lambda v: -np.log(v),
                                 asymptotic="tail")
-    return ProfileReport(set_label=cset.label, family_tag="subexp",
-                         param={"phi": phi.family}, estimate=ladder.slope,
-                         mode=mode, ladder=ladder, mesh_per_scale=meshes,
-                         self_cover=cset.self_cover_certificate,
-                         flagged_nonconvex=flagged)
+    return _ladder_report(cset, "subexp", {"phi": phi.family}, ladder,
+                          meshes, results)
 
 
 # ---------------------------------------------------------------------------

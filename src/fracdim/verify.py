@@ -194,12 +194,12 @@ def check_subordinator_criterion(seed: int = 0) -> CheckResult:
                0.8: 8.0 * 2.2 ** np.arange(8)}
     for beta, lam in ladders.items():
         rep = subordinator_box_dim(LaplaceExponent.stable(beta),
-                                   CompactSet.interval(0, 1), lam, seed=seed)
+                                   CompactSet.interval(0, 1), lam)
         details[f"beta={beta}"] = rep.estimate
         ok = ok and abs(rep.estimate - beta) <= 0.05
     lam = 2.0 * 3.0 ** np.arange(6)
     drift = LaplaceExponent.compound_poisson_drift(0.0, 1.0, 1.0)
-    rep = subordinator_box_dim(drift, CompactSet.interval(0, 1), lam, seed=seed)
+    rep = subordinator_box_dim(drift, CompactSet.interval(0, 1), lam)
     exact = np.array([oracles.interval_exp_kernel_energy(l) for l in lam])
     exact_slope = LadderEstimate.fit(lam, exact, mode="upper",
                                      y_transform=lambda v: -np.log(v)).slope

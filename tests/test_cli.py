@@ -75,9 +75,9 @@ def test_validation_exit_codes():
 def test_numerical_exit_code(tmp_path):
     # an unreachable gap target plus a one-iteration budget cannot converge
     out = tmp_path / "r.json"
-    code = main(["subordinator", "--set", "interval:0,1", "--phi", "drift:1",
-                 "--ladder", "2,2,3", "--tol", "0", "--max-iter", "1",
-                 "--out", str(out)])
+    code = main(["profile", "--set", "interval:0,1", "--family", "fh",
+                 "--s", "1.0", "--ladder", "0.1,0.5,3", "--tol", "0",
+                 "--max-iter", "1", "--out", str(out)])
     assert code == EXIT_NUMERICAL
 
 
@@ -136,6 +136,8 @@ def test_subordinator_command(tmp_path):
     assert code == 0
     rep = json.loads(out.read_text())
     assert abs(rep["estimate"] - 0.5) <= 0.05
+    assert len(rep["rungs"]) == 6
+    assert all(r["iterations"] == 0 and r["converged"] for r in rep["rungs"])
 
 
 def test_simulate_command(tmp_path):
@@ -151,6 +153,20 @@ def test_simulate_command(tmp_path):
     assert len(csv.read_text().strip().splitlines()) == 9
 
 
+def test_simulate_mode_from_config(tmp_path):
+    cfg = {"command": "simulate", "set": "interval:0,1",
+           "model": "subordinator:stable:0.5", "ladder": [0.25, 0.5, 5],
+           "paths": 2, "seed": 3, "mode": "least_squares"}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "sim.json"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["mode"] == "least_squares"
+    assert main(["simulate", "--config", str(path), "--mode", "lower",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["mode"] == "lower"
+
+
 def test_oracle_command(capsys):
     assert main(["oracle", "--name", "two-point-energy", "--params", "0.5"]) == 0
     rep = json.loads(capsys.readouterr().out)
@@ -158,6 +174,8 @@ def test_oracle_command(capsys):
     assert main(["oracle", "--name", "cantor-capacity", "--params", "3"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["value"] == 16
+    assert main(["oracle", "--name", "cantor-exp-min-energy", "--params", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 1.0
 
 
 def test_profile_report_byte_deterministic(tmp_path):

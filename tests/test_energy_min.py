@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
-from fracdim.errors import MaxIterExceeded, NetTooLarge, TooLarge
+from fracdim.errors import (CertificateFailed, MaxIterExceeded, NetTooLarge,
+                            TooLarge)
 from fracdim.energy_min import (DENSE_NET_CAP, EnergyResult, KernelMatrix,
-                                SimplexWeights, build_kernel, is_psd,
-                                kkt_certificate, min_energy,
-                                min_energy_bruteforce, refinement_stability)
+                                SimplexWeights, build_kernel,
+                                exp_kernel_certificate, exp_kernel_min_energy,
+                                exp_kernel_potential, is_psd, kkt_certificate,
+                                min_energy, min_energy_bruteforce,
+                                refinement_stability)
+from fracdim.oracles import (cantor_exp_kernel_min_energy,
+                             interval_exp_kernel_min_energy)
 from fracdim.process_models import KernelFamily, LaplaceExponent
 from fracdim.set_models import CompactSet, DeltaNet, discretize
 from fracdim.verify import random_psd_kernel
@@ -139,6 +144,94 @@ def test_refinement_stability_report():
     rep = refinement_stability(CompactSet.interval(0, 1), KernelFamily.fh(1.0),
                                0.1, 0.01, restarts=2)
     assert rep["change"] <= rep["kernel_modulus"] + 1e-6
+    # exponential kernels take the exact path: 2001 points, no matrix
+    rep = refinement_stability(CompactSet.interval(0, 1), KernelFamily.subordinator_exp(
+        LaplaceExponent.stable(0.5)), 1e4, 1e-3)
+    assert abs(rep["Z_fine"] - 1 / (1 + 2000 * np.tanh(100 / 4000))) <= 1e-14
+    assert rep["change"] <= rep["kernel_modulus"]
+
+
+# ---------------------------------------------------------------------------
+# exponential kernels: exact O(n) minimizer
+# ---------------------------------------------------------------------------
+
+def _exp_km(pts, a):
+    return _km(np.exp(-a * np.abs(pts[:, None] - pts[None, :])), pts)
+
+
+def _cantor_net(depth):
+    return discretize(CompactSet.cantor(), 3.0 ** -depth * (1 + 1e-9)).points
+
+
+def test_exp_kernel_closed_form_matches_frank_wolfe():
+    rng = np.random.default_rng(11)
+    nets = [(np.sort(rng.uniform(0, 1, n)), float(rng.uniform(0.5, 60.0)))
+            for n in (2, 3, 5, 17, 60, 150, 300)]
+    nets.append((_cantor_net(5), 30.0))
+    for pts, a in nets:
+        exact = exp_kernel_min_energy(pts, a)
+        fw = min_energy(_exp_km(pts, a), tol=1e-10)
+        assert fw.converged and not fw.flagged_nonconvex
+        assert abs(exact.value - fw.value) <= 1e-9 * fw.value
+        assert exact.iterations == 0 and exact.restarts_used == 1
+        assert exact.converged and not exact.flagged_nonconvex
+
+
+def test_exp_kernel_potential_matches_dense_product():
+    rng = np.random.default_rng(12)
+    pts = np.sort(rng.uniform(0, 1, 40))
+    w = rng.dirichlet(np.ones(40))
+    dense = _exp_km(pts, 7.0).values @ w
+    np.testing.assert_allclose(exp_kernel_potential(pts, 7.0, w), dense,
+                               rtol=1e-13)
+
+
+def test_exp_kernel_edge_cases():
+    assert exp_kernel_min_energy(np.array([0.4]), 5.0).value == 1.0
+    # a = 0: the all-ones kernel, energy 1 for every measure
+    assert abs(exp_kernel_min_energy(np.linspace(0, 1, 7), 0.0).value - 1) < 1e-15
+    # coincident points carry one atom between them
+    res = exp_kernel_min_energy(np.array([0.0, 0.5, 0.5, 1.0]), 3.0)
+    ref = exp_kernel_min_energy(np.array([0.0, 0.5, 1.0]), 3.0)
+    assert abs(res.value - ref.value) <= 1e-15
+    with pytest.raises(ValueError):
+        exp_kernel_min_energy(np.array([0.0, 1.0, 0.5]), 1.0)
+    with pytest.raises(ValueError):
+        exp_kernel_min_energy(np.array([0.0, 1.0]), -1.0)
+
+
+def test_exp_kernel_certificate_rejects_perturbed_weights():
+    pts = np.linspace(0, 1, 41)
+    w = exp_kernel_min_energy(pts, 20.0).weights.w
+    exp_kernel_certificate(pts, 20.0, w)
+    bumped = w.copy()
+    bumped[[0, 20]] += [-1e-3, 1e-3]
+    with pytest.raises(CertificateFailed):
+        exp_kernel_certificate(pts, 20.0, bumped)
+    negative = w.copy()
+    negative[[1, 2]] += [-w[1] - 1e-9, w[1] + 1e-9]
+    with pytest.raises(CertificateFailed):
+        exp_kernel_certificate(pts, 20.0, negative, tol=1.0)
+
+
+def test_exp_kernel_cantor_nets_decrease_to_mesh_free_oracle():
+    x = 50.0
+    z_f = cantor_exp_kernel_min_energy(x)
+    zs = np.array([exp_kernel_min_energy(_cantor_net(d), x).value
+                   for d in range(3, 11)])
+    assert np.all(zs >= z_f * (1 - 1e-9))
+    assert np.all(np.diff(zs) <= 0)
+    assert abs(zs[-1] - z_f) <= 5e-9 * z_f
+    assert abs(zs[0] - z_f) > 1e-3 * z_f       # the coarse nets are visibly off
+
+
+def test_exp_kernel_interval_nets_approach_continuous_minimum():
+    x = 50.0
+    errs = [abs(exp_kernel_min_energy(np.linspace(0, 1, m + 1), x).value
+                - interval_exp_kernel_min_energy(x))
+            for m in (10, 100, 1000, 10000)]
+    assert np.all(np.diff(errs) < 0)        # error ~ x^3 Z^2 / (24 m^2)
+    assert errs[-1] <= 1e-5 * interval_exp_kernel_min_energy(x)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fracdim.energy_min import DENSE_NET_CAP
 from fracdim.errors import NonConvergedQuadrature
 from fracdim.ladders import LadderEstimate
 from fracdim.oracles import (fh_interval_uniform_energy,
@@ -67,6 +68,7 @@ def test_stable_profile_reduction_brownian():
                                 mesh_ratio=5.0, restarts=2, seed=0)
     assert abs(rep.estimate - 1.0) <= 0.1    # 2 * profile at s = 1/2
     assert rep.family_tag == "stable_via_fh"
+    assert [r["Z"] for r in rep.rungs] == [float(v) for v in rep.ladder.values]
 
 
 def test_profile_report_roundtrip(tmp_path):
@@ -79,6 +81,11 @@ def test_profile_report_roundtrip(tmp_path):
     data = json.loads(jpath.read_text())
     assert data["estimate"] == rep.estimate
     assert data["ladder"]["values"] == [float(v) for v in rep.ladder.values]
+    assert [r["Z"] for r in data["rungs"]] == data["ladder"]["values"]
+    for rung in data["rungs"]:
+        assert set(rung) == {"n", "Z", "duality_gap", "iterations",
+                             "restarts_used", "converged", "flagged_nonconvex"}
+        assert rung["n"] >= 2 and rung["restarts_used"] >= 1
     rows = cpath.read_text().strip().splitlines()
     assert rows[0] == "set,family,s_or_phi,scale,Z_or_value"
     assert len(rows) == 1 + len(eps)
@@ -91,7 +98,7 @@ def test_profile_report_roundtrip(tmp_path):
 def test_subordinator_drift_against_exact_integral():
     lam = 2.0 * 3.0 ** np.arange(5)
     drift = LaplaceExponent.compound_poisson_drift(0.0, 1.0, 1.0)
-    rep = subordinator_box_dim(drift, CompactSet.interval(0, 1), lam, seed=0)
+    rep = subordinator_box_dim(drift, CompactSet.interval(0, 1), lam)
     exact = np.array([interval_exp_kernel_energy(x) for x in lam])
     exact_slope = LadderEstimate.fit(lam, exact, mode="upper",
                                      y_transform=lambda v: -np.log(v)).slope
@@ -100,24 +107,38 @@ def test_subordinator_drift_against_exact_integral():
     assert np.all(rep.ladder.values <= exact * 1.02)
 
 
+def test_subordinator_rung_beyond_dense_cap_is_exact():
+    # Phi(lam) = lam: a rung at lam = 1000 needs a 10001-point net, twice
+    # the dense-matrix cap, and is solved without forming a matrix
+    drift = LaplaceExponent.compound_poisson_drift(0.0, 1.0, 1.0)
+    lam = np.array([10.0, 100.0, 1000.0])
+    rep = subordinator_box_dim(drift, CompactSet.interval(0, 1), lam)
+    assert rep.rungs[-1]["n"] > DENSE_NET_CAP
+    for a, mesh, z in zip(lam, rep.mesh_per_scale, rep.ladder.values):
+        m = math.ceil(1.0 / mesh)
+        assert abs(z - 1.0 / (1.0 + m * math.tanh(a / (2.0 * m)))) <= 1e-12 * z
+    assert all(r["iterations"] == 0 and r["restarts_used"] == 1
+               and r["converged"] for r in rep.rungs)
+
+
 def test_subordinator_power_law_recovers_index():
     rep = subordinator_box_dim(LaplaceExponent.stable(0.5),
                                CompactSet.interval(0, 1),
-                               10.0 * 4.0 ** np.arange(6), seed=0)
+                               10.0 * 4.0 ** np.arange(6))
     assert abs(rep.estimate - 0.5) <= 0.05
 
 
 def test_subordinator_singleton_is_zero():
     rep = subordinator_box_dim(LaplaceExponent.stable(0.5),
                                CompactSet.finite([0.3]),
-                               4.0 ** np.arange(1, 6), seed=0)
+                               4.0 ** np.arange(1, 6))
     assert rep.estimate == 0.0
 
 
 def test_subordinator_matches_phi_index():
     phi = LaplaceExponent.stable(0.5)
     rep = subordinator_box_dim(phi, CompactSet.interval(0, 1),
-                               10.0 * 4.0 ** np.arange(6), seed=0)
+                               10.0 * 4.0 ** np.arange(6))
     idx = phi_index(phi, np.logspace(0, 9, 19), which="upper")
     assert abs(rep.estimate - idx) <= 0.05
 
