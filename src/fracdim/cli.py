@@ -2,9 +2,11 @@
 path simulations, the verification suite, and closed-form oracles.
 
 Configuration is a flat JSON record; every flag corresponds to a config
-field and flags override file values.  Reports are byte-deterministic
-given (config, seed): keys are sorted, floats go through repr, and wall
-clocks live in a `.meta.json` sidecar, never in the report body.
+field and flags override file values.  A field its command does not read
+(COMMAND_FIELDS) is a validation error.  Reports are byte-deterministic
+given (config, seed) and the BLAS thread count: keys are sorted, floats go
+through repr, and wall clocks live in a `.meta.json` sidecar, never in the
+report body.
 
 Exit codes: 0 success, 2 validation error, 3 numerical non-convergence
 or a failed optimality certificate.
@@ -16,7 +18,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from . import oracles
 from .errors import (FracdimError, MaxIterExceeded, MeshTooFine,
@@ -36,6 +38,20 @@ EXIT_NUMERICAL = 3
 
 class ConfigError(ValueError):
     pass
+
+
+# the RunConfig fields each command reads; a config file or flag setting
+# any other field is an error, not a silent no-op
+_LADDER_RUN = {"command", "set", "ladder", "mode", "out", "csv"}
+COMMAND_FIELDS = {
+    "profile": _LADDER_RUN | {"family", "s", "phi", "model", "mesh_ratio",
+                              "restarts", "tol", "max_iter", "seed"},
+    "subordinator": _LADDER_RUN | {"phi", "tol"},
+    "theta": {"command", "phi", "s", "lam_max", "out"},
+    "simulate": _LADDER_RUN | {"model", "paths", "seed"},
+    "verify": {"command", "suite", "seed", "out"},
+    "oracle": {"command", "name", "params", "out"},
+}
 
 
 @dataclass
@@ -65,18 +81,30 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | None, overrides: dict) -> "RunConfig":
+        """File values, then non-None flag values; every field set must be
+        one its command reads (COMMAND_FIELDS)."""
         data = {}
         if path:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
-            unknown = set(data) - {f.name for f in fields(cls)}
-            if unknown:
-                raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+            if not isinstance(data, dict):
+                raise ConfigError("config file must hold one JSON object")
+        command = overrides.get("command") or data.get("command", "")
+        if data.get("command", command) != command:
+            raise ConfigError(f"config file is for command {data['command']!r}, "
+                              f"not {command!r}")
+        if command not in COMMAND_FIELDS:
+            raise ConfigError(f"unknown command {command!r}")
         data.update({k: v for k, v in overrides.items() if v is not None})
+        unused = set(data) - COMMAND_FIELDS[command]
+        if unused:
+            raise ConfigError(f"fields not read by {command!r}: {sorted(unused)}")
         return cls(**data)
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        """The fields this run's command reads; loadable as a config file."""
+        return {name: getattr(self, name)
+                for name in sorted(COMMAND_FIELDS[self.command])}
 
     def validate(self) -> None:
         if self.command in ("profile", "subordinator", "simulate"):
@@ -294,11 +322,13 @@ COMMANDS = {
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, command: str) -> None:
     p.add_argument("--config", help="flat JSON config file; flags override it")
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--csv", help="write ladder/experiment rows as CSV here")
-    p.add_argument("--seed", type=int)
+    if "csv" in COMMAND_FIELDS[command]:
+        p.add_argument("--csv", help="write ladder/experiment rows as CSV here")
+    if "seed" in COMMAND_FIELDS[command]:
+        p.add_argument("--seed", type=int)
 
 
 def _ladder(text: str) -> list:
@@ -326,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", dest="max_iter", type=int)
-    _add_common(p)
+    _add_common(p, "profile")
 
     p = sub.add_parser("subordinator", help="growth exponent of 1/Z(lam)")
     p.add_argument("--set")
@@ -334,13 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ladder", type=_ladder, help="start,ratio,count (ratio > 1)")
     p.add_argument("--mode", choices=("least_squares", "upper", "lower"))
     p.add_argument("--tol", type=float)
-    _add_common(p)
+    _add_common(p, "subordinator")
 
     p = sub.add_parser("theta", help="theta index of a Laplace exponent")
     p.add_argument("--phi")
     p.add_argument("--s", type=float)
     p.add_argument("--lam-max", dest="lam_max", type=float)
-    _add_common(p)
+    _add_common(p, "theta")
 
     p = sub.add_parser("simulate", help="box-count simulated image clouds")
     p.add_argument("--set")
@@ -348,16 +378,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ladder", type=_ladder, help="start,ratio,count (ratio < 1)")
     p.add_argument("--paths", type=int)
     p.add_argument("--mode", choices=("least_squares", "upper", "lower"))
-    _add_common(p)
+    _add_common(p, "simulate")
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--suite", choices=("fast", "full"))
-    _add_common(p)
+    _add_common(p, "verify")
 
     p = sub.add_parser("oracle", help="closed-form reference values")
     p.add_argument("--name")
     p.add_argument("--params", nargs="*", default=None)
-    _add_common(p)
+    _add_common(p, "oracle")
     return ap
 
 

@@ -33,6 +33,7 @@ DEFAULT_MAX_ITER = 200_000
 DEFAULT_RESTARTS = 8
 ENUM_BUDGET = 200_000_000      # lattice points an exhaustive search may visit
 _RESYNC_EVERY = 512            # refresh the cached gradient this often
+_ROW_BLOCK = 256               # kernel rows assembled per evaluation
 _SUM_TOL = 1e-12
 
 
@@ -65,7 +66,12 @@ class SimplexWeights:
 
 @dataclass
 class KernelMatrix:
-    """Dense symmetric kernel matrix over a net, diagonal identically 1."""
+    """Dense kernel matrix over a net, diagonal identically 1.
+
+    `values` must be exactly symmetric (A == A.T elementwise, as
+    `build_kernel` writes it): the Frank-Wolfe update reads rows where it
+    means columns, and `min_energy` raises ValueError otherwise.
+    """
 
     values: np.ndarray
     scale: float
@@ -110,25 +116,29 @@ class EnergyResult:
 def build_kernel(family: KernelFamily, scale: float, net: DeltaNet) -> KernelMatrix:
     """Assemble K_ij = K_scale(|t_i - t_j|) over a net.
 
-    Only the condensed upper triangle is evaluated (n(n+1)/2 entries) and
-    repeated distances are evaluated once, which matters for Monte Carlo
-    and quadrature kernels on regular grids.
+    K is written in blocks of _ROW_BLOCK rows, each one elementwise
+    evaluation of the family on |t_block - t|; K_ji comes from the same
+    distance as K_ij, so K is exactly symmetric.  Quadrature and Monte
+    Carlo ("exact") kernels instead evaluate the condensed upper triangle
+    with repeated distances collapsed first, which matters on regular
+    grids.
     """
     pts = net.points
     n = pts.size
     if n > DENSE_NET_CAP:
         raise NetTooLarge(f"net has {n} points, dense cap is {DENSE_NET_CAP}")
-    iu, ju = np.triu_indices(n, k=1)
-    dists = np.abs(pts[iu] - pts[ju])
     if family.kind == "exact":
-        # quadrature/Monte-Carlo kernels: collapse repeated distances first
-        uniq, inv = np.unique(dists, return_inverse=True)
+        iu, ju = np.triu_indices(n, k=1)
+        uniq, inv = np.unique(np.abs(pts[iu] - pts[ju]), return_inverse=True)
         vals = (family.evaluate(scale, uniq) if uniq.size else np.empty(0))[inv]
+        K = np.eye(n)
+        K[iu, ju] = vals
+        K[ju, iu] = vals
     else:
-        vals = family.evaluate(scale, dists)
-    K = np.eye(n)
-    K[iu, ju] = vals
-    K[ju, iu] = vals
+        K = np.empty((n, n))
+        for i in range(0, n, _ROW_BLOCK):
+            K[i:i + _ROW_BLOCK] = family.evaluate(
+                scale, np.abs(pts[i:i + _ROW_BLOCK, None] - pts))
     np.clip(K, 0.0, 1.0, out=K)
     np.fill_diagonal(K, 1.0)
     return KernelMatrix(values=K, scale=float(scale), family_tag=family.tag,
@@ -177,7 +187,12 @@ def _frank_wolfe(K: np.ndarray, w0: np.ndarray, tol: float, max_iter: int):
     (convergence test met), "stall" (no movable descent direction; a
     stationary point of a nonconvex kernel), "iters" (budget exhausted).
     Directions are two-sparse, so the cached potential updates in O(n)
-    per step with periodic resyncs against drift.
+    per step with periodic resyncs against drift.  The update reads the
+    contiguous rows K[fw] - K[aw] in place of the columns, so K must be
+    exactly symmetric (`min_energy` checks).  The support is tracked by
+    a penalty vector, 0 on w > 0 and -inf off it, so the away vertex is
+    argmax(g + pen); a step changes pen only at the two coordinates it
+    touches, and each resync rebuilds it from w.
     """
     w = w0.copy()
     g = K @ w
@@ -185,13 +200,13 @@ def _frank_wolfe(K: np.ndarray, w0: np.ndarray, tol: float, max_iter: int):
     gap = float("inf")
     dbuf = np.empty_like(g)
     masked = np.empty_like(g)
+    pen = np.where(w > 0.0, 0.0, -np.inf)
     for it in range(1, max_iter + 1):
         fw = int(np.argmin(g))                   # lowest index on ties
         gap = 2.0 * (f - g[fw])
         if gap <= tol * max(f, 1e-300):
             return w, f, gap, it - 1, "gap"
-        np.copyto(masked, g)
-        masked[w <= 0.0] = -np.inf
+        np.add(g, pen, out=masked)
         aw = int(np.argmax(masked))
         if aw == fw:
             return w, f, gap, it, "stall"
@@ -204,9 +219,14 @@ def _frank_wolfe(K: np.ndarray, w0: np.ndarray, tol: float, max_iter: int):
         if gamma <= 0:
             return w, f, gap, it, "stall"
         drop = gamma >= w[aw] * (1.0 - 1e-12)
-        w[aw] = 0.0 if drop else w[aw] - gamma
+        if drop:
+            w[aw] = 0.0
+            pen[aw] = -np.inf
+        else:
+            w[aw] -= gamma
         w[fw] += gamma
-        np.subtract(K[:, fw], K[:, aw], out=dbuf)
+        pen[fw] = 0.0
+        np.subtract(K[fw], K[aw], out=dbuf)
         dbuf *= gamma
         g += dbuf
         f += 2.0 * gamma * dKw + gamma * gamma * dKd
@@ -215,6 +235,7 @@ def _frank_wolfe(K: np.ndarray, w0: np.ndarray, tol: float, max_iter: int):
             w /= w.sum()
             g = K @ w
             f = float(w @ g)
+            pen = np.where(w > 0.0, 0.0, -np.inf)
     return w, f, gap, max_iter, "iters"
 
 
@@ -232,6 +253,8 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
     """
     A = K.values
     n = A.shape[0]
+    if not np.array_equal(A, A.T):
+        raise ValueError("kernel matrix is not exactly symmetric")
     # probe only at modest sizes; large unprobed kernels are treated as
     # possibly nonconvex (restarts + flag), which is the honest default
     psd = n <= PSD_PROBE_CAP and is_psd(A)

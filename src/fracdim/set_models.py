@@ -284,12 +284,21 @@ def kolmogorov_capacity(cloud, r: float, check: bool = False) -> int:
     the same scale as r (triadic nets probed at triadic radii) land a few
     ulps below the nominal distance and must still count.
     """
-    if r <= 0:
+    return capacity_counts(cloud, [r], check)[0]
+
+
+def capacity_counts(cloud, radii, check: bool = False) -> list[int]:
+    """`kolmogorov_capacity` of one cloud at each radius; a 1-d cloud is
+    sorted once for the whole list."""
+    radii = [float(r) for r in radii]
+    if any(not r > 0 for r in radii):
         raise ValueError("radius must be positive")
     pts = _as_points(cloud)
+    seps = [r * (1.0 - SEPARATION_SLACK) for r in radii]
     if pts.shape[1] == 1:
-        return _capacity_1d(np.sort(pts[:, 0]), r * (1.0 - SEPARATION_SLACK))
-    return _capacity_greedy(pts, r * (1.0 - SEPARATION_SLACK), check)
+        x = np.sort(pts[:, 0])
+        return [_capacity_1d(x, sep) for sep in seps]
+    return [_capacity_greedy(pts, sep, check) for sep in seps]
 
 
 def _capacity_1d(x: np.ndarray, r: float) -> int:
@@ -371,7 +380,7 @@ def minkowski_dim_estimate(cloud, r_ladder, mode: str = "upper") -> LadderEstima
     if np.any(ratios <= 0) or not (np.all(ratios < 1) or np.all(ratios > 1)):
         raise ValueError("ladder must be strictly monotone")
     r_ladder = np.sort(r_ladder)[::-1]          # coarse -> fine, limit at tail
-    counts = np.array([kolmogorov_capacity(cloud, r) for r in r_ladder], dtype=float)
+    counts = np.array(capacity_counts(cloud, r_ladder), dtype=float)
     if np.all(counts == counts[0]):
         if counts[0] == 1.0:
             est = LadderEstimate(scales=r_ladder, values=counts, mode=mode,

@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from fracdim.cli import (EXIT_CONFIG, EXIT_NUMERICAL, RunConfig, main,
-                         parse_family, parse_model, parse_phi, parse_set)
+from fracdim.cli import (COMMAND_FIELDS, EXIT_CONFIG, EXIT_NUMERICAL, RunConfig,
+                         build_parser, main, parse_family, parse_model,
+                         parse_phi, parse_set)
 
 
 def run_cli(*args):
@@ -101,6 +102,45 @@ def test_config_file_roundtrip_and_override(tmp_path):
     unknown = tmp_path / "unk.json"
     unknown.write_text(json.dumps({"command": "theta", "wat": 1}))
     assert main(["theta", "--config", str(unknown)]) == EXIT_CONFIG
+
+
+def test_config_field_outside_command_is_rejected(tmp_path, capsys):
+    cfg = {"command": "subordinator", "set": "interval:0,1",
+           "phi": "stable:0.5", "ladder": [10, 4, 4]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["subordinator", "--config", str(path)]) == 0
+    capsys.readouterr()
+    # neither field reaches the closed-form solver
+    path.write_text(json.dumps({**cfg, "max_iter": 1, "restarts": 99}))
+    assert main(["subordinator", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "max_iter" in err and "restarts" in err
+    # a config written for another command
+    assert main(["theta", "--config", str(path)]) == EXIT_CONFIG
+    assert "subordinator" in capsys.readouterr().err
+
+
+def test_parser_flags_are_command_fields():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert set(sub.choices) == set(COMMAND_FIELDS)
+    known = set(RunConfig.__dataclass_fields__)
+    for name, p in sub.choices.items():
+        dests = {a.dest for a in p._actions} - {"help", "config"}
+        assert dests | {"command"} == COMMAND_FIELDS[name] <= known
+
+
+def test_sidecar_config_feeds_back(tmp_path):
+    out = tmp_path / "s.json"
+    assert main(["subordinator", "--set", "interval:0,1", "--phi", "stable:0.5",
+                 "--ladder", "10,4,4", "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "s.json.meta.json").read_text())
+    assert set(meta["config"]) == COMMAND_FIELDS["subordinator"]
+    sidecar = tmp_path / "c.json"
+    sidecar.write_text(json.dumps(meta["config"]))
+    first = out.read_bytes()
+    assert main(["subordinator", "--config", str(sidecar)]) == 0
+    assert out.read_bytes() == first
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ import pytest
 
 from fracdim.errors import (CertificateFailed, MaxIterExceeded, NetTooLarge,
                             TooLarge)
-from fracdim.energy_min import (DENSE_NET_CAP, EnergyResult, KernelMatrix,
-                                SimplexWeights, build_kernel,
+from fracdim.energy_min import (_RESYNC_EVERY, DENSE_NET_CAP, EnergyResult,
+                                KernelMatrix, SimplexWeights, _frank_wolfe,
+                                _line_search, build_kernel,
                                 exp_kernel_certificate, exp_kernel_min_energy,
                                 exp_kernel_potential, is_psd, kkt_certificate,
                                 min_energy, min_energy_bruteforce,
@@ -60,6 +61,25 @@ def test_build_kernel_net_cap():
         build_kernel(KernelFamily.fh(1.0), 0.1, net)
 
 
+def test_build_kernel_equals_full_matrix_evaluation():
+    # row blocks give the same numbers as one elementwise evaluation of
+    # the whole distance matrix, on nets spanning several blocks
+    nets = [discretize(CompactSet.interval(0, 1), 0.0015),
+            discretize(CompactSet.cantor(), 3.0 ** -8 * (1 + 1e-9))]
+    for net in nets:
+        assert net.points.size > 256
+        D = np.abs(net.points[:, None] - net.points[None, :])
+        for fam, scale in ((KernelFamily.fh(0.5), 0.01),
+                           (KernelFamily.fh(1.5), 0.003),
+                           (KernelFamily.stable_sandwich(1.3, 1), 0.02),
+                           (KernelFamily.stable_sandwich(0.7, 2), 0.05)):
+            K = build_kernel(fam, scale, net).values
+            ref = np.clip(fam.evaluate(scale, D), 0.0, 1.0)
+            np.fill_diagonal(ref, 1.0)
+            assert np.array_equal(K, ref)
+            assert np.array_equal(K, K.T)
+
+
 def test_subordinator_kernels_are_psd():
     for _ in range(5):
         pts = np.sort(RNG.uniform(0, 1, 60))
@@ -109,6 +129,78 @@ def test_min_energy_nonconvex_flag_and_multistart():
     assert res.flagged_nonconvex and res.restarts_used == 8
     bf = min_energy_bruteforce(km, resolution=1 / 200)
     assert res.value <= bf + 1e-9
+
+
+def test_min_energy_rejects_asymmetric_kernel():
+    A = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3 + 1e-16, 1.0]])
+    assert not np.array_equal(A, A.T)
+    with pytest.raises(ValueError, match="symmetric"):
+        min_energy(_km(A))
+
+
+def _column_frank_wolfe(K, w0, tol, max_iter):
+    """The pairwise loop as it read strided columns and a boolean support
+    mask; the production loop must reproduce it bit for bit."""
+    w = w0.copy()
+    g = K @ w
+    f = float(w @ g)
+    gap = float("inf")
+    dbuf = np.empty_like(g)
+    masked = np.empty_like(g)
+    for it in range(1, max_iter + 1):
+        fw = int(np.argmin(g))
+        gap = 2.0 * (f - g[fw])
+        if gap <= tol * max(f, 1e-300):
+            return w, f, gap, it - 1, "gap"
+        np.copyto(masked, g)
+        masked[w <= 0.0] = -np.inf
+        aw = int(np.argmax(masked))
+        if aw == fw:
+            return w, f, gap, it, "stall"
+        dKw = float(g[fw] - g[aw])
+        dKd = float(K[fw, fw] + K[aw, aw] - 2.0 * K[fw, aw])
+        if dKw >= 0:
+            return w, f, gap, it, "stall"
+        gamma = _line_search(dKw, dKd, float(w[aw]))
+        if gamma <= 0:
+            return w, f, gap, it, "stall"
+        drop = gamma >= w[aw] * (1.0 - 1e-12)
+        w[aw] = 0.0 if drop else w[aw] - gamma
+        w[fw] += gamma
+        np.subtract(K[:, fw], K[:, aw], out=dbuf)
+        dbuf *= gamma
+        g += dbuf
+        f += 2.0 * gamma * dKw + gamma * gamma * dKd
+        if it % _RESYNC_EVERY == 0:
+            np.clip(w, 0.0, None, out=w)
+            w /= w.sum()
+            g = K @ w
+            f = float(w @ g)
+    return w, f, gap, max_iter, "iters"
+
+
+def test_frank_wolfe_bit_identical_to_column_reference():
+    rng = np.random.default_rng(5)
+    kernels = []
+    for n in (5, 17, 60, 150, 400):
+        kernels.append(random_psd_kernel(rng, n).values)
+        net = DeltaNet(np.sort(rng.uniform(0, 1, n)), 1.0 / n, "x")
+        kernels.append(build_kernel(KernelFamily.fh(float(rng.uniform(0.3, 1.5))),
+                                    float(rng.uniform(0.02, 0.3)), net).values)
+    most_iters = 0
+    statuses = set()
+    for K in kernels:
+        n = K.shape[0]
+        for w0 in (np.full(n, 1.0 / n), rng.dirichlet(np.ones(n))):
+            for tol, max_iter in ((0.0, 3000), (1e-6, 40)):
+                ref = _column_frank_wolfe(K, w0, tol, max_iter)
+                got = _frank_wolfe(K, w0, tol, max_iter)
+                assert np.array_equal(got[0], ref[0])
+                assert got[1:] == ref[1:]
+                most_iters = max(most_iters, got[3])
+                statuses.add(got[4])
+    assert most_iters > _RESYNC_EVERY          # the resync path ran
+    assert statuses == {"gap", "stall", "iters"}
 
 
 def test_min_energy_max_iter_exceeded_carries_result():

@@ -7,8 +7,9 @@ import pytest
 
 from fracdim.errors import DegenerateLadder, MeshTooFine
 from fracdim.oracles import max_separated_1d
-from fracdim.set_models import (CompactSet, DeltaNet, PointCloud, discretize,
-                                enlargement_volume, kolmogorov_capacity,
+from fracdim.set_models import (CompactSet, DeltaNet, PointCloud, capacity_counts,
+                                discretize, enlargement_volume,
+                                kolmogorov_capacity,
                                 minkowski_dim_estimate)
 
 RNG = np.random.default_rng(99)
@@ -119,6 +120,18 @@ def test_capacity_monotone_in_radius():
     radii = np.linspace(0.01, 1.2, 40)
     counts = [kolmogorov_capacity(pts, r) for r in radii]
     assert np.all(np.diff(counts) <= 0)
+
+
+def test_capacity_counts_sorts_once_and_matches_oracle():
+    pts = RNG.uniform(0, 2, 50)                  # unsorted on purpose
+    radii = [0.9, 0.3, 0.07, 0.011]
+    assert capacity_counts(pts, radii) == [max_separated_1d(np.sort(pts), r)
+                                           for r in radii]
+    cloud = PointCloud(RNG.uniform(0, 1, (80, 2)))
+    assert capacity_counts(cloud, radii) == [kolmogorov_capacity(cloud, r)
+                                             for r in radii]
+    with pytest.raises(ValueError):
+        capacity_counts(pts, [0.5, 0.0])
 
 
 def test_capacity_d2_greedy_bracketing_asserts():
