@@ -9,24 +9,21 @@ and corroborate the identities by box-counting simulated images
 """
 
 from .errors import (CertificateFailed, DegenerateLadder, FracdimError,
-                     MaxIterExceeded, MeshTooFine, MismatchedInputs,
-                     NetTooLarge, NoSampler, NonConvergedQuadrature, TooLarge)
+                     MaxIterExceeded, MeshTooFine, NetTooLarge, NoSampler,
+                     NonConvergedQuadrature, TooLarge)
 from .ladders import LadderEstimate
 from .process_models import (CharExponent, KernelFamily, LaplaceExponent,
-                             LevyModel, cauchy_weighted_energy, energy_form,
-                             kappa_monte_carlo, kappa_stable_1d, kernel_eval)
+                             LevyModel, cauchy_weighted_energy,
+                             kappa_monte_carlo, kappa_stable_1d)
 from .set_models import (CompactSet, DeltaNet, PointCloud, discretize,
-                         enlargement_volume, kolmogorov_capacity,
-                         minkowski_dim_estimate)
+                         kolmogorov_capacity, minkowski_dim_estimate)
 from .energy_min import (EnergyResult, KernelMatrix, SimplexWeights,
                          build_kernel, exp_kernel_min_energy, is_psd,
-                         kkt_certificate, min_energy, min_energy_bruteforce,
-                         refinement_stability)
+                         kkt_certificate, min_energy, min_energy_bruteforce)
 from .profiles import (ProfileReport, box_profile, fh_profile,
-                       fh_subordinator_predicted, phi_index,
-                       stable_profile_via_fh, subordinator_box_dim,
+                       fh_subordinator_predicted, subordinator_box_dim,
                        theta_index)
 from .simulate import (ImageExperiment, PathSample, image_dim_experiment,
-                       sample_path, theory_vs_empirical)
+                       sample_path)
 
 __version__ = "0.1.0"

@@ -25,13 +25,15 @@ import numpy as np
 
 from .errors import CertificateFailed, MaxIterExceeded, NetTooLarge, TooLarge
 from .process_models import KernelFamily
-from .set_models import DeltaNet, discretize
+from .set_models import DeltaNet
 
 DENSE_NET_CAP = 5000
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 200_000
 DEFAULT_RESTARTS = 8
 ENUM_BUDGET = 200_000_000      # lattice points an exhaustive search may visit
+_ENUM_CHUNK_ROWS = 2_000_000   # lattice points evaluated per block
+PSD_JITTER = 1e-10             # diagonal shift of the Cholesky probe
 _RESYNC_EVERY = 512            # refresh the cached gradient this often
 _ROW_BLOCK = 256               # kernel rows assembled per evaluation
 _SUM_TOL = 1e-12
@@ -145,8 +147,8 @@ def build_kernel(family: KernelFamily, scale: float, net: DeltaNet) -> KernelMat
                         points=pts.copy())
 
 
-def is_psd(K: np.ndarray, jitter: float = 1e-10) -> bool:
-    """Cholesky probe (with jitter) for positive semidefiniteness.
+def is_psd(K: np.ndarray) -> bool:
+    """Cholesky probe (with PSD_JITTER) for positive semidefiniteness.
 
     The jitter admits semidefinite matrices such as nearly-low-rank
     exponential kernels; genuinely indefinite kernels fail fast at the
@@ -154,7 +156,7 @@ def is_psd(K: np.ndarray, jitter: float = 1e-10) -> bool:
     """
     A = np.asarray(K, dtype=float)
     try:
-        np.linalg.cholesky(A + jitter * np.eye(A.shape[0]))
+        np.linalg.cholesky(A + PSD_JITTER * np.eye(A.shape[0]))
         return True
     except np.linalg.LinAlgError:
         return False
@@ -393,11 +395,11 @@ def _composition_count(total: int, parts: int) -> int:
     return math.comb(total + parts - 1, parts - 1)
 
 
-def _compositions_chunks(total: int, parts: int, chunk_rows: int = 2_000_000):
+def _compositions_chunks(total: int, parts: int):
     """Yield integer arrays whose rows are compositions of `total` into
-    `parts` nonnegative parts, in chunks of bounded row count.
+    `parts` nonnegative parts, in chunks of about _ENUM_CHUNK_ROWS rows.
 
-    Suffix blocks up to 4 parts are memoized per call; deeper levels are
+    Suffix blocks of up to 3 parts are memoized per call; deeper levels are
     streamed so memory stays proportional to the chunk size.
     """
     cache: dict[tuple[int, int], np.ndarray] = {}
@@ -433,21 +435,21 @@ def _compositions_chunks(total: int, parts: int, chunk_rows: int = 2_000_000):
         block[:, 1:] = rest
         buf.append(block)
         rows += block.shape[0]
-        if rows >= chunk_rows:
+        if rows >= _ENUM_CHUNK_ROWS:
             yield np.concatenate(buf)
             buf, rows = [], 0
     if buf:
         yield np.concatenate(buf)
 
 
-def min_energy_bruteforce(K: KernelMatrix, resolution: float = 1.0 / 200.0,
-                          budget: int = ENUM_BUDGET) -> float:
+def min_energy_bruteforce(K: KernelMatrix,
+                          resolution: float = 1.0 / 200.0) -> float:
     """Exhaustive minimum of w'Kw over the lattice simplex {m/R : sum m = R}.
 
     Independent of the Frank-Wolfe path.  With entries in [0, 1] the value
     is within Lipschitz * resolution of the lattice-free minimum (and much
     closer in practice, since the objective is flat at a minimizer).
-    Raises TooLarge when the enumeration would exceed `budget` points.
+    Raises TooLarge when the enumeration would exceed ENUM_BUDGET points.
     """
     A = K.values
     n = A.shape[0]
@@ -457,8 +459,8 @@ def min_energy_bruteforce(K: KernelMatrix, resolution: float = 1.0 / 200.0,
     if R < 1:
         raise ValueError("resolution must be in (0, 1]")
     count = _composition_count(R, n)
-    if count > budget:
-        raise TooLarge(f"{count} lattice points exceed budget {budget}; "
+    if count > ENUM_BUDGET:
+        raise TooLarge(f"{count} lattice points exceed budget {ENUM_BUDGET}; "
                        "pass a coarser resolution")
     best = np.inf
     for block in _compositions_chunks(R, n):
@@ -471,7 +473,7 @@ def min_energy_bruteforce(K: KernelMatrix, resolution: float = 1.0 / 200.0,
 
 
 # ---------------------------------------------------------------------------
-# optimality certificate and stability report
+# optimality certificate
 # ---------------------------------------------------------------------------
 
 def kkt_certificate(K: KernelMatrix, weights: SimplexWeights,
@@ -495,17 +497,3 @@ def kkt_certificate(K: KernelMatrix, weights: SimplexWeights,
     }
     return lower_ok and support_ok, report
 
-
-def refinement_stability(cset, family: KernelFamily, scale: float,
-                         delta: float, **solver_kw) -> dict:
-    """Measure |Z(delta) - Z(delta/2)| against the kernel's modulus of
-    continuity at mesh scale; used to confirm a mesh choice."""
-    nets = [discretize(cset, delta), discretize(cset, delta / 2)]
-    zs = [rung_min_energy(family, scale, nt, **solver_kw).value for nt in nets]
-    lo, hi = cset.bounds()
-    grid = np.linspace(0, max(hi - lo, delta), 512)
-    kv = family.evaluate(scale, grid)
-    kv_shift = family.evaluate(scale, grid + delta)
-    modulus = float(np.max(np.abs(kv - kv_shift)))
-    return {"Z_coarse": zs[0], "Z_fine": zs[1],
-            "change": abs(zs[0] - zs[1]), "kernel_modulus": modulus}

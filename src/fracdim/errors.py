@@ -29,10 +29,6 @@ class DegenerateLadder(FracdimError):
     """A scale ladder carries no usable signal (constant counts)."""
 
 
-class MismatchedInputs(FracdimError):
-    """Two records that must describe the same experiment do not."""
-
-
 class CertificateFailed(FracdimError):
     """A minimizer failed its optimality certificate (duality gap or sign)."""
 

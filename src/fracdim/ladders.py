@@ -10,8 +10,10 @@ limsup/liminf, three slope modes are exposed:
   lower           min two-point chord slope over the asymptotic half
 
 The "asymptotic half" is the half of the ladder closest to the limit the
-estimand refers to (smallest radii / largest frequencies); orientation is
-controlled by which end of the stored arrays that is, see `asymptotic`.
+estimand refers to (smallest radii / largest frequencies); callers store
+ladders with that limit at the tail of the arrays.  A constant ladder
+(no scaling signal, e.g. a single point) has slope exactly 0 in every
+mode.
 """
 
 from __future__ import annotations
@@ -29,22 +31,24 @@ def _chord_slopes(lx: np.ndarray, ly: np.ndarray) -> np.ndarray:
     return (ly[j] - ly[i]) / (lx[j] - lx[i])
 
 
-def slope_estimates(log_x: np.ndarray, log_y: np.ndarray,
-                    asymptotic: str = "tail") -> dict:
+def slope_estimates(log_x: np.ndarray, log_y: np.ndarray) -> dict:
     """Slope of log_y against log_x in all modes.
 
-    asymptotic: 'tail' if the limit end of the ladder is the last entries,
-    'head' if it is the first.  Envelope modes use chords among points in
-    that half (at least two points).
+    The limit end of the ladder is its last entries; envelope modes use
+    chords among points in that half (at least two points).  A constant
+    log_y gives exact zeros, intercept log_y[0] and residual 0.
     """
     log_x = np.asarray(log_x, dtype=float)
     log_y = np.asarray(log_y, dtype=float)
     if log_x.size < 2:
         raise ValueError("need at least two ladder points")
+    if np.all(log_y == log_y[0]):
+        # + 0.0 turns -log(1) = -0.0 into 0.0, as a fit of zeros would give
+        return {"least_squares": 0.0, "upper": 0.0, "lower": 0.0,
+                "intercept": float(log_y[0]) + 0.0, "max_residual": 0.0}
     ls, intercept = np.polyfit(log_x, log_y, 1)
     half = max(2, (log_x.size + 1) // 2)
-    sl = slice(log_x.size - half, None) if asymptotic == "tail" else slice(0, half)
-    chords = _chord_slopes(log_x[sl], log_y[sl])
+    chords = _chord_slopes(log_x[-half:], log_y[-half:])
     resid = log_y - (ls * log_x + intercept)
     return {
         "least_squares": float(ls),
@@ -60,8 +64,9 @@ class LadderEstimate:
     """A log-log regression record of values over a geometric scale ladder.
 
     `slope` is the estimate in the requested `mode`; the other modes are
-    kept alongside so reports can show the envelope spread.  Recomputing
-    from the stored (scales, values) reproduces `slope` exactly.
+    kept alongside so reports can show the envelope spread.  Fitting the
+    stored (scales, values) again with the same transforms reproduces
+    `slope` exactly.
     """
 
     scales: np.ndarray
@@ -74,8 +79,7 @@ class LadderEstimate:
 
     @classmethod
     def fit(cls, scales, values, mode: str = "least_squares",
-            x_transform=np.log, y_transform=np.log,
-            asymptotic: str = "tail") -> "LadderEstimate":
+            x_transform=np.log, y_transform=np.log) -> "LadderEstimate":
         if mode not in MODES:
             raise ValueError(f"unknown slope mode {mode!r}")
         scales = np.asarray(scales, dtype=float)
@@ -85,23 +89,11 @@ class LadderEstimate:
         d = np.diff(scales)
         if not (np.all(d > 0) or np.all(d < 0)):
             raise ValueError("scales must be strictly monotone")
-        est = slope_estimates(x_transform(scales), y_transform(values),
-                              asymptotic=asymptotic)
-        out = cls(scales=scales, values=values, mode=mode,
-                  slope=est[mode], intercept=est["intercept"],
-                  max_residual=est["max_residual"],
-                  all_slopes={m: est[m] for m in MODES})
-        out._x_transform = x_transform
-        out._y_transform = y_transform
-        out._asymptotic = asymptotic
-        return out
-
-    def recompute_slope(self) -> float:
-        """Re-derive the slope from the stored points (invariant check)."""
-        est = slope_estimates(self._x_transform(self.scales),
-                              self._y_transform(self.values),
-                              asymptotic=getattr(self, "_asymptotic", "tail"))
-        return est[self.mode]
+        est = slope_estimates(x_transform(scales), y_transform(values))
+        return cls(scales=scales, values=values, mode=mode,
+                   slope=est[mode], intercept=est["intercept"],
+                   max_residual=est["max_residual"],
+                   all_slopes={m: est[m] for m in MODES})
 
     def to_dict(self) -> dict:
         return {

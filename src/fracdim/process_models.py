@@ -33,7 +33,7 @@ from .utils import substream
 KAPPA_QUAD_TOL = 1e-8          # error target for ball-probability inversion
 TRUNC_LOG = 36.85              # exp(-x) < 1e-16 beyond x = TRUNC_LOG
 CAUCHY_QUAD_TOL = 1e-6         # error target for Cauchy-weighted energies
-IMAG_RESIDUE_TOL = 1e-10       # energy forms must be real up to this
+KAPPA_MC_SAMPLES = 200_000     # Monte Carlo draws per exact-kernel distance
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +405,6 @@ class KernelFamily:
     params: dict = field(default_factory=dict)
     model: Optional[LevyModel] = None
     phi: Optional[LaplaceExponent] = None
-    mc_samples: int = 200_000
     seed: int = 0
 
     @classmethod
@@ -428,14 +427,13 @@ class KernelFamily:
         return cls("subexp", {}, phi=phi)
 
     @classmethod
-    def exact(cls, model: LevyModel, mc_samples: int = 200_000,
-              seed: int = 0) -> "KernelFamily":
+    def exact(cls, model: LevyModel, seed: int = 0) -> "KernelFamily":
         """The model's own small-ball kernel.
 
         1-d symmetric stable models use quadrature; anything else falls
         back to seeded Monte Carlo (l-inf balls in d > 1 do not factor).
         """
-        return cls("exact", {}, model=model, mc_samples=mc_samples, seed=seed)
+        return cls("exact", {}, model=model, seed=seed)
 
     @property
     def tag(self) -> str:
@@ -482,7 +480,7 @@ class KernelFamily:
                 # per-distance substream keyed on the float bits keeps the
                 # matrix deterministic and symmetric
                 key = int(np.float64(t).view(np.uint64) ^ np.float64(eps).view(np.uint64))
-                val, _ = kappa_monte_carlo(model, eps, t, self.mc_samples,
+                val, _ = kappa_monte_carlo(model, eps, t, KAPPA_MC_SAMPLES,
                                            seed=self.seed ^ key)
                 res[i] = val
         out.ravel()[:] = res
@@ -498,37 +496,9 @@ class KernelFamily:
         return cfg
 
 
-def kernel_eval(family: KernelFamily, scale: float, r: float) -> float:
-    """Scalar kernel evaluation; K_scale(0) = 1 for every family."""
-    return float(family.evaluate(scale, np.atleast_1d(float(r)))[0])
-
-
 # ---------------------------------------------------------------------------
-# energy forms
+# Cauchy-weighted energies
 # ---------------------------------------------------------------------------
-
-def energy_form(weights, psi: CharExponent, z) -> float:
-    """Double sum sum_ij w_i w_j exp(-|t_i - t_j| Psi(sgn(t_i - t_j) z)).
-
-    Complex arithmetic is carried through for asymmetric Psi; the double
-    sum is conjugate-symmetric, so the result is real (asserted to
-    IMAG_RESIDUE_TOL) and lies in [0, 1].
-    """
-    pts = np.asarray(weights.points, dtype=float)
-    w = np.asarray(weights.w, dtype=float)
-    diff = pts[:, None] - pts[None, :]
-    adist = np.abs(diff)
-    a = psi(z)
-    if psi.symmetric:
-        total = complex(w @ np.exp(-adist * a.real) @ w)
-    else:
-        b = psi(-np.asarray(z, dtype=float))
-        expo = np.where(diff >= 0, a, b)
-        total = complex(w @ np.exp(-adist * expo) @ w)
-    if abs(total.imag) > IMAG_RESIDUE_TOL:
-        raise ArithmeticError(f"energy form imaginary residue {total.imag:.2e}")
-    return float(min(1.0, max(0.0, total.real)))
-
 
 def _pair_weights(weights):
     """Condense a discrete measure to (unique distances > 0, paired mass).

@@ -6,7 +6,6 @@ Z(scale) over a geometric scale ladder:
   box profile          slope of log Z(eps) vs log eps, eps -> 0
   subordinator profile slope of -log Z(lam) vs log lam, lam -> inf,
                        kernel exp(-|t-s| Phi(lam))
-  Laplace indices      slopes of log Phi(lam) vs log lam
   theta index          lower-envelope slope of log int_1^lam dx/Phi(x^{1/s})
 
 Limits are realized as envelope slopes over the asymptotic half of the
@@ -36,6 +35,8 @@ from .utils import parallel_map
 MESH_RATIO = 10.0             # delta(eps) = eps / MESH_RATIO
 SUBEXP_MESH_PRODUCT = 0.1     # Phi(lam) * delta <= this
 SANITY_WINDOW = (0.0, 2.0)    # plausible profile estimates for 1-d sets
+THETA_QUAD_TOL = 1e-9         # relative error target per theta segment
+THETA_RUNGS_PER_DECADE = 2.0  # theta quadrature segments per decade of lam
 
 
 @dataclass
@@ -139,16 +140,8 @@ def box_profile(cset: CompactSet, family: KernelFamily, eps_ladder,
     meshes, results = _energy_ladder(
         cset, family, eps, lambda e: e / mesh_ratio, tol, restarts, seed,
         max_iter)
-    zs = np.array([r.value for r in results])
-    if np.all(zs == zs[0]):
-        ladder = LadderEstimate(scales=eps, values=zs, mode=mode, slope=0.0,
-                                intercept=float(np.log(zs[0])), max_residual=0.0,
-                                all_slopes={m: 0.0 for m in ("least_squares", "upper", "lower")})
-        ladder._x_transform = np.log
-        ladder._y_transform = np.log
-        ladder._asymptotic = "tail"
-    else:
-        ladder = LadderEstimate.fit(eps, zs, mode=mode, asymptotic="tail")
+    ladder = LadderEstimate.fit(eps, np.array([r.value for r in results]),
+                                mode=mode)
     return _ladder_report(cset, family.tag,
                           {k: float(v) for k, v in family.params.items()},
                           ladder, meshes, results)
@@ -157,24 +150,6 @@ def box_profile(cset: CompactSet, family: KernelFamily, eps_ladder,
 def fh_profile(cset: CompactSet, s: float, eps_ladder, **kw) -> ProfileReport:
     """Power-law (Falconer-Howroyd) profile of parameter s > 0."""
     return box_profile(cset, KernelFamily.fh(s), eps_ladder, **kw)
-
-
-def stable_profile_via_fh(cset: CompactSet, alpha: float, d: int,
-                          eps_ladder, **kw) -> ProfileReport:
-    """Profile of a stable model through its power-law reduction.
-
-    The stable kernel is bracketed by min(1, eps/t^{1/alpha})^d, so its
-    profile equals alpha times the power-law profile at s = d/alpha; this
-    evaluates the right side, which is far cheaper than exact kernels.
-    """
-    rep = fh_profile(cset, d / alpha, eps_ladder, **kw)
-    ladder = rep.ladder
-    return ProfileReport(set_label=rep.set_label, family_tag="stable_via_fh",
-                         param={"alpha": float(alpha), "d": int(d)},
-                         estimate=alpha * rep.estimate, mode=rep.mode,
-                         ladder=ladder, mesh_per_scale=rep.mesh_per_scale,
-                         rungs=rep.rungs, self_cover=rep.self_cover,
-                         flagged_nonconvex=rep.flagged_nonconvex)
 
 
 def subordinator_box_dim(phi: LaplaceExponent, cset: CompactSet, lam_ladder,
@@ -202,37 +177,16 @@ def subordinator_box_dim(phi: LaplaceExponent, cset: CompactSet, lam_ladder,
     family = KernelFamily.subordinator_exp(phi)
     meshes, results = _energy_ladder(cset, family, lam, mesh, tol)
     ladder = LadderEstimate.fit(lam, np.array([r.value for r in results]),
-                                mode=mode, y_transform=lambda v: -np.log(v),
-                                asymptotic="tail")
+                                mode=mode, y_transform=lambda v: -np.log(v))
     return _ladder_report(cset, "subexp", {"phi": phi.family}, ladder,
                           meshes, results)
 
 
 # ---------------------------------------------------------------------------
-# Laplace-exponent indices
+# theta index and the predicted range profile
 # ---------------------------------------------------------------------------
 
-def phi_index(phi: LaplaceExponent, lam_ladder, which: str = "upper") -> float:
-    """Envelope slope of log Phi(lam) against log lam.
-
-    `which` = "upper" estimates the limsup (a packing-type index), "lower"
-    the liminf (a Hausdorff-type index).  The ladder must span at least 8
-    decades so slow corrections such as logarithms can settle.
-    """
-    if which not in ("upper", "lower"):
-        raise ValueError("which must be 'upper' or 'lower'")
-    lam = np.sort(np.asarray(lam_ladder, dtype=float))
-    if lam[0] <= 0 or np.log10(lam[-1] / lam[0]) < 8 - 1e-9:
-        raise ValueError("ladder must be positive and span at least 8 decades")
-    vals = np.asarray(phi(lam), dtype=float)
-    if np.any(vals <= 0):
-        raise ValueError("Phi must be positive on the ladder")
-    est = LadderEstimate.fit(lam, vals, mode=which, asymptotic="tail")
-    return float(est.slope)
-
-
-def theta_index(phi: LaplaceExponent, s: float, lam_max: float = 1e8,
-                quad_tol: float = 1e-9, rungs_per_decade: float = 2.0) -> float:
+def theta_index(phi: LaplaceExponent, s: float, lam_max: float = 1e8) -> float:
     """Lower-envelope slope of log int_1^lam dx / Phi(x^{1/s}) vs log lam.
 
     The cumulative integral is built segment by segment on a geometric
@@ -246,7 +200,7 @@ def theta_index(phi: LaplaceExponent, s: float, lam_max: float = 1e8,
     if lam_max <= 10.0:
         raise ValueError("lam_max too small for a slope estimate")
     decades = np.log10(lam_max)
-    n_seg = max(8, int(np.ceil(decades * rungs_per_decade)))
+    n_seg = max(8, int(np.ceil(decades * THETA_RUNGS_PER_DECADE)))
     grid = np.logspace(0.0, np.log10(lam_max), n_seg + 1)
 
     def integrand_log(y):
@@ -258,7 +212,7 @@ def theta_index(phi: LaplaceExponent, s: float, lam_max: float = 1e8,
     for a, b in zip(grid[:-1], grid[1:]):
         with np.errstate(over="ignore", divide="ignore"):
             val, err = integrate.quad(integrand_log, np.log(a), np.log(b),
-                                      limit=200, epsabs=0.0, epsrel=quad_tol)
+                                      limit=200, epsabs=0.0, epsrel=THETA_QUAD_TOL)
         if not np.isfinite(val) or (val > 0 and err > 1e-6 * val):
             raise NonConvergedQuadrature(
                 f"theta integrand on [{a:g}, {b:g}]: error {err:.2e}")
@@ -266,12 +220,12 @@ def theta_index(phi: LaplaceExponent, s: float, lam_max: float = 1e8,
         cum.append(total)
     lam = grid[1:]
     cum = np.asarray(cum)
-    est = LadderEstimate.fit(lam, cum, mode="lower", asymptotic="tail")
+    est = LadderEstimate.fit(lam, cum, mode="lower")
     return float(min(1.0, max(0.0, est.slope)))
 
 
 def fh_subordinator_predicted(phi: LaplaceExponent, s: float,
-                              lam_max: float = 1e8, **kw) -> float:
+                              lam_max: float = 1e8) -> float:
     """Predicted power-law profile of the range of a subordinator on a
     unit time window: s * (1 - theta_index(phi, s))."""
-    return s * (1.0 - theta_index(phi, s, lam_max=lam_max, **kw))
+    return s * (1.0 - theta_index(phi, s, lam_max=lam_max))

@@ -341,30 +341,6 @@ def _capacity_greedy(pts: np.ndarray, r: float, check: bool) -> int:
     return len(kept)
 
 
-def enlargement_volume(cloud, r: float, resolution: int = 24) -> float:
-    """Rasterized Lebesgue volume of the closed r-enlargement (l-inf).
-
-    Grid cells of edge r/resolution are counted when their center lies
-    within r of the cloud; used by the capacity-volume sanity bound
-    r^d K(r) <= vol.
-    """
-    pts = _as_points(cloud)
-    d = pts.shape[1]
-    h = r / resolution
-    lo = pts.min(axis=0) - r - h
-    hi = pts.max(axis=0) + r + h
-    axes = [np.arange(lo[k] + h / 2, hi[k], h) for k in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([m.ravel() for m in mesh], axis=1)
-    hit = np.zeros(centers.shape[0], dtype=bool)
-    block = 4096
-    for start in range(0, pts.shape[0], block):
-        chunk = pts[start:start + block]
-        dist = np.max(np.abs(centers[:, None, :] - chunk[None, :, :]), axis=2)
-        hit |= (dist <= r).any(axis=1)
-    return float(hit.sum()) * h ** d
-
-
 def minkowski_dim_estimate(cloud, r_ladder, mode: str = "upper") -> LadderEstimate:
     """Upper-Minkowski-dimension ladder: slope of log K(r) against log(1/r).
 
@@ -381,17 +357,8 @@ def minkowski_dim_estimate(cloud, r_ladder, mode: str = "upper") -> LadderEstima
         raise ValueError("ladder must be strictly monotone")
     r_ladder = np.sort(r_ladder)[::-1]          # coarse -> fine, limit at tail
     counts = np.array(capacity_counts(cloud, r_ladder), dtype=float)
-    if np.all(counts == counts[0]):
-        if counts[0] == 1.0:
-            est = LadderEstimate(scales=r_ladder, values=counts, mode=mode,
-                                 slope=0.0, intercept=0.0, max_residual=0.0,
-                                 all_slopes={m: 0.0 for m in ("least_squares", "upper", "lower")})
-            est._x_transform = lambda s: np.log(1.0 / s)
-            est._y_transform = np.log
-            est._asymptotic = "tail"
-            return est
+    if counts[0] > 1.0 and np.all(counts == counts[0]):
         raise DegenerateLadder(
             f"capacity constant at {int(counts[0])} across the ladder")
     return LadderEstimate.fit(r_ladder, counts, mode=mode,
-                              x_transform=lambda s: np.log(1.0 / s),
-                              y_transform=np.log, asymptotic="tail")
+                              x_transform=lambda s: np.log(1.0 / s))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MismatchedInputs, NoSampler
+from .errors import NoSampler
 from .process_models import LevyModel
 from .set_models import CompactSet, DeltaNet, PointCloud, discretize, minkowski_dim_estimate
 from .utils import parallel_map, substream
@@ -148,27 +148,3 @@ def image_dim_experiment(model: LevyModel, cset: CompactSet, n_paths: int,
                            median=float(q50), iqr=float(q75 - q25),
                            mode=mode, net_mesh=h)
 
-
-def theory_vs_empirical(model: LevyModel, cset: CompactSet, profile,
-                        experiment: ImageExperiment,
-                        band: float = 0.1) -> dict:
-    """Compare a profile estimate against a simulation median.
-
-    The two records must describe the same set; the comparison itself is
-    |estimate - median| tested against `band`.
-    """
-    if experiment.set_label != cset.label or profile.set_label != cset.label:
-        raise MismatchedInputs("profile/experiment describe different sets")
-    if experiment.model != model.to_config():
-        raise MismatchedInputs("experiment was run with a different model")
-    diff = abs(profile.estimate - experiment.median)
-    return {
-        "set": cset.label,
-        "model": model.to_config(),
-        "theory": profile.estimate,
-        "empirical_median": experiment.median,
-        "empirical_iqr": experiment.iqr,
-        "abs_diff": diff,
-        "band": band,
-        "pass": bool(diff <= band),
-    }

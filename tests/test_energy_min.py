@@ -10,8 +10,7 @@ from fracdim.energy_min import (_RESYNC_EVERY, DENSE_NET_CAP, EnergyResult,
                                 _line_search, build_kernel,
                                 exp_kernel_certificate, exp_kernel_min_energy,
                                 exp_kernel_potential, is_psd, kkt_certificate,
-                                min_energy, min_energy_bruteforce,
-                                refinement_stability)
+                                min_energy, min_energy_bruteforce)
 from fracdim.oracles import (cantor_exp_kernel_min_energy,
                              interval_exp_kernel_min_energy)
 from fracdim.process_models import KernelFamily, LaplaceExponent
@@ -230,17 +229,6 @@ def test_energy_bounds_sandwich():
         km = random_psd_kernel(RNG, 6)
         res = min_energy(km)
         assert km.values.min() - 1e-12 <= res.value <= 1.0
-
-
-def test_refinement_stability_report():
-    rep = refinement_stability(CompactSet.interval(0, 1), KernelFamily.fh(1.0),
-                               0.1, 0.01, restarts=2)
-    assert rep["change"] <= rep["kernel_modulus"] + 1e-6
-    # exponential kernels take the exact path: 2001 points, no matrix
-    rep = refinement_stability(CompactSet.interval(0, 1), KernelFamily.subordinator_exp(
-        LaplaceExponent.stable(0.5)), 1e4, 1e-3)
-    assert abs(rep["Z_fine"] - 1 / (1 + 2000 * np.tanh(100 / 4000))) <= 1e-14
-    assert rep["change"] <= rep["kernel_modulus"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Process descriptors, ball probabilities, and energy forms."""
+"""Process descriptors, ball probabilities, and Cauchy-weighted energies."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,9 @@ from fracdim.errors import NoSampler, NonConvergedQuadrature
 from fracdim.energy_min import SimplexWeights
 from fracdim.process_models import (CharExponent, KernelFamily,
                                     LaplaceExponent, LevyModel,
-                                    cauchy_weighted_energy, energy_form,
+                                    cauchy_weighted_energy,
                                     kappa_monte_carlo, kappa_stable_1d,
-                                    kernel_eval, one_sided_stable,
+                                    one_sided_stable,
                                     symmetric_stable)
 
 RNG = np.random.default_rng(20240817)
@@ -174,15 +174,19 @@ def test_subordinated_stable_matches_direct_cms_in_1d():
 # kernel families
 # ---------------------------------------------------------------------------
 
+def _kernel_at(family, scale, r):
+    return family.evaluate(scale, np.array([r]))[0]
+
+
 def test_kernel_eval_closed_forms():
     fh = KernelFamily.fh(0.5)
-    assert abs(kernel_eval(fh, 0.1, 0.4) - 0.5) < 1e-14
+    assert abs(_kernel_at(fh, 0.1, 0.4) - 0.5) < 1e-14
     sub = KernelFamily.subordinator_exp(LaplaceExponent.stable(0.5))
-    assert abs(kernel_eval(sub, 100.0, 0.2) - np.exp(-2.0)) < 1e-14
+    assert abs(_kernel_at(sub, 100.0, 0.2) - np.exp(-2.0)) < 1e-14
     sw = KernelFamily.stable_sandwich(0.5, 2)
-    assert abs(kernel_eval(sw, 0.1, 0.4) - (0.1 / 0.4 ** 2) ** 2) < 1e-14
+    assert abs(_kernel_at(sw, 0.1, 0.4) - (0.1 / 0.4 ** 2) ** 2) < 1e-14
     for fam in (fh, sub, sw):
-        assert kernel_eval(fam, 0.3, 0.0) == 1.0
+        assert _kernel_at(fam, 0.3, 0.0) == 1.0
 
 
 def test_kernel_eval_bounds_and_monotonicity_fuzz():
@@ -195,7 +199,7 @@ def test_kernel_eval_bounds_and_monotonicity_fuzz():
             v = fam.evaluate(scale, r)
             assert np.all((v >= 0) & (v <= 1))
             assert np.all(np.diff(v) <= 1e-12)
-            assert kernel_eval(fam, scale, 0.0) == 1.0
+            assert _kernel_at(fam, scale, 0.0) == 1.0
 
 
 def test_exact_kernel_delegates_to_quadrature():
@@ -220,7 +224,7 @@ def test_stable_sandwich_brackets_kappa_with_stable_constants():
             for t in np.logspace(tlo, thi, 8):
                 for eps in np.logspace(elo, ehi, 8):
                     k = kappa_stable_1d(alpha, 1.0, eps, t)
-                    rr.append(k / kernel_eval(env, eps, t))
+                    rr.append(k / _kernel_at(env, eps, t))
             ratios[tag] = (min(rr), max(rr))
         for lo, hi in ratios.values():
             assert 0 < lo <= hi < np.inf
@@ -229,30 +233,11 @@ def test_stable_sandwich_brackets_kappa_with_stable_constants():
 
 
 # ---------------------------------------------------------------------------
-# energy forms
+# Cauchy-weighted energies
 # ---------------------------------------------------------------------------
 
 def _psi_brownian():
     return CharExponent(lambda z: float(np.atleast_1d(z)[0]) ** 2, 1, True)
-
-
-def test_energy_form_examples():
-    single = SimplexWeights(np.array([1.0]), np.array([0.2]))
-    assert energy_form(single, _psi_brownian(), 1.3) == 1.0
-    two = SimplexWeights(np.array([0.5, 0.5]), np.array([0.0, 1.0]))
-    got = energy_form(two, _psi_brownian(), 1.0)
-    assert abs(got - (0.5 + 0.5 * np.exp(-1))) < 1e-14
-    assert energy_form(two, _psi_brownian(), 0.0) == 1.0
-
-
-def test_energy_form_in_unit_interval_fuzz():
-    models = [m for m in _models() if m.psi is not None and m.d == 1]
-    for _ in range(40):
-        n = int(RNG.integers(1, 8))
-        w = SimplexWeights(RNG.dirichlet(np.ones(n)), np.sort(RNG.uniform(0, 2, n)))
-        m = models[int(RNG.integers(len(models)))]
-        val = energy_form(w, m.psi, float(RNG.normal(0, 2)))
-        assert 0.0 <= val <= 1.0
 
 
 def test_cauchy_weighted_energy_examples():

@@ -1,4 +1,4 @@
-"""Profile estimators and Laplace-exponent indices."""
+"""Profile estimators and the theta index."""
 
 import json
 import math
@@ -8,13 +8,12 @@ import pytest
 
 from fracdim.energy_min import DENSE_NET_CAP
 from fracdim.errors import NonConvergedQuadrature
-from fracdim.ladders import LadderEstimate
+from fracdim.ladders import MODES, LadderEstimate
 from fracdim.oracles import (fh_interval_uniform_energy,
                              interval_exp_kernel_energy, theta_power_law)
 from fracdim.process_models import KernelFamily, LaplaceExponent
 from fracdim.profiles import (box_profile, fh_profile,
-                              fh_subordinator_predicted, phi_index,
-                              stable_profile_via_fh, subordinator_box_dim,
+                              fh_subordinator_predicted, subordinator_box_dim,
                               theta_index)
 from fracdim.set_models import CompactSet
 
@@ -29,6 +28,27 @@ def test_singleton_profile_is_zero():
     eps = 0.1 * 0.5 ** np.arange(5)
     rep = box_profile(CompactSet.finite([0.0]), KernelFamily.fh(1.0), eps)
     assert rep.estimate == 0.0
+    # Z = 1 on every rung: the fitted record equals the one written out
+    # field by field, with no negative zeros
+    zs = np.array([r["Z"] for r in rep.rungs])
+    assert np.all(zs == 1.0)
+    expected = LadderEstimate(scales=eps, values=zs, mode="upper", slope=0.0,
+                              intercept=float(np.log(zs[0])), max_residual=0.0,
+                              all_slopes={m: 0.0 for m in MODES})
+    assert (json.dumps(rep.ladder.to_dict(), sort_keys=True)
+            == json.dumps(expected.to_dict(), sort_keys=True))
+
+
+def test_constant_ladder_fit_is_exactly_zero():
+    scales = 0.1 * 0.5 ** np.arange(5)
+    for mode in MODES:
+        est = LadderEstimate.fit(scales, np.full(5, 0.3), mode=mode)
+        assert est.slope == 0.0 and math.copysign(1.0, est.slope) == 1.0
+        assert est.all_slopes == {m: 0.0 for m in MODES}
+        assert est.intercept == math.log(0.3)
+        assert est.max_residual == 0.0
+    est = LadderEstimate.fit(scales, np.ones(5), y_transform=lambda v: -np.log(v))
+    assert math.copysign(1.0, est.intercept) == 1.0      # 0.0, not -0.0
 
 
 def test_two_point_profile_is_zero():
@@ -60,15 +80,6 @@ def test_cantor_profile_monotone_in_s():
     lo = fh_profile(cantor, 0.4, eps, restarts=2, seed=0).estimate
     hi = fh_profile(cantor, 1.2, eps, restarts=2, seed=0).estimate
     assert lo <= hi + 0.03
-
-
-def test_stable_profile_reduction_brownian():
-    eps = 0.028 * (1.0 / 3.0) ** np.arange(3)
-    rep = stable_profile_via_fh(CompactSet.interval(0, 1), 2.0, 1, eps,
-                                mesh_ratio=5.0, restarts=2, seed=0)
-    assert abs(rep.estimate - 1.0) <= 0.1    # 2 * profile at s = 1/2
-    assert rep.family_tag == "stable_via_fh"
-    assert [r["Z"] for r in rep.rungs] == [float(v) for v in rep.ladder.values]
 
 
 def test_profile_report_roundtrip(tmp_path):
@@ -133,40 +144,6 @@ def test_subordinator_singleton_is_zero():
                                CompactSet.finite([0.3]),
                                4.0 ** np.arange(1, 6))
     assert rep.estimate == 0.0
-
-
-def test_subordinator_matches_phi_index():
-    phi = LaplaceExponent.stable(0.5)
-    rep = subordinator_box_dim(phi, CompactSet.interval(0, 1),
-                               10.0 * 4.0 ** np.arange(6))
-    idx = phi_index(phi, np.logspace(0, 9, 19), which="upper")
-    assert abs(rep.estimate - idx) <= 0.05
-
-
-# ---------------------------------------------------------------------------
-# Laplace-exponent indices
-# ---------------------------------------------------------------------------
-
-def test_phi_index_pure_power():
-    phi = LaplaceExponent.tabulated(lambda l: l ** 0.7, "pow07")
-    lam = np.logspace(0, 12, 25)
-    assert abs(phi_index(phi, lam, "upper") - 0.7) <= 0.01
-    assert abs(phi_index(phi, lam, "lower") - 0.7) <= 0.01
-
-
-def test_phi_index_crossover_and_logarithm():
-    cross = LaplaceExponent.tabulated(lambda l: l / (1 + np.sqrt(l)), "cross")
-    assert abs(phi_index(cross, np.logspace(4, 12, 17), "upper") - 0.5) <= 0.02
-    gamma = LaplaceExponent.gamma(1.0, 1.0)
-    lam = np.logspace(0, 60, 61)          # log corrections settle very late
-    assert abs(phi_index(gamma, lam, "upper")) <= 0.02
-    assert abs(phi_index(gamma, lam, "lower")) <= 0.02
-
-
-def test_phi_index_requires_eight_decades():
-    phi = LaplaceExponent.stable(0.5)
-    with pytest.raises(ValueError):
-        phi_index(phi, np.logspace(0, 5, 11))
 
 
 # ---------------------------------------------------------------------------

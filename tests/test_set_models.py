@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from fracdim.errors import DegenerateLadder, MeshTooFine
+from fracdim.ladders import LadderEstimate
 from fracdim.oracles import max_separated_1d
 from fracdim.set_models import (CompactSet, DeltaNet, PointCloud, capacity_counts,
-                                discretize, enlargement_volume,
-                                kolmogorov_capacity,
+                                discretize, kolmogorov_capacity,
                                 minkowski_dim_estimate)
 
 RNG = np.random.default_rng(99)
@@ -142,17 +142,6 @@ def test_capacity_d2_greedy_bracketing_asserts():
         assert 1 <= k <= 300
 
 
-def test_capacity_volume_bound():
-    # r^d K(r) <= lebesgue(r-enlargement), rasterized within 5%
-    for d in (1, 2):
-        for _ in range(5):
-            cloud = PointCloud(RNG.uniform(0, 1, (int(RNG.integers(5, 40)), d)))
-            r = float(RNG.uniform(0.08, 0.3))
-            k = kolmogorov_capacity(cloud, r)
-            vol = enlargement_volume(cloud, r, resolution=24)
-            assert r ** d * k <= vol * 1.05
-
-
 # ---------------------------------------------------------------------------
 # Minkowski estimates
 # ---------------------------------------------------------------------------
@@ -189,7 +178,10 @@ def test_minkowski_ladder_validation():
 def test_ladder_estimate_recompute_invariant():
     net = discretize(CompactSet.cantor(), 3.0 ** -10, point_cap=20_000)
     est = minkowski_dim_estimate(net, 3.0 ** -np.arange(2, 9), mode="least_squares")
-    assert est.recompute_slope() == est.slope
+    refit = LadderEstimate.fit(est.scales, est.values, mode=est.mode,
+                               x_transform=lambda s: np.log(1.0 / s))
+    assert refit.slope == est.slope
+    assert refit.to_dict() == est.to_dict()
 
 
 def test_delta_net_requires_sorted_points():

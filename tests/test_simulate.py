@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fracdim.errors import MismatchedInputs, NoSampler
+from fracdim.errors import NoSampler
 from fracdim.process_models import LaplaceExponent, LevyModel
 from fracdim.profiles import fh_profile
 from fracdim.set_models import CompactSet, DeltaNet, discretize
-from fracdim.simulate import (image_dim_experiment, image_mesh, sample_path,
-                              theory_vs_empirical)
+from fracdim.simulate import image_dim_experiment, image_mesh, sample_path
 
 
 def test_gaussian_increment_variance():
@@ -106,25 +105,6 @@ def test_image_experiment_csv_and_json(tmp_path):
     assert len(rows) == 4 and rows[0].startswith("path_index,slope,K_r")
 
 
-def test_theory_vs_empirical_pass_and_mismatch():
-    F = CompactSet.interval(0, 1)
-    m = LevyModel.isotropic_stable(2.0, 1.0, 1)
-    eps = 0.028 * (1.0 / 3.0) ** np.arange(3)
-    from fracdim.profiles import stable_profile_via_fh
-    prof = stable_profile_via_fh(F, 2.0, 1, eps, mesh_ratio=5.0, restarts=2, seed=0)
-    r = 2.0 ** -np.arange(3, 9, dtype=float)
-    exp = image_dim_experiment(m, F, 8, r, seed=2)
-    rec = theory_vs_empirical(m, F, prof, exp, band=0.15)
-    assert rec["pass"] and rec["abs_diff"] <= 0.15
-
-    other = CompactSet.interval(0, 0.5)
-    with pytest.raises(MismatchedInputs):
-        theory_vs_empirical(m, other, prof, exp)
-    m2 = LevyModel.isotropic_stable(1.5, 1.0, 1)
-    with pytest.raises(MismatchedInputs):
-        theory_vs_empirical(m2, F, prof, exp)
-
-
 def test_parallel_fanout_matches_serial(monkeypatch):
     m = LevyModel.subordinator(LaplaceExponent.stable(0.5))
     F = CompactSet.interval(0, 1)
@@ -153,5 +133,4 @@ def test_theory_vs_empirical_singleton_trivial():
     m = LevyModel.isotropic_stable(2.0, 1.0, 1)
     prof = fh_profile(F, 0.5, 0.1 * 0.5 ** np.arange(5))
     exp = image_dim_experiment(m, F, 4, 2.0 ** -np.arange(1, 7, dtype=float), seed=1)
-    rec = theory_vs_empirical(m, F, prof, exp, band=0.05)
-    assert rec["pass"] and rec["theory"] == 0.0 and rec["empirical_median"] == 0.0
+    assert prof.estimate == 0.0 and exp.median == 0.0
