@@ -353,7 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ladder", type=_ladder, help="start,ratio,count (ratio < 1)")
     p.add_argument("--mode", choices=("least_squares", "upper", "lower"))
     p.add_argument("--mesh-ratio", dest="mesh_ratio", type=float)
-    p.add_argument("--restarts", type=int)
+    p.add_argument("--restarts", type=int,
+                   help="up to n Frank-Wolfe starts per rung; more than one "
+                        "only if the first does not converge")
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", dest="max_iter", type=int)
     _add_common(p, "profile")

@@ -13,7 +13,16 @@ The linear minimization oracle over the simplex is a coordinate argmin,
 ties broken at the lowest index, and the duality gap
 2(w'Kw - min_i (Kw)_i) comes for free; for PSD kernels it certifies
 global optimality.  Kernels that fail a Cholesky probe are minimized from
-several starts and the best stationary point is returned, flagged.
+up to `restarts` starts, the later ones seeded Dirichlet draws that run
+only when the first start does not meet the gap test, and the best
+stationary point is returned, flagged.
+
+The power-law (Falconer-Howroyd) kernel min(1, (eps/r)^s) is indefinite,
+but its Polya companion c(r) = (1 + r/eps)^(-s) is positive definite
+and lies between 2^(-s) fh and fh.  `rung_min_energy` solves the
+companion exactly (Levinson on equal-gap nets, Cholesky otherwise),
+starts the fh solve at its minimizer and reports its minimum Z_c as a
+lower bound: Z_c <= Z_fh <= 2^s Z_c.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg
 
 from .errors import CertificateFailed, MaxIterExceeded, NetTooLarge, TooLarge
 from .process_models import KernelFamily
@@ -33,6 +43,7 @@ DEFAULT_MAX_ITER = 200_000
 DEFAULT_RESTARTS = 8
 ENUM_BUDGET = 200_000_000      # lattice points an exhaustive search may visit
 _ENUM_CHUNK_ROWS = 2_000_000   # lattice points evaluated per block
+_EQUAL_GAP_RTOL = 1e-12        # equal-gap test of the Toeplitz companion solve
 PSD_JITTER = 1e-10             # diagonal shift of the Cholesky probe
 _RESYNC_EVERY = 512            # refresh the cached gradient this often
 _ROW_BLOCK = 256               # kernel rows assembled per evaluation
@@ -97,15 +108,19 @@ class EnergyResult:
     restarts_used: int = 1
     flagged_nonconvex: bool = False
     converged: bool = True
+    start: str | None = None         # first Frank-Wolfe start; None if no iteration ran
+    Z_lower: float | None = None     # certified lower bound on the minimum, if known
 
     def to_json_dict(self) -> dict:
         """Solver diagnostics of one rung, free of timings."""
         return {
             "n": int(self.weights.w.size),
             "Z": self.value,
+            "Z_lower": self.Z_lower,
             "duality_gap": self.duality_gap,
             "iterations": self.iterations,
             "restarts_used": self.restarts_used,
+            "start": self.start,
             "converged": self.converged,
             "flagged_nonconvex": self.flagged_nonconvex,
         }
@@ -243,15 +258,22 @@ def _frank_wolfe(K: np.ndarray, w0: np.ndarray, tol: float, max_iter: int):
 
 def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
                max_iter: int = DEFAULT_MAX_ITER,
-               restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> EnergyResult:
+               restarts: int = DEFAULT_RESTARTS, seed: int = 0,
+               start=None) -> EnergyResult:
     """Minimum energy Z over the probability simplex, with certificate.
 
-    Kernels that pass the Cholesky probe (run up to PSD_PROBE_CAP points)
-    need a single run: the exit test duality_gap <= tol * Z certifies
-    global optimality.  Other kernels are run from a uniform start plus
-    seeded Dirichlet restarts and the best stationary point is returned
-    with `flagged_nonconvex` set.  Exponential kernels need no solve at
-    all; see `exp_kernel_min_energy`.
+    The first Frank-Wolfe run starts from whichever of `start` (a
+    probability vector on the net, optional) and the uniform measure has
+    the lower energy, so the returned Z never exceeds the uniform
+    measure's energy; the result's `start` says which ("given" or
+    "uniform").  Kernels that pass the Cholesky probe (run up to
+    PSD_PROBE_CAP points) need that single run: the exit test
+    duality_gap <= tol * Z certifies global optimality.  On other
+    kernels `restarts` is the most starts made: when the first run does
+    not end with the gap test met, restarts - 1 seeded Dirichlet starts
+    follow, and the best stationary point is returned with
+    `flagged_nonconvex` set.  Exponential kernels need no solve at all;
+    see `exp_kernel_min_energy`.
     """
     A = K.values
     n = A.shape[0]
@@ -260,18 +282,20 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
     # probe only at modest sizes; large unprobed kernels are treated as
     # possibly nonconvex (restarts + flag), which is the honest default
     psd = n <= PSD_PROBE_CAP and is_psd(A)
-    starts = [np.full(n, 1.0 / n)]
-    if not psd:
+    w0, label = np.full(n, 1.0 / n), "uniform"
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if (start.shape != (n,) or np.any(start < 0)
+                or abs(start.sum() - 1.0) > _SUM_TOL):
+            raise ValueError("start must be a probability vector on the net")
+        if float(start @ (A @ start)) < float(w0 @ (A @ w0)):
+            w0, label = start, "given"
+    runs = [_frank_wolfe(A, w0, tol, max_iter)]
+    if not psd and runs[0][4] != "gap":
         rng = np.random.default_rng(seed)
-        starts += [rng.dirichlet(np.ones(n)) for _ in range(max(0, restarts - 1))]
-    best = None
-    statuses = []
-    for w0 in starts:
-        w, f, gap, iters, status = _frank_wolfe(A, w0, tol, max_iter)
-        statuses.append(status)
-        if best is None or f < best[1]:
-            best = (w, f, gap, iters, status)
-    w, f, _, iters, status = best
+        runs += [_frank_wolfe(A, rng.dirichlet(np.ones(n)), tol, max_iter)
+                 for _ in range(restarts - 1)]
+    w, f, _, iters, status = min(runs, key=lambda run: run[1])
     w = np.clip(w, 0.0, None)
     w /= w.sum()
     pot = A @ w
@@ -279,10 +303,10 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
     gap = 2.0 * (f - float(pot.min()))
     result = EnergyResult(value=f, weights=SimplexWeights(w, K.points),
                           duality_gap=gap, iterations=iters,
-                          restarts_used=len(starts),
+                          restarts_used=len(runs),
                           flagged_nonconvex=not psd,
-                          converged=status == "gap")
-    if all(s == "iters" for s in statuses):
+                          converged=status == "gap", start=label)
+    if all(run[4] == "iters" for run in runs):
         raise MaxIterExceeded(
             f"no start met gap <= {tol:g} * Z within {max_iter} iterations",
             result=result)
@@ -374,6 +398,43 @@ def exp_kernel_min_energy(points, a: float,
     return exp_kernel_certificate(pts, a, v / v.sum(), tol)
 
 
+def _fh_companion_solve(points, s: float, eps: float):
+    """v = C^-1 1 for the Polya companion C_ij = (1 + |t_i - t_j|/eps)^(-s)
+    of the power-law kernel on sorted points, or None when the solve
+    fails.
+
+    c(r) = (1 + r/eps)^(-s) is convex, decreasing and tends to 0, so by
+    Polya's criterion C is positive definite on distinct points, and
+    2^(-s) fh <= c <= fh elementwise.  On a net whose points lie within
+    _EQUAL_GAP_RTOL * span of t_0 + k h (interval nets: measured within
+    1.3e-16 on [0, 1]), C is built from the exact distances k h and
+    solved as a symmetric Toeplitz system by Levinson recursion in O(n)
+    memory; its entries then differ from those at the net's own
+    distances by at most s * 2e-12 * span / eps relative.  Other nets
+    are assembled densely and Cholesky-factored in place.
+    """
+    pts = np.asarray(points, dtype=float)
+    n = pts.size
+    span = pts[-1] - pts[0]
+    dist = span / max(n - 1, 1) * np.arange(n)
+    try:
+        if n > 2 and np.max(np.abs(pts - pts[0] - dist)) <= _EQUAL_GAP_RTOL * span:
+            v = linalg.solve_toeplitz((1.0 + dist / eps) ** -s, np.ones(n),
+                                      check_finite=False)
+        else:
+            C = pts[:, None] - pts
+            np.abs(C, out=C)
+            C /= eps
+            C += 1.0
+            np.power(C, -s, out=C)
+            v = linalg.cho_solve(linalg.cho_factor(C, overwrite_a=True,
+                                                   check_finite=False),
+                                 np.ones(n), check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    return v if np.all(np.isfinite(v)) else None
+
+
 def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
                     tol: float = DEFAULT_TOL, **solver_kw) -> EnergyResult:
     """Minimum energy of one family at one scale over a net.
@@ -381,10 +442,35 @@ def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
     Exponential kernels go to `exp_kernel_min_energy` (no matrix, no net
     cap); every other family is assembled densely and passed to
     `min_energy` with `solver_kw` (restarts, seed, max_iter).
+
+    Power-law (`fh`) rungs first solve the Polya companion exactly
+    (`_fh_companion_solve`).  Clipped at 0 and normalized, v = C^-1 1 is
+    the `start` of the Frank-Wolfe solve (reported as "companion" when
+    it beats the uniform measure); if the solve fails the uniform start
+    is used.  When every v_i > 0, w = v / 1'v is the companion's
+    minimizer over the simplex, and Z_lower = 1/1'v <= Z_fh because
+    c <= fh; since Z_fh <= w'Kw <= 2^s Z_lower, the result then also
+    satisfies Z <= 2^s Z_lower.  Z_lower is None otherwise.  The bound
+    holds up to rounding and the Toeplitz tolerance stated in
+    `_fh_companion_solve`.
     """
     if family.kind == "subexp":
         return exp_kernel_min_energy(net.points, float(family.phi(scale)), tol)
-    return min_energy(build_kernel(family, scale, net), tol=tol, **solver_kw)
+    if family.kind != "fh":
+        return min_energy(build_kernel(family, scale, net), tol=tol, **solver_kw)
+    v = _fh_companion_solve(net.points, family.params["s"], scale)
+    start = z_lower = None
+    if v is not None:
+        if np.all(v > 0):
+            z_lower = 1.0 / float(v.sum())
+        v = np.clip(v, 0.0, None)
+        start = v / v.sum()
+    res = min_energy(build_kernel(family, scale, net), tol=tol, start=start,
+                     **solver_kw)
+    if res.start == "given":
+        res.start = "companion"
+    res.Z_lower = z_lower
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,11 @@ class ProfileReport:
     sanity_window: tuple = SANITY_WINDOW
 
     @property
+    def converged(self) -> bool:
+        """True only if every rung's solve met its convergence test."""
+        return all(r["converged"] for r in self.rungs)
+
+    @property
     def in_window(self) -> bool:
         lo, hi = self.sanity_window
         return lo - 1e-9 <= self.estimate <= hi + 1e-9
@@ -68,6 +73,7 @@ class ProfileReport:
             "estimate": self.estimate,
             "mode": self.mode,
             "in_window": self.in_window,
+            "converged": self.converged,
             "self_cover_certificate": self.self_cover,
             "flagged_nonconvex": self.flagged_nonconvex,
             "mesh_per_scale": [float(m) for m in self.mesh_per_scale],

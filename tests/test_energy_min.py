@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
+from fracdim import energy_min
 from fracdim.errors import (CertificateFailed, MaxIterExceeded, NetTooLarge,
                             TooLarge)
-from fracdim.energy_min import (_RESYNC_EVERY, DENSE_NET_CAP, EnergyResult,
-                                KernelMatrix, SimplexWeights, _frank_wolfe,
+from fracdim.energy_min import (_RESYNC_EVERY, DEFAULT_MAX_ITER,
+                                DEFAULT_RESTARTS, DEFAULT_TOL, DENSE_NET_CAP,
+                                EnergyResult, KernelMatrix, SimplexWeights,
+                                _fh_companion_solve, _frank_wolfe,
                                 _line_search, build_kernel,
                                 exp_kernel_certificate, exp_kernel_min_energy,
                                 exp_kernel_potential, is_psd, kkt_certificate,
-                                min_energy, min_energy_bruteforce)
+                                min_energy, min_energy_bruteforce,
+                                rung_min_energy)
 from fracdim.oracles import (cantor_exp_kernel_min_energy,
                              interval_exp_kernel_min_energy)
 from fracdim.process_models import KernelFamily, LaplaceExponent
@@ -120,14 +124,101 @@ def test_min_energy_matches_bruteforce_on_random_psd():
         assert abs(recomputed - res.value) < 1e-12
 
 
-def test_min_energy_nonconvex_flag_and_multistart():
+def _counting_frank_wolfe(monkeypatch):
+    """Patch energy_min._frank_wolfe to record the status of every start."""
+    statuses = []
+
+    def counted(*args):
+        out = _frank_wolfe(*args)
+        statuses.append(out[4])
+        return out
+
+    monkeypatch.setattr(energy_min, "_frank_wolfe", counted)
+    return statuses
+
+
+def test_min_energy_nonconvex_flag_and_multistart(monkeypatch):
     net = discretize(CompactSet.interval(0, 1), 0.34)
     km = build_kernel(KernelFamily.fh(1.0), 0.5, net)
     assert not is_psd(km.values)
+    statuses = _counting_frank_wolfe(monkeypatch)
     res = min_energy(km, seed=3)
-    assert res.flagged_nonconvex and res.restarts_used == 8
+    assert res.flagged_nonconvex and res.restarts_used == len(statuses)
+    assert len(statuses) == (1 if statuses[0] == "gap" else DEFAULT_RESTARTS)
     bf = min_energy_bruteforce(km, resolution=1 / 200)
     assert res.value <= bf + 1e-9
+
+
+def _fh_test_nets():
+    rng = np.random.default_rng(11)
+    return [discretize(CompactSet.interval(0, 1), 1 / 399),
+            discretize(CompactSet.cantor(), 3.0 ** -7),
+            DeltaNet(np.sort(rng.uniform(0, 1, 300)), 0.01, "random")]
+
+
+def test_fh_start_never_exceeds_uniform_energy():
+    for net in _fh_test_nets():
+        assert net.points.size <= 400
+        for s in (0.5, 1.0, 1.5):
+            fam = KernelFamily.fh(s)
+            km = build_kernel(fam, 0.05, net)
+            uniform = float(km.values.mean())
+            res = rung_min_energy(fam, 0.05, net, restarts=2)
+            assert res.start in ("companion", "uniform")
+            assert res.value <= uniform + 1e-12
+            # a point mass (energy 1) loses to the uniform measure
+            mass = np.zeros(net.points.size)
+            mass[0] = 1.0
+            res = min_energy(km, restarts=2, start=mass)
+            assert res.start == "uniform" and res.value <= uniform + 1e-12
+    with pytest.raises(ValueError, match="probability vector"):
+        min_energy(km, start=np.full(net.points.size, 0.5))
+
+
+def test_fh_companion_solve_matches_dense_solve():
+    for net in _fh_test_nets():
+        pts = net.points
+        for s, eps in ((0.5, 0.01), (1.5, 0.1)):
+            C = (1.0 + np.abs(pts[:, None] - pts) / eps) ** -s
+            v = _fh_companion_solve(pts, s, eps)
+            ref = np.linalg.solve(C, np.ones(pts.size))
+            assert np.max(np.abs(v - ref)) <= 1e-9 * np.max(np.abs(ref))
+    assert _fh_companion_solve(np.array([0.0, 0.0, 1.0]), 1.0, 0.1) is None
+
+
+def test_min_energy_restarts_only_after_failed_first_run(monkeypatch):
+    net = discretize(CompactSet.interval(0, 1), 0.028 / 5)
+    fam = KernelFamily.fh(0.5)
+    statuses = _counting_frank_wolfe(monkeypatch)
+    res = rung_min_energy(fam, 0.028, net, restarts=4)
+    assert statuses == ["gap"] and res.restarts_used == 1
+    assert res.converged and res.flagged_nonconvex and res.start == "companion"
+    statuses.clear()
+    with pytest.raises(MaxIterExceeded) as ei:
+        min_energy(build_kernel(fam, 0.028, net), max_iter=5, restarts=4)
+    assert statuses == ["iters"] * 4
+    assert ei.value.result.restarts_used == 4
+
+
+def test_companion_start_matches_two_start_reference():
+    """fh_profile rungs up to n = 537: one companion-started solve against
+    the better of the uniform and the seed-k Dirichlet Frank-Wolfe runs."""
+    ladders = [(CompactSet.interval(0, 1), 0.5, 0.028 * 3.0 ** -np.arange(2),
+                5.0, 2e-4),
+               (CompactSet.cantor(), 1.5, 3.0 ** -np.arange(2, 6.0), 10.0, 1e-9)]
+    for cset, s, eps, mesh_ratio, rel in ladders:
+        fam = KernelFamily.fh(s)
+        for k, e in enumerate(eps):
+            net = discretize(cset, e / mesh_ratio)
+            assert net.points.size <= 537
+            res = rung_min_energy(fam, e, net, restarts=2, seed=k)
+            assert res.start == "companion" and res.restarts_used == 1
+            A = build_kernel(fam, e, net).values
+            n = A.shape[0]
+            w_dir = np.random.default_rng(k).dirichlet(np.ones(n))
+            ref = min(_frank_wolfe(A, w0, DEFAULT_TOL, DEFAULT_MAX_ITER)[1]
+                      for w0 in (np.full(n, 1.0 / n), w_dir))
+            assert abs(res.value - ref) <= rel * ref
 
 
 def test_min_energy_rejects_asymmetric_kernel():

@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from fracdim.energy_min import DENSE_NET_CAP
+from fracdim.energy_min import DENSE_NET_CAP, EnergyResult, SimplexWeights
 from fracdim.errors import NonConvergedQuadrature
 from fracdim.ladders import MODES, LadderEstimate
 from fracdim.oracles import (fh_interval_uniform_energy,
                              interval_exp_kernel_energy, theta_power_law)
 from fracdim.process_models import KernelFamily, LaplaceExponent
-from fracdim.profiles import (box_profile, fh_profile,
+from fracdim.profiles import (_ladder_report, box_profile, fh_profile,
                               fh_subordinator_predicted, subordinator_box_dim,
                               theta_index)
 from fracdim.set_models import CompactSet
@@ -94,12 +94,49 @@ def test_profile_report_roundtrip(tmp_path):
     assert data["ladder"]["values"] == [float(v) for v in rep.ladder.values]
     assert [r["Z"] for r in data["rungs"]] == data["ladder"]["values"]
     for rung in data["rungs"]:
-        assert set(rung) == {"n", "Z", "duality_gap", "iterations",
-                             "restarts_used", "converged", "flagged_nonconvex"}
+        assert set(rung) == {"n", "Z", "Z_lower", "duality_gap", "iterations",
+                             "restarts_used", "start", "converged",
+                             "flagged_nonconvex"}
         assert rung["n"] >= 2 and rung["restarts_used"] >= 1
+        assert rung["start"] in ("companion", "uniform")
+    assert data["converged"] is all(r["converged"] for r in data["rungs"])
     rows = cpath.read_text().strip().splitlines()
     assert rows[0] == "set,family,s_or_phi,scale,Z_or_value"
     assert len(rows) == 1 + len(eps)
+
+
+def test_fh_rungs_bracketed_by_companion_on_c6_c7_ladders():
+    eps_i = 0.028 * (1.0 / 3.0) ** np.arange(4)
+    reports = [
+        (0.5, fh_profile(CompactSet.interval(0, 1), 0.5, eps_i, mesh_ratio=5.0,
+                         restarts=2, seed=0)),
+        (1.5, fh_profile(CompactSet.interval(0, 1), 1.5, eps_i, mesh_ratio=5.0,
+                         restarts=2, seed=0)),
+        (1.5, fh_profile(CompactSet.cantor(), 1.5, 3.0 ** -np.arange(2, 8.0),
+                         restarts=2, seed=0)),
+    ]
+    for s, rep in reports:
+        for rung in rep.rungs:
+            assert rung["start"] == "companion" and rung["Z_lower"] is not None
+            assert rung["Z_lower"] <= rung["Z"] * (1 + 1e-9)
+            assert rung["Z"] <= 2.0 ** s * rung["Z_lower"]
+
+
+def test_unconverged_rung_flags_the_report():
+    cset = CompactSet.interval(0, 1)
+    scales = np.array([0.1, 0.05])
+    ladder = LadderEstimate.fit(scales, np.array([0.5, 0.4]), mode="upper")
+
+    def result(converged):
+        return EnergyResult(value=0.5, weights=SimplexWeights.uniform([0.0, 1.0]),
+                            duality_gap=0.1, iterations=3, converged=converged)
+
+    ok = _ladder_report(cset, "fh", {}, ladder, [0.01, 0.005],
+                        [result(True), result(True)])
+    assert ok.to_json_dict()["converged"] is True
+    bad = _ladder_report(cset, "fh", {}, ladder, [0.01, 0.005],
+                         [result(True), result(False)])
+    assert bad.to_json_dict()["converged"] is False
 
 
 # ---------------------------------------------------------------------------
