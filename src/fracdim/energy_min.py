@@ -535,7 +535,13 @@ def min_energy_bruteforce(K: KernelMatrix,
     Independent of the Frank-Wolfe path.  With entries in [0, 1] the value
     is within Lipschitz * resolution of the lattice-free minimum (and much
     closer in practice, since the objective is flat at a minimizer).
-    Raises TooLarge when the enumeration would exceed ENUM_BUDGET points.
+    Raises TooLarge when the lattice exceeds ENUM_BUDGET points.
+
+    The first n - 2 counts and the mass t left for the last two points are
+    enumerated; the split (x, t - x) of that mass is a quadratic in x, whose
+    integer minimum over [0, t] lies at floor or floor + 1 of its vertex when
+    it is convex and at an end of the edge otherwise.  So two points per
+    edge are evaluated instead of t + 1, and the minimum is the same.
     """
     A = K.values
     n = A.shape[0]
@@ -548,13 +554,29 @@ def min_energy_bruteforce(K: KernelMatrix,
     if count > ENUM_BUDGET:
         raise TooLarge(f"{count} lattice points exceed budget {ENUM_BUDGET}; "
                        "pass a coarser resolution")
+    if n == 1:
+        return float(A[0, 0])
+    d_pot = A[:, n - 2] - A[:, n - 1]            # A d with d = e_{n-2} - e_{n-1}
+    curv = float(d_pot[n - 2] - d_pot[n - 1])    # d'A d
     best = np.inf
-    for block in _compositions_chunks(R, n):
-        W = block.astype(float) / R
-        vals = np.einsum("ij,jk,ik->i", W, A, W)
-        m = float(vals.min())
-        if m < best:
-            best = m
+    for block in _compositions_chunks(R, n - 1):
+        t = block[:, -1].astype(float)
+        M = np.zeros((block.shape[0], n))
+        M[:, :n - 2] = block[:, :-1]
+        if curv > 0.0:
+            # m = (prefix, 0, t): Q(m + x d) = Q(m) + 2x d'A m + x^2 d'A d
+            slope = M[:, :n - 2] @ d_pot[:n - 2] + t * d_pot[n - 1]
+            x = np.floor(-slope / curv)
+            splits = (np.clip(x, 0.0, t), np.clip(x + 1.0, 0.0, t))
+        else:
+            splits = (np.zeros_like(t), t)
+        for x in splits:
+            M[:, n - 2] = x
+            M[:, n - 1] = t - x
+            W = M / R
+            m = float(np.einsum("ij,jk,ik->i", W, A, W).min())
+            if m < best:
+                best = m
     return best
 
 

@@ -414,6 +414,23 @@ def test_bruteforce_examples():
     assert abs(min_energy_bruteforce(_km(np.eye(2))) - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("n,R", [(1, 7), (2, 9), (3, 12), (4, 10), (5, 6)])
+def test_bruteforce_equals_every_lattice_point(n, R):
+    """The closed-form split of the last edge finds the same minimum as
+    evaluating every lattice point, on PSD, indefinite and concave-edge kernels."""
+    rng = np.random.default_rng(100 + n)
+    lattice = np.array([c for c in np.ndindex(*(R + 1,) * n) if sum(c) == R],
+                       dtype=float) / R
+    psd = random_psd_kernel(rng, n).values
+    indefinite = psd - 0.4 * np.eye(n)
+    concave = np.ones((n, n))
+    if n >= 2:
+        concave[n - 2, n - 1] = concave[n - 1, n - 2] = 1.5   # d'A d < 0 on the last edge
+    for A in (psd, indefinite, concave):
+        want = float(np.einsum("ij,jk,ik->i", lattice, A, lattice).min())
+        assert abs(min_energy_bruteforce(_km(A), resolution=1 / R) - want) <= 1e-14
+
+
 def test_bruteforce_vs_fw_on_3x3_fh_kernel():
     net = DeltaNet(np.array([0.0, 0.5, 1.0]), 0.5, "x")
     km = build_kernel(KernelFamily.fh(1.0), 0.5, net)
