@@ -15,8 +15,8 @@ from .ladders import LadderEstimate
 from .process_models import (CharExponent, KernelFamily, LaplaceExponent,
                              LevyModel, cauchy_weighted_energy,
                              kappa_monte_carlo, kappa_stable_1d)
-from .set_models import (CompactSet, DeltaNet, PointCloud, discretize,
-                         kolmogorov_capacity, minkowski_dim_estimate)
+from .set_models import (CompactSet, DeltaNet, discretize, kolmogorov_capacity,
+                         minkowski_dim_estimate)
 from .energy_min import (EnergyResult, KernelMatrix, SimplexWeights,
                          build_kernel, exp_kernel_min_energy, is_psd,
                          kkt_certificate, min_energy, min_energy_bruteforce)

@@ -15,6 +15,7 @@ or a failed optimality certificate.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -294,16 +295,19 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
-    fn, argnames = oracles.NAMED_ORACLES[cfg.name]
+    """Parameters bind to the oracle's signature in order; omitted trailing
+    ones take the signature's defaults."""
+    fn = oracles.NAMED_ORACLES[cfg.name]
     args = [float(p) for p in cfg.params]
-    if cfg.name in ("interval-capacity",) and len(args) == 1:
-        args.append(1.0)
-    if cfg.name in ("half-stable-cdf",) and len(args) == 1:
-        args.append(1.0)
-    if cfg.name == "cantor-capacity":
-        args = [int(a) for a in args]
-    value = fn(*args)
-    _emit({"oracle": cfg.name, "args": dict(zip(argnames, args)),
+    try:
+        if cfg.name == "cantor-capacity":
+            args = [int(a) for a in args]
+        bound = inspect.signature(fn).bind(*args)
+        bound.apply_defaults()
+        value = fn(*bound.args)
+    except (TypeError, ArithmeticError) as exc:
+        raise ConfigError(f"oracle {cfg.name!r}: {exc}") from exc
+    _emit({"oracle": cfg.name, "args": dict(bound.arguments),
            "value": value}, cfg)
     return EXIT_OK
 

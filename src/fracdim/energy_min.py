@@ -87,8 +87,6 @@ class KernelMatrix:
     """
 
     values: np.ndarray
-    scale: float
-    family_tag: str
     points: np.ndarray
 
     @property
@@ -158,8 +156,7 @@ def build_kernel(family: KernelFamily, scale: float, net: DeltaNet) -> KernelMat
                 scale, np.abs(pts[i:i + _ROW_BLOCK, None] - pts))
     np.clip(K, 0.0, 1.0, out=K)
     np.fill_diagonal(K, 1.0)
-    return KernelMatrix(values=K, scale=float(scale), family_tag=family.tag,
-                        points=pts.copy())
+    return KernelMatrix(values=K, points=pts.copy())
 
 
 def is_psd(K: np.ndarray) -> bool:
@@ -275,6 +272,10 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
     `flagged_nonconvex` set.  Exponential kernels need no solve at all;
     see `exp_kernel_min_energy`.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts!r}")
     A = K.values
     n = A.shape[0]
     if not np.array_equal(A, A.T):
@@ -356,6 +357,8 @@ def exp_kernel_certificate(points, a: float, w,
     the kernel is positive semidefinite.  Raises CertificateFailed when a
     weight is negative or the gap exceeds tol * w'Kw.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     pts = _sorted_points(points)
     w = np.asarray(w, dtype=float)
     if np.any(w < 0):

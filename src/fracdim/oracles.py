@@ -129,15 +129,15 @@ def max_separated_1d(points, r: float) -> int:
 
 
 NAMED_ORACLES = {
-    "gaussian-ball": (gaussian_ball, ("c", "eps", "t")),
-    "cauchy-ball": (cauchy_ball, ("c", "eps", "t")),
-    "half-stable-cdf": (half_stable_subordinator_cdf, ("x", "t")),
-    "two-point-energy": (two_point_min_energy, ("k",)),
-    "interval-capacity": (interval_capacity, ("r", "length")),
-    "cantor-capacity": (cantor_triadic_capacity, ("k",)),
-    "interval-exp-energy": (interval_exp_kernel_energy, ("x",)),
-    "interval-exp-min-energy": (interval_exp_kernel_min_energy, ("x",)),
-    "cantor-exp-min-energy": (cantor_exp_kernel_min_energy, ("x",)),
-    "theta-power": (theta_power_law, ("beta", "s")),
-    "fh-interval-energy": (fh_interval_uniform_energy, ("s", "eps")),
+    "gaussian-ball": gaussian_ball,
+    "cauchy-ball": cauchy_ball,
+    "half-stable-cdf": half_stable_subordinator_cdf,
+    "two-point-energy": two_point_min_energy,
+    "interval-capacity": interval_capacity,
+    "cantor-capacity": cantor_triadic_capacity,
+    "interval-exp-energy": interval_exp_kernel_energy,
+    "interval-exp-min-energy": interval_exp_kernel_min_energy,
+    "cantor-exp-min-energy": cantor_exp_kernel_min_energy,
+    "theta-power": theta_power_law,
+    "fh-interval-energy": fh_interval_uniform_energy,
 }

@@ -82,13 +82,11 @@ class CharExponent:
     """Characteristic exponent Psi with E exp(i z . X(t)) = exp(-t Psi(z)).
 
     `fn` maps a real z (scalar for d = 1, length-d vector otherwise) to a
-    complex value; `symmetric` is True iff Psi(-z) = Psi(z) and Psi is
-    real-valued.
+    complex value.
     """
 
     fn: Callable[[np.ndarray], complex]
     d: int = 1
-    symmetric: bool = False
 
     def __call__(self, z) -> complex:
         z = np.asarray(z, dtype=float)
@@ -205,7 +203,7 @@ class LaplaceExponent:
         """Psi(xi) = Phi(-i xi) by analytic continuation, where known."""
         if self._char_fn is None:
             raise NoSampler(f"no characteristic exponent for family {self.family!r}")
-        return CharExponent(self._char_fn, d=1, symmetric=False)
+        return CharExponent(self._char_fn, d=1)
 
     def to_config(self) -> dict:
         return {"family": self.family, "params": dict(sorted(self.params.items()))}
@@ -229,7 +227,6 @@ class LevyModel:
     psi: CharExponent
     params: dict = field(default_factory=dict)
     phi: Optional[LaplaceExponent] = None
-    sampler_id: Optional[str] = None
 
     @classmethod
     def isotropic_stable(cls, alpha: float, c: float = 1.0, d: int = 1) -> "LevyModel":
@@ -241,9 +238,8 @@ class LevyModel:
         def psi(z):
             return c * np.linalg.norm(np.atleast_1d(z)) ** alpha
 
-        return cls("isotropic_stable", d, CharExponent(psi, d=d, symmetric=True),
-                   params={"alpha": alpha, "c": c},
-                   sampler_id="stable_cms" if d == 1 else "stable_subordinated")
+        return cls("isotropic_stable", d, CharExponent(psi, d=d),
+                   params={"alpha": alpha, "c": c})
 
     @classmethod
     def subordinator(cls, phi: LaplaceExponent) -> "LevyModel":
@@ -251,22 +247,19 @@ class LevyModel:
             psi = phi.char_exponent()
         except NoSampler:
             psi = None
-        return cls("subordinator", 1, psi, params={},
-                   phi=phi,
-                   sampler_id=f"subordinator_{phi.family}" if phi.has_sampler else None)
+        return cls("subordinator", 1, psi, params={}, phi=phi)
 
     @classmethod
     def subordinate_brownian(cls, phi: LaplaceExponent, d: int) -> "LevyModel":
         def psi(z):
             return complex(phi(np.linalg.norm(np.atleast_1d(z)) ** 2))
 
-        return cls("subordinate_brownian", d, CharExponent(psi, d=d, symmetric=True),
-                   params={}, phi=phi,
-                   sampler_id="brownian_at_subordinator" if phi.has_sampler else None)
+        return cls("subordinate_brownian", d, CharExponent(psi, d=d),
+                   params={}, phi=phi)
 
     @property
     def has_sampler(self) -> bool:
-        return self.sampler_id is not None
+        return self.phi is None or self.phi.has_sampler
 
     def sample_increments(self, gaps, rng) -> np.ndarray:
         """Exact increments over time gaps; returns shape (len(gaps), d)."""
@@ -435,10 +428,6 @@ class KernelFamily:
         """
         return cls("exact", {}, model=model, seed=seed)
 
-    @property
-    def tag(self) -> str:
-        return self.kind
-
     def evaluate(self, scale: float, r) -> np.ndarray:
         """Vectorized K_scale(r) for r >= 0."""
         if scale <= 0:
@@ -486,15 +475,6 @@ class KernelFamily:
         out.ravel()[:] = res
         return out
 
-    def to_config(self) -> dict:
-        cfg = {"kind": self.kind}
-        cfg.update({k: float(v) for k, v in self.params.items()})
-        if self.phi is not None:
-            cfg["phi"] = self.phi.to_config()
-        if self.model is not None:
-            cfg["model"] = self.model.to_config()
-        return cfg
-
 
 # ---------------------------------------------------------------------------
 # Cauchy-weighted energies
@@ -522,15 +502,14 @@ def _pair_weights(weights):
     return dist, mass, diag
 
 
-def cauchy_weighted_energy(weights, psi: CharExponent, eps: float, d: int = 1,
+def cauchy_weighted_energy(weights, psi: CharExponent, eps: float,
                            tol: float = CAUCHY_QUAD_TOL) -> float:
-    """int f_C(z) * E_nu(z/eps) dz with f_C the standard Cauchy density on R^d.
+    """int f_C(z) * E_nu(z/eps) dz with f_C the standard Cauchy density on R.
 
     Computed pairwise: for each distinct gap u the factor
-    int f_C(z) Re exp(-u Psi(z/eps)) dz is integrated once (per-coordinate
-    z_j = tan(u_j) compactification for d >= 2), then recombined with the
-    paired mass.  Total quadrature error stays below `tol` because the
-    pair masses sum to at most 1.
+    int f_C(z) Re exp(-u Psi(z/eps)) dz is integrated once, then
+    recombined with the paired mass.  Total quadrature error stays below
+    `tol` because the pair masses sum to at most 1.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -539,16 +518,13 @@ def cauchy_weighted_energy(weights, psi: CharExponent, eps: float, d: int = 1,
     worst = 0.0
     half_pi = np.pi / 2.0
     for u, m in zip(dists, mass):
-        if d == 1:
-            # z = tan(theta) absorbs the Cauchy weight exactly; the
-            # integrand is then smooth and bounded on a compact interval
-            def integrand(theta, u=u):
-                return np.exp(-u * psi(np.tan(theta) / eps)).real / np.pi
+        # z = tan(theta) absorbs the Cauchy weight exactly; the integrand
+        # is then smooth and bounded on a compact interval
+        def integrand(theta, u=u):
+            return np.exp(-u * psi(np.tan(theta) / eps)).real / np.pi
 
-            val, err = integrate.quad(integrand, -half_pi, half_pi, limit=400,
-                                      epsabs=tol / 4, epsrel=tol / 4)
-        else:
-            val, err = _tensor_cauchy_integral(psi, u, eps, d, tol)
+        val, err = integrate.quad(integrand, -half_pi, half_pi, limit=400,
+                                  epsabs=tol / 4, epsrel=tol / 4)
         worst = max(worst, err)
         total += m * val
     if worst > tol:
@@ -556,23 +532,3 @@ def cauchy_weighted_energy(weights, psi: CharExponent, eps: float, d: int = 1,
             f"Cauchy-weighted quadrature error {worst:.2e} exceeds {tol:.0e}")
     return float(total)
 
-
-def _tensor_cauchy_integral(psi, u, eps, d, tol):
-    """Tensor Gauss-Legendre on (-pi/2, pi/2)^d after z = tan(theta)."""
-    prev = None
-    for order in (48, 96, 192):
-        nodes, wts = np.polynomial.legendre.leggauss(order)
-        theta = nodes * (np.pi / 2)
-        wts = wts * (np.pi / 2)
-        grids = np.meshgrid(*([theta] * d), indexing="ij")
-        z = np.stack([np.tan(g).ravel() for g in grids], axis=1)
-        wprod = wts
-        for _ in range(d - 1):
-            wprod = np.multiply.outer(wprod, wts)
-        wprod = wprod.ravel()
-        vals = np.array([np.exp(-u * psi(zz / eps)).real for zz in z])
-        est = float(np.sum(wprod * vals) / np.pi ** d)
-        if prev is not None and abs(est - prev) < tol / 2:
-            return est, abs(est - prev)
-        prev = est
-    raise NonConvergedQuadrature("tensor Cauchy integral did not stabilize")

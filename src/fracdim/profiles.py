@@ -19,7 +19,6 @@ below slope tolerances and largely cancels between rungs.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +52,6 @@ class ProfileReport:
     rungs: list = field(default_factory=list)    # EnergyResult.to_json_dict per rung
     self_cover: bool = False
     flagged_nonconvex: bool = False
-    sanity_window: tuple = SANITY_WINDOW
 
     @property
     def converged(self) -> bool:
@@ -62,7 +60,7 @@ class ProfileReport:
 
     @property
     def in_window(self) -> bool:
-        lo, hi = self.sanity_window
+        lo, hi = SANITY_WINDOW
         return lo - 1e-9 <= self.estimate <= hi + 1e-9
 
     def to_json_dict(self) -> dict:
@@ -80,11 +78,6 @@ class ProfileReport:
             "rungs": list(self.rungs),
             "ladder": self.ladder.to_dict(),
         }
-
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -143,12 +136,14 @@ def box_profile(cset: CompactSet, family: KernelFamily, eps_ladder,
     eps = np.sort(np.asarray(eps_ladder, dtype=float))[::-1]
     if eps.size < 2 or eps[-1] <= 0:
         raise ValueError("need a decreasing positive eps ladder")
+    if not 0 < mesh_ratio < np.inf:
+        raise ValueError(f"mesh_ratio must be finite and > 0, got {mesh_ratio!r}")
     meshes, results = _energy_ladder(
         cset, family, eps, lambda e: e / mesh_ratio, tol, restarts, seed,
         max_iter)
     ladder = LadderEstimate.fit(eps, np.array([r.value for r in results]),
                                 mode=mode)
-    return _ladder_report(cset, family.tag,
+    return _ladder_report(cset, family.kind,
                           {k: float(v) for k, v in family.params.items()},
                           ladder, meshes, results)
 

@@ -1,11 +1,11 @@
 """Compact subsets of the half-line, their nets, and box-counting.
 
-Sets are intervals, finite point lists, attractors of affine iterated
-function systems on the line, or finite unions of those.  Every supported
-kind can certify a delta-net: a finite subset of the set within delta of
-every point of the set.  Capacity here is the Kolmogorov packing number
-K_G(r), the maximal size of an r-separated subset in the l-inf metric,
-and upper Minkowski dimension estimates are log-log ladder slopes of it.
+Sets are intervals, finite point lists, or attractors of affine iterated
+function systems on the line.  Every supported kind can certify a
+delta-net: a finite subset of the set within delta of every point of the
+set.  Capacity here is the Kolmogorov packing number K_G(r), the maximal
+size of an r-separated subset in the l-inf metric, and upper Minkowski
+dimension estimates are log-log ladder slopes of it.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .errors import DegenerateLadder, MeshTooFine
 from .ladders import LadderEstimate
 
 NET_POINT_CAP = 200_000      # default discretization cap
+IFS_DEPTH_BUDGET = 30        # deepest IFS word a net may expand to
 _FIX_TOL = 1e-12
 
 
@@ -30,10 +31,10 @@ class CompactSet:
     """A compact subset of [0, inf) given by construction, not by oracle.
 
     kind: "interval" {a, b}, "finite" {points}, "ifs" {ratios,
-    translations, depth_budget}, "union" {members}.  IFS members are the
-    maps x -> ratios[i]*x + translations[i]; their depth-1 images of the
-    convex hull must be disjoint (up to touching endpoints), which makes
-    net certification and self-similarity bookkeeping exact.
+    translations, hull}.  IFS members are the maps x -> ratios[i]*x +
+    translations[i]; their depth-1 images of the convex hull must be
+    disjoint (up to touching endpoints), which makes net certification
+    and self-similarity bookkeeping exact.
     """
 
     kind: str
@@ -57,7 +58,7 @@ class CompactSet:
         return cls("finite", {"points": pts}, label=f"finite[{pts.size}]")
 
     @classmethod
-    def ifs(cls, ratios, translations, depth_budget: int = 30) -> "CompactSet":
+    def ifs(cls, ratios, translations) -> "CompactSet":
         ratios = np.asarray(ratios, dtype=float)
         trans = np.asarray(translations, dtype=float)
         if ratios.shape != trans.shape or ratios.size < 2:
@@ -73,7 +74,6 @@ class CompactSet:
             if h0 > l1 + _FIX_TOL:
                 raise ValueError("depth-1 images overlap; IFS not supported")
         return cls("ifs", {"ratios": ratios, "translations": trans,
-                           "depth_budget": int(depth_budget),
                            "hull": (float(lo), float(hi))},
                    label=f"ifs[{ratios.size} maps]")
 
@@ -86,14 +86,6 @@ class CompactSet:
         out.label = f"cantor[{ratio:g}]"
         return out
 
-    @classmethod
-    def union(cls, members) -> "CompactSet":
-        members = list(members)
-        if not members:
-            raise ValueError("empty union")
-        return cls("union", {"members": members},
-                   label="union[" + ",".join(m.label for m in members) + "]")
-
     # -- geometry ------------------------------------------------------------
 
     def bounds(self) -> tuple[float, float]:
@@ -104,9 +96,6 @@ class CompactSet:
             return float(pts[0]), float(pts[-1])
         if self.kind == "ifs":
             return self.params["hull"]
-        if self.kind == "union":
-            bs = [m.bounds() for m in self.params["members"]]
-            return min(b[0] for b in bs), max(b[1] for b in bs)
         raise ValueError(f"unknown set kind {self.kind!r}")
 
     @property
@@ -119,26 +108,10 @@ class CompactSet:
         """True when every open interval meeting the set sees the full
         local scaling (intervals and strictly self-similar attractors);
         regularized profile values are only reported under this flag."""
-        if self.kind == "interval":
-            return True
         if self.kind == "ifs":
             r = self.params["ratios"]
             return bool(np.allclose(r, r[0]))
-        if self.kind == "finite":
-            return True         # dimension 0 everywhere
-        return False
-
-    def to_config(self) -> dict:
-        if self.kind == "interval":
-            return {"kind": "interval", "a": self.params["a"], "b": self.params["b"]}
-        if self.kind == "finite":
-            return {"kind": "finite", "points": [float(p) for p in self.params["points"]]}
-        if self.kind == "ifs":
-            return {"kind": "ifs",
-                    "ratios": [float(r) for r in self.params["ratios"]],
-                    "translations": [float(t) for t in self.params["translations"]]}
-        return {"kind": "union",
-                "members": [m.to_config() for m in self.params["members"]]}
+        return True             # intervals; finite sets have dimension 0 everywhere
 
 
 def _ifs_hull(ratios, trans) -> tuple[float, float]:
@@ -170,31 +143,6 @@ class DeltaNet:
         return self.points.size
 
 
-@dataclass
-class PointCloud:
-    """Finite point set in R^d under the l-inf metric."""
-
-    points: np.ndarray
-    d: int = 0
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        self.points = pts
-        self.d = pts.shape[1]
-        if pts.shape[0] < 1:
-            raise ValueError("empty cloud")
-
-    def write_csv(self, path) -> None:
-        """One point per row, d columns, '.' decimal, no header."""
-        np.savetxt(path, self.points, delimiter=",", fmt="%.17g")
-
-    @classmethod
-    def read_csv(cls, path) -> "PointCloud":
-        return cls(np.loadtxt(path, delimiter=",", ndmin=2))
-
-
 # ---------------------------------------------------------------------------
 # discretization
 # ---------------------------------------------------------------------------
@@ -208,8 +156,8 @@ def discretize(cset: CompactSet, delta: float,
     cylinder is no longer than delta and contribute both endpoints of
     each cylinder.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
     pts = _net_points(cset, delta, point_cap)
     if pts.size > point_cap:
         raise MeshTooFine(f"net would need {pts.size} points (cap {point_cap})")
@@ -229,9 +177,6 @@ def _net_points(cset, delta, cap) -> np.ndarray:
         return np.asarray(cset.params["points"], dtype=float)
     if cset.kind == "ifs":
         return _ifs_net(cset, delta, cap)
-    if cset.kind == "union":
-        parts = [_net_points(m, delta, cap) for m in cset.params["members"]]
-        return np.concatenate(parts)
     raise ValueError(f"unknown set kind {cset.kind!r}")
 
 
@@ -244,7 +189,7 @@ def _ifs_net(cset, delta, cap) -> np.ndarray:
     depth = 0
     while width * rmax ** depth > delta:
         depth += 1
-        if depth > cset.params["depth_budget"]:
+        if depth > IFS_DEPTH_BUDGET:
             raise MeshTooFine("IFS depth budget exhausted before reaching delta")
         if len(ratios) ** depth * 2 > cap:
             raise MeshTooFine(f"IFS net would exceed {cap} points at depth {depth}")
@@ -262,8 +207,6 @@ def _ifs_net(cset, delta, cap) -> np.ndarray:
 def _as_points(cloud) -> np.ndarray:
     if isinstance(cloud, DeltaNet):
         return cloud.points[:, None]
-    if isinstance(cloud, PointCloud):
-        return cloud.points
     pts = np.asarray(cloud, dtype=float)
     return pts[:, None] if pts.ndim == 1 else pts
 

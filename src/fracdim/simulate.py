@@ -11,14 +11,13 @@ making the missed oscillation invisible at the counted scales.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoSampler
 from .process_models import LevyModel
-from .set_models import CompactSet, DeltaNet, PointCloud, discretize, minkowski_dim_estimate
+from .set_models import CompactSet, DeltaNet, discretize, minkowski_dim_estimate
 from .utils import parallel_map, substream
 
 MESH_FACTOR = 0.25            # target typical increment = factor * r_min
@@ -32,8 +31,6 @@ class PathSample:
 
     times: np.ndarray
     values: np.ndarray          # shape (n, d)
-    model_tag: str
-    seed: int
 
     def __post_init__(self):
         if self.values.shape[0] != self.times.shape[0]:
@@ -70,11 +67,6 @@ class ImageExperiment:
             "slopes": [float(s) for s in self.slopes],
         }
 
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
     def write_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -101,20 +93,12 @@ def sample_path(model: LevyModel, net: DeltaNet, seed: int) -> PathSample:
     values = np.cumsum(inc, axis=0)
     if model.kind == "subordinator":
         assert np.all(np.diff(values[:, 0]) >= 0), "subordinator path decreased"
-    return PathSample(times=times, values=values,
-                      model_tag=model.kind, seed=seed)
-
-
-def image_mesh(model: LevyModel, r_min: float,
-               factor: float = MESH_FACTOR) -> float:
-    """Net gap h over which the process typically moves ~ factor * r_min."""
-    return model.typical_inverse_scale(factor * r_min)
+    return PathSample(times=times, values=values)
 
 
 def image_dim_experiment(model: LevyModel, cset: CompactSet, n_paths: int,
                          r_ladder, seed: int, mode: str = "upper",
-                         mesh_factor: float = MESH_FACTOR,
-                         point_cap: int = IMAGE_POINT_CAP) -> ImageExperiment:
+                         mesh_factor: float = MESH_FACTOR) -> ImageExperiment:
     """Simulate image clouds X(net(F)) and box-count each one.
 
     Per path, the capacity ladder slope is estimated in `mode`.  The
@@ -126,16 +110,16 @@ def image_dim_experiment(model: LevyModel, cset: CompactSet, n_paths: int,
     if n_paths < 1:
         raise ValueError("need n_paths >= 1")
     r_ladder = np.sort(np.asarray(r_ladder, dtype=float))[::-1]
-    h = image_mesh(model, float(r_ladder.min()), mesh_factor)
+    # net gap over which the process typically moves ~ mesh_factor * r_min
+    h = model.typical_inverse_scale(mesh_factor * float(r_ladder.min()))
     h = min(h, cset.diameter / MIN_NET_POINTS) if cset.diameter > 0 else h
-    net = discretize(cset, h, point_cap=point_cap)
+    net = discretize(cset, h, point_cap=IMAGE_POINT_CAP)
 
     def job(i):
         # per-path integer seed derived from (seed, i), stable across runs
         child = int(np.random.SeedSequence([seed, i]).generate_state(1, np.uint64)[0])
         path = sample_path(model, net, seed=child)
-        cloud = PointCloud(path.values)
-        est = minkowski_dim_estimate(cloud, r_ladder, mode=mode)
+        est = minkowski_dim_estimate(path.values, r_ladder, mode=mode)
         return est.slope, est.values
 
     out = parallel_map(job, range(n_paths))

@@ -39,10 +39,6 @@ class CheckResult:
     passed: bool
     details: dict = field(default_factory=dict)
 
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"[{status}] {self.cid}: {self.name}"
-
     def to_dict(self) -> dict:
         return {"id": self.cid, "name": self.name, "passed": self.passed,
                 "details": _jsonable(self.details)}
@@ -73,15 +69,14 @@ def random_psd_kernel(rng: np.random.Generator, n: int) -> KernelMatrix:
     a, b = np.exp(rng.uniform(np.log(0.3), np.log(20.0), 2))
     D = np.abs(pts[:, None] - pts[None, :])
     K = theta * np.exp(-a * D) + (1.0 - theta) * np.exp(-b * D)
-    return KernelMatrix(values=K, scale=1.0, family_tag="random_psd", points=pts)
+    return KernelMatrix(values=K, points=pts)
 
 
 _BF_RESOLUTION = {2: 1 / 200, 3: 1 / 200, 4: 1 / 100, 5: 1 / 80, 6: 1 / 60}
 
 
 def _stable_psi(alpha: float, c: float = 1.0) -> CharExponent:
-    return CharExponent(lambda z: c * abs(float(np.atleast_1d(z)[0])) ** alpha,
-                        d=1, symmetric=True)
+    return CharExponent(lambda z: c * abs(float(np.atleast_1d(z)[0])) ** alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +86,7 @@ def _stable_psi(alpha: float, c: float = 1.0) -> CharExponent:
 def check_two_point_closed_form(seed: int = 0) -> CheckResult:
     worst = 0.0
     for k in (0.0, 0.25, 0.5, 0.9):
-        K = KernelMatrix(np.array([[1.0, k], [k, 1.0]]), 1.0, "pair",
-                         np.array([0.0, 1.0]))
+        K = KernelMatrix(np.array([[1.0, k], [k, 1.0]]), np.array([0.0, 1.0]))
         res = min_energy(K)
         worst = max(worst,
                     abs(res.value - oracles.two_point_min_energy(k)),
@@ -236,7 +230,7 @@ def check_cauchy_kernel_identity(seed: int = 0) -> CheckResult:
         pts = np.sort(rng.uniform(0.0, 1.0, 10))
         w = SimplexWeights.uniform(pts)
         for eps in (0.1, 0.01):
-            lhs = cauchy_weighted_energy(w, psi, eps, d=1)
+            lhs = cauchy_weighted_energy(w, psi, eps)
             lam = 1.0 / eps
             D = np.abs(pts[:, None] - pts[None, :])
             rhs = float(w.w @ np.exp(-D * float(phi(lam))) @ w.w)
@@ -259,7 +253,7 @@ def check_energy_upper_bound(seed: int = 0) -> CheckResult:
         uniq, inv = np.unique(D, return_inverse=True)
         kv = np.array([kappa_stable_1d(alpha, 1.0, eps, u) for u in uniq])
         lhs = float(w.w @ kv[inv].reshape(D.shape) @ w.w)
-        rhs = (2.0 * np.pi) * cauchy_weighted_energy(w, _stable_psi(alpha), eps, d=1)
+        rhs = (2.0 * np.pi) * cauchy_weighted_energy(w, _stable_psi(alpha), eps)
         ok = ok and lhs <= rhs + 1e-9
         margin = min(margin, rhs - lhs)
     return CheckResult("C11", "kernel energy <= (2 pi)^d Cauchy-weighted energy",

@@ -71,6 +71,17 @@ def test_validation_exit_codes():
                  "--ladder", "0.125,0.5,5"]) == EXIT_CONFIG
     # unknown oracle name
     assert main(["oracle", "--name", "nope"]) == EXIT_CONFIG
+    # out-of-range solver settings fail before any result is written
+    fh = ["profile", "--set", "interval:0,1", "--family", "fh", "--s", "0.5",
+          "--ladder", "0.1,0.5,3"]
+    assert main(fh + ["--mesh-ratio", "0"]) == EXIT_CONFIG
+    assert main(fh + ["--restarts", "0"]) == EXIT_CONFIG
+    assert main(fh + ["--tol", "-1"]) == EXIT_CONFIG
+    assert main(["subordinator", "--set", "interval:0,1", "--phi", "stable:0.5",
+                 "--ladder", "10,4,3", "--tol", "-1"]) == EXIT_CONFIG
+    # oracle parameters that do not fit the oracle
+    assert main(["oracle", "--name", "two-point-energy"]) == EXIT_CONFIG
+    assert main(["oracle", "--name", "interval-capacity", "--params", "0"]) == EXIT_CONFIG
 
 
 def test_numerical_exit_code(tmp_path):
@@ -216,6 +227,10 @@ def test_oracle_command(capsys):
     assert rep["value"] == 16
     assert main(["oracle", "--name", "cantor-exp-min-energy", "--params", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == 1.0
+    # an omitted trailing parameter takes the oracle's default
+    assert main(["oracle", "--name", "interval-capacity", "--params", "0.25"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["args"] == {"r": 0.25, "length": 1.0} and rep["value"] == 5
 
 
 def test_profile_report_byte_deterministic(tmp_path):

@@ -27,7 +27,7 @@ RNG = np.random.default_rng(7)
 def _km(values, pts=None):
     values = np.asarray(values, dtype=float)
     pts = np.arange(values.shape[0], dtype=float) if pts is None else pts
-    return KernelMatrix(values, 1.0, "test", pts)
+    return KernelMatrix(values, pts)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,8 @@ import pytest
 from fracdim.errors import DegenerateLadder, MeshTooFine
 from fracdim.ladders import LadderEstimate
 from fracdim.oracles import max_separated_1d
-from fracdim.set_models import (CompactSet, DeltaNet, PointCloud, capacity_counts,
-                                discretize, kolmogorov_capacity,
-                                minkowski_dim_estimate)
+from fracdim.set_models import (CompactSet, DeltaNet, capacity_counts, discretize,
+                                kolmogorov_capacity, minkowski_dim_estimate)
 
 RNG = np.random.default_rng(99)
 
@@ -48,8 +47,7 @@ def test_net_certificate_covers_parent():
     cases = [
         (CompactSet.interval(0.2, 1.7), 0.0103),
         (CompactSet.cantor(), 1.0 / 81.0),
-        (CompactSet.union([CompactSet.interval(0, 0.4),
-                           CompactSet.finite([2.0, 3.0])]), 0.05),
+        (CompactSet.finite([0.0, 0.4, 2.0, 3.0]), 0.05),
     ]
     for cset, delta in cases:
         net = discretize(cset, delta)
@@ -63,7 +61,7 @@ def test_net_certificate_covers_parent():
                 for _ in range(60):   # random word deep in the attractor
                     p = p / 3.0 + (0.0 if RNG.random() < 0.5 else 2.0 / 3.0)
             else:
-                p = 2.0 if RNG.random() < 0.5 else 0.4 * RNG.random()
+                p = RNG.choice(cset.params["points"])
             assert np.min(np.abs(net.points - p)) <= delta + 1e-12
 
 
@@ -72,6 +70,9 @@ def test_mesh_too_fine():
         discretize(CompactSet.interval(0, 1), 1e-9)
     with pytest.raises(MeshTooFine):
         discretize(CompactSet.cantor(), 1e-9, point_cap=1000)
+    for delta in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            discretize(CompactSet.interval(0, 1), delta)
 
 
 def test_overlapping_ifs_rejected():
@@ -83,7 +84,7 @@ def test_self_cover_certificate():
     assert CompactSet.interval(0, 1).self_cover_certificate
     assert CompactSet.cantor().self_cover_certificate
     assert not CompactSet.ifs([0.2, 0.4], [0.0, 0.6]).self_cover_certificate
-    assert not CompactSet.union([CompactSet.interval(0, 1)]).self_cover_certificate
+    assert CompactSet.finite([0.0, 2.0]).self_cover_certificate
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +128,7 @@ def test_capacity_counts_sorts_once_and_matches_oracle():
     radii = [0.9, 0.3, 0.07, 0.011]
     assert capacity_counts(pts, radii) == [max_separated_1d(np.sort(pts), r)
                                            for r in radii]
-    cloud = PointCloud(RNG.uniform(0, 1, (80, 2)))
+    cloud = RNG.uniform(0, 1, (80, 2))
     assert capacity_counts(cloud, radii) == [kolmogorov_capacity(cloud, r)
                                              for r in radii]
     with pytest.raises(ValueError):
@@ -136,7 +137,7 @@ def test_capacity_counts_sorts_once_and_matches_oracle():
 
 def test_capacity_d2_greedy_bracketing_asserts():
     for _ in range(10):
-        cloud = PointCloud(RNG.uniform(0, 1, (300, 2)))
+        cloud = RNG.uniform(0, 1, (300, 2))
         r = float(RNG.uniform(0.05, 0.4))
         k = kolmogorov_capacity(cloud, r, check=True)   # internal asserts
         assert 1 <= k <= 300

@@ -8,7 +8,7 @@ from fracdim.errors import NoSampler
 from fracdim.process_models import LaplaceExponent, LevyModel
 from fracdim.profiles import fh_profile
 from fracdim.set_models import CompactSet, DeltaNet, discretize
-from fracdim.simulate import image_dim_experiment, image_mesh, sample_path
+from fracdim.simulate import image_dim_experiment, sample_path
 
 
 def test_gaussian_increment_variance():
@@ -65,11 +65,11 @@ def test_increment_stationarity_ks():
 def test_image_mesh_power_rules():
     r = 2.0 ** -9
     m = LevyModel.isotropic_stable(2.0, 1.0, 1)
-    assert np.isclose(image_mesh(m, r, 0.25), (0.25 * r) ** 2)
+    assert np.isclose(m.typical_inverse_scale(0.25 * r), (0.25 * r) ** 2)
     m = LevyModel.isotropic_stable(0.8, 1.0, 1)
-    assert np.isclose(image_mesh(m, r, 0.25), (0.25 * r) ** 0.8)
+    assert np.isclose(m.typical_inverse_scale(0.25 * r), (0.25 * r) ** 0.8)
     m = LevyModel.subordinator(LaplaceExponent.compound_poisson_drift(0, 1, 2.0))
-    assert np.isclose(image_mesh(m, r, 0.5), 0.5 * r / 2.0)
+    assert np.isclose(m.typical_inverse_scale(0.5 * r), 0.5 * r / 2.0)
 
 
 def test_image_experiment_smoke_and_determinism():
@@ -100,9 +100,10 @@ def test_image_experiment_csv_and_json(tmp_path):
     F = CompactSet.interval(0, 1)
     exp = image_dim_experiment(m, F, 3, 2.0 ** -np.arange(2, 8, dtype=float), seed=5)
     exp.write_csv(tmp_path / "e.csv")
-    exp.write_json(tmp_path / "e.json")
     rows = (tmp_path / "e.csv").read_text().strip().splitlines()
     assert len(rows) == 4 and rows[0].startswith("path_index,slope,K_r")
+    data = exp.to_json_dict()
+    assert data["slopes"] == [float(s) for s in exp.slopes] and data["n_paths"] == 3
 
 
 def test_parallel_fanout_matches_serial(monkeypatch):
@@ -114,18 +115,6 @@ def test_parallel_fanout_matches_serial(monkeypatch):
     threaded = image_dim_experiment(m, F, 6, r, seed=5)
     np.testing.assert_array_equal(serial.slopes, threaded.slopes)
     np.testing.assert_array_equal(serial.counts, threaded.counts)
-
-
-def test_point_cloud_csv_roundtrip(tmp_path):
-    from fracdim.set_models import PointCloud
-    cloud = PointCloud(np.random.default_rng(0).uniform(0, 1, (20, 2)))
-    path = tmp_path / "cloud.csv"
-    cloud.write_csv(path)
-    text = path.read_text()
-    assert "," in text and not text.splitlines()[0][0].isalpha()  # no header
-    back = PointCloud.read_csv(path)
-    np.testing.assert_allclose(back.points, cloud.points)
-    assert back.d == 2
 
 
 def test_theory_vs_empirical_singleton_trivial():
