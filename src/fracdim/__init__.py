@@ -9,7 +9,7 @@ and corroborate the identities by box-counting simulated images
 """
 
 from .errors import (CertificateFailed, DegenerateLadder, FracdimError,
-                     MaxIterExceeded, MeshTooFine, NetTooLarge, NoSampler,
+                     MaxIterExceeded, MeshTooFine, NetTooLarge,
                      NonConvergedQuadrature, TooLarge)
 from .ladders import LadderEstimate
 from .process_models import (CharExponent, KernelFamily, LaplaceExponent,

@@ -1,12 +1,14 @@
 """Experiment runner: profiles, subordinator criteria, theta indices,
 path simulations, the verification suite, and closed-form oracles.
 
-Configuration is a flat JSON record; every flag corresponds to a config
-field and flags override file values.  A field its command does not read
-(COMMAND_FIELDS) is a validation error.  Reports are byte-deterministic
-given (config, seed) and the BLAS thread count: keys are sorted, floats go
-through repr, and wall clocks live in a `.meta.json` sidecar, never in the
-report body.
+A run is a flat record: the namespace its command's subparser returns.
+Each flag is a field whose default is the library's own value.  A
+`--config` JSON file may set any of those fields, flags override file
+values, and a field the command's parser does not declare is a
+validation error.  Reports are byte-deterministic given (config, seed)
+and the BLAS thread count: keys are sorted, floats go through repr, and
+wall clocks live in a `.meta.json` sidecar, never in the report body.
+The sidecar's `config` is the run record, loadable with `--config`.
 
 Exit codes: 0 success, 2 validation error, 3 numerical non-convergence
 or a failed optimality certificate.
@@ -19,14 +21,15 @@ import inspect
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import oracles
+from .energy_min import DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_TOL
 from .errors import (FracdimError, MaxIterExceeded, MeshTooFine,
                      NetTooLarge, NonConvergedQuadrature, TooLarge)
 from .process_models import KernelFamily, LaplaceExponent, LevyModel
-from .profiles import (box_profile, fh_subordinator_predicted,
-                       subordinator_box_dim, theta_index)
+from .profiles import (MESH_RATIO, THETA_LAM_MAX, box_profile,
+                       fh_subordinator_predicted, subordinator_box_dim,
+                       theta_index)
 from .set_models import CompactSet
 from .simulate import image_dim_experiment
 from .utils import geometric_ladder
@@ -41,101 +44,57 @@ class ConfigError(ValueError):
     pass
 
 
-# the RunConfig fields each command reads; a config file or flag setting
-# any other field is an error, not a silent no-op
-_LADDER_RUN = {"command", "set", "ladder", "mode", "out", "csv"}
-COMMAND_FIELDS = {
-    "profile": _LADDER_RUN | {"family", "s", "phi", "model", "mesh_ratio",
-                              "restarts", "tol", "max_iter", "seed"},
-    "subordinator": _LADDER_RUN | {"phi", "tol"},
-    "theta": {"command", "phi", "s", "lam_max", "out"},
-    "simulate": _LADDER_RUN | {"model", "paths", "seed"},
-    "verify": {"command", "suite", "seed", "out"},
-    "oracle": {"command", "name", "params", "out"},
-}
+def load_config(ap: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """The run record: the parsed flags over the `--config` file's values
+    over the parser's defaults.  A file may set only the fields its
+    command's parser declares."""
+    ns = ap.parse_args(argv)
+    if not ns.config:
+        return ns
+    with open(ns.config, encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ConfigError("config file must hold one JSON object")
+    if data.get("command", ns.command) != ns.command:
+        raise ConfigError(f"config file is for command {data['command']!r}, "
+                          f"not {ns.command!r}")
+    unused = set(data) - (set(vars(ns)) - {"config"})
+    if unused:
+        raise ConfigError(f"fields not read by {ns.command!r}: {sorted(unused)}")
+    sub = next(a for a in ap._actions if a.dest == "command")
+    sub.choices[ns.command].set_defaults(**data)
+    return ap.parse_args(argv)
 
 
-@dataclass
-class RunConfig:
-    """Flat, JSON-serializable description of one run."""
-
-    command: str = ""
-    set: str = ""
-    family: str = ""
-    s: float | None = None
-    phi: str = ""
-    model: str = ""
-    ladder: list = field(default_factory=list)   # [start, ratio, count]
-    mode: str = "upper"
-    mesh_ratio: float = 10.0
-    restarts: int = 4
-    tol: float = 1e-6
-    max_iter: int = 200_000
-    lam_max: float = 1e8
-    paths: int = 32
-    seed: int | None = None
-    suite: str = "fast"
-    name: str = ""
-    params: list = field(default_factory=list)
-    out: str = ""
-    csv: str = ""
-
-    @classmethod
-    def load(cls, path: str | None, overrides: dict) -> "RunConfig":
-        """File values, then non-None flag values; every field set must be
-        one its command reads (COMMAND_FIELDS)."""
-        data = {}
-        if path:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-            if not isinstance(data, dict):
-                raise ConfigError("config file must hold one JSON object")
-        command = overrides.get("command") or data.get("command", "")
-        if data.get("command", command) != command:
-            raise ConfigError(f"config file is for command {data['command']!r}, "
-                              f"not {command!r}")
-        if command not in COMMAND_FIELDS:
-            raise ConfigError(f"unknown command {command!r}")
-        data.update({k: v for k, v in overrides.items() if v is not None})
-        unused = set(data) - COMMAND_FIELDS[command]
-        if unused:
-            raise ConfigError(f"fields not read by {command!r}: {sorted(unused)}")
-        return cls(**data)
-
-    def to_dict(self) -> dict:
-        """The fields this run's command reads; loadable as a config file."""
-        return {name: getattr(self, name)
-                for name in sorted(COMMAND_FIELDS[self.command])}
-
-    def validate(self) -> None:
-        if self.command in ("profile", "subordinator", "simulate"):
-            if not self.set:
-                raise ConfigError("field 'set' is required")
-            if len(self.ladder) != 3:
-                raise ConfigError("field 'ladder' must be [start, ratio, count]")
-            start, ratio, count = self.ladder
-            if int(count) < 3:
-                raise ConfigError("ladder count must be >= 3")
-            if start <= 0 or ratio <= 0:
-                raise ConfigError("ladder start and ratio must be positive")
-            if self.command == "subordinator":
-                if ratio <= 1:
-                    raise ConfigError("lam ladders need ratio > 1")
-            elif ratio >= 1:
-                raise ConfigError("eps/r ladders need ratio in (0, 1)")
-        if self.command == "simulate" and self.seed is None:
-            raise ConfigError("field 'seed' is required for stochastic commands")
-        if self.command == "profile" and not self.family:
-            raise ConfigError("field 'family' is required")
-        if self.command in ("subordinator", "theta") and not self.phi:
-            raise ConfigError("field 'phi' is required")
-        if self.command == "theta" and self.s is None:
-            raise ConfigError("field 's' is required")
-        if self.command == "verify" and self.suite not in ("fast", "full"):
-            raise ConfigError("suite must be 'fast' or 'full'")
-        if self.command == "oracle" and self.name not in oracles.NAMED_ORACLES:
-            raise ConfigError(
-                f"unknown oracle {self.name!r}; known: {sorted(oracles.NAMED_ORACLES)}")
+def validate(cfg: argparse.Namespace) -> None:
+    if cfg.command in ("profile", "subordinator", "simulate"):
+        if not cfg.set:
+            raise ConfigError("field 'set' is required")
+        if len(cfg.ladder) != 3:
+            raise ConfigError("field 'ladder' must be [start, ratio, count]")
+        start, ratio, count = cfg.ladder
+        if int(count) < 3:
+            raise ConfigError("ladder count must be >= 3")
+        if start <= 0 or ratio <= 0:
+            raise ConfigError("ladder start and ratio must be positive")
+        if cfg.command == "subordinator":
+            if ratio <= 1:
+                raise ConfigError("lam ladders need ratio > 1")
+        elif ratio >= 1:
+            raise ConfigError("eps/r ladders need ratio in (0, 1)")
+    if cfg.command == "simulate" and cfg.seed is None:
+        raise ConfigError("field 'seed' is required for stochastic commands")
+    if cfg.command == "profile" and not cfg.family:
+        raise ConfigError("field 'family' is required")
+    if cfg.command in ("subordinator", "theta") and not cfg.phi:
+        raise ConfigError("field 'phi' is required")
+    if cfg.command == "theta" and cfg.s is None:
+        raise ConfigError("field 's' is required")
+    if cfg.command == "verify" and cfg.suite not in ("fast", "full"):
+        raise ConfigError("suite must be 'fast' or 'full'")
+    if cfg.command == "oracle" and cfg.name not in oracles.NAMED_ORACLES:
+        raise ConfigError(
+            f"unknown oracle {cfg.name!r}; known: {sorted(oracles.NAMED_ORACLES)}")
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +148,7 @@ def parse_model(desc: str) -> LevyModel:
     raise ConfigError(f"unknown model descriptor {desc!r}")
 
 
-def parse_family(cfg: RunConfig) -> KernelFamily:
+def parse_family(cfg: argparse.Namespace) -> KernelFamily:
     kind, _, rest = cfg.family.partition(":")
     if kind == "fh":
         s = cfg.s if cfg.s is not None else (float(rest) if rest else None)
@@ -207,8 +166,7 @@ def parse_family(cfg: RunConfig) -> KernelFamily:
     if kind == "exact":
         if not cfg.model:
             raise ConfigError("family 'exact' needs --model")
-        return KernelFamily.exact(parse_model(cfg.model),
-                                  seed=cfg.seed if cfg.seed is not None else 0)
+        return KernelFamily.exact(parse_model(cfg.model), seed=cfg.seed or 0)
     raise ConfigError(f"unknown kernel family {cfg.family!r}")
 
 
@@ -216,14 +174,15 @@ def parse_family(cfg: RunConfig) -> KernelFamily:
 # output
 # ---------------------------------------------------------------------------
 
-def _emit(report: dict, cfg: RunConfig) -> None:
+def _emit(report: dict, cfg: argparse.Namespace) -> None:
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
         with open(cfg.out + ".meta.json", "w", encoding="utf-8") as fh:
             json.dump({"written_at_unix": time.time(),
-                       "config": cfg.to_dict()}, fh, sort_keys=True, indent=2)
+                       "config": {k: v for k, v in vars(cfg).items()
+                                  if k != "config"}}, fh, sort_keys=True, indent=2)
             fh.write("\n")
     else:
         sys.stdout.write(payload)
@@ -233,7 +192,7 @@ def _emit(report: dict, cfg: RunConfig) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_profile(cfg: RunConfig) -> int:
+def cmd_profile(cfg: argparse.Namespace) -> int:
     cset = parse_set(cfg.set)
     family = parse_family(cfg)
     start, ratio, count = cfg.ladder
@@ -247,7 +206,7 @@ def cmd_profile(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_subordinator(cfg: RunConfig) -> int:
+def cmd_subordinator(cfg: argparse.Namespace) -> int:
     cset = parse_set(cfg.set)
     phi = parse_phi(cfg.phi)
     start, ratio, count = cfg.ladder
@@ -259,7 +218,7 @@ def cmd_subordinator(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_theta(cfg: RunConfig) -> int:
+def cmd_theta(cfg: argparse.Namespace) -> int:
     phi = parse_phi(cfg.phi)
     th = theta_index(phi, cfg.s, lam_max=cfg.lam_max)
     pred = fh_subordinator_predicted(phi, cfg.s, lam_max=cfg.lam_max)
@@ -268,7 +227,7 @@ def cmd_theta(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: argparse.Namespace) -> int:
     cset = parse_set(cfg.set)
     model = parse_model(cfg.model)
     start, ratio, count = cfg.ladder
@@ -281,8 +240,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    report = run_suite(cfg.suite, seed=cfg.seed if cfg.seed is not None else 0)
+def cmd_verify(cfg: argparse.Namespace) -> int:
+    report = run_suite(cfg.suite, seed=cfg.seed or 0)
     for crit in report["criteria"]:
         status = "PASS" if crit["passed"] else "FAIL"
         sys.stderr.write(f"[{status}] {crit['id']}: {crit['name']}\n")
@@ -294,7 +253,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if report["all_passed"] else 1
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
+def cmd_oracle(cfg: argparse.Namespace) -> int:
     """Parameters bind to the oracle's signature in order; omitted trailing
     ones take the signature's defaults."""
     fn = oracles.NAMED_ORACLES[cfg.name]
@@ -326,13 +285,22 @@ COMMANDS = {
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, command: str) -> None:
+def _add_common(p: argparse.ArgumentParser, csv: bool, seed: bool) -> None:
     p.add_argument("--config", help="flat JSON config file; flags override it")
-    p.add_argument("--out", help="write the JSON report here")
-    if "csv" in COMMAND_FIELDS[command]:
-        p.add_argument("--csv", help="write ladder/experiment rows as CSV here")
-    if "seed" in COMMAND_FIELDS[command]:
+    p.add_argument("--out", default="", help="write the JSON report here")
+    if csv:
+        p.add_argument("--csv", default="",
+                       help="write ladder/experiment rows as CSV here")
+    if seed:
         p.add_argument("--seed", type=int)
+
+
+def _add_ladder_run(p: argparse.ArgumentParser, ratio: str) -> None:
+    p.add_argument("--set", default="")
+    p.add_argument("--ladder", type=_ladder, default=[],
+                   help=f"start,ratio,count (ratio {ratio})")
+    p.add_argument("--mode", choices=("least_squares", "upper", "lower"),
+                   default="upper")
 
 
 def _ladder(text: str) -> list:
@@ -343,67 +311,65 @@ def _ladder(text: str) -> list:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command; its flags and their defaults are the
+    fields of that command's run record."""
     ap = argparse.ArgumentParser(
         prog="fracdim",
         description="dimension profiles of compact sets under Levy kernels")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("profile", help="box-dimension profile of a set")
-    p.add_argument("--set")
-    p.add_argument("--family", help="fh | sandwich:alpha[,d] | subexp | exact")
+    _add_ladder_run(p, "< 1")
+    p.add_argument("--family", default="",
+                   help="fh | sandwich:alpha[,d] | subexp | exact")
     p.add_argument("--s", type=float)
-    p.add_argument("--phi")
-    p.add_argument("--model")
-    p.add_argument("--ladder", type=_ladder, help="start,ratio,count (ratio < 1)")
-    p.add_argument("--mode", choices=("least_squares", "upper", "lower"))
-    p.add_argument("--mesh-ratio", dest="mesh_ratio", type=float)
-    p.add_argument("--restarts", type=int,
+    p.add_argument("--phi", default="")
+    p.add_argument("--model", default="")
+    p.add_argument("--mesh-ratio", dest="mesh_ratio", type=float,
+                   default=MESH_RATIO)
+    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS,
                    help="up to n Frank-Wolfe starts per rung; more than one "
                         "only if the first does not converge")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    _add_common(p, "profile")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--max-iter", dest="max_iter", type=int,
+                   default=DEFAULT_MAX_ITER)
+    _add_common(p, csv=True, seed=True)
 
     p = sub.add_parser("subordinator", help="growth exponent of 1/Z(lam)")
-    p.add_argument("--set")
-    p.add_argument("--phi")
-    p.add_argument("--ladder", type=_ladder, help="start,ratio,count (ratio > 1)")
-    p.add_argument("--mode", choices=("least_squares", "upper", "lower"))
-    p.add_argument("--tol", type=float)
-    _add_common(p, "subordinator")
+    _add_ladder_run(p, "> 1")
+    p.add_argument("--phi", default="")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    _add_common(p, csv=True, seed=False)
 
     p = sub.add_parser("theta", help="theta index of a Laplace exponent")
-    p.add_argument("--phi")
+    p.add_argument("--phi", default="")
     p.add_argument("--s", type=float)
-    p.add_argument("--lam-max", dest="lam_max", type=float)
-    _add_common(p, "theta")
+    p.add_argument("--lam-max", dest="lam_max", type=float,
+                   default=THETA_LAM_MAX)
+    _add_common(p, csv=False, seed=False)
 
     p = sub.add_parser("simulate", help="box-count simulated image clouds")
-    p.add_argument("--set")
-    p.add_argument("--model", help="stable:a[,c[,d]] | subordinator:<phi> | subbrownian:<phi>,d")
-    p.add_argument("--ladder", type=_ladder, help="start,ratio,count (ratio < 1)")
-    p.add_argument("--paths", type=int)
-    p.add_argument("--mode", choices=("least_squares", "upper", "lower"))
-    _add_common(p, "simulate")
+    _add_ladder_run(p, "< 1")
+    p.add_argument("--model", default="",
+                   help="stable:a[,c[,d]] | subordinator:<phi> | subbrownian:<phi>,d")
+    p.add_argument("--paths", type=int, default=32)
+    _add_common(p, csv=True, seed=True)
 
     p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("--suite", choices=("fast", "full"))
-    _add_common(p, "verify")
+    p.add_argument("--suite", choices=("fast", "full"), default="fast")
+    _add_common(p, csv=False, seed=True)
 
     p = sub.add_parser("oracle", help="closed-form reference values")
-    p.add_argument("--name")
-    p.add_argument("--params", nargs="*", default=None)
-    _add_common(p, "oracle")
+    p.add_argument("--name", default="")
+    p.add_argument("--params", nargs="*", default=[])
+    _add_common(p, csv=False, seed=False)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    ns = ap.parse_args(argv)
-    overrides = {k: v for k, v in vars(ns).items() if k != "config"}
     try:
-        cfg = RunConfig.load(ns.config, overrides)
-        cfg.validate()
+        cfg = load_config(build_parser(), argv)
+        validate(cfg)
     except (ConfigError, OSError, json.JSONDecodeError, TypeError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

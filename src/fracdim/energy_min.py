@@ -40,7 +40,7 @@ from .set_models import DeltaNet
 DENSE_NET_CAP = 5000
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 200_000
-DEFAULT_RESTARTS = 8
+DEFAULT_RESTARTS = 4
 ENUM_BUDGET = 200_000_000      # lattice points an exhaustive search may visit
 _ENUM_CHUNK_ROWS = 2_000_000   # lattice points evaluated per block
 _EQUAL_GAP_RTOL = 1e-12        # equal-gap test of the Toeplitz companion solve
@@ -276,6 +276,8 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
         raise ValueError(f"tol must be >= 0, got {tol!r}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     A = K.values
     n = A.shape[0]
     if not np.array_equal(A, A.T):

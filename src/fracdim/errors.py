@@ -9,10 +9,6 @@ class NonConvergedQuadrature(FracdimError):
     """Adaptive quadrature failed to meet its error target."""
 
 
-class NoSampler(FracdimError):
-    """The model has no exact sampling recipe."""
-
-
 class MeshTooFine(FracdimError):
     """A discretization request would exceed the configured point cap."""
 

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate
 
-from .errors import NonConvergedQuadrature, NoSampler
+from .errors import NonConvergedQuadrature
 from .utils import substream
 
 # quadrature contracts
@@ -99,15 +99,15 @@ class CharExponent:
 class LaplaceExponent:
     """Laplace exponent Phi of a subordinator, E exp(-lam S(t)) = exp(-t Phi(lam)).
 
-    Construct through the family classmethods; `tabulated` wraps a bare
-    callable (no sampler, no characteristic exponent).
+    Construct through the family classmethods; each carries its
+    characteristic exponent and an exact increment sampler.
     """
 
     family: str
     params: dict
     fn: Callable[[np.ndarray], np.ndarray]
-    _char_fn: Optional[Callable] = field(default=None, repr=False)
-    _sampler: Optional[Callable] = field(default=None, repr=False)
+    _char_fn: Callable = field(repr=False)
+    _sampler: Callable = field(repr=False)
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -184,25 +184,11 @@ class LaplaceExponent:
                    {"rate": rate, "jump_mean": jump_mean, "drift": drift},
                    phi, _char_fn=char, _sampler=sample)
 
-    @classmethod
-    def tabulated(cls, fn: Callable, name: str = "tabulated") -> "LaplaceExponent":
-        """User-supplied Phi; usable for index/theta estimates only."""
-        return cls("tabulated", {"name": name},
-                   lambda l: np.asarray(fn(np.asarray(l, dtype=float))))
-
-    @property
-    def has_sampler(self) -> bool:
-        return self._sampler is not None
-
     def sample_increments(self, gaps, rng) -> np.ndarray:
-        if self._sampler is None:
-            raise NoSampler(f"Laplace exponent family {self.family!r} has no sampler")
         return self._sampler(gaps, rng)
 
     def char_exponent(self) -> CharExponent:
-        """Psi(xi) = Phi(-i xi) by analytic continuation, where known."""
-        if self._char_fn is None:
-            raise NoSampler(f"no characteristic exponent for family {self.family!r}")
+        """Psi(xi) = Phi(-i xi) by analytic continuation."""
         return CharExponent(self._char_fn, d=1)
 
     def to_config(self) -> dict:
@@ -243,11 +229,7 @@ class LevyModel:
 
     @classmethod
     def subordinator(cls, phi: LaplaceExponent) -> "LevyModel":
-        try:
-            psi = phi.char_exponent()
-        except NoSampler:
-            psi = None
-        return cls("subordinator", 1, psi, params={}, phi=phi)
+        return cls("subordinator", 1, phi.char_exponent(), params={}, phi=phi)
 
     @classmethod
     def subordinate_brownian(cls, phi: LaplaceExponent, d: int) -> "LevyModel":
@@ -257,14 +239,8 @@ class LevyModel:
         return cls("subordinate_brownian", d, CharExponent(psi, d=d),
                    params={}, phi=phi)
 
-    @property
-    def has_sampler(self) -> bool:
-        return self.phi is None or self.phi.has_sampler
-
     def sample_increments(self, gaps, rng) -> np.ndarray:
         """Exact increments over time gaps; returns shape (len(gaps), d)."""
-        if not self.has_sampler:
-            raise NoSampler(f"model kind {self.kind!r} has no sampling recipe")
         gaps = np.asarray(gaps, dtype=float)
         m = gaps.shape[0]
         if self.kind == "isotropic_stable":
@@ -282,7 +258,7 @@ class LevyModel:
         if self.kind == "subordinate_brownian":
             clock = self.phi.sample_increments(gaps, rng)
             return np.sqrt(2.0 * clock)[:, None] * rng.standard_normal((m, self.d))
-        raise NoSampler(f"unknown model kind {self.kind!r}")
+        raise ValueError(f"unknown model kind {self.kind!r}")
 
     def typical_inverse_scale(self, r: float) -> float:
         """Gap h with h * |Psi(e/r)| = 1: the time over which the process
@@ -364,8 +340,6 @@ def kappa_monte_carlo(model: LevyModel, eps: float, t: float, n: int,
         raise ValueError("n must be at least 1000")
     if t == 0.0:
         return 1.0, 0.0
-    if not model.has_sampler:
-        raise NoSampler(f"model kind {model.kind!r} lacks a sampling recipe")
     rng = substream(seed, 0)
     hits = 0
     done = 0

@@ -25,7 +25,8 @@ import numpy as np
 from scipy import integrate
 
 from .errors import NonConvergedQuadrature
-from .energy_min import DEFAULT_MAX_ITER, rung_min_energy
+from .energy_min import (DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_TOL,
+                         rung_min_energy)
 from .ladders import LadderEstimate
 from .process_models import KernelFamily, LaplaceExponent
 from .set_models import CompactSet, discretize
@@ -36,6 +37,7 @@ SUBEXP_MESH_PRODUCT = 0.1     # Phi(lam) * delta <= this
 SANITY_WINDOW = (0.0, 2.0)    # plausible profile estimates for 1-d sets
 THETA_QUAD_TOL = 1e-9         # relative error target per theta segment
 THETA_RUNGS_PER_DECADE = 2.0  # theta quadrature segments per decade of lam
+THETA_LAM_MAX = 1e8           # top of the theta quadrature grid
 
 
 @dataclass
@@ -124,8 +126,8 @@ def _ladder_report(cset: CompactSet, family_tag: str, param: dict,
 
 
 def box_profile(cset: CompactSet, family: KernelFamily, eps_ladder,
-                tol: float = 1e-6, mode: str = "upper",
-                mesh_ratio: float = MESH_RATIO, restarts: int = 4,
+                tol: float = DEFAULT_TOL, mode: str = "upper",
+                mesh_ratio: float = MESH_RATIO, restarts: int = DEFAULT_RESTARTS,
                 seed: int = 0, max_iter: int = DEFAULT_MAX_ITER) -> ProfileReport:
     """Box-dimension profile: envelope slope of log Z(eps) against log eps.
 
@@ -138,6 +140,8 @@ def box_profile(cset: CompactSet, family: KernelFamily, eps_ladder,
         raise ValueError("need a decreasing positive eps ladder")
     if not 0 < mesh_ratio < np.inf:
         raise ValueError(f"mesh_ratio must be finite and > 0, got {mesh_ratio!r}")
+    if restarts < 1 or max_iter < 1:   # closed-form rungs skip min_energy
+        raise ValueError(f"need restarts, max_iter >= 1, got {restarts}, {max_iter}")
     meshes, results = _energy_ladder(
         cset, family, eps, lambda e: e / mesh_ratio, tol, restarts, seed,
         max_iter)
@@ -154,7 +158,7 @@ def fh_profile(cset: CompactSet, s: float, eps_ladder, **kw) -> ProfileReport:
 
 
 def subordinator_box_dim(phi: LaplaceExponent, cset: CompactSet, lam_ladder,
-                         tol: float = 1e-6, mode: str = "upper") -> ProfileReport:
+                         tol: float = DEFAULT_TOL, mode: str = "upper") -> ProfileReport:
     """Growth exponent of 1 / Z(lam) for the kernel exp(-|t-s| Phi(lam)).
 
     lam_ladder must increase geometrically.  The mesh rule keeps
@@ -187,7 +191,7 @@ def subordinator_box_dim(phi: LaplaceExponent, cset: CompactSet, lam_ladder,
 # theta index and the predicted range profile
 # ---------------------------------------------------------------------------
 
-def theta_index(phi: LaplaceExponent, s: float, lam_max: float = 1e8) -> float:
+def theta_index(phi: LaplaceExponent, s: float, lam_max: float = THETA_LAM_MAX) -> float:
     """Lower-envelope slope of log int_1^lam dx / Phi(x^{1/s}) vs log lam.
 
     The cumulative integral is built segment by segment on a geometric
@@ -198,8 +202,8 @@ def theta_index(phi: LaplaceExponent, s: float, lam_max: float = 1e8) -> float:
     """
     if s < 0.5:
         raise ValueError("s must be >= 1/2")
-    if lam_max <= 10.0:
-        raise ValueError("lam_max too small for a slope estimate")
+    if not 10.0 < lam_max < np.inf:
+        raise ValueError(f"lam_max must be finite and > 10, got {lam_max!r}")
     decades = np.log10(lam_max)
     n_seg = max(8, int(np.ceil(decades * THETA_RUNGS_PER_DECADE)))
     grid = np.logspace(0.0, np.log10(lam_max), n_seg + 1)
@@ -226,7 +230,7 @@ def theta_index(phi: LaplaceExponent, s: float, lam_max: float = 1e8) -> float:
 
 
 def fh_subordinator_predicted(phi: LaplaceExponent, s: float,
-                              lam_max: float = 1e8) -> float:
+                              lam_max: float = THETA_LAM_MAX) -> float:
     """Predicted power-law profile of the range of a subordinator on a
     unit time window: s * (1 - theta_index(phi, s))."""
     return s * (1.0 - theta_index(phi, s, lam_max=lam_max))

@@ -124,14 +124,12 @@ def _ifs_hull(ratios, trans) -> tuple[float, float]:
 class DeltaNet:
     """A certified finite delta-net of a parent set.
 
-    Every point of the parent lies within `mesh` of some net point, and
-    the net points lie in the parent set; both hold by construction for
-    the supported kinds.
+    Every point of the parent lies within the requested delta of some net
+    point, and the net points lie in the parent set; both hold by
+    construction for the supported kinds (see `discretize`).
     """
 
     points: np.ndarray
-    mesh: float
-    parent: str
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -161,7 +159,7 @@ def discretize(cset: CompactSet, delta: float,
     pts = _net_points(cset, delta, point_cap)
     if pts.size > point_cap:
         raise MeshTooFine(f"net would need {pts.size} points (cap {point_cap})")
-    return DeltaNet(points=np.unique(pts), mesh=delta, parent=cset.label)
+    return DeltaNet(points=np.unique(pts))
 
 
 def _net_points(cset, delta, cap) -> np.ndarray:
@@ -214,23 +212,23 @@ def _as_points(cloud) -> np.ndarray:
 SEPARATION_SLACK = 1e-9      # relative roundoff guard on >= r comparisons
 
 
-def kolmogorov_capacity(cloud, r: float, check: bool = False) -> int:
+def kolmogorov_capacity(cloud, r: float) -> int:
     """Maximal number of points pairwise >= r apart (l-inf metric).
 
     Sorted 1-d input is solved exactly by a left-to-right greedy sweep.
     In d > 1 a greedy maximal r-separated subset M is built instead; M is
     r-separated and every input point lies within r of M, which brackets
     the true count between |M| and K(r/2)-type quantities.  Constant-factor
-    slack is harmless for log-log slopes.  `check` re-asserts both facts.
+    slack is harmless for log-log slopes.
 
     Separation is tested against r*(1 - SEPARATION_SLACK): grids built at
     the same scale as r (triadic nets probed at triadic radii) land a few
     ulps below the nominal distance and must still count.
     """
-    return capacity_counts(cloud, [r], check)[0]
+    return capacity_counts(cloud, [r])[0]
 
 
-def capacity_counts(cloud, radii, check: bool = False) -> list[int]:
+def capacity_counts(cloud, radii) -> list[int]:
     """`kolmogorov_capacity` of one cloud at each radius; a 1-d cloud is
     sorted once for the whole list."""
     radii = [float(r) for r in radii]
@@ -241,7 +239,7 @@ def capacity_counts(cloud, radii, check: bool = False) -> list[int]:
     if pts.shape[1] == 1:
         x = np.sort(pts[:, 0])
         return [_capacity_1d(x, sep) for sep in seps]
-    return [_capacity_greedy(pts, sep, check) for sep in seps]
+    return [len(_capacity_greedy(pts, sep)) for sep in seps]
 
 
 def _capacity_1d(x: np.ndarray, r: float) -> int:
@@ -255,7 +253,8 @@ def _capacity_1d(x: np.ndarray, r: float) -> int:
     return count
 
 
-def _capacity_greedy(pts: np.ndarray, r: float, check: bool) -> int:
+def _capacity_greedy(pts: np.ndarray, r: float) -> list[int]:
+    """Indices of a greedy maximal r-separated subset, in input order."""
     # grid hash with cell edge r: candidates only need their 3^d neighborhood
     d = pts.shape[1]
     cells: dict[tuple, list[int]] = {}
@@ -273,15 +272,7 @@ def _capacity_greedy(pts: np.ndarray, r: float, check: bool) -> int:
         if ok:
             kept.append(idx)
             cells.setdefault(tuple(key), []).append(idx)
-    if check:
-        kp = pts[kept]
-        for idx in range(pts.shape[0]):
-            assert np.min(np.max(np.abs(kp - pts[idx]), axis=1)) < r or idx in kept
-        if len(kept) > 1:
-            gram = np.max(np.abs(kp[:, None, :] - kp[None, :, :]), axis=2)
-            np.fill_diagonal(gram, np.inf)
-            assert gram.min() >= r
-    return len(kept)
+    return kept
 
 
 def minkowski_dim_estimate(cloud, r_ladder, mode: str = "upper") -> LadderEstimate:

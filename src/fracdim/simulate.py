@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSampler
 from .process_models import LevyModel
 from .set_models import CompactSet, DeltaNet, discretize, minkowski_dim_estimate
 from .utils import parallel_map, substream
@@ -82,8 +81,6 @@ def sample_path(model: LevyModel, net: DeltaNet, seed: int) -> PathSample:
     Gaps are measured from time 0 to the first net point and between
     consecutive net points; each increment is drawn from its exact law.
     """
-    if not model.has_sampler:
-        raise NoSampler(f"model kind {model.kind!r} has no sampler")
     times = net.points
     rng = substream(seed, 0)
     gaps = np.diff(np.concatenate([[0.0], times]))

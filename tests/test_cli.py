@@ -4,12 +4,10 @@ import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
-from fracdim.cli import (COMMAND_FIELDS, EXIT_CONFIG, EXIT_NUMERICAL, RunConfig,
-                         build_parser, main, parse_family, parse_model,
-                         parse_phi, parse_set)
+from fracdim.cli import (EXIT_CONFIG, EXIT_NUMERICAL, build_parser, main,
+                         parse_family, parse_model, parse_phi, parse_set)
 
 
 def run_cli(*args):
@@ -43,13 +41,13 @@ def test_parse_phi_and_model():
 
 
 def test_parse_family_needs_parameters():
-    cfg = RunConfig(command="profile", family="fh")
+    def record(*flags):
+        return build_parser().parse_args(["profile", *flags])
+
     with pytest.raises(Exception):
-        parse_family(cfg)
-    cfg = RunConfig(command="profile", family="fh", s=1.0)
-    assert parse_family(cfg).kind == "fh"
-    cfg = RunConfig(command="profile", family="sandwich:0.8,1")
-    assert parse_family(cfg).kind == "sandwich"
+        parse_family(record("--family", "fh"))
+    assert parse_family(record("--family", "fh", "--s", "1.0")).kind == "fh"
+    assert parse_family(record("--family", "sandwich:0.8,1")).kind == "sandwich"
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +75,13 @@ def test_validation_exit_codes():
     assert main(fh + ["--mesh-ratio", "0"]) == EXIT_CONFIG
     assert main(fh + ["--restarts", "0"]) == EXIT_CONFIG
     assert main(fh + ["--tol", "-1"]) == EXIT_CONFIG
+    assert main(fh + ["--max-iter", "0"]) == EXIT_CONFIG
+    # solver settings are checked even where the closed form ignores them
+    assert main(["profile", "--set", "interval:0,1", "--family", "subexp",
+                 "--phi", "stable:0.5", "--ladder", "0.1,0.5,3",
+                 "--restarts", "0"]) == EXIT_CONFIG
+    assert main(["theta", "--phi", "stable:0.5", "--s", "0.7",
+                 "--lam-max", "inf"]) == EXIT_CONFIG
     assert main(["subordinator", "--set", "interval:0,1", "--phi", "stable:0.5",
                  "--ladder", "10,4,3", "--tol", "-1"]) == EXIT_CONFIG
     # oracle parameters that do not fit the oracle
@@ -132,26 +137,51 @@ def test_config_field_outside_command_is_rejected(tmp_path, capsys):
     assert "subordinator" in capsys.readouterr().err
 
 
+_LADDER_RUN = {"command", "set", "ladder", "mode", "out", "csv"}
+# the fields of each command's run record
+COMMAND_FIELDS = {
+    "profile": _LADDER_RUN | {"family", "s", "phi", "model", "mesh_ratio",
+                              "restarts", "tol", "max_iter", "seed"},
+    "subordinator": _LADDER_RUN | {"phi", "tol"},
+    "theta": {"command", "phi", "s", "lam_max", "out"},
+    "simulate": _LADDER_RUN | {"model", "paths", "seed"},
+    "verify": {"command", "suite", "seed", "out"},
+    "oracle": {"command", "name", "params", "out"},
+}
+SIDECAR_RUNS = {
+    "profile": ["--set", "finite:0,0.4,1", "--family", "fh", "--s", "0.8",
+                "--ladder", "0.1,0.5,3", "--seed", "3"],
+    "subordinator": ["--set", "interval:0,1", "--phi", "stable:0.5",
+                     "--ladder", "10,4,4"],
+    "theta": ["--phi", "stable:0.5", "--s", "0.7"],
+    "simulate": ["--set", "interval:0,1", "--model", "subordinator:stable:0.5",
+                 "--ladder", "0.25,0.5,5", "--paths", "2", "--seed", "3"],
+    "oracle": ["--name", "two-point-energy", "--params", "0.5"],
+}
+
+
 def test_parser_flags_are_command_fields():
     sub = next(a for a in build_parser()._actions if a.dest == "command")
     assert set(sub.choices) == set(COMMAND_FIELDS)
-    known = set(RunConfig.__dataclass_fields__)
     for name, p in sub.choices.items():
         dests = {a.dest for a in p._actions} - {"help", "config"}
-        assert dests | {"command"} == COMMAND_FIELDS[name] <= known
+        assert dests | {"command"} == COMMAND_FIELDS[name], name
 
 
 def test_sidecar_config_feeds_back(tmp_path):
-    out = tmp_path / "s.json"
-    assert main(["subordinator", "--set", "interval:0,1", "--phi", "stable:0.5",
-                 "--ladder", "10,4,4", "--out", str(out)]) == 0
-    meta = json.loads((tmp_path / "s.json.meta.json").read_text())
-    assert set(meta["config"]) == COMMAND_FIELDS["subordinator"]
-    sidecar = tmp_path / "c.json"
-    sidecar.write_text(json.dumps(meta["config"]))
-    first = out.read_bytes()
-    assert main(["subordinator", "--config", str(sidecar)]) == 0
-    assert out.read_bytes() == first
+    # the sidecar holds exactly the fields its command reads, and feeding
+    # it back with --config reproduces the report
+    for command, flags in SIDECAR_RUNS.items():
+        out = tmp_path / f"{command}.json"
+        assert main([command, *flags, "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / f"{command}.json.meta.json").read_text())
+        assert set(meta["config"]) == COMMAND_FIELDS[command], command
+        sidecar = tmp_path / f"{command}.config.json"
+        sidecar.write_text(json.dumps(meta["config"]))
+        first = out.read_bytes()
+        out.unlink()
+        assert main([command, "--config", str(sidecar)]) == 0
+        assert out.read_bytes() == first, command
 
 
 # ---------------------------------------------------------------------------

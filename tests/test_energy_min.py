@@ -35,7 +35,7 @@ def _km(values, pts=None):
 # ---------------------------------------------------------------------------
 
 def test_build_kernel_examples():
-    net = DeltaNet(np.array([0.0, 1.0]), 0.5, "x")
+    net = DeltaNet(np.array([0.0, 1.0]))
     K = build_kernel(KernelFamily.fh(0.5), 0.25, net)
     np.testing.assert_allclose(K.values, [[1, 0.5], [0.5, 1]])
 
@@ -43,7 +43,7 @@ def test_build_kernel_examples():
         LaplaceExponent.compound_poisson_drift(0, 1, 1)), np.log(2), net)
     np.testing.assert_allclose(K.values, [[1, 0.5], [0.5, 1]])
 
-    net3 = DeltaNet(np.array([0.0, 0.5, 1.0]), 0.5, "x")
+    net3 = DeltaNet(np.array([0.0, 0.5, 1.0]))
     K = build_kernel(KernelFamily.fh(1.0), 0.5, net3)
     np.testing.assert_allclose(K.values, [[1, 1, 0.5], [1, 1, 1], [0.5, 1, 1]])
 
@@ -59,7 +59,7 @@ def test_build_kernel_invariants_random():
 
 
 def test_build_kernel_net_cap():
-    net = DeltaNet(np.linspace(0, 1, DENSE_NET_CAP + 2), 1e-4, "x")
+    net = DeltaNet(np.linspace(0, 1, DENSE_NET_CAP + 2))
     with pytest.raises(NetTooLarge):
         build_kernel(KernelFamily.fh(1.0), 0.1, net)
 
@@ -86,7 +86,7 @@ def test_build_kernel_equals_full_matrix_evaluation():
 def test_subordinator_kernels_are_psd():
     for _ in range(5):
         pts = np.sort(RNG.uniform(0, 1, 60))
-        net = DeltaNet(pts, 0.1, "x")
+        net = DeltaNet(pts)
         lam = float(RNG.uniform(0.5, 50))
         K = build_kernel(KernelFamily.subordinator_exp(
             LaplaceExponent.stable(0.6)), lam, net)
@@ -153,7 +153,7 @@ def _fh_test_nets():
     rng = np.random.default_rng(11)
     return [discretize(CompactSet.interval(0, 1), 1 / 399),
             discretize(CompactSet.cantor(), 3.0 ** -7),
-            DeltaNet(np.sort(rng.uniform(0, 1, 300)), 0.01, "random")]
+            DeltaNet(np.sort(rng.uniform(0, 1, 300)))]
 
 
 def test_fh_start_never_exceeds_uniform_energy():
@@ -274,7 +274,7 @@ def test_frank_wolfe_bit_identical_to_column_reference():
     kernels = []
     for n in (5, 17, 60, 150, 400):
         kernels.append(random_psd_kernel(rng, n).values)
-        net = DeltaNet(np.sort(rng.uniform(0, 1, n)), 1.0 / n, "x")
+        net = DeltaNet(np.sort(rng.uniform(0, 1, n)))
         kernels.append(build_kernel(KernelFamily.fh(float(rng.uniform(0.3, 1.5))),
                                     float(rng.uniform(0.02, 0.3)), net).values)
     most_iters = 0
@@ -432,7 +432,7 @@ def test_bruteforce_equals_every_lattice_point(n, R):
 
 
 def test_bruteforce_vs_fw_on_3x3_fh_kernel():
-    net = DeltaNet(np.array([0.0, 0.5, 1.0]), 0.5, "x")
+    net = DeltaNet(np.array([0.0, 0.5, 1.0]))
     km = build_kernel(KernelFamily.fh(1.0), 0.5, net)
     bf = min_energy_bruteforce(km, resolution=1 / 200)
     res = min_energy(km)

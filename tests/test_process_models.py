@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from fracdim.errors import NoSampler, NonConvergedQuadrature
+from fracdim.errors import NonConvergedQuadrature
 from fracdim.energy_min import SimplexWeights
 from fracdim.process_models import (CharExponent, KernelFamily,
                                     LaplaceExponent, LevyModel,
@@ -148,13 +148,6 @@ def test_kappa_monte_carlo_oracles():
     m2 = LevyModel.isotropic_stable(2.0, 1.0, 2)
     est, _ = kappa_monte_carlo(m2, 1.0, 1.0, 400_000, seed=4)
     assert abs(est - special.erf(0.5) ** 2) < 0.004
-
-
-def test_kappa_monte_carlo_requires_sampler():
-    phi = LaplaceExponent.tabulated(lambda l: np.sqrt(l))
-    m = LevyModel.subordinator(phi)
-    with pytest.raises(NoSampler):
-        kappa_monte_carlo(m, 1.0, 1.0, 10_000, seed=0)
 
 
 def test_subordinated_stable_matches_direct_cms_in_1d():

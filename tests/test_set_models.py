@@ -8,7 +8,8 @@ import pytest
 from fracdim.errors import DegenerateLadder, MeshTooFine
 from fracdim.ladders import LadderEstimate
 from fracdim.oracles import max_separated_1d
-from fracdim.set_models import (CompactSet, DeltaNet, capacity_counts, discretize,
+from fracdim.set_models import (CompactSet, DeltaNet, _capacity_greedy,
+                                capacity_counts, discretize,
                                 kolmogorov_capacity, minkowski_dim_estimate)
 
 RNG = np.random.default_rng(99)
@@ -139,8 +140,16 @@ def test_capacity_d2_greedy_bracketing_asserts():
     for _ in range(10):
         cloud = RNG.uniform(0, 1, (300, 2))
         r = float(RNG.uniform(0.05, 0.4))
-        k = kolmogorov_capacity(cloud, r, check=True)   # internal asserts
-        assert 1 <= k <= 300
+        kept = _capacity_greedy(cloud, r)
+        kp = cloud[kept]
+        # every input point lies within r of the kept subset ...
+        cover = np.max(np.abs(cloud[:, None, :] - kp[None, :, :]), axis=2)
+        assert np.all(cover.min(axis=1) < r)
+        # ... which is r-separated
+        gram = np.max(np.abs(kp[:, None, :] - kp[None, :, :]), axis=2)
+        np.fill_diagonal(gram, np.inf)
+        assert gram.min() >= r
+        assert kolmogorov_capacity(cloud, r) == len(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -187,4 +196,4 @@ def test_ladder_estimate_recompute_invariant():
 
 def test_delta_net_requires_sorted_points():
     with pytest.raises(ValueError):
-        DeltaNet(np.array([1.0, 0.0]), 0.1, "x")
+        DeltaNet(np.array([1.0, 0.0]))

@@ -1,10 +1,8 @@
 """Path sampling and image box-counting."""
 
 import numpy as np
-import pytest
 from scipy import stats
 
-from fracdim.errors import NoSampler
 from fracdim.process_models import LaplaceExponent, LevyModel
 from fracdim.profiles import fh_profile
 from fracdim.set_models import CompactSet, DeltaNet, discretize
@@ -26,7 +24,7 @@ def test_subordinator_empirical_laplace_transform():
 
 def test_degenerate_net_gives_zero_path():
     m = LevyModel.isotropic_stable(1.5, 1.0, 1)
-    p = sample_path(m, DeltaNet(np.array([0.0]), 0.1, "pt"), seed=4)
+    p = sample_path(m, DeltaNet(np.array([0.0])), seed=4)
     assert p.values.shape == (1, 1) and p.values[0, 0] == 0.0
 
 
@@ -39,12 +37,6 @@ def test_subordinator_paths_nondecreasing_every_seed():
             p = sample_path(m, net, seed=seed)
             assert np.all(np.diff(p.values[:, 0]) >= 0)
             assert p.values[0, 0] == 0.0     # net starts at time 0
-
-
-def test_path_requires_sampler():
-    m = LevyModel.subordinator(LaplaceExponent.tabulated(lambda l: l))
-    with pytest.raises(NoSampler):
-        sample_path(m, DeltaNet(np.array([0.0, 1.0]), 1.0, "x"), seed=0)
 
 
 def test_increment_stationarity_ks():
