@@ -12,9 +12,9 @@ from .errors import (CertificateFailed, DegenerateLadder, FracdimError,
                      MaxIterExceeded, MeshTooFine, NetTooLarge,
                      NonConvergedQuadrature, TooLarge)
 from .ladders import LadderEstimate
-from .process_models import (CharExponent, KernelFamily, LaplaceExponent,
-                             LevyModel, cauchy_weighted_energy,
-                             kappa_monte_carlo, kappa_stable_1d)
+from .process_models import (KernelFamily, LaplaceExponent, LevyModel,
+                             cauchy_weighted_energy, kappa_monte_carlo,
+                             kappa_stable_1d)
 from .set_models import (CompactSet, DeltaNet, discretize, kolmogorov_capacity,
                          minkowski_dim_estimate)
 from .energy_min import (EnergyResult, KernelMatrix, SimplexWeights,

@@ -62,8 +62,37 @@ def load_config(ap: argparse.ArgumentParser, argv) -> argparse.Namespace:
     if unused:
         raise ConfigError(f"fields not read by {ns.command!r}: {sorted(unused)}")
     sub = next(a for a in ap._actions if a.dest == "command")
-    sub.choices[ns.command].set_defaults(**data)
+    parser = sub.choices[ns.command]
+    for action in parser._actions:
+        if action.dest in data:
+            _check_type(action, data[action.dest])
+    parser.set_defaults(**data)
     return ap.parse_args(argv)
+
+
+def _check_type(action: argparse.Action, value) -> None:
+    """A file value must have the JSON type its flag parses to.  A string
+    for a one-value flag goes through the flag's `type`, as argparse does
+    for string defaults; null stands for a default of None."""
+    if (isinstance(value, str) and action.nargs is None
+            or value is None and action.default is None):
+        return
+    ok, want = False, "a string"
+    if action.type is float:
+        ok, want = _is_number(value), "a number"
+    elif action.type is int:
+        ok, want = _is_number(value) and isinstance(value, int), "an integer"
+    elif action.type is _ladder:
+        ok = isinstance(value, list) and len(value) == 3 and all(map(_is_number, value))
+        want = "[start, ratio, count]"
+    elif action.nargs == "*":
+        ok, want = isinstance(value, list), "a list"
+    if not ok:
+        raise ConfigError(f"field {action.dest!r} must be {want}, not {value!r}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def validate(cfg: argparse.Namespace) -> None:

@@ -1,7 +1,8 @@
 """Levy-process descriptors and the small-ball kernel family.
 
 A process enters the numerics through two doors: its characteristic
-exponent Psi, normalized by E exp(i z . X(t)) = exp(-t Psi(z)), and (for
+exponent Psi, normalized by E exp(i z . X(t)) = exp(-t Psi(z)) and radial
+(Psi(z) = psi(|z|), as every model is isotropic or 1-d), and (for
 subordinators) its Laplace exponent Phi with E exp(-lam S(t)) =
 exp(-t Phi(lam)).  The central object downstream is the kernel family
 
@@ -78,36 +79,20 @@ def one_sided_stable(rng: np.random.Generator, beta: float, size) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class CharExponent:
-    """Characteristic exponent Psi with E exp(i z . X(t)) = exp(-t Psi(z)).
-
-    `fn` maps a real z (scalar for d = 1, length-d vector otherwise) to a
-    complex value.
-    """
-
-    fn: Callable[[np.ndarray], complex]
-    d: int = 1
-
-    def __call__(self, z) -> complex:
-        z = np.asarray(z, dtype=float)
-        if self.d == 1:
-            return complex(self.fn(float(z.ravel()[0]) if z.ndim else float(z)))
-        return complex(self.fn(z))
-
-
-@dataclass
 class LaplaceExponent:
     """Laplace exponent Phi of a subordinator, E exp(-lam S(t)) = exp(-t Phi(lam)).
 
-    Construct through the family classmethods; each carries its
-    characteristic exponent and an exact increment sampler.
+    Construct through the family classmethods.  Each carries the
+    characteristic exponent psi(xi) = Phi(-i xi) by analytic continuation
+    (scalar or array xi) and an exact sampler sample_increments(gaps, rng)
+    of increments over a float array of time gaps.
     """
 
     family: str
     params: dict
     fn: Callable[[np.ndarray], np.ndarray]
-    _char_fn: Callable = field(repr=False)
-    _sampler: Callable = field(repr=False)
+    psi: Callable = field(repr=False)
+    sample_increments: Callable = field(repr=False)
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -121,17 +106,13 @@ class LaplaceExponent:
         if not 0 < beta < 1:
             raise ValueError("stable subordinator index must be in (0, 1)")
 
-        def char(xi):
-            xi = float(xi)
+        def psi(xi):
             # analytic continuation (-i xi)^beta, principal branch
-            return abs(xi) ** beta * np.exp(-1j * beta * np.pi / 2 * np.sign(xi))
+            return np.abs(xi) ** beta * np.exp(-1j * beta * np.pi / 2 * np.sign(xi))
 
-        def sample(gaps, rng):
-            gaps = np.asarray(gaps, dtype=float)
-            return gaps ** (1.0 / beta) * one_sided_stable(rng, beta, gaps.shape)
-
-        return cls("stable", {"beta": beta}, lambda l: np.asarray(l) ** beta,
-                   _char_fn=char, _sampler=sample)
+        return cls("stable", {"beta": beta}, lambda l: l ** beta, psi=psi,
+                   sample_increments=lambda gaps, rng: gaps ** (1.0 / beta)
+                   * one_sided_stable(rng, beta, gaps.shape))
 
     @classmethod
     def gamma(cls, a: float, b: float) -> "LaplaceExponent":
@@ -139,16 +120,10 @@ class LaplaceExponent:
         if a <= 0 or b <= 0:
             raise ValueError("gamma subordinator needs a, b > 0")
 
-        def char(xi):
-            return a * np.log(1.0 - 1j * float(xi) / b)
-
-        def sample(gaps, rng):
-            gaps = np.asarray(gaps, dtype=float)
-            return rng.gamma(shape=a * gaps, scale=1.0 / b)
-
-        return cls("gamma", {"a": a, "b": b},
-                   lambda l: a * np.log1p(np.asarray(l) / b),
-                   _char_fn=char, _sampler=sample)
+        return cls("gamma", {"a": a, "b": b}, lambda l: a * np.log1p(l / b),
+                   psi=lambda xi: a * np.log(1.0 - 1j * xi / b),
+                   sample_increments=lambda gaps, rng: rng.gamma(
+                       shape=a * gaps, scale=1.0 / b))
 
     @classmethod
     def compound_poisson_drift(cls, rate: float, jump_mean: float,
@@ -162,17 +137,14 @@ class LaplaceExponent:
             raise ValueError("need rate, drift >= 0 and jump_mean > 0 when jumping")
 
         def phi(lam):
-            lam = np.asarray(lam, dtype=float)
             jumps = rate * jump_mean * lam / (1.0 + jump_mean * lam) if rate > 0 else 0.0
             return drift * lam + jumps
 
-        def char(xi):
-            xi = float(xi)
+        def psi(xi):
             jumps = rate * (1.0 - 1.0 / (1.0 - 1j * jump_mean * xi)) if rate > 0 else 0.0
             return -1j * drift * xi + jumps
 
         def sample(gaps, rng):
-            gaps = np.asarray(gaps, dtype=float)
             out = drift * gaps
             if rate > 0:
                 n = rng.poisson(rate * gaps)
@@ -182,14 +154,7 @@ class LaplaceExponent:
 
         return cls("compound_poisson_drift",
                    {"rate": rate, "jump_mean": jump_mean, "drift": drift},
-                   phi, _char_fn=char, _sampler=sample)
-
-    def sample_increments(self, gaps, rng) -> np.ndarray:
-        return self._sampler(gaps, rng)
-
-    def char_exponent(self) -> CharExponent:
-        """Psi(xi) = Phi(-i xi) by analytic continuation."""
-        return CharExponent(self._char_fn, d=1)
+                   phi, psi=psi, sample_increments=sample)
 
     def to_config(self) -> dict:
         return {"family": self.family, "params": dict(sorted(self.params.items()))}
@@ -203,14 +168,16 @@ class LaplaceExponent:
 class LevyModel:
     """A Levy process with enough structure to evaluate and sample.
 
-    kinds: "isotropic_stable" (index alpha in (0,2], scale c, dimension d),
-    "subordinator" (a LaplaceExponent), "subordinate_brownian" (Brownian
-    motion run at an independent subordinator clock, Psi(z) = Phi(|z|^2)).
+    `psi` is the radial exponent: Psi(z) = psi(|z|), scalar or array |z|.
+    kinds: "isotropic_stable" (index alpha in (0,2], scale c, dimension d,
+    psi(r) = c r^alpha), "subordinator" (a LaplaceExponent, psi = phi.psi),
+    "subordinate_brownian" (Brownian motion run at an independent
+    subordinator clock, psi(r) = Phi(r^2)).
     """
 
     kind: str
     d: int
-    psi: CharExponent
+    psi: Callable
     params: dict = field(default_factory=dict)
     phi: Optional[LaplaceExponent] = None
 
@@ -220,24 +187,16 @@ class LevyModel:
             raise ValueError("alpha must be in (0, 2]")
         if c <= 0 or d < 1:
             raise ValueError("need scale c > 0 and dimension d >= 1")
-
-        def psi(z):
-            return c * np.linalg.norm(np.atleast_1d(z)) ** alpha
-
-        return cls("isotropic_stable", d, CharExponent(psi, d=d),
+        return cls("isotropic_stable", d, lambda r: c * np.abs(r) ** alpha,
                    params={"alpha": alpha, "c": c})
 
     @classmethod
     def subordinator(cls, phi: LaplaceExponent) -> "LevyModel":
-        return cls("subordinator", 1, phi.char_exponent(), params={}, phi=phi)
+        return cls("subordinator", 1, phi.psi, phi=phi)
 
     @classmethod
     def subordinate_brownian(cls, phi: LaplaceExponent, d: int) -> "LevyModel":
-        def psi(z):
-            return complex(phi(np.linalg.norm(np.atleast_1d(z)) ** 2))
-
-        return cls("subordinate_brownian", d, CharExponent(psi, d=d),
-                   params={}, phi=phi)
+        return cls("subordinate_brownian", d, lambda r: phi(np.square(r)), phi=phi)
 
     def sample_increments(self, gaps, rng) -> np.ndarray:
         """Exact increments over time gaps; returns shape (len(gaps), d)."""
@@ -261,12 +220,10 @@ class LevyModel:
         raise ValueError(f"unknown model kind {self.kind!r}")
 
     def typical_inverse_scale(self, r: float) -> float:
-        """Gap h with h * |Psi(e/r)| = 1: the time over which the process
+        """Gap h with h * |psi(1/r)| = 1: the time over which the process
         typically moves about r (modulus, so pure drift works).  Used by
         mesh rules."""
-        e = np.zeros(self.d)
-        e[0] = 1.0 / r
-        mag = abs(self.psi(e))
+        mag = float(abs(self.psi(1.0 / r)))
         if mag <= 0:
             raise ValueError("degenerate exponent; cannot derive a mesh scale")
         return 1.0 / mag
@@ -454,55 +411,30 @@ class KernelFamily:
 # Cauchy-weighted energies
 # ---------------------------------------------------------------------------
 
-def _pair_weights(weights):
-    """Condense a discrete measure to (unique distances > 0, paired mass).
-
-    Off-diagonal mass is doubled so that, paired with the real part of the
-    one-sided integrand, it accounts for both (i, j) orders.
-    """
-    pts = np.asarray(weights.points, dtype=float)
-    w = np.asarray(weights.w, dtype=float)
-    i, j = np.triu_indices(len(pts), k=1)
-    dist = np.abs(pts[i] - pts[j])
-    mass = 2.0 * w[i] * w[j]
-    diag = float(np.sum(w * w))
-    if dist.size:
-        uniq, inv = np.unique(dist, return_inverse=True)
-        agg = np.zeros(uniq.shape)
-        np.add.at(agg, inv, mass)
-        zero = uniq == 0.0
-        diag += float(agg[zero].sum())
-        return uniq[~zero], agg[~zero], diag
-    return dist, mass, diag
-
-
-def cauchy_weighted_energy(weights, psi: CharExponent, eps: float,
+def cauchy_weighted_energy(weights, psi: Callable, eps: float,
                            tol: float = CAUCHY_QUAD_TOL) -> float:
     """int f_C(z) * E_nu(z/eps) dz with f_C the standard Cauchy density on R.
 
-    Computed pairwise: for each distinct gap u the factor
-    int f_C(z) Re exp(-u Psi(z/eps)) dz is integrated once, then
-    recombined with the paired mass.  Total quadrature error stays below
-    `tol` because the pair masses sum to at most 1.
+    Computed pairwise: the factor int f_C(z) Re exp(-u psi(z/eps)) dz of
+    every gap u = |t_i - t_j|, i < j, comes from one vector quadrature
+    whose worst factor error stays below `tol`; so does the total error,
+    because the pair masses sum to at most 1.  `psi` takes arrays.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    dists, mass, diag = _pair_weights(weights)
-    total = diag
-    worst = 0.0
-    half_pi = np.pi / 2.0
-    for u, m in zip(dists, mass):
-        # z = tan(theta) absorbs the Cauchy weight exactly; the integrand
-        # is then smooth and bounded on a compact interval
-        def integrand(theta, u=u):
-            return np.exp(-u * psi(np.tan(theta) / eps)).real / np.pi
+    pts, w = weights.points, weights.w
+    i, j = np.triu_indices(len(pts), k=1)
+    if not i.size:
+        return float(w @ w)
+    gaps = np.abs(pts[i] - pts[j])
 
-        val, err = integrate.quad(integrand, -half_pi, half_pi, limit=400,
-                                  epsabs=tol / 4, epsrel=tol / 4)
-        worst = max(worst, err)
-        total += m * val
-    if worst > tol:
+    # z = tan(theta) absorbs the Cauchy weight exactly; the integrand
+    # is then smooth and bounded on a compact interval
+    vals, err = integrate.quad_vec(
+        lambda theta: np.exp(-gaps * psi(np.tan(theta) / eps)).real / np.pi,
+        -np.pi / 2, np.pi / 2, epsabs=tol / 4, epsrel=tol / 4, limit=400,
+        norm="max")
+    if not err <= tol:
         raise NonConvergedQuadrature(
-            f"Cauchy-weighted quadrature error {worst:.2e} exceeds {tol:.0e}")
-    return float(total)
-
+            f"Cauchy-weighted quadrature error {err:.2e} exceeds {tol:.0e}")
+    return float(w @ w + 2.0 * (w[i] * w[j]) @ vals)

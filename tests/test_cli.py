@@ -98,7 +98,7 @@ def test_numerical_exit_code(tmp_path):
     assert code == EXIT_NUMERICAL
 
 
-def test_config_file_roundtrip_and_override(tmp_path):
+def test_config_file_roundtrip_and_override(tmp_path, capsys):
     cfg = {"command": "theta", "phi": "stable:0.5", "s": 0.7, "lam_max": 1e10}
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
@@ -118,6 +118,20 @@ def test_config_file_roundtrip_and_override(tmp_path):
     unknown = tmp_path / "unk.json"
     unknown.write_text(json.dumps({"command": "theta", "wat": 1}))
     assert main(["theta", "--config", str(unknown)]) == EXIT_CONFIG
+    # a value of the wrong JSON type is rejected by name
+    wrong = tmp_path / "wrong.json"
+    for field, cfg in (
+            ("s", {"command": "theta", "phi": "stable:0.5", "s": [0.7]}),
+            ("paths", {"command": "simulate", "set": "interval:0,1",
+                       "model": "stable:2", "ladder": [0.25, 0.5, 3],
+                       "seed": 1, "paths": 2.5}),
+            ("restarts", {"command": "profile", "set": "interval:0,1",
+                          "family": "fh", "s": 0.5, "ladder": [0.1, 0.5, 3],
+                          "restarts": 2.7})):
+        wrong.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main([cfg["command"], "--config", str(wrong)]) == EXIT_CONFIG
+        assert repr(field) in capsys.readouterr().err
 
 
 def test_config_field_outside_command_is_rejected(tmp_path, capsys):

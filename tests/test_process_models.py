@@ -6,8 +6,7 @@ from scipy import integrate, special
 
 from fracdim.errors import NonConvergedQuadrature
 from fracdim.energy_min import SimplexWeights
-from fracdim.process_models import (CharExponent, KernelFamily,
-                                    LaplaceExponent, LevyModel,
+from fracdim.process_models import (KernelFamily, LaplaceExponent, LevyModel,
                                     cauchy_weighted_energy,
                                     kappa_monte_carlo, kappa_stable_1d,
                                     one_sided_stable,
@@ -35,16 +34,13 @@ def _models():
 
 def test_char_exponent_normalization_and_positivity():
     for m in _models():
-        if m.psi is None:
-            continue
-        assert abs(m.psi(np.zeros(m.d))) < 1e-14
-        for _ in range(50):
-            z = RNG.normal(0, 3, m.d)
-            val = m.psi(z)
+        assert abs(m.psi(0.0)) < 1e-14
+        for xi in RNG.normal(0, 3, 50):
+            val = complex(m.psi(xi))
             assert val.real >= -1e-12
             if m.kind != "subordinator":
                 assert abs(val.imag) < 1e-12
-                assert abs(m.psi(-z) - val) < 1e-12
+                assert abs(m.psi(-xi) - val) < 1e-12
 
 
 def test_laplace_exponents_concave_nondecreasing():
@@ -67,10 +63,9 @@ def test_laplace_exponent_char_continuation_matches_transform():
     # E exp(i xi S(t)) from Monte Carlo against exp(-t Phi(-i xi))
     for phi in (LaplaceExponent.stable(0.5), LaplaceExponent.gamma(1.0, 1.0)):
         s = phi.sample_increments(np.ones(200_000), np.random.default_rng(3))
-        psi = phi.char_exponent()
         for xi in (0.5, 1.0):
             emp = np.mean(np.exp(1j * xi * s))
-            want = np.exp(-psi(xi))
+            want = np.exp(-phi.psi(xi))
             assert abs(emp - want) < 5e-3
 
 
@@ -229,30 +224,40 @@ def test_stable_sandwich_brackets_kappa_with_stable_constants():
 # Cauchy-weighted energies
 # ---------------------------------------------------------------------------
 
-def _psi_brownian():
-    return CharExponent(lambda z: float(np.atleast_1d(z)[0]) ** 2)
-
-
 def test_cauchy_weighted_energy_examples():
     single = SimplexWeights(np.array([1.0]), np.array([0.4]))
-    assert abs(cauchy_weighted_energy(single, _psi_brownian(), 0.5) - 1.0) < 1e-9
+    assert abs(cauchy_weighted_energy(single, np.square, 0.5) - 1.0) < 1e-9
     # two atoms under the Cauchy process: oracle is the stated 1-d quadrature
-    psi_c = CharExponent(lambda z: abs(float(np.atleast_1d(z)[0])))
     two = SimplexWeights(np.array([0.5, 0.5]), np.array([0.0, 1.0]))
     oracle = integrate.quad(lambda z: 2 / np.pi * np.exp(-z) / (1 + z * z),
                             0, np.inf)[0]
-    got = cauchy_weighted_energy(two, psi_c, 1.0)
+    got = cauchy_weighted_energy(two, np.abs, 1.0)
     assert abs(got - (0.5 + 0.5 * oracle)) < 1e-6
+
+
+def test_cauchy_weighted_energy_merges_coincident_atoms():
+    # a zero gap contributes the factor 1, as if the atoms were one
+    split = SimplexWeights(np.array([0.3, 0.2, 0.5]), np.array([0.0, 0.0, 0.7]))
+    merged = SimplexWeights(np.array([0.5, 0.5]), np.array([0.0, 0.7]))
+    for psi in (np.abs, LaplaceExponent.stable(0.5).psi):
+        got = cauchy_weighted_energy(split, psi, 0.2)
+        assert abs(got - cauchy_weighted_energy(merged, psi, 0.2)) < 1e-12
+
+
+def test_cauchy_weighted_energy_rejects_undamped_exponent():
+    # psi(xi) = i xi is a pure drift: the integrand oscillates without decay
+    two = SimplexWeights(np.array([0.5, 0.5]), np.array([0.0, 1.0]))
+    with pytest.raises(NonConvergedQuadrature):
+        cauchy_weighted_energy(two, lambda xi: 1j * xi, 0.1)
 
 
 def test_cauchy_weighted_energy_subordinator_identity():
     phi = LaplaceExponent.stable(0.5)
-    psi = phi.char_exponent()
     rng = np.random.default_rng(77)
     for eps in (0.1, 0.01):
         pts = np.sort(rng.uniform(0, 1, 10))
         w = SimplexWeights.uniform(pts)
-        lhs = cauchy_weighted_energy(w, psi, eps)
+        lhs = cauchy_weighted_energy(w, phi.psi, eps)
         D = np.abs(pts[:, None] - pts[None, :])
         rhs = float(w.w @ np.exp(-D * float(phi(1.0 / eps))) @ w.w)
         assert abs(lhs - rhs) < 1e-6
@@ -260,7 +265,6 @@ def test_cauchy_weighted_energy_subordinator_identity():
 
 def test_kernel_energy_upper_bound_small_fuzz():
     rng = np.random.default_rng(5)
-    psi1 = CharExponent(lambda z: abs(float(np.atleast_1d(z)[0])))
     for _ in range(5):
         m = int(rng.integers(2, 8))
         pts = np.sort(rng.uniform(0, 1, m))
@@ -270,5 +274,5 @@ def test_kernel_energy_upper_bound_small_fuzz():
         uniq, inv = np.unique(D, return_inverse=True)
         kv = np.array([kappa_stable_1d(1.0, 1.0, eps, u) for u in uniq])
         lhs = float(w.w @ kv[inv].reshape(D.shape) @ w.w)
-        rhs = 2 * np.pi * cauchy_weighted_energy(w, psi1, eps)
+        rhs = 2 * np.pi * cauchy_weighted_energy(w, np.abs, eps)
         assert lhs <= rhs + 1e-9

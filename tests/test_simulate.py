@@ -62,6 +62,12 @@ def test_image_mesh_power_rules():
     assert np.isclose(m.typical_inverse_scale(0.25 * r), (0.25 * r) ** 0.8)
     m = LevyModel.subordinator(LaplaceExponent.compound_poisson_drift(0, 1, 2.0))
     assert np.isclose(m.typical_inverse_scale(0.5 * r), 0.5 * r / 2.0)
+    m = LevyModel.isotropic_stable(1.5, 2.0, 2)
+    assert np.isclose(m.typical_inverse_scale(r), r ** 1.5 / 2.0)
+    m = LevyModel.subordinate_brownian(LaplaceExponent.stable(0.6), 2)
+    assert np.isclose(m.typical_inverse_scale(r), r ** 1.2)
+    m = LevyModel.subordinator(LaplaceExponent.stable(0.5))
+    assert np.isclose(m.typical_inverse_scale(r), r ** 0.5)
 
 
 def test_image_experiment_smoke_and_determinism():
