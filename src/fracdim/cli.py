@@ -83,8 +83,9 @@ def _check_type(action: argparse.Action, value) -> None:
     elif action.type is int:
         ok, want = _is_number(value) and isinstance(value, int), "an integer"
     elif action.type is _ladder:
-        ok = isinstance(value, list) and len(value) == 3 and all(map(_is_number, value))
-        want = "[start, ratio, count]"
+        ok = (isinstance(value, list) and len(value) == 3
+              and all(map(_is_number, value)) and isinstance(value[2], int))
+        want = "[start, ratio, count] with an integer count"
     elif action.nargs == "*":
         ok, want = isinstance(value, list), "a list"
     if not ok:

@@ -6,9 +6,12 @@ The discrete surrogate of the minimum-energy problem is
 
 Exponential kernels exp(-a|t_i - t_j|) have an exact O(n) minimizer
 (`exp_kernel_min_energy`): the kernel is a Markov covariance, so no
-matrix is formed and no iteration runs.  Every other kernel is assembled
-densely and solved by Frank-Wolfe over the simplex (with away steps, so
-positive semidefinite kernels converge linearly instead of zigzagging).
+matrix is formed and no iteration runs.  Every other kernel is solved by
+Frank-Wolfe over the simplex (with away steps, so positive semidefinite
+kernels converge linearly instead of zigzagging).  The closed-form
+distance kernels (fh, sandwich) on equal-gap nets are Toeplitz: one
+vector of 2n - 1 values gives every row, and K w is an FFT product, so
+no n x n matrix is formed; other kernels and nets are assembled densely.
 The linear minimization oracle over the simplex is a coordinate argmin,
 ties broken at the lowest index, and the duality gap
 2(w'Kw - min_i (Kw)_i) comes for free; for PSD kernels it certifies
@@ -20,9 +23,9 @@ stationary point is returned, flagged.
 The power-law (Falconer-Howroyd) kernel min(1, (eps/r)^s) is indefinite,
 but its Polya companion c(r) = (1 + r/eps)^(-s) is positive definite
 and lies between 2^(-s) fh and fh.  `rung_min_energy` solves the
-companion exactly (Levinson on equal-gap nets, Cholesky otherwise),
-starts the fh solve at its minimizer and reports its minimum Z_c as a
-lower bound: Z_c <= Z_fh <= 2^s Z_c.
+companion exactly (a Toeplitz solve on equal-gap nets, Cholesky
+otherwise), starts the fh solve at its minimizer and reports its minimum
+Z_c as a lower bound: Z_c <= Z_fh <= 2^s Z_c.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ DEFAULT_MAX_ITER = 200_000
 DEFAULT_RESTARTS = 4
 ENUM_BUDGET = 200_000_000      # lattice points an exhaustive search may visit
 _ENUM_CHUNK_ROWS = 2_000_000   # lattice points evaluated per block
-_EQUAL_GAP_RTOL = 1e-12        # equal-gap test of the Toeplitz companion solve
+_EQUAL_GAP_RTOL = 1e-12        # equal-gap test of the Toeplitz paths
 PSD_JITTER = 1e-10             # diagonal shift of the Cholesky probe
 _RESYNC_EVERY = 512            # refresh the cached gradient this often
 _ROW_BLOCK = 256               # kernel rows assembled per evaluation
@@ -77,16 +80,40 @@ class SimplexWeights:
         return cls(np.full(points.size, 1.0 / points.size), points)
 
 
-@dataclass
-class KernelMatrix:
-    """Dense kernel matrix over a net, diagonal identically 1.
+class ToeplitzKernel:
+    """Symmetric Toeplitz kernel T_ij = col[|i - j|], held as one vector.
 
-    `values` must be exactly symmetric (A == A.T elementwise, as
-    `build_kernel` writes it): the Frank-Wolfe update reads rows where it
-    means columns, and `min_energy` raises ValueError otherwise.
+    Row i is the view full[n-1-i : 2n-1-i] of the (2n-1)-vector
+    full = (col[n-1], ..., col[1], col[0], ..., col[n-1]), and T @ w is
+    an FFT product; rows, products and `shape` are all that
+    `_frank_wolfe` reads of a kernel.  No n x n array is formed.
     """
 
-    values: np.ndarray
+    def __init__(self, col: np.ndarray):
+        self.col = col
+        self.shape = (col.size, col.size)
+        self._full = np.concatenate((col[:0:-1], col))
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        n = self.col.size
+        return self._full[n - 1 - i:2 * n - 1 - i]
+
+    def __matmul__(self, w: np.ndarray) -> np.ndarray:
+        return linalg.matmul_toeplitz(self.col, w, check_finite=False)
+
+
+@dataclass
+class KernelMatrix:
+    """Kernel matrix over a net, diagonal identically 1.
+
+    `values` is a dense array (`build_kernel`) or, on equal-gap nets, a
+    `ToeplitzKernel` (symmetric by construction).  A dense `values` must
+    be exactly symmetric (A == A.T elementwise, as `build_kernel` writes
+    it): the Frank-Wolfe update reads rows where it means columns, and
+    `min_energy` raises ValueError otherwise.
+    """
+
+    values: np.ndarray | ToeplitzKernel
     points: np.ndarray
 
     @property
@@ -179,14 +206,17 @@ def is_psd(K: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 
 def _line_search(dKw: float, dKd: float, gmax: float) -> float:
-    """Exact step for f(w + g d) = f + 2 g dKw + g^2 dKd on [0, gmax]."""
+    """Exact step for f(w + g d) = f + 2 g dKw + g^2 dKd on [0, gmax].
+
+    `_frank_wolfe` inlines this rule; the column-reference loop of the
+    Frank-Wolfe tests calls it."""
     if dKd > 0:
         return min(gmax, max(0.0, -dKw / dKd))
     # concave along d: descent means go to the boundary
     return gmax if 2 * gmax * dKw + gmax * gmax * dKd < 0 else 0.0
 
 
-def _frank_wolfe(K: np.ndarray, w0: np.ndarray, tol: float, max_iter: int):
+def _frank_wolfe(K, w0: np.ndarray, tol: float, max_iter: int):
     """Frank-Wolfe with pairwise steps from w0.
 
     Each step moves mass from the worst active vertex (argmax of the
@@ -201,12 +231,14 @@ def _frank_wolfe(K: np.ndarray, w0: np.ndarray, tol: float, max_iter: int):
     (convergence test met), "stall" (no movable descent direction; a
     stationary point of a nonconvex kernel), "iters" (budget exhausted).
     Directions are two-sparse, so the cached potential updates in O(n)
-    per step with periodic resyncs against drift.  The update reads the
-    contiguous rows K[fw] - K[aw] in place of the columns, so K must be
-    exactly symmetric (`min_energy` checks).  The support is tracked by
-    a penalty vector, 0 on w > 0 and -inf off it, so the away vertex is
-    argmax(g + pen); a step changes pen only at the two coordinates it
-    touches, and each resync rebuilds it from w.
+    per step with periodic resyncs against drift.  K is read only
+    through rows K[i], the product K @ w and K.shape, so a dense array
+    and a `ToeplitzKernel` both serve.  The update reads the contiguous
+    rows K[fw] - K[aw] in place of the columns, so K must be exactly
+    symmetric (`min_energy` checks dense arrays).  The support is
+    tracked by a penalty vector, 0 on w > 0 and -inf off it, so the away
+    vertex is argmax(g + pen); a step changes pen only at the two
+    coordinates it touches, and each resync rebuilds it from w.
     """
     w = w0.copy()
     g = K @ w
@@ -216,31 +248,38 @@ def _frank_wolfe(K: np.ndarray, w0: np.ndarray, tol: float, max_iter: int):
     masked = np.empty_like(g)
     pen = np.where(w > 0.0, 0.0, -np.inf)
     for it in range(1, max_iter + 1):
-        fw = int(np.argmin(g))                   # lowest index on ties
-        gap = 2.0 * (f - g[fw])
+        fw = int(g.argmin())                     # lowest index on ties
+        g_fw = g.item(fw)
+        gap = 2.0 * (f - g_fw)
         if gap <= tol * max(f, 1e-300):
             return w, f, gap, it - 1, "gap"
         np.add(g, pen, out=masked)
-        aw = int(np.argmax(masked))
+        aw = int(masked.argmax())
         if aw == fw:
             return w, f, gap, it, "stall"
         # pairwise direction d = e_fw - e_aw, feasible for gamma <= w_aw
-        dKw = float(g[fw] - g[aw])
-        dKd = float(K[fw, fw] + K[aw, aw] - 2.0 * K[fw, aw])
+        dKw = g_fw - g.item(aw)
         if dKw >= 0:
             return w, f, gap, it, "stall"
-        gamma = _line_search(dKw, dKd, float(w[aw]))
+        row_fw, row_aw = K[fw], K[aw]
+        dKd = row_fw.item(fw) + row_aw.item(aw) - 2.0 * row_fw.item(aw)
+        wa = w.item(aw)
+        # exact line search on [0, wa] (`_line_search`); along a concave
+        # direction, descent means going to the boundary
+        if dKd > 0:
+            gamma = min(wa, max(0.0, -dKw / dKd))
+        else:
+            gamma = wa if 2 * wa * dKw + wa * wa * dKd < 0 else 0.0
         if gamma <= 0:
             return w, f, gap, it, "stall"
-        drop = gamma >= w[aw] * (1.0 - 1e-12)
-        if drop:
+        if gamma >= wa * (1.0 - 1e-12):
             w[aw] = 0.0
             pen[aw] = -np.inf
         else:
             w[aw] -= gamma
         w[fw] += gamma
         pen[fw] = 0.0
-        np.subtract(K[fw], K[aw], out=dbuf)
+        np.subtract(row_fw, row_aw, out=dbuf)
         dbuf *= gamma
         g += dbuf
         f += 2.0 * gamma * dKw + gamma * gamma * dKd
@@ -280,11 +319,12 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     A = K.values
     n = A.shape[0]
-    if not np.array_equal(A, A.T):
+    toeplitz = isinstance(A, ToeplitzKernel)
+    if not toeplitz and not np.array_equal(A, A.T):
         raise ValueError("kernel matrix is not exactly symmetric")
     # probe only at modest sizes; large unprobed kernels are treated as
     # possibly nonconvex (restarts + flag), which is the honest default
-    psd = n <= PSD_PROBE_CAP and is_psd(A)
+    psd = n <= PSD_PROBE_CAP and is_psd(linalg.toeplitz(A.col) if toeplitz else A)
     w0, label = np.full(n, 1.0 / n), "uniform"
     if start is not None:
         start = np.asarray(start, dtype=float)
@@ -403,6 +443,43 @@ def exp_kernel_min_energy(points, a: float,
     return exp_kernel_certificate(pts, a, v / v.sum(), tol)
 
 
+def _grid_distances(points) -> np.ndarray | None:
+    """Distances k h, k = 0..n-1, of an equal-gap net, or None.
+
+    A net of n > 2 sorted points counts as equal-gap when every point
+    lies within _EQUAL_GAP_RTOL * span of t_0 + k h, h = span / (n - 1)
+    (interval nets: measured within 1.3e-16 on [0, 1]).  A kernel built
+    from these exact distances is Toeplitz.  Its fh entries differ from
+    those at the net's own distances by at most s * 2e-12 * span / eps
+    relative; on interval nets of [0, 1] the measured difference is
+    below 3e-14.
+    """
+    pts = np.asarray(points, dtype=float)
+    n = pts.size
+    if n <= 2:
+        return None
+    span = pts[-1] - pts[0]
+    dist = span / (n - 1) * np.arange(n)
+    if np.max(np.abs(pts - pts[0] - dist)) <= _EQUAL_GAP_RTOL * span:
+        return dist
+    return None
+
+
+def _rung_kernel(family: KernelFamily, scale: float, net: DeltaNet) -> KernelMatrix:
+    """The kernel of one rung: a `ToeplitzKernel` for the closed-form
+    distance families (fh, sandwich) on equal-gap nets, evaluated once
+    on the distances k h; `build_kernel` otherwise.  Both stop at
+    DENSE_NET_CAP points."""
+    dist = _grid_distances(net.points) if family.kind in ("fh", "sandwich") else None
+    if dist is None:
+        return build_kernel(family, scale, net)
+    if dist.size > DENSE_NET_CAP:
+        raise NetTooLarge(f"net has {dist.size} points, dense cap is {DENSE_NET_CAP}")
+    col = np.clip(family.evaluate(scale, dist), 0.0, 1.0)
+    col[0] = 1.0
+    return KernelMatrix(values=ToeplitzKernel(col), points=net.points.copy())
+
+
 def _fh_companion_solve(points, s: float, eps: float):
     """v = C^-1 1 for the Polya companion C_ij = (1 + |t_i - t_j|/eps)^(-s)
     of the power-law kernel on sorted points, or None when the solve
@@ -410,20 +487,17 @@ def _fh_companion_solve(points, s: float, eps: float):
 
     c(r) = (1 + r/eps)^(-s) is convex, decreasing and tends to 0, so by
     Polya's criterion C is positive definite on distinct points, and
-    2^(-s) fh <= c <= fh elementwise.  On a net whose points lie within
-    _EQUAL_GAP_RTOL * span of t_0 + k h (interval nets: measured within
-    1.3e-16 on [0, 1]), C is built from the exact distances k h and
+    2^(-s) fh <= c <= fh elementwise.  On an equal-gap net
+    (`_grid_distances`) C is built from the exact distances k h and
     solved as a symmetric Toeplitz system by Levinson recursion in O(n)
-    memory; its entries then differ from those at the net's own
-    distances by at most s * 2e-12 * span / eps relative.  Other nets
-    are assembled densely and Cholesky-factored in place.
+    memory.  Other nets are assembled densely and Cholesky-factored in
+    place.
     """
     pts = np.asarray(points, dtype=float)
     n = pts.size
-    span = pts[-1] - pts[0]
-    dist = span / max(n - 1, 1) * np.arange(n)
+    dist = _grid_distances(pts)
     try:
-        if n > 2 and np.max(np.abs(pts - pts[0] - dist)) <= _EQUAL_GAP_RTOL * span:
+        if dist is not None:
             v = linalg.solve_toeplitz((1.0 + dist / eps) ** -s, np.ones(n),
                                       check_finite=False)
         else:
@@ -445,8 +519,9 @@ def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
     """Minimum energy of one family at one scale over a net.
 
     Exponential kernels go to `exp_kernel_min_energy` (no matrix, no net
-    cap); every other family is assembled densely and passed to
-    `min_energy` with `solver_kw` (restarts, seed, max_iter).
+    cap); every other family gets its kernel from `_rung_kernel` (Toeplitz
+    rows for fh and sandwich on equal-gap nets, dense otherwise) and is
+    passed to `min_energy` with `solver_kw` (restarts, seed, max_iter).
 
     Power-law (`fh`) rungs first solve the Polya companion exactly
     (`_fh_companion_solve`).  Clipped at 0 and normalized, v = C^-1 1 is
@@ -456,13 +531,13 @@ def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
     minimizer over the simplex, and Z_lower = 1/1'v <= Z_fh because
     c <= fh; since Z_fh <= w'Kw <= 2^s Z_lower, the result then also
     satisfies Z <= 2^s Z_lower.  Z_lower is None otherwise.  The bound
-    holds up to rounding and the Toeplitz tolerance stated in
-    `_fh_companion_solve`.
+    holds up to rounding and the equal-gap tolerance stated in
+    `_grid_distances`.
     """
     if family.kind == "subexp":
         return exp_kernel_min_energy(net.points, float(family.phi(scale)), tol)
     if family.kind != "fh":
-        return min_energy(build_kernel(family, scale, net), tol=tol, **solver_kw)
+        return min_energy(_rung_kernel(family, scale, net), tol=tol, **solver_kw)
     v = _fh_companion_solve(net.points, family.params["s"], scale)
     start = z_lower = None
     if v is not None:
@@ -470,7 +545,7 @@ def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
             z_lower = 1.0 / float(v.sum())
         v = np.clip(v, 0.0, None)
         start = v / v.sum()
-    res = min_energy(build_kernel(family, scale, net), tol=tol, start=start,
+    res = min_energy(_rung_kernel(family, scale, net), tol=tol, start=start,
                      **solver_kw)
     if res.start == "given":
         res.start = "companion"

@@ -205,7 +205,10 @@ class LevyModel:
         if self.kind == "isotropic_stable":
             alpha, c = self.params["alpha"], self.params["c"]
             if alpha == 2.0:
-                return rng.normal(0.0, np.sqrt(2.0 * c * gaps)[:, None], (m, self.d))
+                scale = np.sqrt(2.0 * c * gaps)   # before the draw: lower peak memory
+                z = rng.standard_normal((m, self.d))
+                z *= scale[:, None]
+                return z
             if self.d == 1:
                 x = (c * gaps) ** (1.0 / alpha) * symmetric_stable(rng, alpha, m)
                 return x[:, None]

@@ -83,11 +83,11 @@ def sample_path(model: LevyModel, net: DeltaNet, seed: int) -> PathSample:
     """
     times = net.points
     rng = substream(seed, 0)
-    gaps = np.diff(np.concatenate([[0.0], times]))
+    gaps = np.diff(times, prepend=0.0)
     if np.any(gaps < 0):
         raise ValueError("net times must be sorted and nonnegative")
     inc = model.sample_increments(gaps, rng)
-    values = np.cumsum(inc, axis=0)
+    values = np.cumsum(inc, axis=0, out=inc)
     if model.kind == "subordinator":
         assert np.all(np.diff(values[:, 0]) >= 0), "subordinator path decreased"
     return PathSample(times=times, values=values)

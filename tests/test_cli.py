@@ -127,7 +127,10 @@ def test_config_file_roundtrip_and_override(tmp_path, capsys):
                        "seed": 1, "paths": 2.5}),
             ("restarts", {"command": "profile", "set": "interval:0,1",
                           "family": "fh", "s": 0.5, "ladder": [0.1, 0.5, 3],
-                          "restarts": 2.7})):
+                          "restarts": 2.7}),
+            # a fractional count, which the flag --ladder 10,4,4.7 rejects too
+            ("ladder", {"command": "subordinator", "set": "interval:0,1",
+                        "phi": "stable:0.5", "ladder": [10, 4, 4.7]})):
         wrong.write_text(json.dumps(cfg))
         capsys.readouterr()
         assert main([cfg["command"], "--config", str(wrong)]) == EXIT_CONFIG

@@ -9,8 +9,9 @@ from fracdim.errors import (CertificateFailed, MaxIterExceeded, NetTooLarge,
 from fracdim.energy_min import (_RESYNC_EVERY, DEFAULT_MAX_ITER,
                                 DEFAULT_RESTARTS, DEFAULT_TOL, DENSE_NET_CAP,
                                 EnergyResult, KernelMatrix, SimplexWeights,
-                                _fh_companion_solve, _frank_wolfe,
-                                _line_search, build_kernel,
+                                ToeplitzKernel, _fh_companion_solve,
+                                _frank_wolfe, _line_search, _rung_kernel,
+                                build_kernel,
                                 exp_kernel_certificate, exp_kernel_min_energy,
                                 exp_kernel_potential, is_psd, kkt_certificate,
                                 min_energy, min_energy_bruteforce,
@@ -219,6 +220,78 @@ def test_companion_start_matches_two_start_reference():
             ref = min(_frank_wolfe(A, w0, DEFAULT_TOL, DEFAULT_MAX_ITER)[1]
                       for w0 in (np.full(n, 1.0 / n), w_dir))
             assert abs(res.value - ref) <= rel * ref
+
+
+def _c7_rungs():
+    """(family, eps, net) of the C7 ladder's rungs up to n = 1,609."""
+    fam = KernelFamily.fh(0.5)
+    return [(fam, e, discretize(CompactSet.interval(0, 1), e / 5.0))
+            for e in 0.028 * 3.0 ** -np.arange(3)]
+
+
+def test_toeplitz_rows_and_product_match_dense_kernel():
+    """On interval nets of [0, 1], the rows of the Toeplitz kernel (built
+    on the distances k h) agree with the dense kernel (built on the net's
+    own distances) to 3e-14, and its FFT product with the dense product
+    to 1e-13 relative."""
+    rng = np.random.default_rng(3)
+    cases = [(fam, e, net.points.size) for fam, e, net in _c7_rungs()]
+    cases += [(KernelFamily.fh(1.5), 0.003, 1609),
+              (KernelFamily.stable_sandwich(1.3, 1), 0.02, 668),
+              (KernelFamily.stable_sandwich(0.7, 2), 0.05, 400)]
+    for fam, scale, n in cases:
+        net = DeltaNet(np.linspace(0.0, 1.0, n))
+        T = _rung_kernel(fam, scale, net).values
+        D = build_kernel(fam, scale, net).values
+        assert isinstance(T, ToeplitzKernel) and T.shape == D.shape
+        assert max(np.max(np.abs(T[i] - D[i])) for i in range(n)) <= 3e-14
+        for w in (rng.dirichlet(np.ones(n)), rng.standard_normal(n)):
+            ref = D @ w
+            assert np.max(np.abs(T @ w - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_toeplitz_and_dense_frank_wolfe_agree_on_c7_rungs():
+    for k, (fam, e, net) in enumerate(_c7_rungs()):
+        res = rung_min_energy(fam, e, net, restarts=2, seed=k)
+        v = np.clip(_fh_companion_solve(net.points, 0.5, e), 0.0, None)
+        dense = min_energy(build_kernel(fam, e, net), restarts=2, seed=k,
+                           start=v / v.sum())
+        assert res.converged and dense.converged
+        assert abs(res.value - dense.value) <= 1e-9 * dense.value
+
+
+def test_equal_gap_rungs_build_no_dense_kernel(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build_kernel(*args)
+
+    monkeypatch.setattr(energy_min, "build_kernel", counted)
+    net = discretize(CompactSet.interval(0, 1), 0.028 / 5)
+    for fam in (KernelFamily.fh(0.5), KernelFamily.stable_sandwich(1.3, 1)):
+        assert rung_min_energy(fam, 0.028, net, restarts=2).converged
+    assert calls == []
+    with pytest.raises(NetTooLarge):
+        rung_min_energy(KernelFamily.fh(1.0), 0.1,
+                        DeltaNet(np.linspace(0, 1, DENSE_NET_CAP + 2)))
+    assert calls == []
+    # Cantor nets are not equal-gap, and stay dense
+    rung_min_energy(KernelFamily.fh(1.5), 3.0 ** -4,
+                    discretize(CompactSet.cantor(), 3.0 ** -5), restarts=2)
+    assert len(calls) == 1
+
+
+def test_min_energy_probes_toeplitz_kernel():
+    """A ToeplitzKernel with a positive definite column (the exponential
+    kernel) passes the Cholesky probe, needs one start, and matches the
+    closed form."""
+    pts = np.linspace(0.0, 1.0, 200)
+    col = np.exp(-7.0 * (pts - pts[0]))
+    res = min_energy(KernelMatrix(ToeplitzKernel(col), pts), tol=1e-9)
+    assert not res.flagged_nonconvex and res.restarts_used == 1
+    exact = exp_kernel_min_energy(pts, 7.0).value
+    assert abs(res.value - exact) <= 1e-8 * exact
 
 
 def test_min_energy_rejects_asymmetric_kernel():

@@ -145,6 +145,19 @@ def test_kappa_monte_carlo_oracles():
     assert abs(est - special.erf(0.5) ** 2) < 0.004
 
 
+def test_brownian_increments_equal_broadcast_normal_draw():
+    # the alpha = 2 sampler scales standard normals in place; it must draw
+    # the same numbers as numpy's broadcast normal(0, scale) for one seed
+    gaps = np.random.default_rng(2).uniform(0.0, 0.01, 1000)
+    gaps[0] = 0.0
+    for d in (1, 2):
+        model = LevyModel.isotropic_stable(2.0, 0.7, d)
+        got = model.sample_increments(gaps, np.random.default_rng(42))
+        ref = np.random.default_rng(42).normal(
+            0.0, np.sqrt(2.0 * 0.7 * gaps)[:, None], (gaps.size, d))
+        assert got.shape == (gaps.size, d) and np.array_equal(got, ref)
+
+
 def test_subordinated_stable_matches_direct_cms_in_1d():
     # d >= 2 sampling goes through Gaussian subordination; in d = 1 both
     # routes exist, so compare their ball probabilities
