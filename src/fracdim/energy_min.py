@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
+from scipy import fft, linalg
 
 from .errors import CertificateFailed, MaxIterExceeded, NetTooLarge, TooLarge
 from .process_models import KernelFamily
@@ -84,22 +84,29 @@ class ToeplitzKernel:
     """Symmetric Toeplitz kernel T_ij = col[|i - j|], held as one vector.
 
     Row i is the view full[n-1-i : 2n-1-i] of the (2n-1)-vector
-    full = (col[n-1], ..., col[1], col[0], ..., col[n-1]), and T @ w is
-    an FFT product; rows, products and `shape` are all that
-    `_frank_wolfe` reads of a kernel.  No n x n array is formed.
+    full = (col[n-1], ..., col[1], col[0], ..., col[n-1]).  T @ w is the
+    head of a circulant product: T embeds in a circulant of a fast FFT
+    length L >= 2n - 1, whose spectrum is transformed once here.  Rows,
+    products and `shape` are all that `_frank_wolfe` reads of a kernel.
+    No n x n array is formed.
     """
 
     def __init__(self, col: np.ndarray):
+        n = col.size
         self.col = col
-        self.shape = (col.size, col.size)
+        self.shape = (n, n)
         self._full = np.concatenate((col[:0:-1], col))
+        self._fft_len = fft.next_fast_len(2 * n - 1, real=True)
+        circulant = np.concatenate((col, np.zeros(self._fft_len - 2 * n + 1), col[:0:-1]))
+        self._spectrum = fft.rfft(circulant)
 
     def __getitem__(self, i: int) -> np.ndarray:
         n = self.col.size
         return self._full[n - 1 - i:2 * n - 1 - i]
 
     def __matmul__(self, w: np.ndarray) -> np.ndarray:
-        return linalg.matmul_toeplitz(self.col, w, check_finite=False)
+        L = self._fft_len
+        return fft.irfft(self._spectrum * fft.rfft(w, L), L)[:self.col.size]
 
 
 @dataclass

@@ -15,7 +15,9 @@ stable envelope, subordinator exponential kernel).
 Exact samplers only: symmetric stable variates via the
 Chambers-Mallows-Stuck transform, one-sided stable via Kanter's form of
 the same transform, gamma subordinators via gamma variates, so increments
-carry no discretization bias at any fixed gap.
+carry no discretization bias at any fixed gap.  A model's sampler is
+built once for a fixed array of gaps (`LevyModel.increment_sampler`),
+which computes the per-gap scale factors, and then draws once per path.
 """
 
 from __future__ import annotations
@@ -198,29 +200,52 @@ class LevyModel:
     def subordinate_brownian(cls, phi: LaplaceExponent, d: int) -> "LevyModel":
         return cls("subordinate_brownian", d, lambda r: phi(np.square(r)), phi=phi)
 
-    def sample_increments(self, gaps, rng) -> np.ndarray:
-        """Exact increments over time gaps; returns shape (len(gaps), d)."""
+    def increment_sampler(self, gaps) -> Callable[[np.random.Generator], np.ndarray]:
+        """Exact sampler of increments over fixed time gaps.
+
+        The per-gap factors are computed here, once; the returned
+        draw(rng) gives a fresh (len(gaps), d) array of independent
+        increments per call.  Raises ValueError unless every gap is
+        finite and >= 0.
+        """
         gaps = np.asarray(gaps, dtype=float)
-        m = gaps.shape[0]
+        if not np.all(np.isfinite(gaps) & (gaps >= 0)):
+            raise ValueError("time gaps must be finite and nonnegative")
+        m, d = gaps.shape[0], self.d
         if self.kind == "isotropic_stable":
             alpha, c = self.params["alpha"], self.params["c"]
             if alpha == 2.0:
-                scale = np.sqrt(2.0 * c * gaps)   # before the draw: lower peak memory
-                z = rng.standard_normal((m, self.d))
-                z *= scale[:, None]
-                return z
-            if self.d == 1:
-                x = (c * gaps) ** (1.0 / alpha) * symmetric_stable(rng, alpha, m)
-                return x[:, None]
-            # Gaussian subordination: X(t) = B(2 T(ct)), T an (alpha/2)-subordinator
-            clock = (c * gaps) ** (2.0 / alpha) * one_sided_stable(rng, alpha / 2.0, m)
-            return np.sqrt(2.0 * clock)[:, None] * rng.standard_normal((m, self.d))
-        if self.kind == "subordinator":
-            return self.phi.sample_increments(gaps, rng)[:, None]
-        if self.kind == "subordinate_brownian":
-            clock = self.phi.sample_increments(gaps, rng)
-            return np.sqrt(2.0 * clock)[:, None] * rng.standard_normal((m, self.d))
-        raise ValueError(f"unknown model kind {self.kind!r}")
+                scale = 2.0 * c * gaps
+                np.sqrt(scale, out=scale)
+
+                def draw(rng):
+                    z = rng.standard_normal((m, d))
+                    z *= scale[:, None]
+                    return z
+            elif d == 1:
+                scale = (c * gaps) ** (1.0 / alpha)
+
+                def draw(rng):
+                    return (scale * symmetric_stable(rng, alpha, m))[:, None]
+            else:
+                # Gaussian subordination: X(t) = B(2 T(ct)), T an (alpha/2)-subordinator
+                scale = (c * gaps) ** (2.0 / alpha)
+
+                def draw(rng):
+                    clock = scale * one_sided_stable(rng, alpha / 2.0, m)
+                    return np.sqrt(2.0 * clock)[:, None] * rng.standard_normal((m, d))
+        elif self.kind == "subordinator":
+            def draw(rng):
+                inc = self.phi.sample_increments(gaps, rng)
+                assert np.all(inc >= 0), "subordinator increment negative"
+                return inc[:, None]
+        elif self.kind == "subordinate_brownian":
+            def draw(rng):
+                clock = self.phi.sample_increments(gaps, rng)
+                return np.sqrt(2.0 * clock)[:, None] * rng.standard_normal((m, d))
+        else:
+            raise ValueError(f"unknown model kind {self.kind!r}")
+        return draw
 
     def typical_inverse_scale(self, r: float) -> float:
         """Gap h with h * |psi(1/r)| = 1: the time over which the process
@@ -306,7 +331,7 @@ def kappa_monte_carlo(model: LevyModel, eps: float, t: float, n: int,
     batch = 200_000
     while done < n:
         m = min(batch, n - done)
-        x = model.sample_increments(np.full(m, t), rng)
+        x = model.increment_sampler(np.full(m, t))(rng)
         hits += int(np.count_nonzero(np.max(np.abs(x), axis=1) < eps))
         done += m
     p = hits / n

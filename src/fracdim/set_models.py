@@ -249,7 +249,7 @@ def _capacity_1d(x: np.ndarray, r: float) -> int:
     n = x.size
     while i < n:
         count += 1
-        i = int(np.searchsorted(x, x[i] + r, side="left"))
+        i = int(x.searchsorted(x[i] + r))
     return count
 
 

@@ -2,16 +2,19 @@
 
 Paths are sampled exactly at net times: each increment over a gap is
 drawn from its true law (no Euler bias), so the sampled cloud is the
-process image restricted to the net.  The mesh rule ties the net gap h
-to the smallest counted radius through h * |Psi(e / (factor * r_min))| = 1,
-i.e. the process typically moves much less than r_min between samples,
-making the missed oscillation invisible at the counted scales.
+process image restricted to the net.  An experiment builds its model's
+increment sampler once, for the net's gaps, and draws once per path.
+The mesh rule ties the net gap h to the smallest counted radius through
+h * |Psi(e / (factor * r_min))| = 1, i.e. the process typically moves
+much less than r_min between samples, making the missed oscillation
+invisible at the counted scales.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -75,22 +78,18 @@ class ImageExperiment:
                 writer.writerow([i, repr(float(sl))] + [int(c) for c in row])
 
 
-def sample_path(model: LevyModel, net: DeltaNet, seed: int) -> PathSample:
+def sample_path(sampler: Callable[[np.random.Generator], np.ndarray],
+                net: DeltaNet, seed: int) -> PathSample:
     """Exact path values at net times, started from X(0) = 0.
 
-    Gaps are measured from time 0 to the first net point and between
-    consecutive net points; each increment is drawn from its exact law.
+    `sampler` is `model.increment_sampler(gaps)` for the gaps from time 0
+    to the first net point and between consecutive net points, built
+    once per experiment; each call draws one path's increments from
+    their exact law, from a substream of `seed`.
     """
-    times = net.points
-    rng = substream(seed, 0)
-    gaps = np.diff(times, prepend=0.0)
-    if np.any(gaps < 0):
-        raise ValueError("net times must be sorted and nonnegative")
-    inc = model.sample_increments(gaps, rng)
+    inc = sampler(substream(seed, 0))
     values = np.cumsum(inc, axis=0, out=inc)
-    if model.kind == "subordinator":
-        assert np.all(np.diff(values[:, 0]) >= 0), "subordinator path decreased"
-    return PathSample(times=times, values=values)
+    return PathSample(times=net.points, values=values)
 
 
 def image_dim_experiment(model: LevyModel, cset: CompactSet, n_paths: int,
@@ -111,11 +110,12 @@ def image_dim_experiment(model: LevyModel, cset: CompactSet, n_paths: int,
     h = model.typical_inverse_scale(mesh_factor * float(r_ladder.min()))
     h = min(h, cset.diameter / MIN_NET_POINTS) if cset.diameter > 0 else h
     net = discretize(cset, h, point_cap=IMAGE_POINT_CAP)
+    sampler = model.increment_sampler(np.diff(net.points, prepend=0.0))
 
     def job(i):
         # per-path integer seed derived from (seed, i), stable across runs
         child = int(np.random.SeedSequence([seed, i]).generate_state(1, np.uint64)[0])
-        path = sample_path(model, net, seed=child)
+        path = sample_path(sampler, net, seed=child)
         est = minkowski_dim_estimate(path.values, r_ladder, mode=mode)
         return est.slope, est.values
 

@@ -52,7 +52,8 @@ def test_traced_layers_match_benchmark_metrics(tracing):
         set_models.minkowski_dim_estimate(np.linspace(0, 1, 65),
                                           2.0 ** -np.arange(1, 6))
         net = set_models.discretize(CompactSet.interval(0, 1), 1 / 64)
-        simulate.sample_path(LevyModel.subordinator(LaplaceExponent.stable(0.5)),
+        model = LevyModel.subordinator(LaplaceExponent.stable(0.5))
+        simulate.sample_path(model.increment_sampler(np.diff(net.points, prepend=0.0)),
                              net, seed=0)
         metrics = tracer.end_pass()
     finally:

@@ -152,10 +152,28 @@ def test_brownian_increments_equal_broadcast_normal_draw():
     gaps[0] = 0.0
     for d in (1, 2):
         model = LevyModel.isotropic_stable(2.0, 0.7, d)
-        got = model.sample_increments(gaps, np.random.default_rng(42))
+        got = model.increment_sampler(gaps)(np.random.default_rng(42))
         ref = np.random.default_rng(42).normal(
             0.0, np.sqrt(2.0 * 0.7 * gaps)[:, None], (gaps.size, d))
         assert got.shape == (gaps.size, d) and np.array_equal(got, ref)
+
+
+def test_increment_sampler_rejects_bad_gaps():
+    for model in _models():
+        for bad in (-1e-9, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                model.increment_sampler(np.array([0.0, 0.1, bad]))
+        assert model.increment_sampler(np.zeros(3))(RNG).shape == (3, model.d)
+
+
+def test_kappa_monte_carlo_pinned_values():
+    # two batches (200,000 + 50,000 draws); values of the per-call sampler
+    # these replaced, so a sampler built once per batch draws the same
+    got = [kappa_monte_carlo(m, 0.5, 0.3, 250_000, seed=7)
+           for m in (LevyModel.isotropic_stable(0.8, 1.0, 1),
+                     LevyModel.isotropic_stable(1.5, 1.0, 2))]
+    assert got == [(0.684412, 0.0018218185313426249),
+                   (0.344492, 0.0018627931645282978)]
 
 
 def test_subordinated_stable_matches_direct_cms_in_1d():

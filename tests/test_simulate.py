@@ -3,28 +3,36 @@
 import numpy as np
 from scipy import stats
 
-from fracdim.process_models import LaplaceExponent, LevyModel
+from fracdim import simulate
+from fracdim.process_models import (LaplaceExponent, LevyModel, one_sided_stable,
+                                    symmetric_stable)
 from fracdim.profiles import fh_profile
 from fracdim.set_models import CompactSet, DeltaNet, discretize
-from fracdim.simulate import image_dim_experiment, sample_path
+from fracdim.simulate import PathSample, image_dim_experiment, sample_path
+from fracdim.utils import substream
+
+
+def _path(model, net, seed):
+    return sample_path(model.increment_sampler(np.diff(net.points, prepend=0.0)),
+                       net, seed)
 
 
 def test_gaussian_increment_variance():
     m = LevyModel.isotropic_stable(2.0, 1.3, 1)
-    inc = m.sample_increments(np.full(100_000, 0.3), np.random.default_rng(0))
+    inc = m.increment_sampler(np.full(100_000, 0.3))(np.random.default_rng(0))
     want = 2 * 1.3 * 0.3
     assert abs(inc[:, 0].var() / want - 1) < 0.02
 
 
 def test_subordinator_empirical_laplace_transform():
     m = LevyModel.subordinator(LaplaceExponent.stable(0.5))
-    s = m.sample_increments(np.ones(100_000), np.random.default_rng(1))[:, 0]
+    s = m.increment_sampler(np.ones(100_000))(np.random.default_rng(1))[:, 0]
     assert abs(np.mean(np.exp(-s)) - np.exp(-1)) < 0.01 * np.exp(-1) + 5e-3
 
 
 def test_degenerate_net_gives_zero_path():
     m = LevyModel.isotropic_stable(1.5, 1.0, 1)
-    p = sample_path(m, DeltaNet(np.array([0.0])), seed=4)
+    p = _path(m, DeltaNet(np.array([0.0])), seed=4)
     assert p.values.shape == (1, 1) and p.values[0, 0] == 0.0
 
 
@@ -34,7 +42,7 @@ def test_subordinator_paths_nondecreasing_every_seed():
                 LaplaceExponent.compound_poisson_drift(2.0, 0.5, 0.1)):
         m = LevyModel.subordinator(phi)
         for seed in range(5):
-            p = sample_path(m, net, seed=seed)
+            p = _path(m, net, seed=seed)
             assert np.all(np.diff(p.values[:, 0]) >= 0)
             assert p.values[0, 0] == 0.0     # net starts at time 0
 
@@ -47,7 +55,7 @@ def test_increment_stationarity_ks():
     for m in (LevyModel.isotropic_stable(2.0, 1.0, 1),
               LevyModel.isotropic_stable(0.8, 1.0, 1),
               LevyModel.subordinator(LaplaceExponent.stable(0.5))):
-        p = sample_path(m, net, seed=11)
+        p = _path(m, net, seed=11)
         inc = np.diff(p.values[:, 0])
         half = inc.size // 2
         stat, _ = stats.ks_2samp(inc[:half], inc[half:])
@@ -121,3 +129,56 @@ def test_theory_vs_empirical_singleton_trivial():
     prof = fh_profile(F, 0.5, 0.1 * 0.5 ** np.arange(5))
     exp = image_dim_experiment(m, F, 4, 2.0 ** -np.arange(1, 7, dtype=float), seed=1)
     assert prof.estimate == 0.0 and exp.median == 0.0
+
+
+def _column_increments(model, gaps, rng):
+    """Exact increments as they were drawn when every path rebuilt its
+    per-gap factors."""
+    m = gaps.shape[0]
+    if model.kind == "isotropic_stable":
+        alpha, c = model.params["alpha"], model.params["c"]
+        if alpha == 2.0:
+            return rng.standard_normal((m, model.d)) * np.sqrt(2.0 * c * gaps)[:, None]
+        if model.d == 1:
+            return ((c * gaps) ** (1.0 / alpha) * symmetric_stable(rng, alpha, m))[:, None]
+        clock = (c * gaps) ** (2.0 / alpha) * one_sided_stable(rng, alpha / 2.0, m)
+    else:
+        clock = model.phi.sample_increments(gaps, rng)
+        if model.kind == "subordinator":
+            return clock[:, None]
+    return np.sqrt(2.0 * clock)[:, None] * rng.standard_normal((m, model.d))
+
+
+def test_image_experiment_bit_identical_to_per_path_reference(monkeypatch):
+    # the reference takes np.diff of the net times on every path and
+    # ignores the prepared sampler; path values, counts and slopes must
+    # match bit for bit.  Planar images run on a shorter interval: their
+    # capacity count is a Python loop over the path.
+    r = 2.0 ** -np.arange(2, 7, dtype=float)
+    stable, gamma = LaplaceExponent.stable, LaplaceExponent.gamma
+    for model in (LevyModel.isotropic_stable(2.0, 0.7, 1),
+                  LevyModel.isotropic_stable(0.8, 1.3, 1),
+                  LevyModel.isotropic_stable(1.5, 0.6, 2),
+                  LevyModel.subordinator(stable(0.5)),
+                  LevyModel.subordinator(gamma(2.0, 3.0)),
+                  LevyModel.subordinator(LaplaceExponent.compound_poisson_drift(2.0, 0.5, 0.1)),
+                  LevyModel.subordinate_brownian(stable(0.6), 2)):
+        F = CompactSet.interval(0, 1.0 if model.d == 1 else 0.25)
+
+        def reference_path(_sampler, net, seed, model=model):
+            gaps = np.diff(net.points, prepend=0.0)
+            inc = _column_increments(model, gaps, substream(seed, 0))
+            return PathSample(times=net.points, values=np.cumsum(inc, axis=0))
+
+        def checked_path(sampler, net, seed, reference_path=reference_path):
+            path = sample_path(sampler, net, seed)
+            assert np.array_equal(path.values, reference_path(None, net, seed).values)
+            return path
+
+        with monkeypatch.context() as mp:
+            mp.setattr(simulate, "sample_path", checked_path)
+            got = image_dim_experiment(model, F, 3, r, seed=9)
+            mp.setattr(simulate, "sample_path", reference_path)
+            ref = image_dim_experiment(model, F, 3, r, seed=9)
+        assert np.array_equal(got.counts, ref.counts)
+        assert np.array_equal(got.slopes, ref.slopes)
