@@ -11,7 +11,8 @@ wall clocks live in a `.meta.json` sidecar, never in the report body.
 The sidecar's `config` is the run record, loadable with `--config`.
 
 Exit codes: 0 success, 2 validation error, 3 numerical non-convergence
-or a failed optimality certificate.
+or a failed optimality certificate; a profile with an unconverged rung
+writes its report and exits 3.
 """
 
 from __future__ import annotations
@@ -162,13 +163,19 @@ def parse_phi(desc: str) -> LaplaceExponent:
     raise ConfigError(f"unknown Laplace exponent descriptor {desc!r}")
 
 
+def _dimension(x: float) -> int:
+    if not x.is_integer():
+        raise ConfigError(f"dimension must be an integer, got {x!r}")
+    return int(x)
+
+
 def parse_model(desc: str) -> LevyModel:
     kind, _, rest = desc.partition(":")
     if kind == "stable":
         parts = [float(x) for x in rest.split(",")]
         alpha = parts[0]
         c = parts[1] if len(parts) > 1 else 1.0
-        d = int(parts[2]) if len(parts) > 2 else 1
+        d = _dimension(parts[2]) if len(parts) > 2 else 1
         return LevyModel.isotropic_stable(alpha, c, d)
     if kind == "subordinator":
         return LevyModel.subordinator(parse_phi(rest))
@@ -179,20 +186,21 @@ def parse_model(desc: str) -> LevyModel:
 
 
 def parse_family(cfg: argparse.Namespace) -> KernelFamily:
-    kind, _, rest = cfg.family.partition(":")
+    """The kernel family of a profile run; --s and --model are errors
+    where the family does not read them."""
+    kind, colon, rest = cfg.family.partition(":")
+    if cfg.s is not None and kind != "fh":
+        raise ConfigError(f"family {kind!r} does not read --s")
+    if cfg.model and kind != "exact":
+        raise ConfigError(f"family {kind!r} does not read --model")
     if kind == "fh":
-        s = cfg.s if cfg.s is not None else (float(rest) if rest else None)
-        if s is None:
-            raise ConfigError("family 'fh' needs --s")
-        return KernelFamily.fh(s)
+        if colon or cfg.s is None:
+            raise ConfigError("family 'fh' takes s from --s alone")
+        return KernelFamily.fh(cfg.s)
     if kind == "sandwich":
         parts = [float(x) for x in rest.split(",")]
-        return KernelFamily.stable_sandwich(parts[0],
-                                            int(parts[1]) if len(parts) > 1 else 1)
-    if kind == "subexp":
-        if not cfg.phi:
-            raise ConfigError("family 'subexp' needs --phi")
-        return KernelFamily.subordinator_exp(parse_phi(cfg.phi))
+        return KernelFamily.stable_sandwich(
+            parts[0], _dimension(parts[1]) if len(parts) > 1 else 1)
     if kind == "exact":
         if not cfg.model:
             raise ConfigError("family 'exact' needs --model")
@@ -233,6 +241,9 @@ def cmd_profile(cfg: argparse.Namespace) -> int:
     _emit(rep.to_json_dict(), cfg)
     if cfg.csv:
         rep.write_csv(cfg.csv)
+    if not rep.converged:
+        sys.stderr.write("numerical non-convergence: a rung missed its gap test\n")
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 
@@ -351,9 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="box-dimension profile of a set")
     _add_ladder_run(p, "< 1")
     p.add_argument("--family", default="",
-                   help="fh | sandwich:alpha[,d] | subexp | exact")
+                   help="fh | sandwich:alpha[,d] | exact")
     p.add_argument("--s", type=float)
-    p.add_argument("--phi", default="")
     p.add_argument("--model", default="")
     p.add_argument("--mesh-ratio", dest="mesh_ratio", type=float,
                    default=MESH_RATIO)

@@ -8,10 +8,10 @@ Exponential kernels exp(-a|t_i - t_j|) have an exact O(n) minimizer
 (`exp_kernel_min_energy`): the kernel is a Markov covariance, so no
 matrix is formed and no iteration runs.  Every other kernel is solved by
 Frank-Wolfe over the simplex (with away steps, so positive semidefinite
-kernels converge linearly instead of zigzagging).  The closed-form
-distance kernels (fh, sandwich) on equal-gap nets are Toeplitz: one
-vector of 2n - 1 values gives every row, and K w is an FFT product, so
-no n x n matrix is formed; other kernels and nets are assembled densely.
+kernels converge linearly instead of zigzagging).  Every distance kernel
+on an equal-gap net is Toeplitz: one vector of 2n - 1 values gives every
+row, and K w is an FFT product, so no n x n matrix is formed; kernels on
+other nets are assembled densely.
 The linear minimization oracle over the simplex is a coordinate argmin,
 ties broken at the lowest index, and the duality gap
 2(w'Kw - min_i (Kw)_i) comes for free; for PSD kernels it certifies
@@ -200,9 +200,10 @@ def is_psd(K: np.ndarray) -> bool:
     exponential kernels; genuinely indefinite kernels fail fast at the
     first negative leading minor.
     """
-    A = np.asarray(K, dtype=float)
+    A = np.array(K, dtype=float)
+    A.flat[::A.shape[0] + 1] += PSD_JITTER
     try:
-        np.linalg.cholesky(A + PSD_JITTER * np.eye(A.shape[0]))
+        np.linalg.cholesky(A)
         return True
     except np.linalg.LinAlgError:
         return False
@@ -456,10 +457,11 @@ def _grid_distances(points) -> np.ndarray | None:
     A net of n > 2 sorted points counts as equal-gap when every point
     lies within _EQUAL_GAP_RTOL * span of t_0 + k h, h = span / (n - 1)
     (interval nets: measured within 1.3e-16 on [0, 1]).  A kernel built
-    from these exact distances is Toeplitz.  Its fh entries differ from
-    those at the net's own distances by at most s * 2e-12 * span / eps
-    relative; on interval nets of [0, 1] the measured difference is
-    below 3e-14.
+    from these exact distances is Toeplitz.  Its entries differ from
+    those at the net's own distances by at most L * 2e-12 * span for a
+    kernel with Lipschitz constant L in the distance (fh: s * 2e-12 *
+    span / eps relative); on interval nets of [0, 1] the measured fh
+    difference is below 3e-14.
     """
     pts = np.asarray(points, dtype=float)
     n = pts.size
@@ -473,11 +475,10 @@ def _grid_distances(points) -> np.ndarray | None:
 
 
 def _rung_kernel(family: KernelFamily, scale: float, net: DeltaNet) -> KernelMatrix:
-    """The kernel of one rung: a `ToeplitzKernel` for the closed-form
-    distance families (fh, sandwich) on equal-gap nets, evaluated once
-    on the distances k h; `build_kernel` otherwise.  Both stop at
-    DENSE_NET_CAP points."""
-    dist = _grid_distances(net.points) if family.kind in ("fh", "sandwich") else None
+    """The kernel of one rung: a `ToeplitzKernel` on equal-gap nets, the
+    family evaluated once on the distances k h; `build_kernel` otherwise.
+    Both stop at DENSE_NET_CAP points."""
+    dist = _grid_distances(net.points)
     if dist is None:
         return build_kernel(family, scale, net)
     if dist.size > DENSE_NET_CAP:
@@ -498,7 +499,8 @@ def _fh_companion_solve(points, s: float, eps: float):
     (`_grid_distances`) C is built from the exact distances k h and
     solved as a symmetric Toeplitz system by Levinson recursion in O(n)
     memory.  Other nets are assembled densely and Cholesky-factored in
-    place.
+    place: C.T is the same symmetric matrix in Fortran order, which
+    LAPACK overwrites without a copy.
     """
     pts = np.asarray(points, dtype=float)
     n = pts.size
@@ -513,7 +515,7 @@ def _fh_companion_solve(points, s: float, eps: float):
             C /= eps
             C += 1.0
             np.power(C, -s, out=C)
-            v = linalg.cho_solve(linalg.cho_factor(C, overwrite_a=True,
+            v = linalg.cho_solve(linalg.cho_factor(C.T, overwrite_a=True,
                                                    check_finite=False),
                                  np.ones(n), check_finite=False)
     except np.linalg.LinAlgError:
@@ -525,10 +527,9 @@ def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
                     tol: float = DEFAULT_TOL, **solver_kw) -> EnergyResult:
     """Minimum energy of one family at one scale over a net.
 
-    Exponential kernels go to `exp_kernel_min_energy` (no matrix, no net
-    cap); every other family gets its kernel from `_rung_kernel` (Toeplitz
-    rows for fh and sandwich on equal-gap nets, dense otherwise) and is
-    passed to `min_energy` with `solver_kw` (restarts, seed, max_iter).
+    The kernel comes from `_rung_kernel` (Toeplitz rows on equal-gap nets,
+    dense otherwise) and is passed to `min_energy` with `solver_kw`
+    (restarts, seed, max_iter).
 
     Power-law (`fh`) rungs first solve the Polya companion exactly
     (`_fh_companion_solve`).  Clipped at 0 and normalized, v = C^-1 1 is
@@ -541,8 +542,6 @@ def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
     holds up to rounding and the equal-gap tolerance stated in
     `_grid_distances`.
     """
-    if family.kind == "subexp":
-        return exp_kernel_min_energy(net.points, float(family.phi(scale)), tol)
     if family.kind != "fh":
         return min_energy(_rung_kernel(family, scale, net), tol=tol, **solver_kw)
     v = _fh_companion_solve(net.points, family.params["s"], scale)

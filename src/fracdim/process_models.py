@@ -10,7 +10,7 @@ exp(-t Phi(lam)).  The central object downstream is the kernel family
 
 evaluated here by 1-d Fourier inversion, by Monte Carlo, or replaced by
 one of the closed-form comparison kernels (power-law profile kernel,
-stable envelope, subordinator exponential kernel).
+stable envelope).
 
 Exact samplers only: symmetric stable variates via the
 Chambers-Mallows-Stuck transform, one-sided stable via Kanter's form of
@@ -349,14 +349,12 @@ class KernelFamily:
     kinds and scale semantics:
       "fh"        min(1, (scale/r)**s)            scale = eps
       "sandwich"  min(1, scale/r**(1/alpha))**d   scale = eps
-      "subexp"    exp(-r * Phi(scale))            scale = lam = 1/eps
       "exact"     kappa_scale(r) of a LevyModel   scale = eps
     """
 
     kind: str
     params: dict = field(default_factory=dict)
     model: Optional[LevyModel] = None
-    phi: Optional[LaplaceExponent] = None
     seed: int = 0
 
     @classmethod
@@ -372,11 +370,6 @@ class KernelFamily:
         if not 0 < alpha <= 2 or d < 1:
             raise ValueError("need alpha in (0, 2] and d >= 1")
         return cls("sandwich", {"alpha": alpha, "d": d})
-
-    @classmethod
-    def subordinator_exp(cls, phi: LaplaceExponent) -> "KernelFamily":
-        """exp(-|t-s| Phi(lam)); scale parameter is the frequency lam."""
-        return cls("subexp", {}, phi=phi)
 
     @classmethod
     def exact(cls, model: LevyModel, seed: int = 0) -> "KernelFamily":
@@ -406,8 +399,6 @@ class KernelFamily:
             far = r > scale ** alpha
             vals[far] = (scale / r[far] ** (1.0 / alpha)) ** d
             return vals
-        if self.kind == "subexp":
-            return np.exp(-r * float(self.phi(scale)))
         if self.kind == "exact":
             return self._evaluate_exact(scale, r)
         raise ValueError(f"unknown kernel kind {self.kind!r}")

@@ -26,7 +26,7 @@ from scipy import integrate
 
 from .errors import NonConvergedQuadrature
 from .energy_min import (DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_TOL,
-                         rung_min_energy)
+                         exp_kernel_min_energy, rung_min_energy)
 from .ladders import LadderEstimate
 from .process_models import KernelFamily, LaplaceExponent
 from .set_models import CompactSet, discretize
@@ -95,20 +95,15 @@ class ProfileReport:
 # energy ladders
 # ---------------------------------------------------------------------------
 
-def _energy_ladder(cset: CompactSet, family: KernelFamily, scales,
-                   mesh_for_scale, tol: float, restarts: int = 1,
-                   seed: int = 0, max_iter: int = DEFAULT_MAX_ITER):
+def _energy_ladder(cset: CompactSet, scales, mesh_for_scale, solve):
     """Rung meshes and EnergyResults over a ladder; one independent job
-    per rung, solved by `rung_min_energy` (`restarts`, `seed` and
-    `max_iter` reach the Frank-Wolfe families only)."""
+    per rung k, whose net is solved by solve(k, scale, net)."""
     scales = np.asarray(scales, dtype=float)
 
     def job(k_scale):
         k, scale = k_scale
         delta = mesh_for_scale(scale)
-        net = discretize(cset, delta)
-        return delta, rung_min_energy(family, scale, net, tol, restarts=restarts,
-                                      seed=seed + k, max_iter=max_iter)
+        return delta, solve(k, scale, discretize(cset, delta))
 
     out = parallel_map(job, list(enumerate(scales)))
     return [o[0] for o in out], [o[1] for o in out]
@@ -140,11 +135,10 @@ def box_profile(cset: CompactSet, family: KernelFamily, eps_ladder,
         raise ValueError("need a decreasing positive eps ladder")
     if not 0 < mesh_ratio < np.inf:
         raise ValueError(f"mesh_ratio must be finite and > 0, got {mesh_ratio!r}")
-    if restarts < 1 or max_iter < 1:   # closed-form rungs skip min_energy
-        raise ValueError(f"need restarts, max_iter >= 1, got {restarts}, {max_iter}")
     meshes, results = _energy_ladder(
-        cset, family, eps, lambda e: e / mesh_ratio, tol, restarts, seed,
-        max_iter)
+        cset, eps, lambda e: e / mesh_ratio,
+        lambda k, e, net: rung_min_energy(family, e, net, tol, restarts=restarts,
+                                          seed=seed + k, max_iter=max_iter))
     ladder = LadderEstimate.fit(eps, np.array([r.value for r in results]),
                                 mode=mode)
     return _ladder_report(cset, family.kind,
@@ -179,11 +173,12 @@ def subordinator_box_dim(phi: LaplaceExponent, cset: CompactSet, lam_ladder,
         guard = diam / 8.0                       # resolve the set even at tiny Phi
         return min(SUBEXP_MESH_PRODUCT / p, guard) if p > 0 else guard
 
-    family = KernelFamily.subordinator_exp(phi)
-    meshes, results = _energy_ladder(cset, family, lam, mesh, tol)
+    meshes, results = _energy_ladder(
+        cset, lam, mesh,
+        lambda k, l, net: exp_kernel_min_energy(net.points, float(phi(l)), tol))
     ladder = LadderEstimate.fit(lam, np.array([r.value for r in results]),
                                 mode=mode, y_transform=lambda v: -np.log(v))
-    return _ladder_report(cset, "subexp", {"phi": phi.family}, ladder,
+    return _ladder_report(cset, "subexp", {"phi": phi.to_config()}, ladder,
                           meshes, results)
 
 

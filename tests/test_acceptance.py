@@ -94,8 +94,11 @@ def test_c13_verify_fast_byte_determinism(tmp_path):
              "--seed", str(SEED), "--out", str(out)],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+        assert all(line.startswith("[PASS]")
+                   for line in proc.stderr.strip().splitlines())
     same = out1.read_bytes() == out2.read_bytes()
     rep = json.loads(out1.read_text())
+    assert rep["suite"] == "fast"
     _record("C13", "verify --suite fast twice is byte-identical",
             same and rep["all_passed"],
             {"bytes": len(out1.read_bytes()), "suite_passed": rep["all_passed"]})

@@ -1,19 +1,12 @@
 """Command-line runner: parsing, exit codes, determinism, artifacts."""
 
 import json
-import subprocess
-import sys
 
 import pytest
 
+from fracdim import profiles
 from fracdim.cli import (EXIT_CONFIG, EXIT_NUMERICAL, build_parser, main,
                          parse_family, parse_model, parse_phi, parse_set)
-
-
-def run_cli(*args):
-    proc = subprocess.run([sys.executable, "-m", "fracdim.cli", *args],
-                          capture_output=True, text=True)
-    return proc
 
 
 # ---------------------------------------------------------------------------
@@ -70,16 +63,28 @@ def test_validation_exit_codes():
     # unknown oracle name
     assert main(["oracle", "--name", "nope"]) == EXIT_CONFIG
     # out-of-range solver settings fail before any result is written
-    fh = ["profile", "--set", "interval:0,1", "--family", "fh", "--s", "0.5",
-          "--ladder", "0.1,0.5,3"]
+    profile = ["profile", "--set", "interval:0,1", "--ladder", "0.1,0.5,3"]
+    fh = profile + ["--family", "fh", "--s", "0.5"]
     assert main(fh + ["--mesh-ratio", "0"]) == EXIT_CONFIG
     assert main(fh + ["--restarts", "0"]) == EXIT_CONFIG
     assert main(fh + ["--tol", "-1"]) == EXIT_CONFIG
     assert main(fh + ["--max-iter", "0"]) == EXIT_CONFIG
-    # solver settings are checked even where the closed form ignores them
-    assert main(["profile", "--set", "interval:0,1", "--family", "subexp",
-                 "--phi", "stable:0.5", "--ladder", "0.1,0.5,3",
-                 "--restarts", "0"]) == EXIT_CONFIG
+    # s comes from --s alone, and a flag the family does not read is an error
+    assert main(profile + ["--family", "fh:0.3", "--s", "0.7"]) == EXIT_CONFIG
+    assert main(profile + ["--family", "fh:", "--s", "0.7"]) == EXIT_CONFIG
+    assert main(profile + ["--family", "sandwich:0.8", "--s", "0.5"]) == EXIT_CONFIG
+    assert main(profile + ["--family", "exact", "--model", "stable:1.5",
+                           "--s", "0.5"]) == EXIT_CONFIG
+    assert main(fh + ["--model", "stable:1.5"]) == EXIT_CONFIG
+    assert main(profile + ["--family", "sandwich:0.8", "--model",
+                           "stable:1.5"]) == EXIT_CONFIG
+    assert main(profile + ["--family", "subexp"]) == EXIT_CONFIG
+    # a dimension must be an integer, not truncated to one
+    assert main(profile + ["--family", "sandwich:0.8,1.9"]) == EXIT_CONFIG
+    assert main(profile + ["--family", "exact", "--model",
+                           "stable:1.5,1,2.7"]) == EXIT_CONFIG
+    assert main(["simulate", "--set", "interval:0,1", "--model", "stable:1.5,1,2.7",
+                 "--ladder", "0.125,0.5,5", "--seed", "0"]) == EXIT_CONFIG
     assert main(["theta", "--phi", "stable:0.5", "--s", "0.7",
                  "--lam-max", "inf"]) == EXIT_CONFIG
     assert main(["subordinator", "--set", "interval:0,1", "--phi", "stable:0.5",
@@ -96,6 +101,22 @@ def test_numerical_exit_code(tmp_path):
                  "--s", "1.0", "--ladder", "0.1,0.5,3", "--tol", "0",
                  "--max-iter", "1", "--out", str(out)])
     assert code == EXIT_NUMERICAL
+
+
+def test_unconverged_profile_writes_report_and_exits_3(tmp_path, monkeypatch):
+    solve = profiles.rung_min_energy
+
+    def unconverged(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.converged = False
+        return res
+
+    monkeypatch.setattr(profiles, "rung_min_energy", unconverged)
+    out = tmp_path / "r.json"
+    code = main(["profile", "--set", "interval:0,1", "--family", "fh",
+                 "--s", "1.0", "--ladder", "0.1,0.5,3", "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert json.loads(out.read_text())["converged"] is False
 
 
 def test_config_file_roundtrip_and_override(tmp_path, capsys):
@@ -152,12 +173,18 @@ def test_config_field_outside_command_is_rejected(tmp_path, capsys):
     # a config written for another command
     assert main(["theta", "--config", str(path)]) == EXIT_CONFIG
     assert "subordinator" in capsys.readouterr().err
+    # a profile sidecar from before profiles stopped reading 'phi'
+    path.write_text(json.dumps({"command": "profile", "set": "interval:0,1",
+                                "family": "fh", "s": 0.5, "phi": "",
+                                "ladder": [0.1, 0.5, 3]}))
+    assert main(["profile", "--config", str(path)]) == EXIT_CONFIG
+    assert "phi" in capsys.readouterr().err
 
 
 _LADDER_RUN = {"command", "set", "ladder", "mode", "out", "csv"}
 # the fields of each command's run record
 COMMAND_FIELDS = {
-    "profile": _LADDER_RUN | {"family", "s", "phi", "model", "mesh_ratio",
+    "profile": _LADDER_RUN | {"family", "s", "model", "mesh_ratio",
                               "restarts", "tol", "max_iter", "seed"},
     "subordinator": _LADDER_RUN | {"phi", "tol"},
     "theta": {"command", "phi", "s", "lam_max", "out"},
@@ -235,6 +262,7 @@ def test_subordinator_command(tmp_path):
     rep = json.loads(out.read_text())
     assert abs(rep["estimate"] - 0.5) <= 0.05
     assert len(rep["rungs"]) == 6
+    assert rep["param"] == {"phi": {"family": "stable", "params": {"beta": 0.5}}}
     assert all(r["iterations"] == 0 and r["converged"] for r in rep["rungs"])
 
 
@@ -289,15 +317,3 @@ def test_profile_report_byte_deterministic(tmp_path):
                      "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
-
-
-def test_verify_fast_deterministic_bytes(tmp_path):
-    out1, out2 = tmp_path / "v1.json", tmp_path / "v2.json"
-    p1 = run_cli("verify", "--suite", "fast", "--seed", "0", "--out", str(out1))
-    p2 = run_cli("verify", "--suite", "fast", "--seed", "0", "--out", str(out2))
-    assert p1.returncode == 0, p1.stderr
-    assert p2.returncode == 0, p2.stderr
-    assert out1.read_bytes() == out2.read_bytes()
-    report = json.loads(out1.read_text())
-    assert report["all_passed"] and report["suite"] == "fast"
-    assert all(line.startswith("[PASS]") for line in p1.stderr.strip().splitlines())

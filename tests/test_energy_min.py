@@ -18,7 +18,7 @@ from fracdim.energy_min import (_RESYNC_EVERY, DEFAULT_MAX_ITER,
                                 rung_min_energy)
 from fracdim.oracles import (cantor_exp_kernel_min_energy,
                              interval_exp_kernel_min_energy)
-from fracdim.process_models import KernelFamily, LaplaceExponent
+from fracdim.process_models import KernelFamily, LevyModel
 from fracdim.set_models import CompactSet, DeltaNet, discretize
 from fracdim.verify import random_psd_kernel
 
@@ -40,10 +40,6 @@ def test_build_kernel_examples():
     K = build_kernel(KernelFamily.fh(0.5), 0.25, net)
     np.testing.assert_allclose(K.values, [[1, 0.5], [0.5, 1]])
 
-    K = build_kernel(KernelFamily.subordinator_exp(
-        LaplaceExponent.compound_poisson_drift(0, 1, 1)), np.log(2), net)
-    np.testing.assert_allclose(K.values, [[1, 0.5], [0.5, 1]])
-
     net3 = DeltaNet(np.array([0.0, 0.5, 1.0]))
     K = build_kernel(KernelFamily.fh(1.0), 0.5, net3)
     np.testing.assert_allclose(K.values, [[1, 1, 0.5], [1, 1, 1], [0.5, 1, 1]])
@@ -51,8 +47,7 @@ def test_build_kernel_examples():
 
 def test_build_kernel_invariants_random():
     net = discretize(CompactSet.interval(0, 1), 0.01)
-    for fam in (KernelFamily.fh(0.7), KernelFamily.stable_sandwich(1.2, 1),
-                KernelFamily.subordinator_exp(LaplaceExponent.stable(0.5))):
+    for fam in (KernelFamily.fh(0.7), KernelFamily.stable_sandwich(1.2, 1)):
         K = build_kernel(fam, 0.05, net).values
         assert np.all(np.diag(K) == 1.0)
         assert np.all((K >= 0) & (K <= 1))
@@ -87,11 +82,9 @@ def test_build_kernel_equals_full_matrix_evaluation():
 def test_subordinator_kernels_are_psd():
     for _ in range(5):
         pts = np.sort(RNG.uniform(0, 1, 60))
-        net = DeltaNet(pts)
         lam = float(RNG.uniform(0.5, 50))
-        K = build_kernel(KernelFamily.subordinator_exp(
-            LaplaceExponent.stable(0.6)), lam, net)
-        assert is_psd(K.values)
+        D = np.abs(pts[:, None] - pts[None, :])
+        assert is_psd(np.exp(-lam ** 0.6 * D))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +231,8 @@ def test_toeplitz_rows_and_product_match_dense_kernel():
     cases = [(fam, e, net.points.size) for fam, e, net in _c7_rungs()]
     cases += [(KernelFamily.fh(1.5), 0.003, 1609),
               (KernelFamily.stable_sandwich(1.3, 1), 0.02, 668),
-              (KernelFamily.stable_sandwich(0.7, 2), 0.05, 400)]
+              (KernelFamily.stable_sandwich(0.7, 2), 0.05, 400),
+              (KernelFamily.exact(LevyModel.isotropic_stable(1.5)), 0.1, 41)]
     for fam, scale, n in cases:
         net = DeltaNet(np.linspace(0.0, 1.0, n))
         T = _rung_kernel(fam, scale, net).values
@@ -269,7 +263,8 @@ def test_equal_gap_rungs_build_no_dense_kernel(monkeypatch):
 
     monkeypatch.setattr(energy_min, "build_kernel", counted)
     net = discretize(CompactSet.interval(0, 1), 0.028 / 5)
-    for fam in (KernelFamily.fh(0.5), KernelFamily.stable_sandwich(1.3, 1)):
+    for fam in (KernelFamily.fh(0.5), KernelFamily.stable_sandwich(1.3, 1),
+                KernelFamily.exact(LevyModel.isotropic_stable(1.5))):
         assert rung_min_energy(fam, 0.028, net, restarts=2).converged
     assert calls == []
     with pytest.raises(NetTooLarge):
@@ -382,9 +377,9 @@ def test_min_energy_monotone_in_scale():
     fh = [min_energy(build_kernel(KernelFamily.fh(0.8), s, net), restarts=2).value
           for s in (0.02, 0.05, 0.1, 0.3)]
     assert np.all(np.diff(fh) >= -1e-9)      # kernel grows with eps
-    sub = [min_energy(build_kernel(KernelFamily.subordinator_exp(
-        LaplaceExponent.stable(0.5)), lam, net)).value
-        for lam in (2.0, 8.0, 32.0)]
+    D = np.abs(net.points[:, None] - net.points[None, :])
+    sub = [min_energy(_km(np.exp(-lam ** 0.5 * D), net.points)).value
+           for lam in (2.0, 8.0, 32.0)]
     assert np.all(np.diff(sub) <= 1e-9)      # kernel shrinks with lam
 
 

@@ -200,18 +200,15 @@ def _kernel_at(family, scale, r):
 def test_kernel_eval_closed_forms():
     fh = KernelFamily.fh(0.5)
     assert abs(_kernel_at(fh, 0.1, 0.4) - 0.5) < 1e-14
-    sub = KernelFamily.subordinator_exp(LaplaceExponent.stable(0.5))
-    assert abs(_kernel_at(sub, 100.0, 0.2) - np.exp(-2.0)) < 1e-14
     sw = KernelFamily.stable_sandwich(0.5, 2)
     assert abs(_kernel_at(sw, 0.1, 0.4) - (0.1 / 0.4 ** 2) ** 2) < 1e-14
-    for fam in (fh, sub, sw):
+    for fam in (fh, sw):
         assert _kernel_at(fam, 0.3, 0.0) == 1.0
 
 
 def test_kernel_eval_bounds_and_monotonicity_fuzz():
     fams = [KernelFamily.fh(float(s)) for s in (0.3, 1.0, 2.5)]
     fams += [KernelFamily.stable_sandwich(a, 1) for a in (0.5, 1.8)]
-    fams.append(KernelFamily.subordinator_exp(LaplaceExponent.gamma(1.0, 1.0)))
     r = np.sort(RNG.uniform(0, 5, 200))
     for fam in fams:
         for scale in (0.01, 0.5, 7.0):
