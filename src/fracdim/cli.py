@@ -300,12 +300,10 @@ def cmd_oracle(cfg: argparse.Namespace) -> int:
     fn = oracles.NAMED_ORACLES[cfg.name]
     args = [float(p) for p in cfg.params]
     try:
-        if cfg.name == "cantor-capacity":
-            args = [int(a) for a in args]
         bound = inspect.signature(fn).bind(*args)
         bound.apply_defaults()
         value = fn(*bound.args)
-    except (TypeError, ArithmeticError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"oracle {cfg.name!r}: {exc}") from exc
     _emit({"oracle": cfg.name, "args": dict(bound.arguments),
            "value": value}, cfg)

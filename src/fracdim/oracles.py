@@ -5,7 +5,8 @@ not share code with the estimator it checks: Gaussian/Cauchy ball
 probabilities, the half-stable subordinator law, the exact uniform-measure
 and minimum energies of an interval and the minimum energy of the Cantor
 set under the exponential kernel, lattice capacities,
-and a dynamic-programming exact maximum-separated-subset count.
+and a dynamic-programming exact maximum-separated-subset count.  Each
+named oracle raises ValueError outside the domain where its formula holds.
 """
 
 from __future__ import annotations
@@ -16,8 +17,14 @@ import numpy as np
 from scipy import special
 
 
+def _require(ok: bool, domain: str) -> None:
+    if not ok:
+        raise ValueError(f"outside the oracle's domain: need {domain}")
+
+
 def gaussian_ball(c: float, eps: float, t: float) -> float:
     """P{|X(t)| <= eps} for Psi(z) = c z^2 (variance 2ct)."""
+    _require(c > 0 and eps > 0 and t >= 0, "c > 0, eps > 0, t >= 0")
     if t == 0:
         return 1.0
     return float(special.erf(eps / (2.0 * math.sqrt(c * t))))
@@ -25,6 +32,7 @@ def gaussian_ball(c: float, eps: float, t: float) -> float:
 
 def cauchy_ball(c: float, eps: float, t: float) -> float:
     """P{|X(t)| <= eps} for Psi(z) = c|z| (Cauchy with scale ct)."""
+    _require(c > 0 and eps > 0 and t >= 0, "c > 0, eps > 0, t >= 0")
     if t == 0:
         return 1.0
     return float(2.0 / math.pi * math.atan(eps / (c * t)))
@@ -35,30 +43,36 @@ def half_stable_subordinator_cdf(x: float, t: float = 1.0) -> float:
 
     S(t) has the one-sided density with explicit CDF erfc(t / (2 sqrt(x))).
     """
+    _require(t > 0, "t > 0")
     if x <= 0:
         return 0.0
     return float(special.erfc(t / (2.0 * math.sqrt(x))))
 
 
 def two_point_min_energy(k: float) -> float:
-    """min over the simplex of w'[[1,k],[k,1]]w = (1+k)/2 at w = (1/2,1/2)."""
+    """min over the simplex of w'[[1,k],[k,1]]w = (1+k)/2 at w = (1/2,1/2),
+    for a kernel value 0 <= k <= 1 (for k > 1 a vertex, value 1, wins)."""
+    _require(0 <= k <= 1, "0 <= k <= 1")
     return (1.0 + k) / 2.0
 
 
 def interval_capacity(r: float, length: float = 1.0) -> int:
     """K(r) of a (finely sampled) interval: floor(length/r) + 1."""
+    _require(r > 0 and length >= 0, "r > 0, length >= 0")
     return int(math.floor(length / r + 1e-12)) + 1
 
 
 def cantor_triadic_capacity(k: int) -> int:
     """K(3^-k) of the middle-third Cantor set: both endpoints of each of
     the 2^k depth-k cylinders are pairwise >= 3^-k apart."""
-    return 2 ** (k + 1)
+    _require(k >= 0 and float(k).is_integer(), "an integer k >= 0")
+    return 2 ** (int(k) + 1)
 
 
 def interval_exp_kernel_energy(x: float) -> float:
     """Uniform-measure energy of [0,1] under exp(-x|t-s|):
     2 (x - 1 + exp(-x)) / x^2."""
+    _require(x >= 0, "x >= 0")
     if x == 0:
         return 1.0
     return 2.0 * (x - 1.0 + math.exp(-x)) / x ** 2
@@ -70,6 +84,7 @@ def interval_exp_kernel_min_energy(x: float) -> float:
     The equilibrium measure (two endpoint atoms plus a uniform interior
     part) has constant potential 2/(x+2), which is therefore the value.
     """
+    _require(x >= 0, "x >= 0")
     return 2.0 / (x + 2.0)
 
 
@@ -91,18 +106,21 @@ def cantor_exp_kernel_min_energy(x: float) -> float:
     The series is summed over 100 levels; the tail it drops is below
     x (2/3)^100 / 2 < 1.3e-18 x.
     """
+    _require(x >= 0, "x >= 0")
     k = np.arange(1, 101, dtype=float)
     return float(1.0 / (1.0 + np.sum(2.0 ** (k - 1) * np.tanh(x * 3.0 ** -k / 2.0))))
 
 
 def theta_power_law(beta: float, s: float) -> float:
     """theta for Phi(lam) = lam^beta: max(0, 1 - beta/s)."""
+    _require(0 < beta < 1 and s > 0, "0 < beta < 1, s > 0")
     return max(0.0, 1.0 - beta / s)
 
 
 def fh_interval_uniform_energy(s: float, eps: float) -> float:
     """Uniform-measure energy of [0,1] under min(1, (eps/r)^s), closed form
     for s in {1/2, 3/2} and generic s != 1 via the antiderivative."""
+    _require(s > 0 and 0 < eps <= 1, "s > 0, 0 < eps <= 1")
     if s == 1.0:
         # int has a log term: 2[eps - eps^2/2 + eps(log(1/eps) - (1 - eps))]
         return 2.0 * (eps - eps ** 2 / 2.0 + eps * (math.log(1.0 / eps) - (1.0 - eps)))

@@ -86,15 +86,16 @@ class LaplaceExponent:
 
     Construct through the family classmethods.  Each carries the
     characteristic exponent psi(xi) = Phi(-i xi) by analytic continuation
-    (scalar or array xi) and an exact sampler sample_increments(gaps, rng)
-    of increments over a float array of time gaps.
+    (scalar or array xi) and, like `LevyModel`, an exact sampler
+    increment_sampler(gaps) -> draw(rng) of increments over a float array
+    of time gaps, whose per-gap factors it computes once.
     """
 
     family: str
     params: dict
     fn: Callable[[np.ndarray], np.ndarray]
     psi: Callable = field(repr=False)
-    sample_increments: Callable = field(repr=False)
+    increment_sampler: Callable = field(repr=False)
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -112,9 +113,12 @@ class LaplaceExponent:
             # analytic continuation (-i xi)^beta, principal branch
             return np.abs(xi) ** beta * np.exp(-1j * beta * np.pi / 2 * np.sign(xi))
 
+        def sampler(gaps):
+            scale = gaps ** (1.0 / beta)
+            return lambda rng: scale * one_sided_stable(rng, beta, scale.shape)
+
         return cls("stable", {"beta": beta}, lambda l: l ** beta, psi=psi,
-                   sample_increments=lambda gaps, rng: gaps ** (1.0 / beta)
-                   * one_sided_stable(rng, beta, gaps.shape))
+                   increment_sampler=sampler)
 
     @classmethod
     def gamma(cls, a: float, b: float) -> "LaplaceExponent":
@@ -122,10 +126,13 @@ class LaplaceExponent:
         if a <= 0 or b <= 0:
             raise ValueError("gamma subordinator needs a, b > 0")
 
+        def sampler(gaps):
+            shape = a * gaps
+            return lambda rng: rng.gamma(shape=shape, scale=1.0 / b)
+
         return cls("gamma", {"a": a, "b": b}, lambda l: a * np.log1p(l / b),
                    psi=lambda xi: a * np.log(1.0 - 1j * xi / b),
-                   sample_increments=lambda gaps, rng: rng.gamma(
-                       shape=a * gaps, scale=1.0 / b))
+                   increment_sampler=sampler)
 
     @classmethod
     def compound_poisson_drift(cls, rate: float, jump_mean: float,
@@ -146,17 +153,18 @@ class LaplaceExponent:
             jumps = rate * (1.0 - 1.0 / (1.0 - 1j * jump_mean * xi)) if rate > 0 else 0.0
             return -1j * drift * xi + jumps
 
-        def sample(gaps, rng):
-            out = drift * gaps
-            if rate > 0:
-                n = rng.poisson(rate * gaps)
-                # Gamma with integer shape n = sum of n Exp(jump_mean) jumps
-                out = out + rng.gamma(shape=n, scale=jump_mean)
-            return out
+        def sampler(gaps):
+            moved = drift * gaps
+            if rate == 0:
+                return lambda rng: moved.copy()
+            mean_jumps = rate * gaps
+            # Gamma with integer shape n = sum of n Exp(jump_mean) jumps
+            return lambda rng: moved + rng.gamma(shape=rng.poisson(mean_jumps),
+                                                 scale=jump_mean)
 
         return cls("compound_poisson_drift",
                    {"rate": rate, "jump_mean": jump_mean, "drift": drift},
-                   phi, psi=psi, sample_increments=sample)
+                   phi, psi=psi, increment_sampler=sampler)
 
     def to_config(self) -> dict:
         return {"family": self.family, "params": dict(sorted(self.params.items()))}
@@ -235,14 +243,17 @@ class LevyModel:
                     clock = scale * one_sided_stable(rng, alpha / 2.0, m)
                     return np.sqrt(2.0 * clock)[:, None] * rng.standard_normal((m, d))
         elif self.kind == "subordinator":
+            clock = self.phi.increment_sampler(gaps)
+
             def draw(rng):
-                inc = self.phi.sample_increments(gaps, rng)
+                inc = clock(rng)
                 assert np.all(inc >= 0), "subordinator increment negative"
                 return inc[:, None]
         elif self.kind == "subordinate_brownian":
+            clock = self.phi.increment_sampler(gaps)
+
             def draw(rng):
-                clock = self.phi.sample_increments(gaps, rng)
-                return np.sqrt(2.0 * clock)[:, None] * rng.standard_normal((m, d))
+                return np.sqrt(2.0 * clock(rng))[:, None] * rng.standard_normal((m, d))
         else:
             raise ValueError(f"unknown model kind {self.kind!r}")
         return draw

@@ -4,8 +4,9 @@ Sets are intervals, finite point lists, or attractors of affine iterated
 function systems on the line.  Every supported kind can certify a
 delta-net: a finite subset of the set within delta of every point of the
 set.  Capacity here is the Kolmogorov packing number K_G(r), the maximal
-size of an r-separated subset in the l-inf metric, and upper Minkowski
-dimension estimates are log-log ladder slopes of it.
+size of an r-separated subset in the l-inf metric (exact on the line,
+within a factor 3^d in R^d), and upper Minkowski dimension estimates are
+log-log ladder slopes of it.
 """
 
 from __future__ import annotations
@@ -133,8 +134,8 @@ class DeltaNet:
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
-        if np.any(np.diff(self.points) < 0):
-            raise ValueError("net points must be sorted")
+        if np.any(np.diff(self.points) <= 0):
+            raise ValueError("net points must be strictly increasing")
 
     @property
     def n(self) -> int:
@@ -152,14 +153,15 @@ def discretize(cset: CompactSet, delta: float,
     Intervals use a uniform grid with step <= delta including both
     endpoints; attractors are expanded to the first depth at which every
     cylinder is no longer than delta and contribute both endpoints of
-    each cylinder.
+    each cylinder.  Every kind yields its points strictly increasing, so
+    they are sorted once, here or by the set's constructor.
     """
     if not 0 < delta < np.inf:
         raise ValueError(f"delta must be finite and positive, got {delta!r}")
     pts = _net_points(cset, delta, point_cap)
     if pts.size > point_cap:
         raise MeshTooFine(f"net would need {pts.size} points (cap {point_cap})")
-    return DeltaNet(points=np.unique(pts))
+    return DeltaNet(points=pts)
 
 
 def _net_points(cset, delta, cap) -> np.ndarray:
@@ -172,7 +174,7 @@ def _net_points(cset, delta, cap) -> np.ndarray:
             raise MeshTooFine(f"interval grid needs {steps + 1} points (cap {cap})")
         return np.linspace(a, b, steps + 1)
     if cset.kind == "finite":
-        return np.asarray(cset.params["points"], dtype=float)
+        return cset.params["points"].copy()
     if cset.kind == "ifs":
         return _ifs_net(cset, delta, cap)
     raise ValueError(f"unknown set kind {cset.kind!r}")
@@ -216,10 +218,13 @@ def kolmogorov_capacity(cloud, r: float) -> int:
     """Maximal number of points pairwise >= r apart (l-inf metric).
 
     Sorted 1-d input is solved exactly by a left-to-right greedy sweep.
-    In d > 1 a greedy maximal r-separated subset M is built instead; M is
-    r-separated and every input point lies within r of M, which brackets
-    the true count between |M| and K(r/2)-type quantities.  Constant-factor
-    slack is harmless for log-log slopes.
+    In d > 1 the count N(r) is the number of occupied grid cells of side
+    r, which brackets the exact count K(r) as K(r) <= N(r) <= 3^d K(r):
+    two points in one cell are less than r apart, so a separated set has
+    at most one point per cell; and every point lies within r of a
+    maximal separated subset M, so each occupied cell is one of the 3^d
+    cells around a point of M, and N(r) <= 3^d |M| <= 3^d K(r).
+    Constant-factor slack is harmless for log-log slopes.
 
     Separation is tested against r*(1 - SEPARATION_SLACK): grids built at
     the same scale as r (triadic nets probed at triadic radii) land a few
@@ -239,7 +244,7 @@ def capacity_counts(cloud, radii) -> list[int]:
     if pts.shape[1] == 1:
         x = np.sort(pts[:, 0])
         return [_capacity_1d(x, sep) for sep in seps]
-    return [len(_capacity_greedy(pts, sep)) for sep in seps]
+    return [_occupied_cells(pts, sep) for sep in seps]
 
 
 def _capacity_1d(x: np.ndarray, r: float) -> int:
@@ -253,26 +258,12 @@ def _capacity_1d(x: np.ndarray, r: float) -> int:
     return count
 
 
-def _capacity_greedy(pts: np.ndarray, r: float) -> list[int]:
-    """Indices of a greedy maximal r-separated subset, in input order."""
-    # grid hash with cell edge r: candidates only need their 3^d neighborhood
-    d = pts.shape[1]
-    cells: dict[tuple, list[int]] = {}
-    kept: list[int] = []
-    keys = np.floor(pts / r).astype(np.int64)
-    offsets = np.array(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij")).reshape(d, -1).T
-    for idx in range(pts.shape[0]):
-        key = keys[idx]
-        ok = True
-        for off in offsets:
-            neigh = cells.get(tuple(key + off))
-            if neigh and np.min(np.max(np.abs(pts[neigh] - pts[idx]), axis=1)) < r:
-                ok = False
-                break
-        if ok:
-            kept.append(idx)
-            cells.setdefault(tuple(key), []).append(idx)
-    return kept
+def _occupied_cells(pts: np.ndarray, side: float) -> int:
+    # one lexsort of the integer cell rows; np.unique(axis=0) is ~10x slower
+    cells = np.floor(pts / side).astype(np.int64)
+    cells = cells[np.lexsort(cells.T)]
+    starts = np.any(cells[1:] != cells[:-1], axis=1)
+    return min(len(cells), 1) + int(np.count_nonzero(starts))
 
 
 def minkowski_dim_estimate(cloud, r_ladder, mode: str = "upper") -> LadderEstimate:

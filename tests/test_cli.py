@@ -1,6 +1,7 @@
 """Command-line runner: parsing, exit codes, determinism, artifacts."""
 
 import json
+import time
 
 import pytest
 
@@ -92,6 +93,14 @@ def test_validation_exit_codes():
     # oracle parameters that do not fit the oracle
     assert main(["oracle", "--name", "two-point-energy"]) == EXIT_CONFIG
     assert main(["oracle", "--name", "interval-capacity", "--params", "0"]) == EXIT_CONFIG
+    # ... and parameters outside the oracle's domain
+    for name, params in (("cantor-capacity", ["2.5"]), ("cantor-capacity", ["-1"]),
+                         ("interval-capacity", ["0.25", "-3"]),
+                         ("cauchy-ball", ["1", "1", "-1"]),
+                         ("half-stable-cdf", ["1", "-1"]),
+                         ("interval-exp-min-energy", ["-3"]),
+                         ("two-point-energy", ["3"])):
+        assert main(["oracle", "--name", name, "--params", *params]) == EXIT_CONFIG
 
 
 def test_numerical_exit_code(tmp_path):
@@ -277,6 +286,19 @@ def test_simulate_command(tmp_path):
     rep = json.loads(out.read_text())
     assert abs(rep["median"] - 0.5) <= 0.2
     assert len(csv.read_text().strip().splitlines()) == 9
+
+
+def test_simulate_planar_brownian_within_budget(tmp_path):
+    # 8 planar Brownian paths of 65,537 points each, counted at 5 radii:
+    # occupied grid cells make this well under a second
+    out = tmp_path / "sim.json"
+    t0 = time.perf_counter()
+    assert main(["simulate", "--set", "interval:0,1", "--model", "stable:2,1,2",
+                 "--ladder", "0.25,0.5,5", "--paths", "8", "--seed", "1",
+                 "--out", str(out)]) == 0
+    assert time.perf_counter() - t0 < 5.0
+    rep = json.loads(out.read_text())
+    assert abs(rep["median"] - 2.0) <= 0.4
 
 
 def test_simulate_mode_from_config(tmp_path):

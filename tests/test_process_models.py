@@ -62,7 +62,7 @@ def test_laplace_exponents_concave_nondecreasing():
 def test_laplace_exponent_char_continuation_matches_transform():
     # E exp(i xi S(t)) from Monte Carlo against exp(-t Phi(-i xi))
     for phi in (LaplaceExponent.stable(0.5), LaplaceExponent.gamma(1.0, 1.0)):
-        s = phi.sample_increments(np.ones(200_000), np.random.default_rng(3))
+        s = phi.increment_sampler(np.ones(200_000))(np.random.default_rng(3))
         for xi in (0.5, 1.0):
             emp = np.mean(np.exp(1j * xi * s))
             want = np.exp(-phi.psi(xi))

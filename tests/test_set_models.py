@@ -1,5 +1,6 @@
 """Sets, nets, capacity, and Minkowski estimates."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from fracdim.errors import DegenerateLadder, MeshTooFine
 from fracdim.ladders import LadderEstimate
 from fracdim.oracles import max_separated_1d
-from fracdim.set_models import (CompactSet, DeltaNet, _capacity_greedy,
+from fracdim.set_models import (SEPARATION_SLACK, CompactSet, DeltaNet,
                                 capacity_counts, discretize,
                                 kolmogorov_capacity, minkowski_dim_estimate)
 
@@ -25,8 +26,10 @@ def test_interval_net_is_the_uniform_grid():
 
 
 def test_finite_net_passthrough():
-    net = discretize(CompactSet.finite([1.0, 0.0]), 0.37)
+    cset = CompactSet.finite([1.0, 0.0])
+    net = discretize(cset, 0.37)
     np.testing.assert_array_equal(net.points, [0.0, 1.0])
+    assert not np.shares_memory(net.points, cset.params["points"])
 
 
 def _cantor_endpoints(depth):
@@ -136,11 +139,38 @@ def test_capacity_counts_sorts_once_and_matches_oracle():
         capacity_counts(pts, [0.5, 0.0])
 
 
+def _greedy_separated(pts, r):
+    """Indices of a greedy maximal r-separated subset, in input order
+    (grid hash with cell edge r: a candidate meets only 3^d cells)."""
+    d = pts.shape[1]
+    cells: dict[tuple, list[int]] = {}
+    kept: list[int] = []
+    keys = np.floor(pts / r).astype(np.int64)
+    offsets = np.array(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij")).reshape(d, -1).T
+    for idx in range(pts.shape[0]):
+        key = keys[idx]
+        ok = True
+        for off in offsets:
+            neigh = cells.get(tuple(key + off))
+            if neigh and np.min(np.max(np.abs(pts[neigh] - pts[idx]), axis=1)) < r:
+                ok = False
+                break
+        if ok:
+            kept.append(idx)
+            cells.setdefault(tuple(key), []).append(idx)
+    return kept
+
+
 def test_capacity_d2_greedy_bracketing_asserts():
-    for _ in range(10):
-        cloud = RNG.uniform(0, 1, (300, 2))
+    # occupied cells N against a greedy maximal separated subset M:
+    # |M| <= K <= N <= 3^d |M|, with K the exact packing number
+    for trial in range(12):
+        d = 2 if trial < 8 else 3
+        cloud = RNG.uniform(0, 1, (300, d))
+        if trial % 2:
+            cloud = np.cumsum(RNG.normal(0, 0.02, (300, d)), axis=0)   # path-like
         r = float(RNG.uniform(0.05, 0.4))
-        kept = _capacity_greedy(cloud, r)
+        kept = _greedy_separated(cloud, r * (1.0 - SEPARATION_SLACK))
         kp = cloud[kept]
         # every input point lies within r of the kept subset ...
         cover = np.max(np.abs(cloud[:, None, :] - kp[None, :, :]), axis=2)
@@ -148,8 +178,33 @@ def test_capacity_d2_greedy_bracketing_asserts():
         # ... which is r-separated
         gram = np.max(np.abs(kp[:, None, :] - kp[None, :, :]), axis=2)
         np.fill_diagonal(gram, np.inf)
-        assert gram.min() >= r
-        assert kolmogorov_capacity(cloud, r) == len(kept)
+        assert gram.min() >= r * (1.0 - SEPARATION_SLACK)
+        n_cells = kolmogorov_capacity(cloud, r)
+        assert len(kept) <= n_cells <= 3 ** d * len(kept)
+
+
+def _max_separated_exhaustive(pts, r):
+    sep = r * (1.0 - SEPARATION_SLACK)
+    for size in range(len(pts), 0, -1):
+        for sub in itertools.combinations(pts, size):
+            sub = np.array(sub)
+            gram = np.max(np.abs(sub[:, None, :] - sub[None, :, :]), axis=2)
+            np.fill_diagonal(gram, np.inf)
+            if gram.min() >= sep:
+                return size
+    return 0
+
+
+def test_capacity_cells_cover_exhaustive_packing():
+    for trial in range(60):
+        d = 2 + trial % 2
+        cloud = RNG.uniform(0, 1, (int(RNG.integers(1, 9)), d))
+        r = float(RNG.uniform(0.05, 0.9))
+        assert kolmogorov_capacity(cloud, r) >= _max_separated_exhaustive(cloud, r)
+    # points r apart on a grid aligned with the cells count exactly
+    grid = np.stack(np.meshgrid(np.arange(3.0), np.arange(3.0)), axis=-1).reshape(-1, 2)
+    assert kolmogorov_capacity(0.25 * grid, 0.25) == 9
+    assert capacity_counts(np.empty((0, 2)), [0.5]) == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -195,5 +250,6 @@ def test_ladder_estimate_recompute_invariant():
 
 
 def test_delta_net_requires_sorted_points():
-    with pytest.raises(ValueError):
-        DeltaNet(np.array([1.0, 0.0]))
+    for bad in ([1.0, 0.0], [0.0, 0.5, 0.5, 1.0]):
+        with pytest.raises(ValueError):
+            DeltaNet(np.array(bad))

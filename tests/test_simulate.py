@@ -131,6 +131,20 @@ def test_theory_vs_empirical_singleton_trivial():
     assert prof.estimate == 0.0 and exp.median == 0.0
 
 
+def _phi_increments(phi, gaps, rng):
+    """Subordinator increments as they were drawn when every path rebuilt
+    its per-gap factors."""
+    p = phi.params
+    if phi.family == "stable":
+        return gaps ** (1.0 / p["beta"]) * one_sided_stable(rng, p["beta"], gaps.shape)
+    if phi.family == "gamma":
+        return rng.gamma(shape=p["a"] * gaps, scale=1.0 / p["b"])
+    out = p["drift"] * gaps
+    if p["rate"] > 0:
+        out = out + rng.gamma(shape=rng.poisson(p["rate"] * gaps), scale=p["jump_mean"])
+    return out
+
+
 def _column_increments(model, gaps, rng):
     """Exact increments as they were drawn when every path rebuilt its
     per-gap factors."""
@@ -143,7 +157,7 @@ def _column_increments(model, gaps, rng):
             return ((c * gaps) ** (1.0 / alpha) * symmetric_stable(rng, alpha, m))[:, None]
         clock = (c * gaps) ** (2.0 / alpha) * one_sided_stable(rng, alpha / 2.0, m)
     else:
-        clock = model.phi.sample_increments(gaps, rng)
+        clock = _phi_increments(model.phi, gaps, rng)
         if model.kind == "subordinator":
             return clock[:, None]
     return np.sqrt(2.0 * clock)[:, None] * rng.standard_normal((m, model.d))
@@ -152,18 +166,20 @@ def _column_increments(model, gaps, rng):
 def test_image_experiment_bit_identical_to_per_path_reference(monkeypatch):
     # the reference takes np.diff of the net times on every path and
     # ignores the prepared sampler; path values, counts and slopes must
-    # match bit for bit.  Planar images run on a shorter interval: their
-    # capacity count is a Python loop over the path.
+    # match bit for bit.  The drift-only clock returns a precomputed
+    # array, which must come out fresh on every path.
     r = 2.0 ** -np.arange(2, 7, dtype=float)
     stable, gamma = LaplaceExponent.stable, LaplaceExponent.gamma
+    cpd = LaplaceExponent.compound_poisson_drift
     for model in (LevyModel.isotropic_stable(2.0, 0.7, 1),
                   LevyModel.isotropic_stable(0.8, 1.3, 1),
                   LevyModel.isotropic_stable(1.5, 0.6, 2),
                   LevyModel.subordinator(stable(0.5)),
                   LevyModel.subordinator(gamma(2.0, 3.0)),
-                  LevyModel.subordinator(LaplaceExponent.compound_poisson_drift(2.0, 0.5, 0.1)),
+                  LevyModel.subordinator(cpd(2.0, 0.5, 0.1)),
+                  LevyModel.subordinator(cpd(0.0, 1.0, 1.0)),
                   LevyModel.subordinate_brownian(stable(0.6), 2)):
-        F = CompactSet.interval(0, 1.0 if model.d == 1 else 0.25)
+        F = CompactSet.interval(0, 1)
 
         def reference_path(_sampler, net, seed, model=model):
             gaps = np.diff(net.points, prepend=0.0)
