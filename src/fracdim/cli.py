@@ -3,11 +3,12 @@ path simulations, the verification suite, and closed-form oracles.
 
 A run is a flat record: the namespace its command's subparser returns.
 Each flag is a field whose default is the library's own value.  A
-`--config` JSON file may set any of those fields, flags override file
-values, and a field the command's parser does not declare is a
-validation error.  Reports are byte-deterministic given (config, seed)
-and the BLAS thread count: keys are sorted, floats go through repr, and
-wall clocks live in a `.meta.json` sidecar, never in the report body.
+`--config` JSON file may set any of those fields: they are parsed as
+flags ahead of the command line's, so flags override file values, and a
+field the command's parser does not declare is a validation error.
+Reports are byte-deterministic given (config, seed) and the BLAS thread
+count: keys are sorted, floats go through repr, and wall clocks live in
+a `.meta.json` sidecar, never in the report body.
 The sidecar's `config` is the run record, loadable with `--config`.
 
 Exit codes: 0 success, 2 validation error, 3 numerical non-convergence
@@ -45,87 +46,55 @@ class ConfigError(ValueError):
     pass
 
 
-def load_config(ap: argparse.ArgumentParser, argv) -> argparse.Namespace:
-    """The run record: the parsed flags over the `--config` file's values
-    over the parser's defaults.  A file may set only the fields its
-    command's parser declares."""
-    ns = ap.parse_args(argv)
-    if not ns.config:
-        return ns
-    with open(ns.config, encoding="utf-8") as fh:
+class _Parser(argparse.ArgumentParser):
+    """A parse error raises ConfigError, which `main` reports in one line
+    with exit code 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def load_config(ap: argparse.ArgumentParser, argv=None) -> argparse.Namespace:
+    """The run record.  The fields of a `--config` file are read as flags
+    placed before the command line's own, so the parser checks both
+    alike and a flag on the command line overrides the file (the last
+    flag wins).  A file may set only the fields its command's parser
+    declares; a null field keeps the default."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    sub = next(a for a in ap._actions if a.dest == "command")
+    if not path or argv[0] not in sub.choices:
+        return ap.parse_args(argv)
+    command = argv[0]
+    with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ConfigError("config file must hold one JSON object")
-    if data.get("command", ns.command) != ns.command:
+    if data.get("command", command) != command:
         raise ConfigError(f"config file is for command {data['command']!r}, "
-                          f"not {ns.command!r}")
-    unused = set(data) - (set(vars(ns)) - {"config"})
+                          f"not {command!r}")
+    fields = {a.dest: a for a in sub.choices[command]._actions
+              if a.dest not in ("help", "config")}
+    unused = set(data) - set(fields) - {"command"}
     if unused:
-        raise ConfigError(f"fields not read by {ns.command!r}: {sorted(unused)}")
-    sub = next(a for a in ap._actions if a.dest == "command")
-    parser = sub.choices[ns.command]
-    for action in parser._actions:
-        if action.dest in data:
-            _check_type(action, data[action.dest])
-    parser.set_defaults(**data)
-    return ap.parse_args(argv)
-
-
-def _check_type(action: argparse.Action, value) -> None:
-    """A file value must have the JSON type its flag parses to.  A string
-    for a one-value flag goes through the flag's `type`, as argparse does
-    for string defaults; null stands for a default of None."""
-    if (isinstance(value, str) and action.nargs is None
-            or value is None and action.default is None):
-        return
-    ok, want = False, "a string"
-    if action.type is float:
-        ok, want = _is_number(value), "a number"
-    elif action.type is int:
-        ok, want = _is_number(value) and isinstance(value, int), "an integer"
-    elif action.type is _ladder:
-        ok = (isinstance(value, list) and len(value) == 3
-              and all(map(_is_number, value)) and isinstance(value[2], int))
-        want = "[start, ratio, count] with an integer count"
-    elif action.nargs == "*":
-        ok, want = isinstance(value, list), "a list"
-    if not ok:
-        raise ConfigError(f"field {action.dest!r} must be {want}, not {value!r}")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def validate(cfg: argparse.Namespace) -> None:
-    if cfg.command in ("profile", "subordinator", "simulate"):
-        if not cfg.set:
-            raise ConfigError("field 'set' is required")
-        if len(cfg.ladder) != 3:
-            raise ConfigError("field 'ladder' must be [start, ratio, count]")
-        start, ratio, count = cfg.ladder
-        if int(count) < 3:
-            raise ConfigError("ladder count must be >= 3")
-        if start <= 0 or ratio <= 0:
-            raise ConfigError("ladder start and ratio must be positive")
-        if cfg.command == "subordinator":
-            if ratio <= 1:
-                raise ConfigError("lam ladders need ratio > 1")
-        elif ratio >= 1:
-            raise ConfigError("eps/r ladders need ratio in (0, 1)")
-    if cfg.command == "simulate" and cfg.seed is None:
-        raise ConfigError("field 'seed' is required for stochastic commands")
-    if cfg.command == "profile" and not cfg.family:
-        raise ConfigError("field 'family' is required")
-    if cfg.command in ("subordinator", "theta") and not cfg.phi:
-        raise ConfigError("field 'phi' is required")
-    if cfg.command == "theta" and cfg.s is None:
-        raise ConfigError("field 's' is required")
-    if cfg.command == "verify" and cfg.suite not in ("fast", "full"):
-        raise ConfigError("suite must be 'fast' or 'full'")
-    if cfg.command == "oracle" and cfg.name not in oracles.NAMED_ORACLES:
-        raise ConfigError(
-            f"unknown oracle {cfg.name!r}; known: {sorted(oracles.NAMED_ORACLES)}")
+        raise ConfigError(f"fields not read by {command!r}: {sorted(unused)}")
+    tokens = []
+    for dest, value in data.items():
+        action = fields.get(dest)                # None for "command"
+        if action is None or value is None:
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == "*" and isinstance(value, list):
+            tokens += [flag, *map(str, value)]
+        elif action.type is _ladder and isinstance(value, list):
+            tokens.append(f"{flag}={','.join(map(str, value))}")
+        elif isinstance(value, (list, dict)):
+            raise ConfigError(f"argument {flag}: expected one value, not {value!r}")
+        else:
+            tokens.append(f"{flag}={value}")
+    return ap.parse_args([command, *tokens, *argv[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +150,8 @@ def parse_model(desc: str) -> LevyModel:
         return LevyModel.subordinator(parse_phi(rest))
     if kind == "subbrownian":
         phi_desc, _, dim = rest.rpartition(",")
-        return LevyModel.subordinate_brownian(parse_phi(phi_desc), int(dim))
+        return LevyModel.subordinate_brownian(parse_phi(phi_desc),
+                                              _dimension(float(dim)))
     raise ConfigError(f"unknown model descriptor {desc!r}")
 
 
@@ -230,14 +200,23 @@ def _emit(report: dict, cfg: argparse.Namespace) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
+def _scales(cfg: argparse.Namespace, grow: bool):
+    """The run's ladder: lam ladders grow (ratio > 1), eps and r ladders
+    shrink (ratio < 1)."""
+    start, ratio, count = cfg.ladder
+    if not (ratio > 1 if grow else ratio < 1):
+        raise ConfigError(f"{'lam' if grow else 'eps/r'} ladders need ratio "
+                          f"{'> 1' if grow else 'in (0, 1)'}")
+    return geometric_ladder(start, ratio, count)
+
+
 def cmd_profile(cfg: argparse.Namespace) -> int:
     cset = parse_set(cfg.set)
     family = parse_family(cfg)
-    start, ratio, count = cfg.ladder
-    eps = geometric_ladder(float(start), float(ratio), int(count))
-    rep = box_profile(cset, family, eps, tol=cfg.tol, mode=cfg.mode,
-                      mesh_ratio=cfg.mesh_ratio, restarts=cfg.restarts,
-                      seed=cfg.seed or 0, max_iter=cfg.max_iter)
+    rep = box_profile(cset, family, _scales(cfg, grow=False), tol=cfg.tol,
+                      mode=cfg.mode, mesh_ratio=cfg.mesh_ratio,
+                      restarts=cfg.restarts, seed=cfg.seed or 0,
+                      max_iter=cfg.max_iter)
     _emit(rep.to_json_dict(), cfg)
     if cfg.csv:
         rep.write_csv(cfg.csv)
@@ -250,9 +229,8 @@ def cmd_profile(cfg: argparse.Namespace) -> int:
 def cmd_subordinator(cfg: argparse.Namespace) -> int:
     cset = parse_set(cfg.set)
     phi = parse_phi(cfg.phi)
-    start, ratio, count = cfg.ladder
-    lam = geometric_ladder(float(start), float(ratio), int(count))
-    rep = subordinator_box_dim(phi, cset, lam, tol=cfg.tol, mode=cfg.mode)
+    rep = subordinator_box_dim(phi, cset, _scales(cfg, grow=True), tol=cfg.tol,
+                               mode=cfg.mode)
     _emit(rep.to_json_dict(), cfg)
     if cfg.csv:
         rep.write_csv(cfg.csv)
@@ -271,10 +249,8 @@ def cmd_theta(cfg: argparse.Namespace) -> int:
 def cmd_simulate(cfg: argparse.Namespace) -> int:
     cset = parse_set(cfg.set)
     model = parse_model(cfg.model)
-    start, ratio, count = cfg.ladder
-    r = geometric_ladder(float(start), float(ratio), int(count))
-    exp = image_dim_experiment(model, cset, cfg.paths, r, seed=cfg.seed,
-                               mode=cfg.mode)
+    exp = image_dim_experiment(model, cset, cfg.paths, _scales(cfg, grow=False),
+                               seed=cfg.seed, mode=cfg.mode)
     _emit(exp.to_json_dict(), cfg)
     if cfg.csv:
         exp.write_csv(cfg.csv)
@@ -324,42 +300,46 @@ COMMANDS = {
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, csv: bool, seed: bool) -> None:
+def _add_common(p: argparse.ArgumentParser, csv: bool) -> None:
     p.add_argument("--config", help="flat JSON config file; flags override it")
     p.add_argument("--out", default="", help="write the JSON report here")
     if csv:
         p.add_argument("--csv", default="",
                        help="write ladder/experiment rows as CSV here")
-    if seed:
-        p.add_argument("--seed", type=int)
 
 
 def _add_ladder_run(p: argparse.ArgumentParser, ratio: str) -> None:
-    p.add_argument("--set", default="")
-    p.add_argument("--ladder", type=_ladder, default=[],
+    p.add_argument("--set", required=True)
+    p.add_argument("--ladder", type=_ladder, required=True,
                    help=f"start,ratio,count (ratio {ratio})")
     p.add_argument("--mode", choices=("least_squares", "upper", "lower"),
                    default="upper")
 
 
 def _ladder(text: str) -> list:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("ladder must be start,ratio,count")
-    return [float(parts[0]), float(parts[1]), int(parts[2])]
+    try:
+        start, ratio, count = text.split(",")
+        start, ratio, count = float(start), float(ratio), int(count)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"ladder must be start,ratio,count with an integer count, "
+            f"not {text!r}") from None
+    if not (start > 0 and ratio > 0 and count >= 3):
+        raise argparse.ArgumentTypeError(
+            f"ladder needs start > 0, ratio > 0 and count >= 3, not {text!r}")
+    return [start, ratio, count]
 
 
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per command; its flags and their defaults are the
     fields of that command's run record."""
-    ap = argparse.ArgumentParser(
-        prog="fracdim",
-        description="dimension profiles of compact sets under Levy kernels")
+    ap = _Parser(prog="fracdim",
+                 description="dimension profiles of compact sets under Levy kernels")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("profile", help="box-dimension profile of a set")
     _add_ladder_run(p, "< 1")
-    p.add_argument("--family", default="",
+    p.add_argument("--family", required=True,
                    help="fh | sandwich:alpha[,d] | exact")
     p.add_argument("--s", type=float)
     p.add_argument("--model", default="")
@@ -371,52 +351,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--max-iter", dest="max_iter", type=int,
                    default=DEFAULT_MAX_ITER)
-    _add_common(p, csv=True, seed=True)
+    p.add_argument("--seed", type=int)
+    _add_common(p, csv=True)
 
     p = sub.add_parser("subordinator", help="growth exponent of 1/Z(lam)")
     _add_ladder_run(p, "> 1")
-    p.add_argument("--phi", default="")
+    p.add_argument("--phi", required=True)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    _add_common(p, csv=True, seed=False)
+    _add_common(p, csv=True)
 
     p = sub.add_parser("theta", help="theta index of a Laplace exponent")
-    p.add_argument("--phi", default="")
-    p.add_argument("--s", type=float)
+    p.add_argument("--phi", required=True)
+    p.add_argument("--s", type=float, required=True)
     p.add_argument("--lam-max", dest="lam_max", type=float,
                    default=THETA_LAM_MAX)
-    _add_common(p, csv=False, seed=False)
+    _add_common(p, csv=False)
 
     p = sub.add_parser("simulate", help="box-count simulated image clouds")
     _add_ladder_run(p, "< 1")
-    p.add_argument("--model", default="",
+    p.add_argument("--model", required=True,
                    help="stable:a[,c[,d]] | subordinator:<phi> | subbrownian:<phi>,d")
     p.add_argument("--paths", type=int, default=32)
-    _add_common(p, csv=True, seed=True)
+    p.add_argument("--seed", type=int, required=True)
+    _add_common(p, csv=True)
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--suite", choices=("fast", "full"), default="fast")
-    _add_common(p, csv=False, seed=True)
+    p.add_argument("--seed", type=int)
+    _add_common(p, csv=False)
 
     p = sub.add_parser("oracle", help="closed-form reference values")
-    p.add_argument("--name", default="")
+    p.add_argument("--name", choices=sorted(oracles.NAMED_ORACLES), required=True)
     p.add_argument("--params", nargs="*", default=[])
-    _add_common(p, csv=False, seed=False)
+    _add_common(p, csv=False)
     return ap
 
 
 def main(argv=None) -> int:
     try:
         cfg = load_config(build_parser(), argv)
-        validate(cfg)
-    except (ConfigError, OSError, json.JSONDecodeError, TypeError) as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
-    try:
         return COMMANDS[cfg.command](cfg)
     except (NonConvergedQuadrature, MaxIterExceeded) as exc:
         sys.stderr.write(f"numerical non-convergence: {exc}\n")
         return EXIT_NUMERICAL
-    except (MeshTooFine, NetTooLarge, TooLarge, ConfigError, ValueError) as exc:
+    except (MeshTooFine, NetTooLarge, TooLarge, ValueError, OSError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except FracdimError as exc:

@@ -213,17 +213,6 @@ def is_psd(K: np.ndarray) -> bool:
 # Frank-Wolfe minimization
 # ---------------------------------------------------------------------------
 
-def _line_search(dKw: float, dKd: float, gmax: float) -> float:
-    """Exact step for f(w + g d) = f + 2 g dKw + g^2 dKd on [0, gmax].
-
-    `_frank_wolfe` inlines this rule; the column-reference loop of the
-    Frank-Wolfe tests calls it."""
-    if dKd > 0:
-        return min(gmax, max(0.0, -dKw / dKd))
-    # concave along d: descent means go to the boundary
-    return gmax if 2 * gmax * dKw + gmax * gmax * dKd < 0 else 0.0
-
-
 def _frank_wolfe(K, w0: np.ndarray, tol: float, max_iter: int):
     """Frank-Wolfe with pairwise steps from w0.
 
@@ -272,8 +261,8 @@ def _frank_wolfe(K, w0: np.ndarray, tol: float, max_iter: int):
         row_fw, row_aw = K[fw], K[aw]
         dKd = row_fw.item(fw) + row_aw.item(aw) - 2.0 * row_fw.item(aw)
         wa = w.item(aw)
-        # exact line search on [0, wa] (`_line_search`); along a concave
-        # direction, descent means going to the boundary
+        # exact line search on [0, wa]; along a concave direction,
+        # descent means going to the boundary
         if dKd > 0:
             gamma = min(wa, max(0.0, -dKw / dKd))
         else:

@@ -206,6 +206,8 @@ class LevyModel:
 
     @classmethod
     def subordinate_brownian(cls, phi: LaplaceExponent, d: int) -> "LevyModel":
+        if d < 1:
+            raise ValueError("need dimension d >= 1")
         return cls("subordinate_brownian", d, lambda r: phi(np.square(r)), phi=phi)
 
     def increment_sampler(self, gaps) -> Callable[[np.random.Generator], np.ndarray]:
@@ -441,14 +443,14 @@ class KernelFamily:
 # Cauchy-weighted energies
 # ---------------------------------------------------------------------------
 
-def cauchy_weighted_energy(weights, psi: Callable, eps: float,
-                           tol: float = CAUCHY_QUAD_TOL) -> float:
+def cauchy_weighted_energy(weights, psi: Callable, eps: float) -> float:
     """int f_C(z) * E_nu(z/eps) dz with f_C the standard Cauchy density on R.
 
     Computed pairwise: the factor int f_C(z) Re exp(-u psi(z/eps)) dz of
     every gap u = |t_i - t_j|, i < j, comes from one vector quadrature
-    whose worst factor error stays below `tol`; so does the total error,
-    because the pair masses sum to at most 1.  `psi` takes arrays.
+    whose worst factor error stays below `CAUCHY_QUAD_TOL`; so does the
+    total error, because the pair masses sum to at most 1.  `psi` takes
+    arrays.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -462,9 +464,9 @@ def cauchy_weighted_energy(weights, psi: Callable, eps: float,
     # is then smooth and bounded on a compact interval
     vals, err = integrate.quad_vec(
         lambda theta: np.exp(-gaps * psi(np.tan(theta) / eps)).real / np.pi,
-        -np.pi / 2, np.pi / 2, epsabs=tol / 4, epsrel=tol / 4, limit=400,
-        norm="max")
-    if not err <= tol:
-        raise NonConvergedQuadrature(
-            f"Cauchy-weighted quadrature error {err:.2e} exceeds {tol:.0e}")
+        -np.pi / 2, np.pi / 2, epsabs=CAUCHY_QUAD_TOL / 4,
+        epsrel=CAUCHY_QUAD_TOL / 4, limit=400, norm="max")
+    if not err <= CAUCHY_QUAD_TOL:
+        raise NonConvergedQuadrature(f"Cauchy-weighted quadrature error "
+                                     f"{err:.2e} exceeds {CAUCHY_QUAD_TOL:.0e}")
     return float(w @ w + 2.0 * (w[i] * w[j]) @ vals)

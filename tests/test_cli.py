@@ -1,7 +1,9 @@
 """Command-line runner: parsing, exit codes, determinism, artifacts."""
 
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +38,8 @@ def test_parse_phi_and_model():
 
 def test_parse_family_needs_parameters():
     def record(*flags):
-        return build_parser().parse_args(["profile", *flags])
+        return build_parser().parse_args(["profile", "--set", "interval:0,1",
+                                          "--ladder", "0.1,0.5,3", *flags])
 
     with pytest.raises(Exception):
         parse_family(record("--family", "fh"))
@@ -86,6 +89,10 @@ def test_validation_exit_codes():
                            "stable:1.5,1,2.7"]) == EXIT_CONFIG
     assert main(["simulate", "--set", "interval:0,1", "--model", "stable:1.5,1,2.7",
                  "--ladder", "0.125,0.5,5", "--seed", "0"]) == EXIT_CONFIG
+    # a subordinate Brownian motion needs an integer dimension d >= 1
+    for model in ("subbrownian:stable:0.5,0", "subbrownian:stable:0.5,2.5"):
+        assert main(["simulate", "--set", "interval:0,1", "--model", model,
+                     "--ladder", "0.125,0.5,5", "--seed", "0"]) == EXIT_CONFIG
     assert main(["theta", "--phi", "stable:0.5", "--s", "0.7",
                  "--lam-max", "inf"]) == EXIT_CONFIG
     assert main(["subordinator", "--set", "interval:0,1", "--phi", "stable:0.5",
@@ -101,6 +108,19 @@ def test_validation_exit_codes():
                          ("interval-exp-min-energy", ["-3"]),
                          ("two-point-energy", ["3"])):
         assert main(["oracle", "--name", name, "--params", *params]) == EXIT_CONFIG
+
+
+def test_config_choice_fails_before_any_rung(tmp_path, monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a rung was solved")
+
+    monkeypatch.setattr(profiles, "rung_min_energy", unreachable)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"command": "profile", "set": "cantor3",
+                                "family": "fh", "s": 1.0,
+                                "ladder": [0.1, 0.5, 7], "mode": "bogus"}))
+    assert main(["profile", "--config", str(path)]) == EXIT_CONFIG
+    assert "argument --mode: invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_numerical_exit_code(tmp_path):
@@ -141,6 +161,10 @@ def test_config_file_roundtrip_and_override(tmp_path, capsys):
                  "--lam-max", "1e26", "--out", str(out)]) == 0
     rep2 = json.loads(out.read_text())
     assert rep2["s"] == 0.5 and abs(rep2["theta"]) <= 0.02
+    # a null field keeps the parser's default
+    path.write_text(json.dumps({**cfg, "lam_max": None}))
+    assert main(["theta", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["lam_max"] == profiles.THETA_LAM_MAX
 
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -148,7 +172,7 @@ def test_config_file_roundtrip_and_override(tmp_path, capsys):
     unknown = tmp_path / "unk.json"
     unknown.write_text(json.dumps({"command": "theta", "wat": 1}))
     assert main(["theta", "--config", str(unknown)]) == EXIT_CONFIG
-    # a value of the wrong JSON type is rejected by name
+    # a value of the wrong JSON type is rejected by its flag's name
     wrong = tmp_path / "wrong.json"
     for field, cfg in (
             ("s", {"command": "theta", "phi": "stable:0.5", "s": [0.7]}),
@@ -164,7 +188,7 @@ def test_config_file_roundtrip_and_override(tmp_path, capsys):
         wrong.write_text(json.dumps(cfg))
         capsys.readouterr()
         assert main([cfg["command"], "--config", str(wrong)]) == EXIT_CONFIG
-        assert repr(field) in capsys.readouterr().err
+        assert f"argument --{field}:" in capsys.readouterr().err
 
 
 def test_config_field_outside_command_is_rejected(tmp_path, capsys):
@@ -328,6 +352,24 @@ def test_oracle_command(capsys):
     assert main(["oracle", "--name", "interval-capacity", "--params", "0.25"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["args"] == {"r": 0.25, "length": 1.0} and rep["value"] == 5
+
+
+def _readme_cli_examples():
+    """The `fracdim ...` commands of the README's CLI block, one argv each."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("fracdim ")]
+
+
+def test_readme_cli_examples_exit_0(tmp_path, monkeypatch):
+    examples = _readme_cli_examples()
+    assert len(examples) == 7
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        if argv[:3] == ["verify", "--suite", "full"]:
+            continue
+        assert main(argv) == 0, argv
 
 
 def test_profile_report_byte_deterministic(tmp_path):

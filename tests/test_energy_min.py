@@ -10,7 +10,7 @@ from fracdim.energy_min import (_RESYNC_EVERY, DEFAULT_MAX_ITER,
                                 DEFAULT_RESTARTS, DEFAULT_TOL, DENSE_NET_CAP,
                                 EnergyResult, KernelMatrix, SimplexWeights,
                                 ToeplitzKernel, _fh_companion_solve,
-                                _frank_wolfe, _line_search, _rung_kernel,
+                                _frank_wolfe, _rung_kernel,
                                 build_kernel,
                                 exp_kernel_certificate, exp_kernel_min_energy,
                                 exp_kernel_potential, is_psd, kkt_certificate,
@@ -294,6 +294,15 @@ def test_min_energy_rejects_asymmetric_kernel():
     assert not np.array_equal(A, A.T)
     with pytest.raises(ValueError, match="symmetric"):
         min_energy(_km(A))
+
+
+def _line_search(dKw: float, dKd: float, gmax: float) -> float:
+    """Exact step for f(w + g d) = f + 2 g dKw + g^2 dKd on [0, gmax]; the
+    rule `_frank_wolfe` inlines."""
+    if dKd > 0:
+        return min(gmax, max(0.0, -dKw / dKd))
+    # concave along d: descent means go to the boundary
+    return gmax if 2 * gmax * dKw + gmax * gmax * dKd < 0 else 0.0
 
 
 def _column_frank_wolfe(K, w0, tol, max_iter):
