@@ -45,7 +45,7 @@ DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 200_000
 DEFAULT_RESTARTS = 4
 ENUM_BUDGET = 200_000_000      # lattice points an exhaustive search may visit
-_ENUM_CHUNK_ROWS = 2_000_000   # lattice points evaluated per block
+_ENUM_CHUNK_ROWS = 1 << 18     # bounds the rows held per enumerated block
 _EQUAL_GAP_RTOL = 1e-12        # equal-gap test of the Toeplitz paths
 PSD_JITTER = 1e-10             # diagonal shift of the Cholesky probe
 _RESYNC_EVERY = 512            # refresh the cached gradient this often
@@ -556,51 +556,30 @@ def _composition_count(total: int, parts: int) -> int:
     return math.comb(total + parts - 1, parts - 1)
 
 
-def _compositions_chunks(total: int, parts: int):
-    """Yield integer arrays whose rows are compositions of `total` into
-    `parts` nonnegative parts, in chunks of about _ENUM_CHUNK_ROWS rows.
+def _compositions(total: int, parts: int, prefix: tuple = ()):
+    """Yield integer blocks whose rows are the compositions of `total` into
+    `parts` nonnegative parts, each row once, every row led by `prefix`.
 
-    Suffix blocks of up to 3 parts are memoized per call; deeper levels are
-    streamed so memory stays proportional to the chunk size.
+    A block is built level by level: each row with r mass left becomes
+    r + 1 rows taking 0..r of it.  Leading counts are split off only while
+    the block would exceed _ENUM_CHUNK_ROWS rows.
     """
-    cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def suffix(tot: int, pts: int) -> np.ndarray:
-        if pts == 1:
-            return np.array([[tot]], dtype=np.int32)
-        key = (tot, pts)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        pieces = []
-        for first in range(tot, -1, -1):
-            rest = suffix(tot - first, pts - 1)
-            block = np.empty((rest.shape[0], pts), dtype=np.int32)
-            block[:, 0] = first
-            block[:, 1:] = rest
-            pieces.append(block)
-        out = np.concatenate(pieces)
-        if pts <= 3:                     # deeper levels would hold GBs at R ~ 200
-            cache[key] = out
-        return out
-
-    if parts == 1:
-        yield np.array([[total]], dtype=np.int32)
+    if parts > 1 and _composition_count(total, parts) > _ENUM_CHUNK_ROWS:
+        for first in range(total + 1):
+            yield from _compositions(total - first, parts - 1, prefix + (first,))
         return
-    buf: list[np.ndarray] = []
-    rows = 0
-    for first in range(total, -1, -1):
-        rest = suffix(total - first, parts - 1)
-        block = np.empty((rest.shape[0], parts), dtype=np.int32)
-        block[:, 0] = first
-        block[:, 1:] = rest
-        buf.append(block)
-        rows += block.shape[0]
-        if rows >= _ENUM_CHUNK_ROWS:
-            yield np.concatenate(buf)
-            buf, rows = [], 0
-    if buf:
-        yield np.concatenate(buf)
+    cols: list[np.ndarray] = []
+    left = np.array([total])
+    for _ in range(parts - 1):
+        reps = left + 1
+        take = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        cols = [np.repeat(c, reps) for c in cols] + [take]
+        left = np.repeat(left, reps) - take
+    block = np.empty((left.size, len(prefix) + parts), dtype=left.dtype)
+    block[:, :len(prefix)] = prefix
+    for k, c in enumerate(cols + [left], start=len(prefix)):
+        block[:, k] = c
+    yield block
 
 
 def min_energy_bruteforce(K: KernelMatrix,
@@ -610,49 +589,51 @@ def min_energy_bruteforce(K: KernelMatrix,
     Independent of the Frank-Wolfe path.  With entries in [0, 1] the value
     is within Lipschitz * resolution of the lattice-free minimum (and much
     closer in practice, since the objective is flat at a minimizer).
-    Raises TooLarge when the lattice exceeds ENUM_BUDGET points.
+    Raises ValueError unless 0 < resolution <= 1, and TooLarge when the
+    lattice exceeds ENUM_BUDGET points.
 
     The first n - 2 counts and the mass t left for the last two points are
-    enumerated; the split (x, t - x) of that mass is a quadratic in x, whose
-    integer minimum over [0, t] lies at floor or floor + 1 of its vertex when
-    it is convex and at an end of the edge otherwise.  So two points per
-    edge are evaluated instead of t + 1, and the minimum is the same.
+    enumerated as m = (prefix, 0, t), and each block of them costs one
+    product AM = M A: Q(m) = m'Am is the row-wise dot of AM and M, and
+    d'Am = AM[:, n-2] - AM[:, n-1] with d = e_{n-2} - e_{n-1}.  The split
+    (x, t - x) of the last mass is then the closed form
+    Q(m + x d) = Q(m) + x (2 d'Am + x d'Ad), whose integer minimum over
+    [0, t] lies at floor or floor + 1 of its vertex when d'Ad > 0 and at an
+    end of the edge otherwise.  So two points per edge are evaluated
+    instead of t + 1, the minimum is the same, and it is divided by R^2
+    once.
     """
+    if not 0 < resolution <= 1:
+        raise ValueError(f"resolution must be in (0, 1], got {resolution}")
     A = K.values
     n = A.shape[0]
     if n > 8:
         raise TooLarge("bruteforce oracle is limited to n <= 8")
     R = int(round(1.0 / resolution))
-    if R < 1:
-        raise ValueError("resolution must be in (0, 1]")
     count = _composition_count(R, n)
     if count > ENUM_BUDGET:
         raise TooLarge(f"{count} lattice points exceed budget {ENUM_BUDGET}; "
                        "pass a coarser resolution")
     if n == 1:
         return float(A[0, 0])
-    d_pot = A[:, n - 2] - A[:, n - 1]            # A d with d = e_{n-2} - e_{n-1}
-    curv = float(d_pot[n - 2] - d_pot[n - 1])    # d'A d
+    curv = float(A[n - 2, n - 2] - 2.0 * A[n - 2, n - 1] + A[n - 1, n - 1])  # d'A d
     best = np.inf
-    for block in _compositions_chunks(R, n - 1):
-        t = block[:, -1].astype(float)
+    for block in _compositions(R, n - 1):
         M = np.zeros((block.shape[0], n))
         M[:, :n - 2] = block[:, :-1]
+        M[:, n - 1] = block[:, -1]
+        t = M[:, n - 1]
+        AM = M @ A
+        q = np.einsum("ij,ij->i", AM, M)
+        slope = AM[:, n - 2] - AM[:, n - 1]
         if curv > 0.0:
-            # m = (prefix, 0, t): Q(m + x d) = Q(m) + 2x d'A m + x^2 d'A d
-            slope = M[:, :n - 2] @ d_pot[:n - 2] + t * d_pot[n - 1]
             x = np.floor(-slope / curv)
             splits = (np.clip(x, 0.0, t), np.clip(x + 1.0, 0.0, t))
         else:
-            splits = (np.zeros_like(t), t)
+            splits = (0.0, t)
         for x in splits:
-            M[:, n - 2] = x
-            M[:, n - 1] = t - x
-            W = M / R
-            m = float(np.einsum("ij,jk,ik->i", W, A, W).min())
-            if m < best:
-                best = m
-    return best
+            best = min(best, float((q + x * (2.0 * slope + x * curv)).min()))
+    return best / (R * R)
 
 
 # ---------------------------------------------------------------------------

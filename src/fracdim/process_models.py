@@ -450,9 +450,11 @@ def cauchy_weighted_energy(weights, psi: Callable, eps: float) -> float:
     every gap u = |t_i - t_j|, i < j, comes from one vector quadrature
     whose worst factor error stays below `CAUCHY_QUAD_TOL`; so does the
     total error, because the pair masses sum to at most 1.  `psi` takes
-    arrays.
+    arrays and must satisfy psi(-xi) = conj psi(xi), as the exponent of
+    every real-valued process does; the integrand is then even in z and
+    only z >= 0 is integrated.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     pts, w = weights.points, weights.w
     i, j = np.triu_indices(len(pts), k=1)
@@ -463,8 +465,8 @@ def cauchy_weighted_energy(weights, psi: Callable, eps: float) -> float:
     # z = tan(theta) absorbs the Cauchy weight exactly; the integrand
     # is then smooth and bounded on a compact interval
     vals, err = integrate.quad_vec(
-        lambda theta: np.exp(-gaps * psi(np.tan(theta) / eps)).real / np.pi,
-        -np.pi / 2, np.pi / 2, epsabs=CAUCHY_QUAD_TOL / 4,
+        lambda theta: np.exp(-gaps * psi(np.tan(theta) / eps)).real * (2.0 / np.pi),
+        0.0, np.pi / 2, epsabs=CAUCHY_QUAD_TOL / 4,
         epsrel=CAUCHY_QUAD_TOL / 4, limit=400, norm="max")
     if not err <= CAUCHY_QUAD_TOL:
         raise NonConvergedQuadrature(f"Cauchy-weighted quadrature error "

@@ -1,5 +1,7 @@
 """Kernel assembly, Frank-Wolfe minimization, and its oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -506,6 +508,35 @@ def test_bruteforce_equals_every_lattice_point(n, R):
     for A in (psd, indefinite, concave):
         want = float(np.einsum("ij,jk,ik->i", lattice, A, lattice).min())
         assert abs(min_energy_bruteforce(_km(A), resolution=1 / R) - want) <= 1e-14
+
+
+@pytest.mark.parametrize("R,k", [(0, 1), (5, 1), (0, 3), (1, 4), (6, 3), (9, 5)])
+def test_compositions_enumerates_each_lattice_row_once(R, k):
+    rows = np.concatenate(list(energy_min._compositions(R, k)))
+    assert rows.shape == (math.comb(R + k - 1, k - 1), k)
+    assert np.all(rows >= 0) and np.all(rows.sum(axis=1) == R)
+    assert len({tuple(r) for r in rows}) == rows.shape[0]
+
+
+def test_compositions_split_on_leading_counts(monkeypatch):
+    """Blocks capped below the lattice size split on their leading counts,
+    together give the same rows, and leave the oracle's minimum unchanged."""
+    km = random_psd_kernel(np.random.default_rng(3), 5)
+    whole = {tuple(r) for r in np.concatenate(list(energy_min._compositions(12, 4)))}
+    want = min_energy_bruteforce(km, resolution=1 / 12)
+    monkeypatch.setattr(energy_min, "_ENUM_CHUNK_ROWS", 20)
+    blocks = list(energy_min._compositions(12, 4))
+    assert len(blocks) > 1 and max(b.shape[0] for b in blocks) <= 20
+    rows = np.concatenate(blocks)
+    assert rows.shape[0] == len(whole) and {tuple(r) for r in rows} == whole
+    assert min_energy_bruteforce(km, resolution=1 / 12) == want
+
+
+@pytest.mark.parametrize("resolution", [0.0, -0.1, 1.5, float("nan"), float("inf")])
+def test_bruteforce_rejects_resolution_outside_unit_interval(resolution):
+    # 1.5 would round to R = 1 and return 1.0 on eye(2), whose minimum is 0.5
+    with pytest.raises(ValueError, match="resolution"):
+        min_energy_bruteforce(_km(np.eye(2)), resolution=resolution)
 
 
 def test_bruteforce_vs_fw_on_3x3_fh_kernel():

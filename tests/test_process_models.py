@@ -6,7 +6,8 @@ from scipy import integrate, special
 
 from fracdim.errors import NonConvergedQuadrature
 from fracdim.energy_min import SimplexWeights
-from fracdim.process_models import (KernelFamily, LaplaceExponent, LevyModel,
+from fracdim.process_models import (CAUCHY_QUAD_TOL, KernelFamily,
+                                    LaplaceExponent, LevyModel,
                                     cauchy_weighted_energy,
                                     kappa_monte_carlo, kappa_stable_1d,
                                     one_sided_stable,
@@ -277,6 +278,50 @@ def test_cauchy_weighted_energy_rejects_undamped_exponent():
     two = SimplexWeights(np.array([0.5, 0.5]), np.array([0.0, 1.0]))
     with pytest.raises(NonConvergedQuadrature):
         cauchy_weighted_energy(two, lambda xi: 1j * xi, 0.1)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.5, float("nan")])
+def test_cauchy_weighted_energy_rejects_nonpositive_eps(eps):
+    two = SimplexWeights(np.array([0.5, 0.5]), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="eps"):
+        cauchy_weighted_energy(two, np.abs, eps)
+
+
+def _full_range_energy(weights, psi, eps):
+    """Reference: the factor quadrature over the whole range (-pi/2, pi/2)
+    of theta, with no symmetry assumed."""
+    pts, w = weights.points, weights.w
+    i, j = np.triu_indices(len(pts), k=1)
+    gaps = np.abs(pts[i] - pts[j])
+    vals, err = integrate.quad_vec(
+        lambda theta: np.exp(-gaps * psi(np.tan(theta) / eps)).real / np.pi,
+        -np.pi / 2, np.pi / 2, epsabs=CAUCHY_QUAD_TOL / 4,
+        epsrel=CAUCHY_QUAD_TOL / 4, limit=400, norm="max")
+    if not err <= CAUCHY_QUAD_TOL:
+        raise NonConvergedQuadrature(f"reference error {err:.2e}")
+    return float(w @ w + 2.0 * (w[i] * w[j]) @ vals)
+
+
+@pytest.mark.parametrize("name,psi,tol", [
+    # the stable 1/2 exponent has a root singularity at xi = 0, so the two
+    # adaptive quadratures refine it differently and meet only to ~1e-11
+    ("C10 stable 1/2", LaplaceExponent.stable(0.5).psi, 2e-11),
+    ("C11 |xi|", np.abs, 1e-12),
+    ("C11 |xi|^2", np.square, 1e-12),
+    # no drift: a drift's factor oscillates without decay in z, and the
+    # quadrature raises on either range (see the undamped-exponent test)
+    ("compound Poisson", LaplaceExponent.compound_poisson_drift(2.0, 0.5, 0.0).psi, 1e-12),
+])
+def test_cauchy_half_range_matches_full_range(name, psi, tol):
+    """psi(-xi) = conj psi(xi) makes the integrand even, so integrating
+    [0, pi/2] with weight 2/pi gives the whole-range energy."""
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        pts = np.sort(rng.uniform(0, 1, 10))
+        w = SimplexWeights(rng.dirichlet(np.ones(10)), pts)
+        for eps in (0.5, 0.1, 0.01):
+            got = cauchy_weighted_energy(w, psi, eps)
+            assert abs(got - _full_range_energy(w, psi, eps)) <= tol, (name, eps)
 
 
 def test_cauchy_weighted_energy_subordinator_identity():
