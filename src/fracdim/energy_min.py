@@ -8,24 +8,22 @@ Exponential kernels exp(-a|t_i - t_j|) have an exact O(n) minimizer
 (`exp_kernel_min_energy`): the kernel is a Markov covariance, so no
 matrix is formed and no iteration runs.  Every other kernel is solved by
 Frank-Wolfe over the simplex (with away steps, so positive semidefinite
-kernels converge linearly instead of zigzagging).  Every distance kernel
-on an equal-gap net is Toeplitz: one vector of 2n - 1 values gives every
-row, and K w is an FFT product, so no n x n matrix is formed; kernels on
-other nets are assembled densely.
-The linear minimization oracle over the simplex is a coordinate argmin,
-ties broken at the lowest index, and the duality gap
-2(w'Kw - min_i (Kw)_i) comes for free; for PSD kernels it certifies
-global optimality.  Kernels that fail a Cholesky probe are minimized from
-up to `restarts` starts, the later ones seeded Dirichlet draws that run
-only when the first start does not meet the gap test, and the best
-stationary point is returned, flagged.
+kernels converge linearly instead of zigzagging), on a `ToeplitzKernel`
+on equal-gap nets and a dense matrix otherwise.  The linear minimization
+oracle over the simplex is a coordinate argmin, ties broken at the
+lowest index, and the duality gap 2(w'Kw - min_i (Kw)_i) comes for free;
+for PSD kernels it certifies global optimality.  Kernels that fail a
+Cholesky probe are minimized from up to `restarts` starts, the later
+ones seeded Dirichlet draws that run only when the first start does not
+meet the gap test, and the best stationary point is returned, flagged.
 
-The power-law (Falconer-Howroyd) kernel min(1, (eps/r)^s) is indefinite,
-but its Polya companion c(r) = (1 + r/eps)^(-s) is positive definite
-and lies between 2^(-s) fh and fh.  `rung_min_energy` solves the
-companion exactly (a Toeplitz solve on equal-gap nets, Cholesky
-otherwise), starts the fh solve at its minimizer and reports its minimum
-Z_c as a lower bound: Z_c <= Z_fh <= 2^s Z_c.
+The power-law (Falconer-Howroyd) kernel fh(r) = min(1, (eps/r)^s) is
+indefinite; sandwich kernels are fh at (d/alpha, eps^alpha).  Its
+greatest convex minorant g (1 - m r up to r* = eps (1+s)^(1/s), with
+m = s / ((1+s) r*), fh beyond) is positive definite by Polya's criterion,
+and g <= fh <= R(s) g, R(s) = 1 / (1 - (s/(1+s)) (1+s)^(-1/s)) (1.174 at
+s = 1/2, 1.483 at s = 3/2).  `rung_min_energy` solves g exactly, starts
+at its minimizer and reports its minimum as Z_lower <= Z <= R(s) Z_lower.
 """
 
 from __future__ import annotations
@@ -149,6 +147,7 @@ class EnergyResult:
             "n": int(self.weights.w.size),
             "Z": self.value,
             "Z_lower": self.Z_lower,
+            "ratio": None if self.Z_lower is None else self.value / self.Z_lower,
             "duality_gap": self.duality_gap,
             "iterations": self.iterations,
             "restarts_used": self.restarts_used,
@@ -163,34 +162,39 @@ class EnergyResult:
 # ---------------------------------------------------------------------------
 
 def build_kernel(family: KernelFamily, scale: float, net: DeltaNet) -> KernelMatrix:
-    """Assemble K_ij = K_scale(|t_i - t_j|) over a net.
+    """Assemble K_ij = K_scale(|t_i - t_j|) densely over a net (`_assemble`).
 
-    K is written in blocks of _ROW_BLOCK rows, each one elementwise
-    evaluation of the family on |t_block - t|; K_ji comes from the same
-    distance as K_ij, so K is exactly symmetric.  Quadrature and Monte
-    Carlo ("exact") kernels instead evaluate the condensed upper triangle
-    with repeated distances collapsed first, which matters on regular
-    grids.
+    Quadrature and Monte Carlo ("exact") kernels are evaluated once per
+    distinct distance of the net and looked up, which matters on regular
+    and self-similar nets.
     """
     pts = net.points
-    n = pts.size
-    if n > DENSE_NET_CAP:
-        raise NetTooLarge(f"net has {n} points, dense cap is {DENSE_NET_CAP}")
+    if pts.size > DENSE_NET_CAP:
+        raise NetTooLarge(f"net has {pts.size} points, dense cap is {DENSE_NET_CAP}")
+    kernel = lambda r: family.evaluate(scale, r)
     if family.kind == "exact":
-        iu, ju = np.triu_indices(n, k=1)
-        uniq, inv = np.unique(np.abs(pts[iu] - pts[ju]), return_inverse=True)
-        vals = (family.evaluate(scale, uniq) if uniq.size else np.empty(0))[inv]
-        K = np.eye(n)
-        K[iu, ju] = vals
-        K[ju, iu] = vals
-    else:
-        K = np.empty((n, n))
-        for i in range(0, n, _ROW_BLOCK):
-            K[i:i + _ROW_BLOCK] = family.evaluate(
-                scale, np.abs(pts[i:i + _ROW_BLOCK, None] - pts))
+        uniq = np.unique(np.abs(pts[:, None] - pts))
+        table = family.evaluate(scale, uniq)
+        kernel = lambda r: table[np.searchsorted(uniq, r)]
+    return _assemble(kernel, pts, None)
+
+
+def _assemble(kernel, pts: np.ndarray, dist) -> KernelMatrix:
+    """K_ij = kernel(|t_i - t_j|), clipped to [0, 1] with unit diagonal: a
+    `ToeplitzKernel` of kernel(dist) given the distances k h of an
+    equal-gap net (`_grid_distances`), else dense, written in blocks of
+    _ROW_BLOCK rows; K_ji comes from the same distance as K_ij, so K is
+    exactly symmetric."""
+    if dist is not None:
+        col = np.clip(kernel(dist), 0.0, 1.0)
+        col[0] = 1.0
+        return KernelMatrix(ToeplitzKernel(col), pts.copy())
+    K = np.empty((pts.size, pts.size))
+    for i in range(0, pts.size, _ROW_BLOCK):
+        K[i:i + _ROW_BLOCK] = kernel(np.abs(pts[i:i + _ROW_BLOCK, None] - pts))
     np.clip(K, 0.0, 1.0, out=K)
     np.fill_diagonal(K, 1.0)
-    return KernelMatrix(values=K, points=pts.copy())
+    return KernelMatrix(K, pts.copy())
 
 
 def is_psd(K: np.ndarray) -> bool:
@@ -463,50 +467,29 @@ def _grid_distances(points) -> np.ndarray | None:
     return None
 
 
-def _rung_kernel(family: KernelFamily, scale: float, net: DeltaNet) -> KernelMatrix:
-    """The kernel of one rung: a `ToeplitzKernel` on equal-gap nets, the
-    family evaluated once on the distances k h; `build_kernel` otherwise.
-    Both stop at DENSE_NET_CAP points."""
-    dist = _grid_distances(net.points)
-    if dist is None:
-        return build_kernel(family, scale, net)
-    if dist.size > DENSE_NET_CAP:
-        raise NetTooLarge(f"net has {dist.size} points, dense cap is {DENSE_NET_CAP}")
-    col = np.clip(family.evaluate(scale, dist), 0.0, 1.0)
-    col[0] = 1.0
-    return KernelMatrix(values=ToeplitzKernel(col), points=net.points.copy())
+def _convex_minorant(family: KernelFamily, scale: float, r) -> np.ndarray:
+    """g(r), the greatest convex minorant of a power-law kernel on r >= 0
+    (module docstring); the power law is evaluated only at r > eps."""
+    s, eps = family.power_law(scale)
+    r_star = eps * (1.0 + s) ** (1.0 / s)
+    g = family.evaluate(scale, r)
+    near = r <= r_star
+    g[near] = 1.0 - s / ((1.0 + s) * r_star) * r[near]
+    return g
 
 
-def _fh_companion_solve(points, s: float, eps: float):
-    """v = C^-1 1 for the Polya companion C_ij = (1 + |t_i - t_j|/eps)^(-s)
-    of the power-law kernel on sorted points, or None when the solve
-    fails.
-
-    c(r) = (1 + r/eps)^(-s) is convex, decreasing and tends to 0, so by
-    Polya's criterion C is positive definite on distinct points, and
-    2^(-s) fh <= c <= fh elementwise.  On an equal-gap net
-    (`_grid_distances`) C is built from the exact distances k h and
-    solved as a symmetric Toeplitz system by Levinson recursion in O(n)
-    memory.  Other nets are assembled densely and Cholesky-factored in
-    place: C.T is the same symmetric matrix in Fortran order, which
-    LAPACK overwrites without a copy.
-    """
-    pts = np.asarray(points, dtype=float)
-    n = pts.size
-    dist = _grid_distances(pts)
+def _minorant_solve(G) -> np.ndarray | None:
+    """v = G^-1 1 for a positive definite `ToeplitzKernel` (Levinson, O(n)
+    memory) or dense G (Cholesky in place on G.T, the same matrix in
+    Fortran order), or None when the solve fails."""
+    ones = np.ones(G.shape[0])
     try:
-        if dist is not None:
-            v = linalg.solve_toeplitz((1.0 + dist / eps) ** -s, np.ones(n),
-                                      check_finite=False)
+        if isinstance(G, ToeplitzKernel):
+            v = linalg.solve_toeplitz(G.col, ones, check_finite=False)
         else:
-            C = pts[:, None] - pts
-            np.abs(C, out=C)
-            C /= eps
-            C += 1.0
-            np.power(C, -s, out=C)
-            v = linalg.cho_solve(linalg.cho_factor(C.T, overwrite_a=True,
+            v = linalg.cho_solve(linalg.cho_factor(G.T, overwrite_a=True,
                                                    check_finite=False),
-                                 np.ones(n), check_finite=False)
+                                 ones, check_finite=False)
     except np.linalg.LinAlgError:
         return None
     return v if np.all(np.isfinite(v)) else None
@@ -514,36 +497,36 @@ def _fh_companion_solve(points, s: float, eps: float):
 
 def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
                     tol: float = DEFAULT_TOL, **solver_kw) -> EnergyResult:
-    """Minimum energy of one family at one scale over a net.
+    """Minimum energy of one family at one scale over a net, passing
+    `solver_kw` (restarts, seed, max_iter) to `min_energy`.
 
-    The kernel comes from `_rung_kernel` (Toeplitz rows on equal-gap nets,
-    dense otherwise) and is passed to `min_energy` with `solver_kw`
-    (restarts, seed, max_iter).
-
-    Power-law (`fh`) rungs first solve the Polya companion exactly
-    (`_fh_companion_solve`).  Clipped at 0 and normalized, v = C^-1 1 is
-    the `start` of the Frank-Wolfe solve (reported as "companion" when
-    it beats the uniform measure); if the solve fails the uniform start
-    is used.  When every v_i > 0, w = v / 1'v is the companion's
-    minimizer over the simplex, and Z_lower = 1/1'v <= Z_fh because
-    c <= fh; since Z_fh <= w'Kw <= 2^s Z_lower, the result then also
-    satisfies Z <= 2^s Z_lower.  Z_lower is None otherwise.  The bound
-    holds up to rounding and the equal-gap tolerance stated in
-    `_grid_distances`.
+    Nets above DENSE_NET_CAP points raise NetTooLarge before any solve.
+    Each kernel is Toeplitz on equal-gap nets (`_grid_distances`) and
+    dense otherwise.  Power-law rungs first solve their convex minorant g
+    (1 - m r up to r* = eps (1+s)^(1/s), the power law beyond) exactly and
+    free it.  With v = G^-1 1 clipped at 0, v/1'v is the Frank-Wolfe
+    `start` ("minorant" when it beats the uniform measure); when every
+    v_i > 0, Z_lower = 1/1'v satisfies Z_lower <= Z <= R(s) Z_lower up to
+    rounding, and Z_lower is None otherwise.
     """
-    if family.kind != "fh":
-        return min_energy(_rung_kernel(family, scale, net), tol=tol, **solver_kw)
-    v = _fh_companion_solve(net.points, family.params["s"], scale)
+    pts = net.points
+    if pts.size > DENSE_NET_CAP:
+        raise NetTooLarge(f"net has {pts.size} points, dense cap is {DENSE_NET_CAP}")
+    dist = _grid_distances(pts)
     start = z_lower = None
-    if v is not None:
-        if np.all(v > 0):
-            z_lower = 1.0 / float(v.sum())
-        v = np.clip(v, 0.0, None)
-        start = v / v.sum()
-    res = min_energy(_rung_kernel(family, scale, net), tol=tol, start=start,
-                     **solver_kw)
+    if family.power_law(scale) is not None:
+        v = _minorant_solve(_assemble(lambda r: _convex_minorant(family, scale, r),
+                                      pts, dist).values)
+        if v is not None:
+            if np.all(v > 0):
+                z_lower = 1.0 / float(v.sum())
+            v = np.clip(v, 0.0, None)
+            start = v / v.sum()
+    K = (build_kernel(family, scale, net) if dist is None
+         else _assemble(lambda r: family.evaluate(scale, r), pts, dist))
+    res = min_energy(K, tol=tol, start=start, **solver_kw)
     if res.start == "given":
-        res.start = "companion"
+        res.start = "minorant"
     res.Z_lower = z_lower
     return res
 

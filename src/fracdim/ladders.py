@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MODES = ("least_squares", "upper", "lower")
+TRANSFORMS = {"log": np.log, "neg_log": lambda v: -np.log(v),   # axes, by name
+              "log_inv": lambda s: np.log(1.0 / s)}
 
 
 def _chord_slopes(lx: np.ndarray, ly: np.ndarray) -> np.ndarray:
@@ -64,9 +66,11 @@ class LadderEstimate:
     """A log-log regression record of values over a geometric scale ladder.
 
     `slope` is the estimate in the requested `mode`; the other modes are
-    kept alongside so reports can show the envelope spread.  Fitting the
-    stored (scales, values) again with the same transforms reproduces
-    `slope` exactly.
+    kept alongside so reports can show the envelope spread.  The axes are
+    fitted as x_transform(scales) and y_transform(values), named from
+    TRANSFORMS (an unknown name raises KeyError), so fitting the (scales,
+    values) of `to_dict` again with its mode and transform names
+    reproduces `slope` exactly.
     """
 
     scales: np.ndarray
@@ -76,10 +80,12 @@ class LadderEstimate:
     intercept: float
     max_residual: float
     all_slopes: dict = field(default_factory=dict)
+    x_transform: str = "log"
+    y_transform: str = "log"
 
     @classmethod
     def fit(cls, scales, values, mode: str = "least_squares",
-            x_transform=np.log, y_transform=np.log) -> "LadderEstimate":
+            x_transform: str = "log", y_transform: str = "log") -> "LadderEstimate":
         if mode not in MODES:
             raise ValueError(f"unknown slope mode {mode!r}")
         scales = np.asarray(scales, dtype=float)
@@ -89,11 +95,13 @@ class LadderEstimate:
         d = np.diff(scales)
         if not (np.all(d > 0) or np.all(d < 0)):
             raise ValueError("scales must be strictly monotone")
-        est = slope_estimates(x_transform(scales), y_transform(values))
+        est = slope_estimates(TRANSFORMS[x_transform](scales),
+                              TRANSFORMS[y_transform](values))
         return cls(scales=scales, values=values, mode=mode,
                    slope=est[mode], intercept=est["intercept"],
                    max_residual=est["max_residual"],
-                   all_slopes={m: est[m] for m in MODES})
+                   all_slopes={m: est[m] for m in MODES},
+                   x_transform=x_transform, y_transform=y_transform)
 
     def to_dict(self) -> dict:
         return {
@@ -104,4 +112,6 @@ class LadderEstimate:
             "intercept": self.intercept,
             "max_residual": self.max_residual,
             "all_slopes": dict(sorted(self.all_slopes.items())),
+            "x_transform": self.x_transform,
+            "y_transform": self.y_transform,
         }

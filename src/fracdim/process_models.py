@@ -359,10 +359,12 @@ def kappa_monte_carlo(model: LevyModel, eps: float, t: float, n: int,
 class KernelFamily:
     """One of the comparison kernels K_scale(r), all mapping into [0, 1].
 
-    kinds and scale semantics:
+    kinds and scale semantics (`power_law` gives the fh pair (s, eps)):
       "fh"        min(1, (scale/r)**s)            scale = eps
-      "sandwich"  min(1, scale/r**(1/alpha))**d   scale = eps
+      "sandwich"  min(1, scale/r**(1/alpha))**d   = fh at (d/alpha, scale**alpha)
       "exact"     kappa_scale(r) of a LevyModel   scale = eps
+    A power law lies between g and R(s) g, g its greatest convex minorant
+    (`energy_min`), R(s) = 1 / (1 - (s/(1+s)) (1+s)^(-1/s)).
     """
 
     kind: str
@@ -393,6 +395,16 @@ class KernelFamily:
         """
         return cls("exact", {}, model=model, seed=seed)
 
+    def power_law(self, scale: float) -> tuple[float, float] | None:
+        """(s, eps) with K_scale(r) = min(1, (eps/r)**s), or None for
+        kernels that are not power laws."""
+        if self.kind == "fh":
+            return self.params["s"], scale
+        if self.kind == "sandwich":
+            alpha = self.params["alpha"]
+            return self.params["d"] / alpha, scale ** alpha
+        return None
+
     def evaluate(self, scale: float, r) -> np.ndarray:
         """Vectorized K_scale(r) for r >= 0."""
         if scale <= 0:
@@ -400,17 +412,12 @@ class KernelFamily:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r < 0):
             raise ValueError("distances must be nonnegative")
-        if self.kind == "fh":
-            s = self.params["s"]
+        power = self.power_law(scale)
+        if power is not None:
+            s, eps = power
             vals = np.ones_like(r)
-            far = r > scale                      # power stays <= 1, no overflow
-            vals[far] = (scale / r[far]) ** s
-            return vals
-        if self.kind == "sandwich":
-            alpha, d = self.params["alpha"], self.params["d"]
-            vals = np.ones_like(r)
-            far = r > scale ** alpha
-            vals[far] = (scale / r[far] ** (1.0 / alpha)) ** d
+            far = r > eps                        # power stays <= 1, no overflow
+            vals[far] = (eps / r[far]) ** s
             return vals
         if self.kind == "exact":
             return self._evaluate_exact(scale, r)

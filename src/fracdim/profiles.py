@@ -177,7 +177,7 @@ def subordinator_box_dim(phi: LaplaceExponent, cset: CompactSet, lam_ladder,
         cset, lam, mesh,
         lambda k, l, net: exp_kernel_min_energy(net.points, float(phi(l)), tol))
     ladder = LadderEstimate.fit(lam, np.array([r.value for r in results]),
-                                mode=mode, y_transform=lambda v: -np.log(v))
+                                mode=mode, y_transform="neg_log")
     return _ladder_report(cset, "subexp", {"phi": phi.to_config()}, ladder,
                           meshes, results)
 

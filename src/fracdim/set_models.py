@@ -286,4 +286,4 @@ def minkowski_dim_estimate(cloud, r_ladder, mode: str = "upper") -> LadderEstima
         raise DegenerateLadder(
             f"capacity constant at {int(counts[0])} across the ladder")
     return LadderEstimate.fit(r_ladder, counts, mode=mode,
-                              x_transform=lambda s: np.log(1.0 / s))
+                              x_transform="log_inv")

@@ -192,7 +192,7 @@ def check_subordinator_criterion(seed: int = 0) -> CheckResult:
     rep = subordinator_box_dim(drift, CompactSet.interval(0, 1), lam)
     exact = np.array([oracles.interval_exp_kernel_energy(l) for l in lam])
     exact_slope = LadderEstimate.fit(lam, exact, mode="upper",
-                                     y_transform=lambda v: -np.log(v)).slope
+                                     y_transform="neg_log").slope
     details["drift"] = rep.estimate
     details["drift_exact_integral_slope"] = exact_slope
     ok = ok and abs(rep.estimate - 1.0) <= 0.02 and abs(exact_slope - 1.0) <= 0.02

@@ -11,8 +11,9 @@ from fracdim.errors import (CertificateFailed, MaxIterExceeded, NetTooLarge,
 from fracdim.energy_min import (_RESYNC_EVERY, DEFAULT_MAX_ITER,
                                 DEFAULT_RESTARTS, DEFAULT_TOL, DENSE_NET_CAP,
                                 EnergyResult, KernelMatrix, SimplexWeights,
-                                ToeplitzKernel, _fh_companion_solve,
-                                _frank_wolfe, _rung_kernel,
+                                ToeplitzKernel, _assemble, _convex_minorant,
+                                _frank_wolfe, _grid_distances,
+                                _minorant_solve,
                                 build_kernel,
                                 exp_kernel_certificate, exp_kernel_min_energy,
                                 exp_kernel_potential, is_psd, kkt_certificate,
@@ -160,7 +161,7 @@ def test_fh_start_never_exceeds_uniform_energy():
             km = build_kernel(fam, 0.05, net)
             uniform = float(km.values.mean())
             res = rung_min_energy(fam, 0.05, net, restarts=2)
-            assert res.start in ("companion", "uniform")
+            assert res.start in ("minorant", "uniform")
             assert res.value <= uniform + 1e-12
             # a point mass (energy 1) loses to the uniform measure
             mass = np.zeros(net.points.size)
@@ -171,15 +172,58 @@ def test_fh_start_never_exceeds_uniform_energy():
         min_energy(km, start=np.full(net.points.size, 0.5))
 
 
+def _minorant_v(fam, scale, pts):
+    """v = G^-1 1 for the convex minorant on the rung's own route."""
+    return _minorant_solve(_assemble(lambda r: _convex_minorant(fam, scale, r),
+                                     pts, _grid_distances(pts)).values)
+
+
 def test_fh_companion_solve_matches_dense_solve():
+    """The convex minorant's solve (Toeplitz on the interval net, Cholesky
+    on the others) against a dense solve of g written out in full; g lies
+    between fh / R(s) and fh."""
     for net in _fh_test_nets():
         pts = net.points
-        for s, eps in ((0.5, 0.01), (1.5, 0.1)):
-            C = (1.0 + np.abs(pts[:, None] - pts) / eps) ** -s
-            v = _fh_companion_solve(pts, s, eps)
-            ref = np.linalg.solve(C, np.ones(pts.size))
+        D = np.abs(pts[:, None] - pts)
+        for fam, scale in ((KernelFamily.fh(0.5), 0.01), (KernelFamily.fh(1.5), 0.1),
+                           (KernelFamily.stable_sandwich(1.3, 1), 0.02)):
+            s, eps = fam.power_law(scale)
+            r_star = eps * (1 + s) ** (1 / s)
+            G = np.where(D <= r_star, 1 - s / ((1 + s) * r_star) * D,
+                         (eps / np.maximum(D, r_star)) ** s)
+            K = fam.evaluate(scale, D)
+            R = 1 / (1 - s / (1 + s) * (1 + s) ** (-1 / s))
+            assert np.all(G <= K) and np.all(K <= R * G * (1 + 1e-12))
+            v = _minorant_v(fam, scale, pts)
+            ref = np.linalg.solve(G, np.ones(pts.size))
             assert np.max(np.abs(v - ref)) <= 1e-9 * np.max(np.abs(ref))
-    assert _fh_companion_solve(np.array([0.0, 0.0, 1.0]), 1.0, 0.1) is None
+    assert _minorant_v(KernelFamily.fh(1.0), 0.1, np.array([0.0, 0.0, 1.0])) is None
+
+
+def test_sandwich_rung_is_the_fh_rung_at_mapped_parameters():
+    """stable_sandwich(alpha, d) at eps is fh(d/alpha) at eps^alpha: the
+    same Z, Z_lower and start, on an interval net and a Cantor net."""
+    for net in (discretize(CompactSet.interval(0, 1), 0.004),
+                discretize(CompactSet.cantor(), 3.0 ** -6)):
+        for alpha, d, eps in ((1.3, 1, 0.02), (0.7, 2, 0.05)):
+            sw = rung_min_energy(KernelFamily.stable_sandwich(alpha, d), eps, net,
+                                 restarts=2)
+            fh = rung_min_energy(KernelFamily.fh(d / alpha), eps ** alpha, net,
+                                 restarts=2)
+            assert sw.start == "minorant" and sw.Z_lower is not None
+            assert (sw.value, sw.Z_lower, sw.start) == (fh.value, fh.Z_lower, fh.start)
+
+
+def test_net_too_large_raises_before_any_solve(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solve ran on a net above the cap")
+
+    monkeypatch.setattr(energy_min.linalg, "solve_toeplitz", unreachable)
+    monkeypatch.setattr(energy_min.linalg, "cho_factor", unreachable)
+    big = np.linspace(0, 1, DENSE_NET_CAP + 2)
+    for pts in (big, big ** 2):
+        with pytest.raises(NetTooLarge):
+            rung_min_energy(KernelFamily.fh(0.5), 0.1, DeltaNet(pts))
 
 
 def test_min_energy_restarts_only_after_failed_first_run(monkeypatch):
@@ -188,7 +232,7 @@ def test_min_energy_restarts_only_after_failed_first_run(monkeypatch):
     statuses = _counting_frank_wolfe(monkeypatch)
     res = rung_min_energy(fam, 0.028, net, restarts=4)
     assert statuses == ["gap"] and res.restarts_used == 1
-    assert res.converged and res.flagged_nonconvex and res.start == "companion"
+    assert res.converged and res.flagged_nonconvex and res.start == "minorant"
     statuses.clear()
     with pytest.raises(MaxIterExceeded) as ei:
         min_energy(build_kernel(fam, 0.028, net), max_iter=5, restarts=4)
@@ -197,7 +241,7 @@ def test_min_energy_restarts_only_after_failed_first_run(monkeypatch):
 
 
 def test_companion_start_matches_two_start_reference():
-    """fh_profile rungs up to n = 537: one companion-started solve against
+    """fh_profile rungs up to n = 537: one minorant-started solve against
     the better of the uniform and the seed-k Dirichlet Frank-Wolfe runs."""
     ladders = [(CompactSet.interval(0, 1), 0.5, 0.028 * 3.0 ** -np.arange(2),
                 5.0, 2e-4),
@@ -208,7 +252,7 @@ def test_companion_start_matches_two_start_reference():
             net = discretize(cset, e / mesh_ratio)
             assert net.points.size <= 537
             res = rung_min_energy(fam, e, net, restarts=2, seed=k)
-            assert res.start == "companion" and res.restarts_used == 1
+            assert res.start == "minorant" and res.restarts_used == 1
             A = build_kernel(fam, e, net).values
             n = A.shape[0]
             w_dir = np.random.default_rng(k).dirichlet(np.ones(n))
@@ -237,7 +281,8 @@ def test_toeplitz_rows_and_product_match_dense_kernel():
               (KernelFamily.exact(LevyModel.isotropic_stable(1.5)), 0.1, 41)]
     for fam, scale, n in cases:
         net = DeltaNet(np.linspace(0.0, 1.0, n))
-        T = _rung_kernel(fam, scale, net).values
+        T = _assemble(lambda r: fam.evaluate(scale, r), net.points,
+                      _grid_distances(net.points)).values
         D = build_kernel(fam, scale, net).values
         assert isinstance(T, ToeplitzKernel) and T.shape == D.shape
         assert max(np.max(np.abs(T[i] - D[i])) for i in range(n)) <= 3e-14
@@ -249,7 +294,7 @@ def test_toeplitz_rows_and_product_match_dense_kernel():
 def test_toeplitz_and_dense_frank_wolfe_agree_on_c7_rungs():
     for k, (fam, e, net) in enumerate(_c7_rungs()):
         res = rung_min_energy(fam, e, net, restarts=2, seed=k)
-        v = np.clip(_fh_companion_solve(net.points, 0.5, e), 0.0, None)
+        v = np.clip(_minorant_v(fam, e, net.points), 0.0, None)
         dense = min_energy(build_kernel(fam, e, net), restarts=2, seed=k,
                            start=v / v.sum())
         assert res.converged and dense.converged

@@ -244,7 +244,7 @@ def test_ladder_estimate_recompute_invariant():
     net = discretize(CompactSet.cantor(), 3.0 ** -10, point_cap=20_000)
     est = minkowski_dim_estimate(net, 3.0 ** -np.arange(2, 9), mode="least_squares")
     refit = LadderEstimate.fit(est.scales, est.values, mode=est.mode,
-                               x_transform=lambda s: np.log(1.0 / s))
+                               x_transform="log_inv")
     assert refit.slope == est.slope
     assert refit.to_dict() == est.to_dict()
 
