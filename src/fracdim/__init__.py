@@ -9,8 +9,8 @@ and corroborate the identities by box-counting simulated images
 """
 
 from .errors import (CertificateFailed, DegenerateLadder, FracdimError,
-                     MaxIterExceeded, MeshTooFine, NetTooLarge,
-                     NonConvergedQuadrature, TooLarge)
+                     MeshTooFine, NetTooLarge, NonConvergedQuadrature,
+                     TooLarge)
 from .ladders import LadderEstimate
 from .process_models import (KernelFamily, LaplaceExponent, LevyModel,
                              cauchy_weighted_energy, kappa_monte_carlo,

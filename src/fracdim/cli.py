@@ -11,9 +11,10 @@ count: keys are sorted, floats go through repr, and wall clocks live in
 a `.meta.json` sidecar, never in the report body.
 The sidecar's `config` is the run record, loadable with `--config`.
 
-Exit codes: 0 success, 2 validation error, 3 numerical non-convergence
-or a failed optimality certificate; a profile with an unconverged rung
-writes its report and exits 3.
+Exit codes: 0 success, 1 a failing `verify` criterion, 2 validation
+error, 3 numerical non-convergence or a failed optimality certificate.
+A profile with an unconverged rung writes its report, names each such
+rung on stderr and exits 3.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import time
 
 from . import oracles
 from .energy_min import DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_TOL
-from .errors import (FracdimError, MaxIterExceeded, MeshTooFine,
-                     NetTooLarge, NonConvergedQuadrature, TooLarge)
+from .errors import (FracdimError, MeshTooFine, NetTooLarge,
+                     NonConvergedQuadrature, TooLarge)
 from .process_models import KernelFamily, LaplaceExponent, LevyModel
 from .profiles import (MESH_RATIO, THETA_LAM_MAX, box_profile,
                        fh_subordinator_predicted, subordinator_box_dim,
@@ -220,8 +221,10 @@ def cmd_profile(cfg: argparse.Namespace) -> int:
     _emit(rep.to_json_dict(), cfg)
     if cfg.csv:
         rep.write_csv(cfg.csv)
-    if not rep.converged:
-        sys.stderr.write("numerical non-convergence: a rung missed its gap test\n")
+    missed = [f"rung {k} (n={r['n']}) ended with {r['status']}"
+              for k, r in enumerate(rep.rungs) if not r["converged"]]
+    if missed:
+        sys.stderr.write(f"numerical non-convergence: {'; '.join(missed)}\n")
         return EXIT_NUMERICAL
     return EXIT_OK
 
@@ -347,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=MESH_RATIO)
     p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS,
                    help="up to n Frank-Wolfe starts per rung; more than one "
-                        "only if the first does not converge")
+                        "only if the first stalls")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--max-iter", dest="max_iter", type=int,
                    default=DEFAULT_MAX_ITER)
@@ -391,7 +394,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(build_parser(), argv)
         return COMMANDS[cfg.command](cfg)
-    except (NonConvergedQuadrature, MaxIterExceeded) as exc:
+    except NonConvergedQuadrature as exc:
         sys.stderr.write(f"numerical non-convergence: {exc}\n")
         return EXIT_NUMERICAL
     except (MeshTooFine, NetTooLarge, TooLarge, ValueError, OSError) as exc:

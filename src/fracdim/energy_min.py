@@ -11,11 +11,14 @@ Frank-Wolfe over the simplex (with away steps, so positive semidefinite
 kernels converge linearly instead of zigzagging), on a `ToeplitzKernel`
 on equal-gap nets and a dense matrix otherwise.  The linear minimization
 oracle over the simplex is a coordinate argmin, ties broken at the
-lowest index, and the duality gap 2(w'Kw - min_i (Kw)_i) comes for free;
-for PSD kernels it certifies global optimality.  Kernels that fail a
-Cholesky probe are minimized from up to `restarts` starts, the later
-ones seeded Dirichlet draws that run only when the first start does not
-meet the gap test, and the best stationary point is returned, flagged.
+lowest index, and the duality gap 2(w'Kw - min_i (Kw)_i) comes for free.
+A solve always returns, with the status of its best run: "gap" (the
+test gap <= tol * w'Kw met), "stall" (no descent step left, which on a
+PSD kernel cannot happen while the gap exceeds tol, so the kernel is
+nonconvex there) or "iters" (budget spent).  Only a stall is followed
+by seeded Dirichlet restarts.  Each result carries one certificate,
+Z_lower <= Z, or None: on a kernel that passes a Cholesky probe it is
+the convex duality bound w'Kw - gap = 2 min_i (Kw)_i - w'Kw.
 
 The power-law (Falconer-Howroyd) kernel fh(r) = min(1, (eps/r)^s) is
 indefinite; sandwich kernels are fh at (d/alpha, eps^alpha).  Its
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft, linalg
 
-from .errors import CertificateFailed, MaxIterExceeded, NetTooLarge, TooLarge
+from .errors import CertificateFailed, NetTooLarge, TooLarge
 from .process_models import KernelFamily
 from .set_models import DeltaNet
 
@@ -136,10 +139,13 @@ class EnergyResult:
     duality_gap: float
     iterations: int
     restarts_used: int = 1
-    flagged_nonconvex: bool = False
-    converged: bool = True
+    status: str = "gap"              # how the best run ended: "gap", "stall" or "iters"
     start: str | None = None         # first Frank-Wolfe start; None if no iteration ran
     Z_lower: float | None = None     # certified lower bound on the minimum, if known
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "gap"
 
     def to_json_dict(self) -> dict:
         """Solver diagnostics of one rung, free of timings."""
@@ -153,8 +159,14 @@ class EnergyResult:
             "restarts_used": self.restarts_used,
             "start": self.start,
             "converged": self.converged,
-            "flagged_nonconvex": self.flagged_nonconvex,
+            "status": self.status,
         }
+
+
+def _duality_bound(f: float, gap: float) -> float | None:
+    """Z >= w'Kw - gap on a PSD kernel (convexity: Z >= f + min_v
+    grad'(v - w) over the simplex); None unless positive."""
+    return f - gap if f - gap > 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +315,14 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
     probability vector on the net, optional) and the uniform measure has
     the lower energy, so the returned Z never exceeds the uniform
     measure's energy; the result's `start` says which ("given" or
-    "uniform").  Kernels that pass the Cholesky probe (run up to
-    PSD_PROBE_CAP points) need that single run: the exit test
-    duality_gap <= tol * Z certifies global optimality.  On other
-    kernels `restarts` is the most starts made: when the first run does
-    not end with the gap test met, restarts - 1 seeded Dirichlet starts
-    follow, and the best stationary point is returned with
-    `flagged_nonconvex` set.  Exponential kernels need no solve at all;
-    see `exp_kernel_min_energy`.
+    "uniform").  `restarts` is the most runs made: only when the first
+    run ends with "stall" do restarts - 1 seeded Dirichlet starts
+    follow, and the lowest-energy run is returned with its status.  A
+    spent budget gets no restarts and is returned as it stands.  On a
+    kernel that passes the Cholesky probe (run up to PSD_PROBE_CAP
+    points), Z_lower is the duality bound Z - gap when positive; it is
+    None otherwise.  Exponential kernels need no solve at all; see
+    `exp_kernel_min_energy`.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
@@ -323,8 +335,6 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
     toeplitz = isinstance(A, ToeplitzKernel)
     if not toeplitz and not np.array_equal(A, A.T):
         raise ValueError("kernel matrix is not exactly symmetric")
-    # probe only at modest sizes; large unprobed kernels are treated as
-    # possibly nonconvex (restarts + flag), which is the honest default
     psd = n <= PSD_PROBE_CAP and is_psd(linalg.toeplitz(A.col) if toeplitz else A)
     w0, label = np.full(n, 1.0 / n), "uniform"
     if start is not None:
@@ -335,7 +345,7 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
         if float(start @ (A @ start)) < float(w0 @ (A @ w0)):
             w0, label = start, "given"
     runs = [_frank_wolfe(A, w0, tol, max_iter)]
-    if not psd and runs[0][4] != "gap":
+    if runs[0][4] == "stall":
         rng = np.random.default_rng(seed)
         runs += [_frank_wolfe(A, rng.dirichlet(np.ones(n)), tol, max_iter)
                  for _ in range(restarts - 1)]
@@ -345,16 +355,10 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
     pot = A @ w
     f = float(w @ pot)
     gap = 2.0 * (f - float(pot.min()))
-    result = EnergyResult(value=f, weights=SimplexWeights(w, K.points),
-                          duality_gap=gap, iterations=iters,
-                          restarts_used=len(runs),
-                          flagged_nonconvex=not psd,
-                          converged=status == "gap", start=label)
-    if all(run[4] == "iters" for run in runs):
-        raise MaxIterExceeded(
-            f"no start met gap <= {tol:g} * Z within {max_iter} iterations",
-            result=result)
-    return result
+    return EnergyResult(value=f, weights=SimplexWeights(w, K.points),
+                        duality_gap=gap, iterations=iters,
+                        restarts_used=len(runs), status=status, start=label,
+                        Z_lower=_duality_bound(f, gap) if psd else None)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +401,9 @@ def exp_kernel_certificate(points, a: float, w,
 
     Computes the potential with `exp_kernel_potential` and the duality
     gap 2(w'Kw - min_i (Kw)_i), which bounds w'Kw - Z from above because
-    the kernel is positive semidefinite.  Raises CertificateFailed when a
-    weight is negative or the gap exceeds tol * w'Kw.
+    the kernel is positive semidefinite, and reports w'Kw - gap as
+    Z_lower.  Raises CertificateFailed when a weight is negative or the
+    gap exceeds tol * w'Kw.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
@@ -414,7 +419,8 @@ def exp_kernel_certificate(points, a: float, w,
             f"duality gap {gap:.3e} exceeds {tol:g} * Z = {tol * f:.3e} "
             f"on {pts.size} points")
     return EnergyResult(value=f, weights=SimplexWeights(w, pts),
-                        duality_gap=gap, iterations=0)
+                        duality_gap=gap, iterations=0,
+                        Z_lower=_duality_bound(f, gap))
 
 
 def exp_kernel_min_energy(points, a: float,
@@ -507,7 +513,7 @@ def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
     free it.  With v = G^-1 1 clipped at 0, v/1'v is the Frank-Wolfe
     `start` ("minorant" when it beats the uniform measure); when every
     v_i > 0, Z_lower = 1/1'v satisfies Z_lower <= Z <= R(s) Z_lower up to
-    rounding, and Z_lower is None otherwise.
+    rounding.  Other rungs keep `min_energy`'s Z_lower.
     """
     pts = net.points
     if pts.size > DENSE_NET_CAP:
@@ -527,7 +533,8 @@ def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
     res = min_energy(K, tol=tol, start=start, **solver_kw)
     if res.start == "given":
         res.start = "minorant"
-    res.Z_lower = z_lower
+    if z_lower is not None:
+        res.Z_lower = z_lower
     return res
 
 

@@ -28,13 +28,3 @@ class DegenerateLadder(FracdimError):
 class CertificateFailed(FracdimError):
     """A minimizer failed its optimality certificate (duality gap or sign)."""
 
-
-class MaxIterExceeded(FracdimError):
-    """Iteration budget exhausted before the convergence test was met.
-
-    Carries the best iterate found so far in ``result``.
-    """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result

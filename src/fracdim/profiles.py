@@ -53,7 +53,6 @@ class ProfileReport:
     mesh_per_scale: list = field(default_factory=list)
     rungs: list = field(default_factory=list)    # EnergyResult.to_json_dict per rung
     self_cover: bool = False
-    flagged_nonconvex: bool = False
 
     @property
     def converged(self) -> bool:
@@ -75,7 +74,6 @@ class ProfileReport:
             "in_window": self.in_window,
             "converged": self.converged,
             "self_cover_certificate": self.self_cover,
-            "flagged_nonconvex": self.flagged_nonconvex,
             "mesh_per_scale": [float(m) for m in self.mesh_per_scale],
             "rungs": list(self.rungs),
             "ladder": self.ladder.to_dict(),
@@ -115,9 +113,7 @@ def _ladder_report(cset: CompactSet, family_tag: str, param: dict,
                          param=param, estimate=ladder.slope, mode=ladder.mode,
                          ladder=ladder, mesh_per_scale=meshes,
                          rungs=[r.to_json_dict() for r in results],
-                         self_cover=cset.self_cover_certificate,
-                         flagged_nonconvex=any(r.flagged_nonconvex
-                                               for r in results))
+                         self_cover=cset.self_cover_certificate)
 
 
 def box_profile(cset: CompactSet, family: KernelFamily, eps_ladder,

@@ -123,13 +123,22 @@ def test_config_choice_fails_before_any_rung(tmp_path, monkeypatch, capsys):
     assert "argument --mode: invalid choice: 'bogus'" in capsys.readouterr().err
 
 
-def test_numerical_exit_code(tmp_path):
-    # an unreachable gap target plus a one-iteration budget cannot converge
+def test_numerical_exit_code(tmp_path, capsys):
+    # an unreachable gap target plus a one-iteration budget cannot converge;
+    # the report is still written, and a spent budget makes one start
     out = tmp_path / "r.json"
     code = main(["profile", "--set", "interval:0,1", "--family", "fh",
                  "--s", "1.0", "--ladder", "0.1,0.5,3", "--tol", "0",
                  "--max-iter", "1", "--out", str(out)])
     assert code == EXIT_NUMERICAL
+    rep = json.loads(out.read_text())
+    assert rep["converged"] is False and len(rep["rungs"]) == 3
+    for rung in rep["rungs"]:
+        assert rung["status"] == "iters" and rung["restarts_used"] == 1
+        assert rung["converged"] is False
+    err = capsys.readouterr().err
+    for k, rung in enumerate(rep["rungs"]):
+        assert f"rung {k} (n={rung['n']}) ended with iters" in err
 
 
 def test_unconverged_profile_writes_report_and_exits_3(tmp_path, monkeypatch):
@@ -137,7 +146,7 @@ def test_unconverged_profile_writes_report_and_exits_3(tmp_path, monkeypatch):
 
     def unconverged(*args, **kwargs):
         res = solve(*args, **kwargs)
-        res.converged = False
+        res.status = "stall"
         return res
 
     monkeypatch.setattr(profiles, "rung_min_energy", unconverged)
@@ -145,7 +154,9 @@ def test_unconverged_profile_writes_report_and_exits_3(tmp_path, monkeypatch):
     code = main(["profile", "--set", "interval:0,1", "--family", "fh",
                  "--s", "1.0", "--ladder", "0.1,0.5,3", "--out", str(out)])
     assert code == EXIT_NUMERICAL
-    assert json.loads(out.read_text())["converged"] is False
+    rep = json.loads(out.read_text())
+    assert rep["converged"] is False
+    assert all(r["status"] == "stall" for r in rep["rungs"])
 
 
 def test_config_file_roundtrip_and_override(tmp_path, capsys):

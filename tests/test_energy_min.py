@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from fracdim import energy_min
-from fracdim.errors import (CertificateFailed, MaxIterExceeded, NetTooLarge,
-                            TooLarge)
+from fracdim.errors import CertificateFailed, NetTooLarge, TooLarge
 from fracdim.energy_min import (_RESYNC_EVERY, DEFAULT_MAX_ITER,
                                 DEFAULT_RESTARTS, DEFAULT_TOL, DENSE_NET_CAP,
                                 EnergyResult, KernelMatrix, SimplexWeights,
@@ -23,7 +22,8 @@ from fracdim.oracles import (cantor_exp_kernel_min_energy,
                              interval_exp_kernel_min_energy)
 from fracdim.process_models import KernelFamily, LevyModel
 from fracdim.set_models import CompactSet, DeltaNet, discretize
-from fracdim.verify import random_psd_kernel
+from fracdim.utils import substream
+from fracdim.verify import _BF_RESOLUTION, random_psd_kernel
 
 RNG = np.random.default_rng(7)
 
@@ -109,13 +109,23 @@ def test_min_energy_identity_matrix():
 
 
 def test_min_energy_matches_bruteforce_on_random_psd():
-    for i in range(8):
+    """Eight random PSD kernels and C2's 50 (seed 0): the probe passes, so
+    Z_lower is the duality bound Z - gap, which never exceeds the lattice
+    oracle, an upper bound on the minimum."""
+    kernels = []
+    for _ in range(8):
         n = int(RNG.integers(2, 7))
-        km = random_psd_kernel(RNG, n)
+        kernels.append((random_psd_kernel(RNG, n), 1 / 60 if n >= 5 else 1 / 100))
+    c2 = substream(0, 2)
+    for i in range(50):
+        n = (2, 3, 4, 5, 6)[i % 5]
+        kernels.append((random_psd_kernel(c2, n), _BF_RESOLUTION[n]))
+    for km, resolution in kernels:
         res = min_energy(km)
-        bf = min_energy_bruteforce(km, resolution=1 / 60 if n >= 5 else 1 / 100)
+        bf = min_energy_bruteforce(km, resolution=resolution)
         assert abs(res.value - bf) <= 1e-3
-        assert res.converged and not res.flagged_nonconvex
+        assert res.converged and res.Z_lower == res.value - res.duality_gap
+        assert 0 < res.Z_lower <= bf + 1e-12
         # reported value is exactly the energy of the reported weights
         recomputed = float(res.weights.w @ km.values @ res.weights.w)
         assert abs(recomputed - res.value) < 1e-12
@@ -140,8 +150,9 @@ def test_min_energy_nonconvex_flag_and_multistart(monkeypatch):
     assert not is_psd(km.values)
     statuses = _counting_frank_wolfe(monkeypatch)
     res = min_energy(km, seed=3)
-    assert res.flagged_nonconvex and res.restarts_used == len(statuses)
-    assert len(statuses) == (1 if statuses[0] == "gap" else DEFAULT_RESTARTS)
+    assert res.Z_lower is None               # no certificate on an fh matrix
+    assert res.restarts_used == len(statuses)
+    assert len(statuses) == (DEFAULT_RESTARTS if statuses[0] == "stall" else 1)
     bf = min_energy_bruteforce(km, resolution=1 / 200)
     assert res.value <= bf + 1e-9
 
@@ -232,12 +243,40 @@ def test_min_energy_restarts_only_after_failed_first_run(monkeypatch):
     statuses = _counting_frank_wolfe(monkeypatch)
     res = rung_min_energy(fam, 0.028, net, restarts=4)
     assert statuses == ["gap"] and res.restarts_used == 1
-    assert res.converged and res.flagged_nonconvex and res.start == "minorant"
+    assert res.status == "gap" and res.start == "minorant"
+    assert res.Z_lower is not None and res.Z_lower <= res.value
+    # a spent budget makes one start and returns its result
     statuses.clear()
-    with pytest.raises(MaxIterExceeded) as ei:
-        min_energy(build_kernel(fam, 0.028, net), max_iter=5, restarts=4)
-    assert statuses == ["iters"] * 4
-    assert ei.value.result.restarts_used == 4
+    res = min_energy(build_kernel(fam, 0.028, net), max_iter=5, restarts=4)
+    assert statuses == ["iters"] and res.restarts_used == 1
+    assert res.status == "iters" and not res.converged
+
+
+def test_min_energy_restarts_after_a_stall(monkeypatch):
+    """A first run that stalls is followed by restarts - 1 seeded
+    Dirichlet starts, and the lowest-energy run is returned."""
+    net = discretize(CompactSet.interval(0, 1), 0.028 / 5)
+    km = build_kernel(KernelFamily.fh(0.5), 0.028, net)
+    n = km.n
+    starts = []
+
+    def first_stalls(K, w0, tol, max_iter):
+        starts.append(w0)
+        w, f, gap, it, status = _frank_wolfe(K, w0, tol, max_iter)
+        return w, f, gap, it, "stall" if len(starts) == 1 else status
+
+    monkeypatch.setattr(energy_min, "_frank_wolfe", first_stalls)
+    res = min_energy(km, restarts=3, seed=5)
+    assert len(starts) == 3 and res.restarts_used == 3
+    np.testing.assert_array_equal(starts[0], np.full(n, 1.0 / n))
+    rng = np.random.default_rng(5)
+    for w0 in starts[1:]:
+        np.testing.assert_array_equal(w0, rng.dirichlet(np.ones(n)))
+    runs = [_frank_wolfe(km.values, w0, DEFAULT_TOL, DEFAULT_MAX_ITER)
+            for w0 in starts]
+    best = min(range(3), key=lambda k: runs[k][1])
+    assert res.status == ("stall" if best == 0 else runs[best][4])
+    assert abs(res.value - runs[best][1]) <= 1e-12
 
 
 def test_companion_start_matches_two_start_reference():
@@ -331,7 +370,8 @@ def test_min_energy_probes_toeplitz_kernel():
     pts = np.linspace(0.0, 1.0, 200)
     col = np.exp(-7.0 * (pts - pts[0]))
     res = min_energy(KernelMatrix(ToeplitzKernel(col), pts), tol=1e-9)
-    assert not res.flagged_nonconvex and res.restarts_used == 1
+    assert res.restarts_used == 1 and res.Z_lower is not None
+    assert res.value / res.Z_lower <= 1.0 / (1.0 - 1e-9)
     exact = exp_kernel_min_energy(pts, 7.0).value
     assert abs(res.value - exact) <= 1e-8 * exact
 
@@ -421,10 +461,10 @@ def test_min_energy_max_iter_exceeded_carries_result():
     pts = np.array([0.0, 0.3, 1.0])
     D = np.abs(pts[:, None] - pts[None, :])
     km = _km(np.exp(-3.0 * D), pts)
-    with pytest.raises(MaxIterExceeded) as ei:
-        min_energy(km, tol=1e-12, max_iter=1)
-    res = ei.value.result
+    res = min_energy(km, tol=1e-12, max_iter=1, restarts=4)
     assert isinstance(res, EnergyResult) and not res.converged
+    assert res.status == "iters" and res.iterations == 1
+    assert res.restarts_used == 1
     assert 0 < res.value <= 1.0
 
 
@@ -466,10 +506,12 @@ def test_exp_kernel_closed_form_matches_frank_wolfe():
     for pts, a in nets:
         exact = exp_kernel_min_energy(pts, a)
         fw = min_energy(_exp_km(pts, a), tol=1e-10)
-        assert fw.converged and not fw.flagged_nonconvex
+        assert fw.converged and fw.Z_lower is not None
+        assert fw.value / fw.Z_lower <= 1.0 / (1.0 - 1e-10)
         assert abs(exact.value - fw.value) <= 1e-9 * fw.value
         assert exact.iterations == 0 and exact.restarts_used == 1
-        assert exact.converged and not exact.flagged_nonconvex
+        assert exact.status == "gap" and exact.Z_lower is not None
+        assert exact.value / exact.Z_lower <= 1.0 / (1.0 - DEFAULT_TOL)
 
 
 def test_exp_kernel_potential_matches_dense_product():

@@ -83,6 +83,10 @@ def test_cantor_profile_monotone_in_s():
     assert lo <= hi + 0.03
 
 
+RUNG_KEYS = {"n", "Z", "Z_lower", "ratio", "duality_gap", "iterations",
+             "restarts_used", "start", "converged", "status"}
+
+
 def test_profile_report_roundtrip(tmp_path):
     eps = 0.1 * 0.5 ** np.arange(4)
     rep = fh_profile(CompactSet.cantor(), 1.0, eps, restarts=1, seed=0)
@@ -93,15 +97,46 @@ def test_profile_report_roundtrip(tmp_path):
     assert data["ladder"]["values"] == [float(v) for v in rep.ladder.values]
     assert [r["Z"] for r in data["rungs"]] == data["ladder"]["values"]
     for rung in data["rungs"]:
-        assert set(rung) == {"n", "Z", "Z_lower", "ratio", "duality_gap",
-                             "iterations", "restarts_used", "start", "converged",
-                             "flagged_nonconvex"}
+        assert set(rung) == RUNG_KEYS
         assert rung["n"] >= 2 and rung["restarts_used"] >= 1
         assert rung["start"] in ("minorant", "uniform")
+        assert rung["converged"] is (rung["status"] == "gap")
     assert data["converged"] is all(r["converged"] for r in data["rungs"])
     rows = cpath.read_text().strip().splitlines()
     assert rows[0] == "set,family,s_or_phi,scale,Z_or_value"
     assert len(rows) == 1 + len(eps)
+    # the exact-kernel and closed-form routes emit the same rung keys
+    cauchy = KernelFamily.exact(LevyModel.isotropic_stable(1.0))
+    others = [box_profile(CompactSet.interval(0, 1), cauchy, eps[:3]),
+              subordinator_box_dim(LaplaceExponent.stable(0.5),
+                                   CompactSet.interval(0, 1),
+                                   10.0 * 4.0 ** np.arange(3))]
+    for other in others:
+        for rung in json.loads(json.dumps(other.to_json_dict()))["rungs"]:
+            assert set(rung) == RUNG_KEYS
+    assert all(r["status"] == "gap" and r["start"] is None
+               for r in others[1].rungs)
+
+
+def test_psd_rungs_carry_the_duality_bound():
+    """Exponential (closed-form) rungs and exact Cauchy rungs, whose
+    kernels are positive semidefinite, report Z_lower = Z - gap, so their
+    ratio is at most 1 / (1 - tol)."""
+    tol = 1e-6
+    cauchy = KernelFamily.exact(LevyModel.isotropic_stable(1.0))
+    reports = [
+        subordinator_box_dim(LaplaceExponent.stable(0.5), CompactSet.interval(0, 1),
+                             10.0 * 4.0 ** np.arange(5), tol=tol),
+        subordinator_box_dim(LaplaceExponent.compound_poisson_drift(0.0, 1.0, 1.0),
+                             CompactSet.cantor(), 10.0 * 4.0 ** np.arange(4), tol=tol),
+        box_profile(CompactSet.interval(0, 1), cauchy, 0.2 * 0.5 ** np.arange(3),
+                    tol=tol),
+    ]
+    for rep in reports:
+        for rung in rep.rungs:
+            assert rung["status"] == "gap"
+            assert rung["Z_lower"] == rung["Z"] - rung["duality_gap"]
+            assert 1.0 <= rung["ratio"] <= 1.0 / (1.0 - tol)
 
 
 def test_fh_rungs_bracketed_by_companion_on_c6_c7_ladders():
@@ -162,16 +197,19 @@ def test_unconverged_rung_flags_the_report():
     scales = np.array([0.1, 0.05])
     ladder = LadderEstimate.fit(scales, np.array([0.5, 0.4]), mode="upper")
 
-    def result(converged):
+    def result(status):
         return EnergyResult(value=0.5, weights=SimplexWeights.uniform([0.0, 1.0]),
-                            duality_gap=0.1, iterations=3, converged=converged)
+                            duality_gap=0.1, iterations=3, status=status)
 
     ok = _ladder_report(cset, "fh", {}, ladder, [0.01, 0.005],
-                        [result(True), result(True)])
+                        [result("gap"), result("gap")])
     assert ok.to_json_dict()["converged"] is True
-    bad = _ladder_report(cset, "fh", {}, ladder, [0.01, 0.005],
-                         [result(True), result(False)])
-    assert bad.to_json_dict()["converged"] is False
+    for status in ("stall", "iters"):
+        bad = _ladder_report(cset, "fh", {}, ladder, [0.01, 0.005],
+                             [result("gap"), result(status)]).to_json_dict()
+        assert bad["converged"] is False
+        assert [(r["converged"], r["status"]) for r in bad["rungs"]] == [
+            (True, "gap"), (False, status)]
 
 
 # ---------------------------------------------------------------------------
