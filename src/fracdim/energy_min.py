@@ -16,17 +16,19 @@ A solve always returns, with the status of its best run: "gap" (the
 test gap <= tol * w'Kw met), "stall" (no descent step left, which on a
 PSD kernel cannot happen while the gap exceeds tol, so the kernel is
 nonconvex there) or "iters" (budget spent).  Only a stall is followed
-by seeded Dirichlet restarts.  Each result carries one certificate,
-Z_lower <= Z, or None: on a kernel that passes a Cholesky probe it is
-the convex duality bound w'Kw - gap = 2 min_i (Kw)_i - w'Kw.
+by seeded Dirichlet restarts.  `min_energy` alone sets each result's
+one certificate Z_lower <= Z, or None: a positive definite minorant's
+minimum when the caller hands in its solve, else, on a kernel that
+passes a Cholesky probe, the duality bound 2 min_i (Kw)_i - w'Kw.
 
 The power-law (Falconer-Howroyd) kernel fh(r) = min(1, (eps/r)^s) is
 indefinite; sandwich kernels are fh at (d/alpha, eps^alpha).  Its
 greatest convex minorant g (1 - m r up to r* = eps (1+s)^(1/s), with
 m = s / ((1+s) r*), fh beyond) is positive definite by Polya's criterion,
 and g <= fh <= R(s) g, R(s) = 1 / (1 - (s/(1+s)) (1+s)^(-1/s)) (1.174 at
-s = 1/2, 1.483 at s = 3/2).  `rung_min_energy` solves g exactly, starts
-at its minimizer and reports its minimum as Z_lower <= Z <= R(s) Z_lower.
+s = 1/2, 1.483 at s = 3/2).  `rung_min_energy` solves g exactly and hands
+the solve to `min_energy`, which starts at g's minimizer and reports its
+minimum as Z_lower <= Z <= R(s) Z_lower; these rungs are not probed.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ ENUM_BUDGET = 200_000_000      # lattice points an exhaustive search may visit
 _ENUM_CHUNK_ROWS = 1 << 18     # bounds the rows held per enumerated block
 _EQUAL_GAP_RTOL = 1e-12        # equal-gap test of the Toeplitz paths
 PSD_JITTER = 1e-10             # diagonal shift of the Cholesky probe
+PSD_PROBE_CAP = 1024           # factorization probe only below this size
 _RESYNC_EVERY = 512            # refresh the cached gradient this often
 _ROW_BLOCK = 256               # kernel rows assembled per evaluation
 _SUM_TOL = 1e-12
@@ -129,9 +132,6 @@ class KernelMatrix:
         return self.values.shape[0]
 
 
-PSD_PROBE_CAP = 1024           # factorization probe only below this size
-
-
 @dataclass
 class EnergyResult:
     value: float
@@ -140,7 +140,7 @@ class EnergyResult:
     iterations: int
     restarts_used: int = 1
     status: str = "gap"              # how the best run ended: "gap", "stall" or "iters"
-    start: str | None = None         # first Frank-Wolfe start; None if no iteration ran
+    start: str | None = None         # "minorant" or "uniform"; None if no iteration ran
     Z_lower: float | None = None     # certified lower bound on the minimum, if known
 
     @property
@@ -308,21 +308,20 @@ def _frank_wolfe(K, w0: np.ndarray, tol: float, max_iter: int):
 def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
                max_iter: int = DEFAULT_MAX_ITER,
                restarts: int = DEFAULT_RESTARTS, seed: int = 0,
-               start=None) -> EnergyResult:
+               minorant=None) -> EnergyResult:
     """Minimum energy Z over the probability simplex, with certificate.
 
-    The first Frank-Wolfe run starts from whichever of `start` (a
-    probability vector on the net, optional) and the uniform measure has
-    the lower energy, so the returned Z never exceeds the uniform
-    measure's energy; the result's `start` says which ("given" or
-    "uniform").  `restarts` is the most runs made: only when the first
-    run ends with "stall" do restarts - 1 seeded Dirichlet starts
-    follow, and the lowest-energy run is returned with its status.  A
-    spent budget gets no restarts and is returned as it stands.  On a
-    kernel that passes the Cholesky probe (run up to PSD_PROBE_CAP
-    points), Z_lower is the duality bound Z - gap when positive; it is
-    None otherwise.  Exponential kernels need no solve at all; see
-    `exp_kernel_min_energy`.
+    `minorant`, if given, is v = G^-1 1 for a positive definite G <= K
+    (entrywise) on the net, as `_minorant_solve` returns it.  Then the
+    first Frank-Wolfe run starts at v+/1'v+ (`start` "minorant") if that
+    beats the uniform measure, so Z never exceeds the uniform energy;
+    Z_lower = 1/1'v if every v_i > 0; and no probe runs.  Otherwise a
+    kernel that passes the Cholesky probe (up to PSD_PROBE_CAP points)
+    gets Z_lower = Z - gap when positive.  Z_lower is None otherwise.
+    `restarts` is the most runs made: only a first run ending with
+    "stall" is followed by restarts - 1 seeded Dirichlet starts, and the
+    lowest-energy run is returned with its status.  Exponential kernels
+    need no solve; see `exp_kernel_min_energy`.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
@@ -335,15 +334,17 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
     toeplitz = isinstance(A, ToeplitzKernel)
     if not toeplitz and not np.array_equal(A, A.T):
         raise ValueError("kernel matrix is not exactly symmetric")
-    psd = n <= PSD_PROBE_CAP and is_psd(linalg.toeplitz(A.col) if toeplitz else A)
     w0, label = np.full(n, 1.0 / n), "uniform"
-    if start is not None:
-        start = np.asarray(start, dtype=float)
-        if (start.shape != (n,) or np.any(start < 0)
-                or abs(start.sum() - 1.0) > _SUM_TOL):
-            raise ValueError("start must be a probability vector on the net")
+    if minorant is None:
+        psd = n <= PSD_PROBE_CAP and is_psd(linalg.toeplitz(A.col) if toeplitz else A)
+    else:
+        v = np.asarray(minorant, dtype=float)
+        if v.shape != (n,) or not np.all(np.isfinite(v)) or not np.any(v > 0):
+            raise ValueError("minorant must be finite on the net, with a positive entry")
+        start = np.clip(v, 0.0, None)
+        start /= start.sum()
         if float(start @ (A @ start)) < float(w0 @ (A @ w0)):
-            w0, label = start, "given"
+            w0, label = start, "minorant"
     runs = [_frank_wolfe(A, w0, tol, max_iter)]
     if runs[0][4] == "stall":
         rng = np.random.default_rng(seed)
@@ -355,10 +356,14 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
     pot = A @ w
     f = float(w @ pot)
     gap = 2.0 * (f - float(pot.min()))
+    if minorant is None:
+        z_lower = _duality_bound(f, gap) if psd else None
+    else:
+        z_lower = 1.0 / float(v.sum()) if np.all(v > 0) else None
     return EnergyResult(value=f, weights=SimplexWeights(w, K.points),
                         duality_gap=gap, iterations=iters,
                         restarts_used=len(runs), status=status, start=label,
-                        Z_lower=_duality_bound(f, gap) if psd else None)
+                        Z_lower=z_lower)
 
 
 # ---------------------------------------------------------------------------
@@ -509,33 +514,23 @@ def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
     Nets above DENSE_NET_CAP points raise NetTooLarge before any solve.
     Each kernel is Toeplitz on equal-gap nets (`_grid_distances`) and
     dense otherwise.  Power-law rungs first solve their convex minorant g
-    (1 - m r up to r* = eps (1+s)^(1/s), the power law beyond) exactly and
-    free it.  With v = G^-1 1 clipped at 0, v/1'v is the Frank-Wolfe
-    `start` ("minorant" when it beats the uniform measure); when every
-    v_i > 0, Z_lower = 1/1'v satisfies Z_lower <= Z <= R(s) Z_lower up to
-    rounding.  Other rungs keep `min_energy`'s Z_lower.
+    (1 - m r up to r* = eps (1+s)^(1/s), the power law beyond) exactly,
+    free it, and hand v = G^-1 1 to `min_energy` as its `minorant`: when
+    every v_i > 0, Z_lower = 1/1'v satisfies Z_lower <= Z <= R(s) Z_lower
+    up to rounding.  Other rungs, and a minorant solve that fails, are
+    probed like a caller's matrix.
     """
     pts = net.points
     if pts.size > DENSE_NET_CAP:
         raise NetTooLarge(f"net has {pts.size} points, dense cap is {DENSE_NET_CAP}")
     dist = _grid_distances(pts)
-    start = z_lower = None
+    v = None
     if family.power_law(scale) is not None:
         v = _minorant_solve(_assemble(lambda r: _convex_minorant(family, scale, r),
                                       pts, dist).values)
-        if v is not None:
-            if np.all(v > 0):
-                z_lower = 1.0 / float(v.sum())
-            v = np.clip(v, 0.0, None)
-            start = v / v.sum()
     K = (build_kernel(family, scale, net) if dist is None
          else _assemble(lambda r: family.evaluate(scale, r), pts, dist))
-    res = min_energy(K, tol=tol, start=start, **solver_kw)
-    if res.start == "given":
-        res.start = "minorant"
-    if z_lower is not None:
-        res.Z_lower = z_lower
-    return res
+    return min_energy(K, tol=tol, minorant=v, **solver_kw)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .energy_min import (DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_TOL,
 from .ladders import LadderEstimate
 from .process_models import KernelFamily, LaplaceExponent
 from .set_models import CompactSet, discretize
-from .utils import parallel_map
 
 MESH_RATIO = 10.0             # delta(eps) = eps / MESH_RATIO
 SUBEXP_MESH_PRODUCT = 0.1     # Phi(lam) * delta <= this
@@ -94,17 +93,12 @@ class ProfileReport:
 # ---------------------------------------------------------------------------
 
 def _energy_ladder(cset: CompactSet, scales, mesh_for_scale, solve):
-    """Rung meshes and EnergyResults over a ladder; one independent job
-    per rung k, whose net is solved by solve(k, scale, net)."""
+    """Rung meshes and EnergyResults over a ladder, solved in order; rung
+    k's net is solved by solve(k, scale, net)."""
     scales = np.asarray(scales, dtype=float)
-
-    def job(k_scale):
-        k, scale = k_scale
-        delta = mesh_for_scale(scale)
-        return delta, solve(k, scale, discretize(cset, delta))
-
-    out = parallel_map(job, list(enumerate(scales)))
-    return [o[0] for o in out], [o[1] for o in out]
+    meshes = [mesh_for_scale(scale) for scale in scales]
+    return meshes, [solve(k, scale, discretize(cset, delta))
+                    for k, (scale, delta) in enumerate(zip(scales, meshes))]
 
 
 def _ladder_report(cset: CompactSet, family_tag: str, param: dict,

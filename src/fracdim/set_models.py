@@ -108,7 +108,7 @@ class CompactSet:
     def self_cover_certificate(self) -> bool:
         """True when every open interval meeting the set sees the full
         local scaling (intervals and strictly self-similar attractors);
-        regularized profile values are only reported under this flag."""
+        reports carry it, and no profile value is gated on it."""
         if self.kind == "ifs":
             r = self.params["ratios"]
             return bool(np.allclose(r, r[0]))

@@ -19,15 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracles
-from .energy_min import (KernelMatrix, SimplexWeights, kkt_certificate,
-                         min_energy, min_energy_bruteforce)
+from .energy_min import (KernelMatrix, SimplexWeights, build_kernel,
+                         kkt_certificate, min_energy, min_energy_bruteforce)
 from .ladders import LadderEstimate
-from .process_models import (LaplaceExponent, LevyModel,
-                             cauchy_weighted_energy, kappa_stable_1d)
+from .process_models import (KernelFamily, LaplaceExponent, LevyModel,
+                             cauchy_weighted_energy)
 from .profiles import (fh_profile, fh_subordinator_predicted,
                        subordinator_box_dim, theta_index)
-from .set_models import (CompactSet, discretize, kolmogorov_capacity,
-                         minkowski_dim_estimate)
+from .set_models import (CompactSet, DeltaNet, discretize,
+                         kolmogorov_capacity, minkowski_dim_estimate)
 from .simulate import image_dim_experiment
 from .utils import substream
 
@@ -243,10 +243,9 @@ def check_energy_upper_bound(seed: int = 0) -> CheckResult:
         pts = np.sort(rng.uniform(0.0, 1.0, m))
         w = SimplexWeights(rng.dirichlet(np.ones(m)), pts)
         eps = float(rng.uniform(0.05, 0.8))
-        D = np.abs(pts[:, None] - pts[None, :])
-        uniq, inv = np.unique(D, return_inverse=True)
-        kv = np.array([kappa_stable_1d(alpha, 1.0, eps, u) for u in uniq])
-        lhs = float(w.w @ kv[inv].reshape(D.shape) @ w.w)
+        kappa = build_kernel(KernelFamily.exact(LevyModel.isotropic_stable(alpha)),
+                             eps, DeltaNet(pts)).values
+        lhs = float(w.w @ kappa @ w.w)
         rhs = (2.0 * np.pi) * cauchy_weighted_energy(w, lambda xi: np.abs(xi) ** alpha, eps)
         ok = ok and lhs <= rhs + 1e-9
         margin = min(margin, rhs - lhs)

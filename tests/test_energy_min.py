@@ -21,6 +21,7 @@ from fracdim.energy_min import (_RESYNC_EVERY, DEFAULT_MAX_ITER,
 from fracdim.oracles import (cantor_exp_kernel_min_energy,
                              interval_exp_kernel_min_energy)
 from fracdim.process_models import KernelFamily, LevyModel
+from fracdim.profiles import fh_profile
 from fracdim.set_models import CompactSet, DeltaNet, discretize
 from fracdim.utils import substream
 from fracdim.verify import _BF_RESOLUTION, random_psd_kernel
@@ -177,10 +178,10 @@ def test_fh_start_never_exceeds_uniform_energy():
             # a point mass (energy 1) loses to the uniform measure
             mass = np.zeros(net.points.size)
             mass[0] = 1.0
-            res = min_energy(km, restarts=2, start=mass)
+            res = min_energy(km, restarts=2, minorant=mass)
             assert res.start == "uniform" and res.value <= uniform + 1e-12
-    with pytest.raises(ValueError, match="probability vector"):
-        min_energy(km, start=np.full(net.points.size, 0.5))
+    with pytest.raises(ValueError, match="positive entry"):
+        min_energy(km, minorant=np.full(net.points.size, -0.5))
 
 
 def _minorant_v(fam, scale, pts):
@@ -209,6 +210,68 @@ def test_fh_companion_solve_matches_dense_solve():
             ref = np.linalg.solve(G, np.ones(pts.size))
             assert np.max(np.abs(v - ref)) <= 1e-9 * np.max(np.abs(ref))
     assert _minorant_v(KernelFamily.fh(1.0), 0.1, np.array([0.0, 0.0, 1.0])) is None
+
+
+def test_only_kernels_without_a_minorant_are_probed(monkeypatch):
+    """fh rungs hand their minorant solve to `min_energy` and are never
+    probed, on the C7 ladder and on a Cantor ladder; an exact Cauchy rung
+    and a caller's PSD matrix are probed, and carry Z_lower = Z - gap."""
+    def forbidden(A):
+        raise AssertionError("a power-law rung was probed")
+
+    monkeypatch.setattr(energy_min, "is_psd", forbidden)
+    eps = 0.028 * (1.0 / 3.0) ** np.arange(4)
+    for rep in (fh_profile(CompactSet.interval(0, 1), 0.5, eps, mesh_ratio=5.0,
+                           restarts=2, seed=0),
+                fh_profile(CompactSet.cantor(), 1.5, 3.0 ** -np.arange(2, 6.0),
+                           restarts=2, seed=0)):
+        for rung in rep.rungs:
+            assert rung["start"] == "minorant" and rung["Z_lower"] is not None
+    probed = []
+
+    def counted(A):
+        probed.append(A.shape)
+        return is_psd(A)
+
+    monkeypatch.setattr(energy_min, "is_psd", counted)
+    cauchy = rung_min_energy(KernelFamily.exact(LevyModel.isotropic_stable(1.0)),
+                             0.2, discretize(CompactSet.interval(0, 1), 0.02))
+    raw = min_energy(random_psd_kernel(np.random.default_rng(3), 6))
+    assert len(probed) == 2
+    for res in (cauchy, raw):
+        assert res.start == "uniform"
+        assert res.Z_lower == res.value - res.duality_gap
+
+
+def test_minorant_with_a_nonpositive_entry_gives_no_certificate(monkeypatch):
+    """v with a nonpositive entry still seeds the start, clipped at 0 and
+    normalized, but certifies nothing."""
+    net = discretize(CompactSet.cantor(), 3.0 ** -5)
+    fam = KernelFamily.fh(1.5)
+    v = _minorant_v(fam, 0.05, net.points)
+    assert np.all(v > 0)
+    v[[0, 5]] = (-v[0], 0.0)
+    starts = []
+
+    def recorded(K, w0, tol, max_iter):
+        starts.append(w0.copy())
+        return _frank_wolfe(K, w0, tol, max_iter)
+
+    monkeypatch.setattr(energy_min, "_frank_wolfe", recorded)
+    res = min_energy(build_kernel(fam, 0.05, net), minorant=v)
+    assert res.start == "minorant" and res.Z_lower is None
+    clipped = np.clip(v, 0.0, None)
+    np.testing.assert_array_equal(starts[0], clipped / clipped.sum())
+
+
+def test_minorant_must_be_finite_on_the_net_with_a_positive_entry():
+    km = build_kernel(KernelFamily.fh(0.5), 0.1, discretize(CompactSet.interval(0, 1), 0.05))
+    n = km.n
+    nan, inf = np.ones(n), np.ones(n)
+    nan[2], inf[3] = np.nan, np.inf
+    for v in (np.ones(n + 1), np.ones((n, 1)), nan, inf, np.zeros(n), -np.ones(n)):
+        with pytest.raises(ValueError, match="minorant"):
+            min_energy(km, minorant=v)
 
 
 def test_sandwich_rung_is_the_fh_rung_at_mapped_parameters():
@@ -333,9 +396,8 @@ def test_toeplitz_rows_and_product_match_dense_kernel():
 def test_toeplitz_and_dense_frank_wolfe_agree_on_c7_rungs():
     for k, (fam, e, net) in enumerate(_c7_rungs()):
         res = rung_min_energy(fam, e, net, restarts=2, seed=k)
-        v = np.clip(_minorant_v(fam, e, net.points), 0.0, None)
         dense = min_energy(build_kernel(fam, e, net), restarts=2, seed=k,
-                           start=v / v.sum())
+                           minorant=_minorant_v(fam, e, net.points))
         assert res.converged and dense.converged
         assert abs(res.value - dense.value) <= 1e-9 * dense.value
 

@@ -1,11 +1,14 @@
 """Process descriptors, ball probabilities, and Cauchy-weighted energies."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate, special
 
+from fracdim import verify
 from fracdim.errors import NonConvergedQuadrature
-from fracdim.energy_min import SimplexWeights
+from fracdim.energy_min import SimplexWeights, build_kernel
 from fracdim.process_models import (CAUCHY_QUAD_TOL, KernelFamily,
                                     LaplaceExponent, LevyModel,
                                     cauchy_weighted_energy,
@@ -127,6 +130,16 @@ def test_kappa_monotone_in_eps_continuous_in_t():
 def test_kappa_quadrature_rejects_overflowing_truncation():
     with pytest.raises(NonConvergedQuadrature):
         kappa_stable_1d(0.2, 1.0, 1e-6, 1e-250)
+
+
+def test_kappa_integration_warning_raises_under_default_filters():
+    """With the warning filters at their defaults, as outside this test
+    suite, a roundoff IntegrationWarning raises instead of letting the
+    clipped value 1.0 through (1 - kappa is about 4.1e-4 here)."""
+    with warnings.catch_warnings():
+        warnings.resetwarnings()
+        with pytest.raises(NonConvergedQuadrature, match="roundoff"):
+            kappa_stable_1d(0.5, 1.0, 0.01, 5.15e-5)
 
 
 def test_kappa_monte_carlo_oracles():
@@ -334,6 +347,37 @@ def test_cauchy_weighted_energy_subordinator_identity():
         D = np.abs(pts[:, None] - pts[None, :])
         rhs = float(w.w @ np.exp(-D * float(phi(1.0 / eps))) @ w.w)
         assert abs(lhs - rhs) < 1e-6
+
+
+def test_cauchy_weighted_energy_raises_on_a_drift():
+    """A drift leaves the Cauchy factor oscillating without decay as
+    theta -> pi/2, so the quadrature misses its error target."""
+    phi = LaplaceExponent.compound_poisson_drift(2.0, 0.5, 0.3)
+    w = SimplexWeights.uniform(np.sort(np.random.default_rng(3).uniform(0, 1, 10)))
+    for eps in (0.5, 0.01):
+        with pytest.raises(NonConvergedQuadrature, match="exceeds"):
+            cauchy_weighted_energy(w, phi.psi, eps)
+
+
+def test_c11_kernel_comes_from_the_exact_family(monkeypatch):
+    """C11 builds its kappa matrices with `build_kernel` on the exact
+    family, entry for entry the per-distance quadrature."""
+    built = []
+
+    def recorded(family, eps, net):
+        km = build_kernel(family, eps, net)
+        built.append((family, eps, km))
+        return km
+
+    monkeypatch.setattr(verify, "build_kernel", recorded)
+    assert verify.check_energy_upper_bound(0).passed
+    assert len(built) == 20
+    for family, eps, km in built:
+        assert family.kind == "exact"
+        alpha = family.model.params["alpha"]
+        want = [[kappa_stable_1d(alpha, 1.0, eps, abs(a - b)) for b in km.points]
+                for a in km.points]
+        np.testing.assert_array_equal(km.values, want)
 
 
 def test_kernel_energy_upper_bound_small_fuzz():
