@@ -289,7 +289,10 @@ def kappa_stable_1d(alpha: float, c: float, eps: float, t: float) -> float:
     Fourier inversion: (2/pi) * int_0^inf sin(eps z)/z * exp(-t c z^alpha) dz,
     truncated where the damping factor falls below 1e-16.  The oscillatory
     tail is handled with a sin-weighted rule.  An IntegrationWarning
-    raises NonConvergedQuadrature under any warning filter.
+    raises NonConvergedQuadrature under any warning filter, and so does a
+    value outside [0, 1] by more than KAPPA_QUAD_TOL (the quadrature's
+    own error estimate can pass while its value is wrong); a value within
+    that margin is clipped to [0, 1].
     """
     if not 0 < alpha <= 2:
         raise ValueError("alpha must be in (0, 2]")
@@ -326,7 +329,12 @@ def kappa_stable_1d(alpha: float, c: float, eps: float, t: float) -> float:
     if not np.isfinite(val) or err > KAPPA_QUAD_TOL:
         raise NonConvergedQuadrature(
             f"ball-probability quadrature error {err:.2e} exceeds {KAPPA_QUAD_TOL:.0e}")
-    return float(min(1.0, max(0.0, 2.0 / np.pi * val)))
+    kappa = 2.0 / np.pi * val
+    if not -KAPPA_QUAD_TOL <= kappa <= 1.0 + KAPPA_QUAD_TOL:
+        raise NonConvergedQuadrature(
+            f"ball-probability quadrature gave {kappa:.6g}, outside [0, 1] "
+            f"by more than {KAPPA_QUAD_TOL:.0e}")
+    return float(min(1.0, max(0.0, kappa)))
 
 
 def kappa_monte_carlo(model: LevyModel, eps: float, t: float, n: int,

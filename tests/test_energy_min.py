@@ -455,22 +455,27 @@ def _line_search(dKw: float, dKd: float, gmax: float) -> float:
 
 
 def _column_frank_wolfe(K, w0, tol, max_iter):
-    """The pairwise loop as it read strided columns and a boolean support
-    mask; the production loop must reproduce it bit for bit."""
+    """The pairwise loop on strided columns and a boolean support mask,
+    with the away vertex scored as in `_frank_wolfe` (the same
+    arithmetic, so near-ties resolve alike); the production loop must
+    reproduce it bit for bit."""
     w = w0.copy()
     g = K @ w
     f = float(w @ g)
     gap = float("inf")
+    diag = np.diag(K)
     dbuf = np.empty_like(g)
-    masked = np.empty_like(g)
     for it in range(1, max_iter + 1):
         fw = int(np.argmin(g))
         gap = 2.0 * (f - g[fw])
         if gap <= tol * max(f, 1e-300):
             return w, f, gap, it - 1, "gap"
-        np.copyto(masked, g)
-        masked[w <= 0.0] = -np.inf
-        aw = int(np.argmax(masked))
+        curv = K[:, fw] * -2.0 + diag + K[fw, fw]
+        delta = g - g[fw]
+        step = np.minimum(delta / np.maximum(curv, energy_min._WSS_TAU), w)
+        score = (delta * 2.0 - curv * step) * step
+        score[w <= 0.0] = -np.inf
+        aw = int(np.argmax(score))
         if aw == fw:
             return w, f, gap, it, "stall"
         dKw = float(g[fw] - g[aw])
@@ -517,6 +522,29 @@ def test_frank_wolfe_bit_identical_to_column_reference():
                 statuses.add(got[4])
     assert most_iters > _RESYNC_EVERY          # the resync path ran
     assert statuses == {"gap", "stall", "iters"}
+
+
+def test_away_vertex_maximizes_second_order_decrease():
+    """Point 2 has the highest potential, but the step from point 1 (at
+    distance 0.01 from the Frank-Wolfe vertex 0) decreases the energy
+    more; one step takes its mass from point 1."""
+    K = np.array([[1.0, 0.99, 0.0], [0.99, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    w0 = np.array([0.1, 0.4, 0.5])
+    g = K @ w0
+    assert int(g.argmin()) == 0 and int(g.argmax()) == 2
+
+    def decrease(aw):
+        d = np.zeros(3)
+        d[0], d[aw] = 1.0, -1.0
+        dKw, dKd = float(d @ g), float(d @ K @ d)
+        gamma = _line_search(dKw, dKd, float(w0[aw]))
+        return -(2.0 * gamma * dKw + gamma * gamma * dKd)
+
+    w, f, _, iters, status = _frank_wolfe(K, w0, 0.0, 1)
+    assert (iters, status) == (1, "iters")
+    assert w[2] == w0[2] and w[1] < w0[1] and w[0] > w0[0]
+    assert float(w0 @ g) - float(w @ K @ w) == pytest.approx(decrease(1), rel=1e-9)
+    assert decrease(1) >= decrease(2) > 0
 
 
 def test_min_energy_max_iter_exceeded_carries_result():

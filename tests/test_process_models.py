@@ -142,6 +142,16 @@ def test_kappa_integration_warning_raises_under_default_filters():
             kappa_stable_1d(0.5, 1.0, 0.01, 5.15e-5)
 
 
+def test_kappa_outside_unit_interval_raises_instead_of_clipping():
+    """Here the quadrature's error estimate (1.7e-9) passes, but its
+    value 2/pi * int is 1.0041 while the stable tail puts kappa near
+    0.99996; a value that far above 1 raises instead of reading 1.0."""
+    with warnings.catch_warnings():
+        warnings.resetwarnings()
+        with pytest.raises(NonConvergedQuadrature, match="outside"):
+            kappa_stable_1d(0.5, 1.0, 0.5, 3.22e-5)
+
+
 def test_kappa_monte_carlo_oracles():
     m = LevyModel.isotropic_stable(2.0, 1.0, 1)
     assert kappa_monte_carlo(m, 0.4, 0.0, 10_000, seed=1) == (1.0, 0.0)
