@@ -24,14 +24,11 @@ one certificate Z_lower <= Z, or None: a positive definite minorant's
 minimum when the caller hands in its solve, else, on a kernel that
 passes a Cholesky probe, the duality bound 2 min_i (Kw)_i - w'Kw.
 
-The power-law (Falconer-Howroyd) kernel fh(r) = min(1, (eps/r)^s) is
-indefinite; sandwich kernels are fh at (d/alpha, eps^alpha).  Its
-greatest convex minorant g (1 - m r up to r* = eps (1+s)^(1/s), with
-m = s / ((1+s) r*), fh beyond) is positive definite by Polya's criterion,
-and g <= fh <= R(s) g, R(s) = 1 / (1 - (s/(1+s)) (1+s)^(-1/s)) (1.174 at
-s = 1/2, 1.483 at s = 3/2).  `rung_min_energy` solves g exactly and hands
-the solve to `min_energy`, which starts at g's minimizer and reports its
-minimum as Z_lower <= Z <= R(s) Z_lower; these rungs are not probed.
+Kernel values come from `KernelFamily` alone.  `rung_min_energy` solves
+a power-law rung's positive definite convex minorant g <= K <= R(s) g
+(`KernelFamily.convex_minorant`) exactly and hands the solve to
+`min_energy`, which starts at g's minimizer and reports its minimum as
+Z_lower <= Z <= R(s) Z_lower; these rungs are not probed.
 """
 
 from __future__ import annotations
@@ -119,13 +116,14 @@ class ToeplitzKernel:
 
 @dataclass
 class KernelMatrix:
-    """Kernel matrix over a net, diagonal identically 1.
+    """Kernel matrix over a net.
 
     `values` is a dense array (`build_kernel`) or, on equal-gap nets, a
-    `ToeplitzKernel` (symmetric by construction).  A dense `values` must
-    be exactly symmetric (A == A.T elementwise, as `build_kernel` writes
-    it): the Frank-Wolfe update reads rows where it means columns, and
-    `min_energy` raises ValueError otherwise.
+    `ToeplitzKernel` (symmetric by construction).  A caller's dense array
+    is used as given: Frank-Wolfe reads its diagonal, and it must be
+    exactly symmetric (A == A.T elementwise, as `build_kernel` writes it),
+    since the update reads rows where it means columns; `min_energy`
+    raises ValueError otherwise.
     """
 
     values: np.ndarray | ToeplitzKernel
@@ -196,21 +194,17 @@ def build_kernel(family: KernelFamily, scale: float, net: DeltaNet) -> KernelMat
 
 
 def _assemble(kernel, pts: np.ndarray, dist) -> KernelMatrix:
-    """K_ij = kernel(|t_i - t_j|), clipped to [0, 1] with unit diagonal: a
+    """K_ij = kernel(|t_i - t_j|), laid out as the kernel returns it: a
     `ToeplitzKernel` of kernel(dist) given the distances k h of an
     equal-gap net (`_grid_distances`), else dense, written in blocks of
     _ROW_BLOCK rows; K_ji comes from the same distance as K_ij, so K is
     exactly symmetric."""
     if dist is not None:
-        col = np.clip(kernel(dist), 0.0, 1.0)
-        col[0] = 1.0
-        return KernelMatrix(ToeplitzKernel(col), pts.copy())
+        return KernelMatrix(ToeplitzKernel(kernel(dist)), pts)
     K = np.empty((pts.size, pts.size))
     for i in range(0, pts.size, _ROW_BLOCK):
         K[i:i + _ROW_BLOCK] = kernel(np.abs(pts[i:i + _ROW_BLOCK, None] - pts))
-    np.clip(K, 0.0, 1.0, out=K)
-    np.fill_diagonal(K, 1.0)
-    return KernelMatrix(K, pts.copy())
+    return KernelMatrix(K, pts)
 
 
 def is_psd(K: np.ndarray) -> bool:
@@ -321,7 +315,6 @@ def _frank_wolfe(K, w0: np.ndarray, tol: float, max_iter: int):
         g += dbuf
         f += 2.0 * gamma * dKw + gamma * gamma * dKd
         if it % _RESYNC_EVERY == 0:              # control incremental drift
-            np.clip(w, 0.0, None, out=w)
             w /= w.sum()
             g = K @ w
             f = float(w @ g)
@@ -374,7 +367,6 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
         runs += [_frank_wolfe(A, rng.dirichlet(np.ones(n)), tol, max_iter)
                  for _ in range(restarts - 1)]
     w, f, _, iters, status = min(runs, key=lambda run: run[1])
-    w = np.clip(w, 0.0, None)
     w /= w.sum()
     pot = A @ w
     f = float(w @ pot)
@@ -501,17 +493,6 @@ def _grid_distances(points) -> np.ndarray | None:
     return None
 
 
-def _convex_minorant(family: KernelFamily, scale: float, r) -> np.ndarray:
-    """g(r), the greatest convex minorant of a power-law kernel on r >= 0
-    (module docstring); the power law is evaluated only at r > eps."""
-    s, eps = family.power_law(scale)
-    r_star = eps * (1.0 + s) ** (1.0 / s)
-    g = family.evaluate(scale, r)
-    near = r <= r_star
-    g[near] = 1.0 - s / ((1.0 + s) * r_star) * r[near]
-    return g
-
-
 def _minorant_solve(G) -> np.ndarray | None:
     """v = G^-1 1 for a positive definite `ToeplitzKernel` (Levinson, O(n)
     memory) or dense G (Cholesky in place on G.T, the same matrix in
@@ -536,12 +517,12 @@ def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
 
     Nets above DENSE_NET_CAP points raise NetTooLarge before any solve.
     Each kernel is Toeplitz on equal-gap nets (`_grid_distances`) and
-    dense otherwise.  Power-law rungs first solve their convex minorant g
-    (1 - m r up to r* = eps (1+s)^(1/s), the power law beyond) exactly,
-    free it, and hand v = G^-1 1 to `min_energy` as its `minorant`: when
-    every v_i > 0, Z_lower = 1/1'v satisfies Z_lower <= Z <= R(s) Z_lower
-    up to rounding.  Other rungs, and a minorant solve that fails, are
-    probed like a caller's matrix.
+    dense otherwise.  Power-law rungs (ValueError if eps is out of range)
+    first solve their convex minorant g exactly, free it, and hand
+    v = G^-1 1 to `min_energy` as its `minorant`: when every v_i > 0,
+    Z_lower = 1/1'v satisfies Z_lower <= Z <= R(s) Z_lower up to
+    rounding.  Other rungs, and a minorant solve that fails, are probed
+    like a caller's matrix.
     """
     pts = net.points
     if pts.size > DENSE_NET_CAP:
@@ -549,7 +530,7 @@ def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
     dist = _grid_distances(pts)
     v = None
     if family.power_law(scale) is not None:
-        v = _minorant_solve(_assemble(lambda r: _convex_minorant(family, scale, r),
+        v = _minorant_solve(_assemble(lambda r: family.convex_minorant(scale, r),
                                       pts, dist).values)
     K = (build_kernel(family, scale, net) if dist is None
          else _assemble(lambda r: family.evaluate(scale, r), pts, dist))

@@ -38,6 +38,7 @@ KAPPA_QUAD_TOL = 1e-8          # error target for ball-probability inversion
 TRUNC_LOG = 36.85              # exp(-x) < 1e-16 beyond x = TRUNC_LOG
 CAUCHY_QUAD_TOL = 1e-6         # error target for Cauchy-weighted energies
 KAPPA_MC_SAMPLES = 200_000     # Monte Carlo draws per exact-kernel distance
+EPS_MIN = float(np.finfo(float).tiny)   # least power-law eps, the least normal float
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +370,16 @@ def kappa_monte_carlo(model: LevyModel, eps: float, t: float, n: int,
 
 @dataclass
 class KernelFamily:
-    """One of the comparison kernels K_scale(r), all mapping into [0, 1].
+    """One of the comparison kernels K_scale(r), the one author of their values.
 
     kinds and scale semantics (`power_law` gives the fh pair (s, eps)):
       "fh"        min(1, (scale/r)**s)            scale = eps
       "sandwich"  min(1, scale/r**(1/alpha))**d   = fh at (d/alpha, scale**alpha)
       "exact"     kappa_scale(r) of a LevyModel   scale = eps
-    A power law lies between g and R(s) g, g its greatest convex minorant
-    (`energy_min`), R(s) = 1 / (1 - (s/(1+s)) (1+s)^(-1/s)).
+    Every value lies in [0, 1] and is exactly 1 at r = 0, by construction,
+    so kernel matrices lay values out as they come.  A power law needs eps
+    finite and >= EPS_MIN: `power_law`, which every power-law value goes
+    through, raises ValueError otherwise.
     """
 
     kind: str
@@ -409,13 +412,34 @@ class KernelFamily:
 
     def power_law(self, scale: float) -> tuple[float, float] | None:
         """(s, eps) with K_scale(r) = min(1, (eps/r)**s), or None for
-        kernels that are not power laws."""
+        kernels that are not power laws.  Raises ValueError unless scale > 0
+        and eps is finite and at least EPS_MIN."""
         if self.kind == "fh":
-            return self.params["s"], scale
-        if self.kind == "sandwich":
+            s, eps = self.params["s"], scale
+        elif self.kind == "sandwich":
             alpha = self.params["alpha"]
-            return self.params["d"] / alpha, scale ** alpha
-        return None
+            with np.errstate(all="ignore"):         # inf or nan, raised below
+                s, eps = self.params["d"] / alpha, np.float64(scale) ** alpha
+        else:
+            return None
+        if not (scale > 0 and math.isfinite(eps) and eps >= EPS_MIN):
+            raise ValueError(f"power-law scale {scale:.4g} gives eps = {eps:.4g}; need "
+                             f"scale > 0 and a finite eps >= {EPS_MIN:.4g}")
+        return s, eps
+
+    def convex_minorant(self, scale: float, r) -> np.ndarray:
+        """g(r) at an array r >= 0, the greatest convex minorant of the power
+        law: 1 - m r up to r* = eps (1+s)^(1/s), m = s / ((1+s) r*) < 1/eps,
+        the power law beyond, so g(0) = 1 and g >= 1/(1+s) up to r*.  g is
+        positive definite by Polya's criterion, and g <= K <= R(s) g with
+        R(s) = 1 / (1 - (s/(1+s)) (1+s)^(-1/s)) (1.174 at s = 1/2, 1.483 at
+        s = 3/2)."""
+        s, eps = self.power_law(scale)
+        r_star = eps * (1.0 + s) ** (1.0 / s)
+        g = self.evaluate(scale, r)
+        near = r <= r_star
+        g[near] = 1.0 - s / ((1.0 + s) * r_star) * r[near]
+        return g
 
     def evaluate(self, scale: float, r) -> np.ndarray:
         """Vectorized K_scale(r) for r >= 0."""
@@ -427,21 +451,16 @@ class KernelFamily:
         power = self.power_law(scale)
         if power is not None:
             s, eps = power
-            vals = np.ones_like(r)
-            far = r > eps                        # power stays <= 1, no overflow
-            vals[far] = (eps / r[far]) ** s
-            return vals
+            return (eps / np.maximum(r, eps)) ** s       # exactly 1 at r <= eps
         if self.kind == "exact":
             return self._evaluate_exact(scale, r)
         raise ValueError(f"unknown kernel kind {self.kind!r}")
 
     def _evaluate_exact(self, eps: float, r: np.ndarray) -> np.ndarray:
         model = self.model
-        out = np.empty(r.shape, dtype=float)
-        flat = r.ravel()
-        res = np.empty(flat.shape, dtype=float)
+        res = np.empty(r.size)
         use_quad = model.kind == "isotropic_stable" and model.d == 1
-        for i, t in enumerate(flat):
+        for i, t in enumerate(r.flat):
             if t == 0.0:
                 res[i] = 1.0
             elif use_quad:
@@ -454,8 +473,7 @@ class KernelFamily:
                 val, _ = kappa_monte_carlo(model, eps, t, KAPPA_MC_SAMPLES,
                                            seed=self.seed ^ key)
                 res[i] = val
-        out.ravel()[:] = res
-        return out
+        return res.reshape(r.shape)
 
 
 # ---------------------------------------------------------------------------

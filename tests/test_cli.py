@@ -3,6 +3,7 @@
 import json
 import shlex
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,19 @@ def test_validation_exit_codes():
                          ("interval-exp-min-energy", ["-3"]),
                          ("two-point-energy", ["3"])):
         assert main(["oracle", "--name", name, "--params", *params]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("family", [["--family", "sandwich:2", "--ladder", "1e-170,0.5,3"],
+                                    ["--family", "fh", "--s", "0.5",
+                                     "--ladder", "1e-320,0.5,3"]])
+def test_power_law_eps_outside_the_normal_floats_is_a_config_error(family, capsys):
+    # eps = 1e-340 underflows to 0, and 1e-320 is subnormal: either would
+    # reach 0/0 or an infinite minorant slope
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["profile", "--set", "finite:0,0.5,1", *family]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
 
 
 def test_config_choice_fails_before_any_rung(tmp_path, monkeypatch, capsys):

@@ -10,8 +10,8 @@ from fracdim.errors import CertificateFailed, NetTooLarge, TooLarge
 from fracdim.energy_min import (_RESYNC_EVERY, DEFAULT_MAX_ITER,
                                 DEFAULT_RESTARTS, DEFAULT_TOL, DENSE_NET_CAP,
                                 EnergyResult, KernelMatrix, SimplexWeights,
-                                ToeplitzKernel, _assemble, _convex_minorant,
-                                _frank_wolfe, _grid_distances,
+                                ToeplitzKernel, _assemble, _frank_wolfe,
+                                _grid_distances,
                                 _minorant_solve,
                                 build_kernel,
                                 exp_kernel_certificate, exp_kernel_min_energy,
@@ -64,9 +64,18 @@ def test_build_kernel_net_cap():
         build_kernel(KernelFamily.fh(1.0), 0.1, net)
 
 
+def _assert_laid_out_as_evaluated(K, ref):
+    """K is the full-matrix evaluation itself, symmetric, with values in
+    [0, 1] and exactly 1 at r = 0."""
+    assert np.array_equal(K, ref)
+    assert np.array_equal(K, K.T)
+    assert np.all((K >= 0) & (K <= 1)) and np.all(np.diag(K) == 1.0)
+
+
 def test_build_kernel_equals_full_matrix_evaluation():
-    # row blocks give the same numbers as one elementwise evaluation of
-    # the whole distance matrix, on nets spanning several blocks
+    # row blocks lay out exactly what the family returns for the whole
+    # distance matrix, on nets spanning several blocks; so do the
+    # power-law minorants and a table-driven exact kernel
     nets = [discretize(CompactSet.interval(0, 1), 0.0015),
             discretize(CompactSet.cantor(), 3.0 ** -8 * (1 + 1e-9))]
     for net in nets:
@@ -76,11 +85,16 @@ def test_build_kernel_equals_full_matrix_evaluation():
                            (KernelFamily.fh(1.5), 0.003),
                            (KernelFamily.stable_sandwich(1.3, 1), 0.02),
                            (KernelFamily.stable_sandwich(0.7, 2), 0.05)):
-            K = build_kernel(fam, scale, net).values
-            ref = np.clip(fam.evaluate(scale, D), 0.0, 1.0)
-            np.fill_diagonal(ref, 1.0)
-            assert np.array_equal(K, ref)
-            assert np.array_equal(K, K.T)
+            _assert_laid_out_as_evaluated(build_kernel(fam, scale, net).values,
+                                          fam.evaluate(scale, D))
+            G = _assemble(lambda r: fam.convex_minorant(scale, r), net.points, None)
+            _assert_laid_out_as_evaluated(G.values, fam.convex_minorant(scale, D))
+    net = discretize(CompactSet.cantor(), 3.0 ** -2)
+    assert net.points.size <= 12
+    D = np.abs(net.points[:, None] - net.points[None, :])
+    cauchy = KernelFamily.exact(LevyModel.isotropic_stable(1.0))
+    _assert_laid_out_as_evaluated(build_kernel(cauchy, 0.2, net).values,
+                                  cauchy.evaluate(0.2, D))
 
 
 def test_subordinator_kernels_are_psd():
@@ -186,7 +200,7 @@ def test_fh_start_never_exceeds_uniform_energy():
 
 def _minorant_v(fam, scale, pts):
     """v = G^-1 1 for the convex minorant on the rung's own route."""
-    return _minorant_solve(_assemble(lambda r: _convex_minorant(fam, scale, r),
+    return _minorant_solve(_assemble(lambda r: fam.convex_minorant(scale, r),
                                      pts, _grid_distances(pts)).values)
 
 
@@ -203,6 +217,7 @@ def test_fh_companion_solve_matches_dense_solve():
             r_star = eps * (1 + s) ** (1 / s)
             G = np.where(D <= r_star, 1 - s / ((1 + s) * r_star) * D,
                          (eps / np.maximum(D, r_star)) ** s)
+            assert np.array_equal(fam.convex_minorant(scale, D), G)
             K = fam.evaluate(scale, D)
             R = 1 / (1 - s / (1 + s) * (1 + s) ** (-1 / s))
             assert np.all(G <= K) and np.all(K <= R * G * (1 + 1e-12))
@@ -210,6 +225,13 @@ def test_fh_companion_solve_matches_dense_solve():
             ref = np.linalg.solve(G, np.ones(pts.size))
             assert np.max(np.abs(v - ref)) <= 1e-9 * np.max(np.abs(ref))
     assert _minorant_v(KernelFamily.fh(1.0), 0.1, np.array([0.0, 0.0, 1.0])) is None
+
+
+def test_power_law_rung_with_an_underflowing_eps_raises_value_error():
+    # sandwich:2 at scale 1e-170 has eps = 1e-340, which underflows to 0
+    net = DeltaNet(np.array([0.0, 0.5, 1.0]))
+    with pytest.raises(ValueError, match="eps"):
+        rung_min_energy(KernelFamily.stable_sandwich(2.0), 1e-170, net)
 
 
 def test_only_kernels_without_a_minorant_are_probed(monkeypatch):

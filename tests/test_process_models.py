@@ -1,5 +1,6 @@
 """Process descriptors, ball probabilities, and Cauchy-weighted energies."""
 
+import math
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy import integrate, special
 from fracdim import verify
 from fracdim.errors import NonConvergedQuadrature
 from fracdim.energy_min import SimplexWeights, build_kernel
-from fracdim.process_models import (CAUCHY_QUAD_TOL, KernelFamily,
+from fracdim.process_models import (CAUCHY_QUAD_TOL, EPS_MIN, KernelFamily,
                                     LaplaceExponent, LevyModel,
                                     cauchy_weighted_energy,
                                     kappa_monte_carlo, kappa_stable_1d,
@@ -240,6 +241,29 @@ def test_kernel_eval_bounds_and_monotonicity_fuzz():
             assert np.all((v >= 0) & (v <= 1))
             assert np.all(np.diff(v) <= 1e-12)
             assert _kernel_at(fam, scale, 0.0) == 1.0
+
+
+def test_power_law_is_one_within_eps_and_needs_a_normal_eps():
+    """(eps / max(r, eps))^s is exactly 1 for r <= eps; eps below the
+    least normal float, overflowing or not a number raises ValueError
+    from every power-law entry point, without a RuntimeWarning."""
+    fh, sw = KernelFamily.fh(0.5), KernelFamily.stable_sandwich(2.0)
+    for fam, scale in ((fh, 0.3), (sw, 0.3), (fh, EPS_MIN)):
+        eps = fam.power_law(scale)[1]
+        r = np.array([0.0, eps / 2, eps, 2 * eps])
+        assert fam.evaluate(scale, r).tolist()[:3] == [1.0, 1.0, 1.0]
+        g = fam.convex_minorant(scale, r)
+        assert g[0] == 1.0 and np.all((g > 0) & (g <= 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fam, scale in ((fh, 1e-320), (fh, math.inf), (fh, math.nan),
+                           (sw, 1e-170), (sw, np.float64(1e-170)), (sw, -0.1),
+                           (sw, 1e200), (sw, np.float64(1e200))):
+            for call in (lambda: fam.power_law(scale),
+                         lambda: fam.evaluate(scale, np.array([0.0, 1.0])),
+                         lambda: fam.convex_minorant(scale, np.array([0.0, 1.0]))):
+                with pytest.raises(ValueError):
+                    call()
 
 
 def test_exact_kernel_delegates_to_quadrature():
