@@ -9,8 +9,11 @@ Exponential kernels exp(-a|t_i - t_j|) have an exact O(n) minimizer
 matrix is formed and no iteration runs.  Every other kernel is solved by
 pairwise Frank-Wolfe over the simplex (mass moves from an away vertex on
 the support to the Frank-Wolfe vertex, so positive semidefinite kernels
-converge linearly instead of zigzagging), on a `ToeplitzKernel` on
-equal-gap nets and a dense matrix otherwise.  The linear minimization
+converge linearly instead of zigzagging).  A net whose points lie on an
+equal-step grid (interval nets, and Cantor nets on their 3^-k grid) gets
+a `ToeplitzKernel`: one vector of the kernel's values on the grid, whose
+rows are slices or gathers and whose products are FFTs, so no n x n
+kernel is formed.  Other nets get a dense matrix.  The linear minimization
 oracle over the simplex is a coordinate argmin, ties broken at the
 lowest index, and the duality gap 2(w'Kw - min_i (Kw)_i) comes for free.
 The away vertex is the support point whose step lowers w'Kw most, as in
@@ -26,9 +29,11 @@ passes a Cholesky probe, the duality bound 2 min_i (Kw)_i - w'Kw.
 
 Kernel values come from `KernelFamily` alone.  `rung_min_energy` solves
 a power-law rung's positive definite convex minorant g <= K <= R(s) g
-(`KernelFamily.convex_minorant`) exactly and hands the solve to
-`min_energy`, which starts at g's minimizer and reports its minimum as
-Z_lower <= Z <= R(s) Z_lower; these rungs are not probed.
+(`KernelFamily.convex_minorant`) exactly (Levinson on equal-gap nets,
+else Cholesky of its matrix, gathered row by row on a grid subset)
+and hands the solve to `min_energy`, which starts at g's minimizer and
+reports its minimum as Z_lower <= Z <= R(s) Z_lower; these rungs are
+not probed.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ DEFAULT_MAX_ITER = 200_000
 DEFAULT_RESTARTS = 4
 ENUM_BUDGET = 200_000_000      # lattice points an exhaustive search may visit
 _ENUM_CHUNK_ROWS = 1 << 18     # bounds the rows held per enumerated block
-_EQUAL_GAP_RTOL = 1e-12        # equal-gap test of the Toeplitz paths
+_GRID_RTOL = 1e-9              # grid test of the Toeplitz paths, relative to the step
 PSD_JITTER = 1e-10             # diagonal shift of the Cholesky probe
 PSD_PROBE_CAP = 1024           # factorization probe only below this size
 _RESYNC_EVERY = 512            # refresh the cached gradient this often
@@ -86,44 +91,77 @@ class SimplexWeights:
 
 
 class ToeplitzKernel:
-    """Symmetric Toeplitz kernel T_ij = col[|i - j|], held as one vector.
+    """Kernel K_ij = col[|m_i - m_j|] of net points t_0 + m_i h on an
+    equal-step grid of N points, held as one vector.
 
-    Row i is the view full[n-1-i : 2n-1-i] of the (2n-1)-vector
-    full = (col[n-1], ..., col[1], col[0], ..., col[n-1]).  T @ w is the
-    head of a circulant product: T embeds in a circulant of a fast FFT
-    length L >= 2n - 1, whose spectrum is transformed once here.  Rows,
-    products, `shape` and the diagonal col[0] are all that `_frank_wolfe`
-    reads of a kernel.  No n x n array is formed.
+    full = (col[N-1], ..., col[1], col[0], ..., col[N-1]) holds every value
+    the kernel takes, and row i is full[N-1-m_i+m], read through
+    `select(i)`: a view full[n-1-i : 2n-1-i] when the net is the whole
+    grid (`index` None, a symmetric Toeplitz matrix), else a gather.
+    K @ w scatters w onto the grid and takes the head of a circulant
+    product: the grid's Toeplitz matrix embeds in a circulant of a fast
+    FFT length L >= 2N - 1, whose spectrum is transformed once here.
+    Rows, products, `shape` and the diagonal col[0] are all that
+    `_frank_wolfe` reads of a kernel.  K_ij and K_ji are the same entry
+    of `full`, so K is exactly symmetric, and no n x n array is formed
+    except by `dense`.
     """
 
-    def __init__(self, col: np.ndarray):
-        n = col.size
+    def __init__(self, col: np.ndarray, index: np.ndarray | None = None):
+        N = col.size
         self.col = col
+        self.index = index
+        n = N if index is None else index.size
         self.shape = (n, n)
-        self._full = np.concatenate((col[:0:-1], col))
-        self._fft_len = fft.next_fast_len(2 * n - 1, real=True)
-        circulant = np.concatenate((col, np.zeros(self._fft_len - 2 * n + 1), col[:0:-1]))
+        self.full = np.concatenate((col[:0:-1], col))
+        self._base = N - 1 + (np.arange(N) if index is None else index)
+        self._fft_len = fft.next_fast_len(2 * N - 1, real=True)
+        circulant = np.concatenate((col, np.zeros(self._fft_len - 2 * N + 1), col[:0:-1]))
         self._spectrum = fft.rfft(circulant)
 
+    def select(self, i: int):
+        """Where row i lies in a (2N-1)-vector laid out like `full`: a
+        slice on a whole grid, else an index array."""
+        if self.index is None:
+            N = self.col.size
+            return slice(N - 1 - i, 2 * N - 1 - i)
+        return self._base - self.index.item(i)
+
     def __getitem__(self, i: int) -> np.ndarray:
-        n = self.col.size
-        return self._full[n - 1 - i:2 * n - 1 - i]
+        return self.full[self.select(i)]
 
     def __matmul__(self, w: np.ndarray) -> np.ndarray:
         L = self._fft_len
-        return fft.irfft(self._spectrum * fft.rfft(w, L), L)[:self.col.size]
+        if self.index is None:
+            return fft.irfft(self._spectrum * fft.rfft(w, L), L)[:self.col.size]
+        u = np.zeros(L)
+        u[self.index] = w
+        return fft.irfft(self._spectrum * fft.rfft(u), L)[self.index]
+
+    def dense(self) -> np.ndarray:
+        """The n x n matrix, gathered row by row into it, so that no
+        block of indices or values is held beside it."""
+        n = self.shape[0]
+        m = self._base - (self.col.size - 1)
+        A = np.empty((n, n))
+        idx = np.empty(n, dtype=np.intp)
+        for i in range(n):
+            np.subtract(self._base, m.item(i), out=idx)
+            np.take(self.full, idx, out=A[i])
+        return A
 
 
 @dataclass
 class KernelMatrix:
     """Kernel matrix over a net.
 
-    `values` is a dense array (`build_kernel`) or, on equal-gap nets, a
-    `ToeplitzKernel` (symmetric by construction).  A caller's dense array
-    is used as given: Frank-Wolfe reads its diagonal, and it must be
-    exactly symmetric (A == A.T elementwise, as `build_kernel` writes it),
-    since the update reads rows where it means columns; `min_energy`
-    raises ValueError otherwise.
+    `values` is a dense array (`build_kernel`) or, on nets whose points
+    lie on an equal-step grid (`_grid_distances`), a `ToeplitzKernel`
+    (symmetric by construction, so never scanned).  A caller's dense
+    array is used as given: Frank-Wolfe reads its diagonal, and it must
+    be exactly symmetric (A == A.T elementwise, as `build_kernel` writes
+    it), since the update reads rows where it means columns;
+    `min_energy` scans it and raises ValueError otherwise.
     """
 
     values: np.ndarray | ToeplitzKernel
@@ -193,14 +231,16 @@ def build_kernel(family: KernelFamily, scale: float, net: DeltaNet) -> KernelMat
     return _assemble(kernel, pts, None)
 
 
-def _assemble(kernel, pts: np.ndarray, dist) -> KernelMatrix:
-    """K_ij = kernel(|t_i - t_j|), laid out as the kernel returns it: a
-    `ToeplitzKernel` of kernel(dist) given the distances k h of an
-    equal-gap net (`_grid_distances`), else dense, written in blocks of
-    _ROW_BLOCK rows; K_ji comes from the same distance as K_ij, so K is
-    exactly symmetric."""
-    if dist is not None:
-        return KernelMatrix(ToeplitzKernel(kernel(dist)), pts)
+def _assemble(kernel, pts: np.ndarray, grid) -> KernelMatrix:
+    """K_ij = kernel(|t_i - t_j|), laid out as the kernel returns it: given
+    the grid (distances k h, grid index m) of a net on an equal-step grid
+    (`_grid_distances`), a `ToeplitzKernel` of kernel(k h), so the kernel
+    is evaluated at the N grid distances and no n x n array is formed;
+    else dense, written in blocks of _ROW_BLOCK rows.  Either way K_ji
+    comes from the same distance as K_ij, so K is exactly symmetric."""
+    if grid is not None:
+        dist, index = grid
+        return KernelMatrix(ToeplitzKernel(kernel(dist), index), pts)
     K = np.empty((pts.size, pts.size))
     for i in range(0, pts.size, _ROW_BLOCK):
         K[i:i + _ROW_BLOCK] = kernel(np.abs(pts[i:i + _ROW_BLOCK, None] - pts))
@@ -254,17 +294,30 @@ def _frank_wolfe(K, w0: np.ndarray, tol: float, max_iter: int):
     Directions are two-sparse, so the cached potential updates in O(n)
     per step with periodic resyncs against drift, and the scores cost
     O(n) from the row K[fw].  K is read only through rows K[i], the
-    product K @ w, K.shape and its diagonal (col[0] of a
-    `ToeplitzKernel`), so a dense array and a `ToeplitzKernel` both
-    serve.  The update reads the contiguous rows K[fw] - K[aw] in place
-    of the columns, so K must be exactly symmetric (`min_energy` checks
-    dense arrays).
+    product K @ w, K.shape and its diagonal, so a dense array and a
+    `ToeplitzKernel` both serve.  On a `ToeplitzKernel` the diagonal is
+    col[0] = K_fw,fw, so c_i is row fw of the one vector
+    (-2 full + col[0]) + col[0], built once per run with its floor
+    max(c, tau) and read like K[fw] (`select`), with the arithmetic of
+    the per-step curvature of a dense K.  The update reads the rows
+    K[fw] - K[aw] in place of the columns, so K must be exactly
+    symmetric (`min_energy` checks dense arrays).
     """
     w = w0.copy()
     g = K @ w
     f = float(w @ g)
     gap = float("inf")
-    diag = K.col.item(0) if isinstance(K, ToeplitzKernel) else K.diagonal()
+    toeplitz = isinstance(K, ToeplitzKernel)
+    if toeplitz:
+        k00 = K.col.item(0)
+        curv_all = K.full * -2.0
+        curv_all += k00
+        curv_all += k00
+        floor_all = np.maximum(curv_all, _WSS_TAU)
+    else:
+        diag = K.diagonal()
+        curv = np.empty_like(g)
+        floor = np.empty_like(g)
     dbuf = np.empty_like(g)
     step = np.empty_like(g)
     score = np.empty_like(g)
@@ -274,16 +327,21 @@ def _frank_wolfe(K, w0: np.ndarray, tol: float, max_iter: int):
         gap = 2.0 * (f - g_fw)
         if gap <= tol * max(f, 1e-300):
             return w, f, gap, it - 1, "gap"
-        row_fw = K[fw]
-        k_fwfw = row_fw.item(fw)
-        np.multiply(row_fw, -2.0, out=dbuf)      # curvature c_i
-        dbuf += diag
-        dbuf += k_fwfw
+        if toeplitz:
+            sel = K.select(fw)
+            row_fw, curv, floor = K.full[sel], curv_all[sel], floor_all[sel]
+            k_fwfw = k00
+        else:
+            row_fw = K[fw]
+            k_fwfw = row_fw.item(fw)
+            np.multiply(row_fw, -2.0, out=curv)  # curvature c_i
+            curv += diag
+            curv += k_fwfw
+            np.maximum(curv, _WSS_TAU, out=floor)
         np.subtract(g, g_fw, out=score)          # delta_i
-        np.maximum(dbuf, _WSS_TAU, out=step)
-        np.divide(score, step, out=step)
+        np.divide(score, floor, out=step)
         np.minimum(step, w, out=step)            # gamma_i
-        dbuf *= step
+        np.multiply(curv, step, out=dbuf)
         score *= 2.0
         score -= dbuf
         score *= step                            # gamma_i (2 delta_i - gamma_i c_i)
@@ -352,7 +410,7 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
         raise ValueError("kernel matrix is not exactly symmetric")
     w0, label = np.full(n, 1.0 / n), "uniform"
     if minorant is None:
-        psd = n <= PSD_PROBE_CAP and is_psd(linalg.toeplitz(A.col) if toeplitz else A)
+        psd = n <= PSD_PROBE_CAP and is_psd(A.dense() if toeplitz else A)
     else:
         v = np.asarray(minorant, dtype=float)
         if v.shape != (n,) or not np.all(np.isfinite(v)) or not np.any(v > 0):
@@ -470,39 +528,58 @@ def exp_kernel_min_energy(points, a: float,
     return exp_kernel_certificate(pts, a, v / v.sum(), tol)
 
 
-def _grid_distances(points) -> np.ndarray | None:
-    """Distances k h, k = 0..n-1, of an equal-gap net, or None.
+def _grid_distances(points):
+    """(dist, index) of a net whose points lie on an equal-step grid, or None.
 
-    A net of n > 2 sorted points counts as equal-gap when every point
-    lies within _EQUAL_GAP_RTOL * span of t_0 + k h, h = span / (n - 1)
-    (interval nets: measured within 1.3e-16 on [0, 1]).  A kernel built
-    from these exact distances is Toeplitz.  Its entries differ from
-    those at the net's own distances by at most L * 2e-12 * span for a
-    kernel with Lipschitz constant L in the distance (fh: s * 2e-12 *
-    span / eps relative); on interval nets of [0, 1] the measured fh
-    difference is below 3e-14.
+    A net of n > 2 sorted points lies on the grid t_0 + m h, m = 0..N-1,
+    when every point is within _GRID_RTOL * h of t_0 + m_i h, with h the
+    smallest gap refined to span / (N - 1); duplicate points (a zero
+    gap) are no grid.  The test is relative to h, not the span, because
+    a Cantor net's endpoints come from the IFS maps (measured within
+    2.2e-16, 2e-11 of a step, on [0, 1] at depth 11).  The grid is used
+    only when 2N - 1 <= n^2, so its kernel never holds more values than
+    the dense matrix.  Returns dist = k h for k = 0..N-1, and index = m,
+    or None when the net is the whole grid (N = n: equal-gap nets).
+
+    A kernel built from these exact distances is Toeplitz on the grid.
+    With off = max_i |t_i - t_0 - m_i h| <= _GRID_RTOL h, the net's own
+    distances |t_i - t_j| differ from |m_i - m_j| h by at most 2 off plus
+    the rounding of the subtractions (4 ulps of the span), so the entries
+    move by at most L times that for a kernel with Lipschitz constant L
+    in the distance (fh: s / eps).  Measured fh differences: below 3e-14
+    on interval nets of [0, 1], and 8e-13 on Cantor nets of [0, 1] up to
+    n = 2,048, where off is at most 2.2e-16.
     """
     pts = np.asarray(points, dtype=float)
     n = pts.size
     if n <= 2:
         return None
     span = pts[-1] - pts[0]
-    dist = span / (n - 1) * np.arange(n)
-    if np.max(np.abs(pts - pts[0] - dist)) <= _EQUAL_GAP_RTOL * span:
-        return dist
+    h = np.diff(pts).min()
+    if not (h > 0 and span <= h * n * n):
+        return None
+    m = np.rint((pts - pts[0]) / h).astype(np.intp)
+    N = int(m[-1]) + 1
+    if 2 * N - 1 > n * n:
+        return None
+    dist = span / (N - 1) * np.arange(N)
+    if np.max(np.abs(pts - pts[0] - dist[m])) <= _GRID_RTOL * dist[1]:
+        return dist, (None if N == n else m)
     return None
 
 
 def _minorant_solve(G) -> np.ndarray | None:
-    """v = G^-1 1 for a positive definite `ToeplitzKernel` (Levinson, O(n)
-    memory) or dense G (Cholesky in place on G.T, the same matrix in
-    Fortran order), or None when the solve fails."""
+    """v = G^-1 1 for a positive definite G: Levinson (O(n) memory) on a
+    `ToeplitzKernel` of a whole grid, else Cholesky in place on G.T (the
+    same matrix in Fortran order) of a dense G or of the matrix gathered
+    from a grid subset's `ToeplitzKernel`; None when the solve fails."""
     ones = np.ones(G.shape[0])
     try:
-        if isinstance(G, ToeplitzKernel):
+        if isinstance(G, ToeplitzKernel) and G.index is None:
             v = linalg.solve_toeplitz(G.col, ones, check_finite=False)
         else:
-            v = linalg.cho_solve(linalg.cho_factor(G.T, overwrite_a=True,
+            A = G.dense() if isinstance(G, ToeplitzKernel) else G
+            v = linalg.cho_solve(linalg.cho_factor(A.T, overwrite_a=True,
                                                    check_finite=False),
                                  ones, check_finite=False)
     except np.linalg.LinAlgError:
@@ -516,24 +593,27 @@ def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
     `solver_kw` (restarts, seed, max_iter) to `min_energy`.
 
     Nets above DENSE_NET_CAP points raise NetTooLarge before any solve.
-    Each kernel is Toeplitz on equal-gap nets (`_grid_distances`) and
-    dense otherwise.  Power-law rungs (ValueError if eps is out of range)
-    first solve their convex minorant g exactly, free it, and hand
-    v = G^-1 1 to `min_energy` as its `minorant`: when every v_i > 0,
-    Z_lower = 1/1'v satisfies Z_lower <= Z <= R(s) Z_lower up to
-    rounding.  Other rungs, and a minorant solve that fails, are probed
-    like a caller's matrix.
+    Each kernel is a `ToeplitzKernel` on nets whose points lie on an
+    equal-step grid (`_grid_distances`: interval and Cantor nets), with
+    no n x n kernel, and dense (`build_kernel`) otherwise.  Power-law
+    rungs (ValueError if eps is out of range) first solve their convex
+    minorant g exactly (`_minorant_solve`: on a Cantor net, the Cholesky
+    factor of g's matrix gathered from the grid vector), free it, and
+    hand v = G^-1 1 to `min_energy` as its `minorant`: when every
+    v_i > 0, Z_lower = 1/1'v satisfies Z_lower <= Z <= R(s) Z_lower up
+    to rounding.  Other rungs, and a minorant solve that fails, are
+    probed like a caller's matrix.
     """
     pts = net.points
     if pts.size > DENSE_NET_CAP:
         raise NetTooLarge(f"net has {pts.size} points, dense cap is {DENSE_NET_CAP}")
-    dist = _grid_distances(pts)
+    grid = _grid_distances(pts)
     v = None
     if family.power_law(scale) is not None:
         v = _minorant_solve(_assemble(lambda r: family.convex_minorant(scale, r),
-                                      pts, dist).values)
-    K = (build_kernel(family, scale, net) if dist is None
-         else _assemble(lambda r: family.evaluate(scale, r), pts, dist))
+                                      pts, grid).values)
+    K = (build_kernel(family, scale, net) if grid is None
+         else _assemble(lambda r: family.evaluate(scale, r), pts, grid))
     return min_energy(K, tol=tol, minorant=v, **solver_kw)
 
 

@@ -53,7 +53,7 @@ class CompactSet:
 
     @classmethod
     def finite(cls, points) -> "CompactSet":
-        pts = np.unique(np.asarray(points, dtype=float))
+        pts = np.unique(_finite_points(points))
         if pts.size == 0 or pts[0] < 0:
             raise ValueError("need a nonempty point list in [0, inf)")
         return cls("finite", {"points": pts}, label=f"finite[{pts.size}]")
@@ -115,6 +115,15 @@ class CompactSet:
         return True             # intervals; finite sets have dimension 0 everywhere
 
 
+def _finite_points(points) -> np.ndarray:
+    """Points as floats; ValueError naming the first NaN or infinite one."""
+    pts = np.asarray(points, dtype=float)
+    bad = pts[~np.isfinite(pts)]
+    if bad.size:
+        raise ValueError(f"point {float(bad.flat[0])!r} is not finite")
+    return pts
+
+
 def _ifs_hull(ratios, trans) -> tuple[float, float]:
     # hull endpoints are the extreme fixed points t/(1-r) of the maps
     fix = trans / (1.0 - ratios)
@@ -133,7 +142,7 @@ class DeltaNet:
     points: np.ndarray
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
+        self.points = _finite_points(self.points)
         if np.any(np.diff(self.points) <= 0):
             raise ValueError("net points must be strictly increasing")
 

@@ -124,6 +124,17 @@ def test_power_law_eps_outside_the_normal_floats_is_a_config_error(family, capsy
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("point", ["nan", "inf"])
+def test_non_finite_set_point_is_a_config_error(point, monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a rung was solved")
+
+    monkeypatch.setattr(profiles, "rung_min_energy", unreachable)
+    assert main(["profile", "--set", f"finite:0,{point},1", "--family", "fh",
+                 "--s", "0.5", "--ladder", "0.1,0.5,3"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: point {point} is not finite\n"
+
+
 def test_config_choice_fails_before_any_rung(tmp_path, monkeypatch, capsys):
     def unreachable(*args, **kwargs):
         raise AssertionError("a rung was solved")

@@ -7,7 +7,7 @@ import pytest
 
 from fracdim import energy_min
 from fracdim.errors import CertificateFailed, NetTooLarge, TooLarge
-from fracdim.energy_min import (_RESYNC_EVERY, DEFAULT_MAX_ITER,
+from fracdim.energy_min import (_GRID_RTOL, _RESYNC_EVERY, DEFAULT_MAX_ITER,
                                 DEFAULT_RESTARTS, DEFAULT_TOL, DENSE_NET_CAP,
                                 EnergyResult, KernelMatrix, SimplexWeights,
                                 ToeplitzKernel, _assemble, _frank_wolfe,
@@ -425,6 +425,9 @@ def test_toeplitz_and_dense_frank_wolfe_agree_on_c7_rungs():
 
 
 def test_equal_gap_rungs_build_no_dense_kernel(monkeypatch):
+    """Interval rungs, the C6 Cantor rungs and a `cantor:0.25` rung lie on
+    an equal-step grid and build no dense kernel; a net of sorted random
+    points does."""
     calls = []
 
     def counted(*args):
@@ -441,10 +444,72 @@ def test_equal_gap_rungs_build_no_dense_kernel(monkeypatch):
         rung_min_energy(KernelFamily.fh(1.0), 0.1,
                         DeltaNet(np.linspace(0, 1, DENSE_NET_CAP + 2)))
     assert calls == []
-    # Cantor nets are not equal-gap, and stay dense
-    rung_min_energy(KernelFamily.fh(1.5), 3.0 ** -4,
-                    discretize(CompactSet.cantor(), 3.0 ** -5), restarts=2)
+    rep = fh_profile(CompactSet.cantor(), 1.5, 3.0 ** -np.arange(2, 8, dtype=float),
+                     restarts=2, seed=0)
+    assert rep.rungs[-1]["n"] == 2048
+    rung_min_energy(KernelFamily.fh(1.0), 4.0 ** -4,
+                    discretize(CompactSet.cantor(0.25), 4.0 ** -5), restarts=2)
+    assert calls == []
+    rng = np.random.default_rng(2)
+    rung_min_energy(KernelFamily.fh(1.0), 0.05, DeltaNet(np.sort(rng.uniform(0, 1, 200))),
+                    restarts=2)
     assert len(calls) == 1
+
+
+def test_duplicate_points_are_no_grid():
+    """A zero gap is no grid step (and no division by it); the grid of an
+    equal-gap net is the net itself, a Cantor net's is its 3^-k grid, and
+    a grid of N points with 2N - 1 > n^2 is not used."""
+    for pts in ([0.0, 0.0, 1.0], [0.0, 0.5, 0.5, 1.0], [0.2, 0.2, 0.2]):
+        assert _grid_distances(np.array(pts)) is None
+    dist, index = _grid_distances(np.linspace(0.0, 1.0, 7))
+    assert index is None and np.array_equal(dist, 1.0 / 6.0 * np.arange(7))
+    dist, index = _grid_distances(discretize(CompactSet.cantor(), 3.0 ** -3).points)
+    lefts = [0, 2, 6, 8, 18, 20, 24, 26]                 # base-3 digits 0 and 2
+    assert dist.size == 28 and index.tolist() == sorted(lefts + [k + 1 for k in lefts])
+    assert _grid_distances(np.array([0.0, 0.25, 1.0])) is not None      # N = 5 <= 9
+    assert _grid_distances(np.array([0.0, 0.1, 1.0])) is None           # 2N - 1 = 21 > 9
+
+
+def test_grid_kernel_matches_dense_kernel_on_cantor_nets():
+    """On Cantor nets of ratios 1/3 and 1/4, the grid kernel's rows agree
+    with `build_kernel`'s dense matrix (built on the net's own distances)
+    within the bound `_grid_distances` states, L (2 off + 4 ulps of the
+    span) with L = s / eps for fh and off <= _GRID_RTOL h the largest
+    offset of a point from its grid point, and its FFT products within
+    that bound times |w|_1 plus 1e-13 relative; `dense` gathers the same
+    rows.  Each C6 Cantor rung's Z is within 1e-9 relative of the dense
+    route's."""
+    rng = np.random.default_rng(4)
+    for ratio, depth in ((1 / 3, 7), (1 / 3, 10), (1 / 4, 5), (1 / 4, 8)):
+        net = discretize(CompactSet.cantor(ratio), ratio ** depth)
+        pts, n = net.points, net.n
+        grid = _grid_distances(pts)
+        h = grid[0][1]
+        off = np.max(np.abs(pts - pts[0] - grid[0][grid[1]]))
+        assert grid[1] is not None and n == 2 ** (depth + 1) and off <= _GRID_RTOL * h
+        for s, eps in ((0.5, ratio ** (depth - 2)), (1.5, 10 * h)):
+            fam = KernelFamily.fh(s)
+            T = _assemble(lambda r: fam.evaluate(eps, r), pts, grid).values
+            D = build_kernel(fam, eps, net).values
+            bound = s / eps * (2 * off + 4 * np.spacing(pts[-1] - pts[0]))
+            rows = np.array([T[i] for i in range(n)])
+            assert np.array_equal(T.dense(), rows)
+            assert np.max(np.abs(rows - D)) <= bound
+            for w in (rng.dirichlet(np.ones(n)), rng.standard_normal(n)):
+                ref = D @ w
+                assert (np.max(np.abs(T @ w - ref))
+                        <= bound * np.abs(w).sum() + 1e-13 * np.max(np.abs(ref)))
+    fam = KernelFamily.fh(1.5)
+    rep = fh_profile(CompactSet.cantor(), 1.5, 3.0 ** -np.arange(2, 8, dtype=float),
+                     restarts=2, seed=0)
+    for eps, mesh, rung in zip(rep.ladder.scales, rep.mesh_per_scale, rep.rungs):
+        net = discretize(CompactSet.cantor(), mesh)
+        G = _assemble(lambda r: fam.convex_minorant(eps, r), net.points, None).values
+        dense = min_energy(build_kernel(fam, eps, net), restarts=2, seed=0,
+                           minorant=_minorant_solve(G))
+        assert rung["n"] == net.n and abs(rung["Z"] - dense.value) <= 1e-9 * dense.value
+        assert abs(rung["Z_lower"] - dense.Z_lower) <= 1e-9 * dense.Z_lower
 
 
 def test_min_energy_probes_toeplitz_kernel():
@@ -477,22 +542,25 @@ def _line_search(dKw: float, dKd: float, gmax: float) -> float:
 
 
 def _column_frank_wolfe(K, w0, tol, max_iter):
-    """The pairwise loop on strided columns and a boolean support mask,
-    with the away vertex scored as in `_frank_wolfe` (the same
-    arithmetic, so near-ties resolve alike); the production loop must
-    reproduce it bit for bit."""
+    """The pairwise loop on strided columns (rows of a `ToeplitzKernel`,
+    symmetric by construction) and a boolean support mask, with the away
+    vertex scored as in `_frank_wolfe` and its curvature computed afresh
+    at every step (the same arithmetic, so near-ties resolve alike); the
+    production loop must reproduce it bit for bit."""
+    toeplitz = isinstance(K, ToeplitzKernel)
+    column = (lambda i: K[i]) if toeplitz else (lambda i: K[:, i])
     w = w0.copy()
     g = K @ w
     f = float(w @ g)
     gap = float("inf")
-    diag = np.diag(K)
+    diag = np.full(w.size, K.col[0]) if toeplitz else np.diag(K)
     dbuf = np.empty_like(g)
     for it in range(1, max_iter + 1):
         fw = int(np.argmin(g))
         gap = 2.0 * (f - g[fw])
         if gap <= tol * max(f, 1e-300):
             return w, f, gap, it - 1, "gap"
-        curv = K[:, fw] * -2.0 + diag + K[fw, fw]
+        curv = column(fw) * -2.0 + diag + column(fw)[fw]
         delta = g - g[fw]
         step = np.minimum(delta / np.maximum(curv, energy_min._WSS_TAU), w)
         score = (delta * 2.0 - curv * step) * step
@@ -501,7 +569,7 @@ def _column_frank_wolfe(K, w0, tol, max_iter):
         if aw == fw:
             return w, f, gap, it, "stall"
         dKw = float(g[fw] - g[aw])
-        dKd = float(K[fw, fw] + K[aw, aw] - 2.0 * K[fw, aw])
+        dKd = float(column(fw)[fw] + column(aw)[aw] - 2.0 * column(aw)[fw])
         if dKw >= 0:
             return w, f, gap, it, "stall"
         gamma = _line_search(dKw, dKd, float(w[aw]))
@@ -510,7 +578,7 @@ def _column_frank_wolfe(K, w0, tol, max_iter):
         drop = gamma >= w[aw] * (1.0 - 1e-12)
         w[aw] = 0.0 if drop else w[aw] - gamma
         w[fw] += gamma
-        np.subtract(K[:, fw], K[:, aw], out=dbuf)
+        np.subtract(column(fw), column(aw), out=dbuf)
         dbuf *= gamma
         g += dbuf
         f += 2.0 * gamma * dKw + gamma * gamma * dKd
@@ -523,6 +591,9 @@ def _column_frank_wolfe(K, w0, tol, max_iter):
 
 
 def test_frank_wolfe_bit_identical_to_column_reference():
+    """Dense kernels, and `ToeplitzKernel`s on interval nets and on Cantor
+    nets (grid subsets), whose curvature rows `_frank_wolfe` reads from
+    vectors built once per run."""
     rng = np.random.default_rng(5)
     kernels = []
     for n in (5, 17, 60, 150, 400):
@@ -530,8 +601,15 @@ def test_frank_wolfe_bit_identical_to_column_reference():
         net = DeltaNet(np.sort(rng.uniform(0, 1, n)))
         kernels.append(build_kernel(KernelFamily.fh(float(rng.uniform(0.3, 1.5))),
                                     float(rng.uniform(0.02, 0.3)), net).values)
-    most_iters = 0
-    statuses = set()
+    for pts in [np.linspace(0, 1, n) for n in (9, 60, 301)] + [
+            discretize(CompactSet.cantor(ratio), ratio ** depth).points
+            for ratio, depth in ((1 / 3, 3), (1 / 3, 6), (1 / 4, 5))]:
+        fam = KernelFamily.fh(float(rng.uniform(0.3, 1.5)))
+        T = _assemble(lambda r: fam.evaluate(0.05, r), pts, _grid_distances(pts)).values
+        assert isinstance(T, ToeplitzKernel)
+        kernels.append(T)
+    most_iters = subset_iters = 0
+    statuses, subset_statuses = set(), set()
     for K in kernels:
         n = K.shape[0]
         for w0 in (np.full(n, 1.0 / n), rng.dirichlet(np.ones(n))):
@@ -542,8 +620,12 @@ def test_frank_wolfe_bit_identical_to_column_reference():
                 assert got[1:] == ref[1:]
                 most_iters = max(most_iters, got[3])
                 statuses.add(got[4])
+                if isinstance(K, ToeplitzKernel) and K.index is not None:
+                    subset_iters = max(subset_iters, got[3])
+                    subset_statuses.add(got[4])
     assert most_iters > _RESYNC_EVERY          # the resync path ran
     assert statuses == {"gap", "stall", "iters"}
+    assert subset_iters > _RESYNC_EVERY and subset_statuses >= {"gap", "iters"}
 
 
 def test_away_vertex_maximizes_second_order_decrease():

@@ -253,3 +253,11 @@ def test_delta_net_requires_sorted_points():
     for bad in ([1.0, 0.0], [0.0, 0.5, 0.5, 1.0]):
         with pytest.raises(ValueError):
             DeltaNet(np.array(bad))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nets_and_finite_sets_reject_non_finite_points(bad):
+    with pytest.raises(ValueError, match=f"point {bad!r} is not finite"):
+        DeltaNet(np.array([0.0, 0.5, bad]))
+    with pytest.raises(ValueError, match=f"point {bad!r} is not finite"):
+        CompactSet.finite([0.0, bad, 1.0])
