@@ -10,12 +10,14 @@ matrix is formed and no iteration runs.  Every other kernel is solved by
 pairwise Frank-Wolfe over the simplex (mass moves from an away vertex on
 the support to the Frank-Wolfe vertex, so positive semidefinite kernels
 converge linearly instead of zigzagging).  A net whose points lie on an
-equal-step grid (interval nets, and Cantor nets on their 3^-k grid) gets
-a `ToeplitzKernel`: one vector of the kernel's values on the grid, whose
-rows are slices or gathers and whose products are FFTs, so no n x n
-kernel is formed.  Other nets get a dense matrix.  The linear minimization
-oracle over the simplex is a coordinate argmin, ties broken at the
-lowest index, and the duality gap 2(w'Kw - min_i (Kw)_i) comes for free.
+equal-step grid (interval nets, and Cantor nets of ratio 1/3 on their
+3^-k grid) gets a `ToeplitzKernel`: one vector of the kernel's values on
+the grid, whose rows are slices or gathers and whose products are FFTs,
+so no n x n kernel is formed.  Other nets, and grids too sparse in net
+points to save memory (`_grid_distances`), get a dense matrix.  The
+linear minimization oracle over the simplex is a coordinate argmin, ties
+broken at the lowest index, and the duality gap 2(w'Kw - min_i (Kw)_i)
+comes for free.
 The away vertex is the support point whose step lowers w'Kw most, as in
 SVM-dual solvers (Fan, Chen and Lin 2005).
 A solve always returns, with the status of its best run: "gap" (the
@@ -55,6 +57,7 @@ DEFAULT_RESTARTS = 4
 ENUM_BUDGET = 200_000_000      # lattice points an exhaustive search may visit
 _ENUM_CHUNK_ROWS = 1 << 18     # bounds the rows held per enumerated block
 _GRID_RTOL = 1e-9              # grid test of the Toeplitz paths, relative to the step
+_GRID_FLOATS = 16              # floats per grid point a grid kernel and its FW run hold
 PSD_JITTER = 1e-10             # diagonal shift of the Cholesky probe
 PSD_PROBE_CAP = 1024           # factorization probe only below this size
 _RESYNC_EVERY = 512            # refresh the cached gradient this often
@@ -109,11 +112,11 @@ class ToeplitzKernel:
 
     def __init__(self, col: np.ndarray, index: np.ndarray | None = None):
         N = col.size
-        self.col = col
         self.index = index
         n = N if index is None else index.size
         self.shape = (n, n)
         self.full = np.concatenate((col[:0:-1], col))
+        self.col = self.full[N - 1:]
         self._base = N - 1 + (np.arange(N) if index is None else index)
         self._fft_len = fft.next_fast_len(2 * N - 1, real=True)
         circulant = np.concatenate((col, np.zeros(self._fft_len - 2 * N + 1), col[:0:-1]))
@@ -536,10 +539,20 @@ def _grid_distances(points):
     smallest gap refined to span / (N - 1); duplicate points (a zero
     gap) are no grid.  The test is relative to h, not the span, because
     a Cantor net's endpoints come from the IFS maps (measured within
-    2.2e-16, 2e-11 of a step, on [0, 1] at depth 11).  The grid is used
-    only when 2N - 1 <= n^2, so its kernel never holds more values than
-    the dense matrix.  Returns dist = k h for k = 0..N-1, and index = m,
-    or None when the net is the whole grid (N = n: equal-gap nets).
+    2.2e-16, 2e-11 of a step, on [0, 1] at depth 11).  Returns dist = k h
+    for k = 0..N-1, and index = m, or None when the net is the whole grid
+    (N = n: equal-gap nets).
+
+    A whole grid is always used.  A subset of a grid is used only when
+    _GRID_FLOATS * N <= n^2, so that the grid route holds no more than
+    the n x n dense kernel: a `ToeplitzKernel` holds `full` and its
+    spectrum (about 2N floats each), `_frank_wolfe` adds its two
+    curvature vectors (2N each), and each product allocates three more
+    vectors of the FFT length (about 2N each) while it runs.  Traced
+    peaks of kernel and solve on Cantor nets of ratios 1/3 and 1/4 are
+    10 to 15.2 floats per grid point.  So Cantor nets of ratio 1/3
+    (n^2 / N from 16.8 at depth 5 up) use their grid and those of ratio
+    1/4 (n^2 / N = 4) stay dense.
 
     A kernel built from these exact distances is Toeplitz on the grid.
     With off = max_i |t_i - t_0 - m_i h| <= _GRID_RTOL h, the net's own
@@ -560,12 +573,29 @@ def _grid_distances(points):
         return None
     m = np.rint((pts - pts[0]) / h).astype(np.intp)
     N = int(m[-1]) + 1
-    if 2 * N - 1 > n * n:
+    if N > n and _GRID_FLOATS * N > n * n:
         return None
     dist = span / (N - 1) * np.arange(N)
     if np.max(np.abs(pts - pts[0] - dist[m])) <= _GRID_RTOL * dist[1]:
         return dist, (None if N == n else m)
     return None
+
+
+def _at_used_steps(kernel, index: np.ndarray):
+    """`kernel` on a grid's distances, evaluated only at the steps
+    |m_i - m_j| some pair of net points is apart and 0 elsewhere, where
+    no row or product at the net's points reads it: a quadrature or
+    Monte Carlo kernel then costs no more evaluations than
+    `build_kernel`'s one per distinct distance."""
+    used = np.zeros(index.item(-1) + 1, dtype=bool)
+    for i in range(0, index.size, _ROW_BLOCK):
+        used[np.abs(index[i:i + _ROW_BLOCK, None] - index)] = True
+
+    def at_used(dist):
+        col = np.zeros(dist.size)
+        col[used] = kernel(dist[used])
+        return col
+    return at_used
 
 
 def _minorant_solve(G) -> np.ndarray | None:
@@ -594,11 +624,13 @@ def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
 
     Nets above DENSE_NET_CAP points raise NetTooLarge before any solve.
     Each kernel is a `ToeplitzKernel` on nets whose points lie on an
-    equal-step grid (`_grid_distances`: interval and Cantor nets), with
-    no n x n kernel, and dense (`build_kernel`) otherwise.  Power-law
-    rungs (ValueError if eps is out of range) first solve their convex
-    minorant g exactly (`_minorant_solve`: on a Cantor net, the Cholesky
-    factor of g's matrix gathered from the grid vector), free it, and
+    equal-step grid (`_grid_distances`: interval nets, and Cantor nets of
+    ratio 1/3), with no n x n kernel, and dense (`build_kernel`)
+    otherwise; a quadrature or Monte Carlo family on a grid subset is
+    evaluated only at the steps the net uses (`_at_used_steps`).
+    Power-law rungs (ValueError if eps is out of range) first solve their
+    convex minorant g exactly (`_minorant_solve`: on a Cantor net, the
+    Cholesky factor of g's matrix gathered from the grid vector), free it, and
     hand v = G^-1 1 to `min_energy` as its `minorant`: when every
     v_i > 0, Z_lower = 1/1'v satisfies Z_lower <= Z <= R(s) Z_lower up
     to rounding.  Other rungs, and a minorant solve that fails, are
@@ -612,8 +644,13 @@ def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
     if family.power_law(scale) is not None:
         v = _minorant_solve(_assemble(lambda r: family.convex_minorant(scale, r),
                                       pts, grid).values)
-    K = (build_kernel(family, scale, net) if grid is None
-         else _assemble(lambda r: family.evaluate(scale, r), pts, grid))
+    if grid is None:
+        K = build_kernel(family, scale, net)
+    else:
+        kernel = lambda r: family.evaluate(scale, r)
+        if family.kind == "exact" and grid[1] is not None:
+            kernel = _at_used_steps(kernel, grid[1])
+        K = _assemble(kernel, pts, grid)
     return min_energy(K, tol=tol, minorant=v, **solver_kw)
 
 

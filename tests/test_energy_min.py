@@ -1,5 +1,6 @@
 """Kernel assembly, Frank-Wolfe minimization, and its oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 
 from fracdim import energy_min
 from fracdim.errors import CertificateFailed, NetTooLarge, TooLarge
-from fracdim.energy_min import (_GRID_RTOL, _RESYNC_EVERY, DEFAULT_MAX_ITER,
-                                DEFAULT_RESTARTS, DEFAULT_TOL, DENSE_NET_CAP,
+from fracdim.energy_min import (_GRID_FLOATS, _GRID_RTOL, _RESYNC_EVERY,
+                                _ROW_BLOCK, DEFAULT_MAX_ITER, DEFAULT_RESTARTS,
+                                DEFAULT_TOL, DENSE_NET_CAP,
                                 EnergyResult, KernelMatrix, SimplexWeights,
                                 ToeplitzKernel, _assemble, _frank_wolfe,
                                 _grid_distances,
@@ -424,10 +426,35 @@ def test_toeplitz_and_dense_frank_wolfe_agree_on_c7_rungs():
         assert abs(res.value - dense.value) <= 1e-9 * dense.value
 
 
-def test_equal_gap_rungs_build_no_dense_kernel(monkeypatch):
-    """Interval rungs, the C6 Cantor rungs and a `cantor:0.25` rung lie on
-    an equal-step grid and build no dense kernel; a net of sorted random
-    points does."""
+@pytest.fixture(scope="module")
+def c6_cantor():
+    """The C6 Cantor profile (rungs up to n = 2,048), computed once, and
+    the sizes of the nets it built a dense kernel on."""
+    dense_nets = []
+
+    def counted(family, scale, net):
+        dense_nets.append(net.n)
+        return build_kernel(family, scale, net)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy_min, "build_kernel", counted)
+        rep = fh_profile(CompactSet.cantor(), 1.5, 3.0 ** -np.arange(2, 8, dtype=float),
+                         restarts=2, seed=0)
+    return rep, dense_nets
+
+
+def _two_blocks():
+    """80 points on a grid of 340 (16 N <= n^2) that use no step from 40
+    to 260."""
+    return np.r_[0:40, 300:340] / 339.0
+
+
+def test_equal_gap_rungs_build_no_dense_kernel(monkeypatch, c6_cantor):
+    """Interval rungs and the C6 Cantor rungs lie on an equal-step grid and
+    build no dense kernel; a `cantor:0.25` rung (n^2 = 4 N) and a net of
+    sorted random points do."""
+    rep, dense_nets = c6_cantor
+    assert rep.rungs[-1]["n"] == 2048 and dense_nets == []
     calls = []
 
     def counted(*args):
@@ -444,35 +471,79 @@ def test_equal_gap_rungs_build_no_dense_kernel(monkeypatch):
         rung_min_energy(KernelFamily.fh(1.0), 0.1,
                         DeltaNet(np.linspace(0, 1, DENSE_NET_CAP + 2)))
     assert calls == []
-    rep = fh_profile(CompactSet.cantor(), 1.5, 3.0 ** -np.arange(2, 8, dtype=float),
-                     restarts=2, seed=0)
-    assert rep.rungs[-1]["n"] == 2048
     rung_min_energy(KernelFamily.fh(1.0), 4.0 ** -4,
                     discretize(CompactSet.cantor(0.25), 4.0 ** -5), restarts=2)
-    assert calls == []
+    assert len(calls) == 1
     rng = np.random.default_rng(2)
     rung_min_energy(KernelFamily.fh(1.0), 0.05, DeltaNet(np.sort(rng.uniform(0, 1, 200))),
                     restarts=2)
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_duplicate_points_are_no_grid():
     """A zero gap is no grid step (and no division by it); the grid of an
     equal-gap net is the net itself, a Cantor net's is its 3^-k grid, and
-    a grid of N points with 2N - 1 > n^2 is not used."""
+    a net that is part of a grid of N points uses it only when
+    _GRID_FLOATS N <= n^2."""
     for pts in ([0.0, 0.0, 1.0], [0.0, 0.5, 0.5, 1.0], [0.2, 0.2, 0.2]):
         assert _grid_distances(np.array(pts)) is None
     dist, index = _grid_distances(np.linspace(0.0, 1.0, 7))
     assert index is None and np.array_equal(dist, 1.0 / 6.0 * np.arange(7))
-    dist, index = _grid_distances(discretize(CompactSet.cantor(), 3.0 ** -3).points)
-    lefts = [0, 2, 6, 8, 18, 20, 24, 26]                 # base-3 digits 0 and 2
-    assert dist.size == 28 and index.tolist() == sorted(lefts + [k + 1 for k in lefts])
-    assert _grid_distances(np.array([0.0, 0.25, 1.0])) is not None      # N = 5 <= 9
-    assert _grid_distances(np.array([0.0, 0.1, 1.0])) is None           # 2N - 1 = 21 > 9
+    dist, index = _grid_distances(discretize(CompactSet.cantor(), 3.0 ** -5).points)
+    lefts = [sum(d * 3 ** k for k, d in enumerate(digits))   # base-3 digits 0 and 2
+             for digits in itertools.product((0, 2), repeat=5)]
+    assert dist.size == 244 and index.tolist() == sorted(lefts + [k + 1 for k in lefts])
+    assert _GRID_FLOATS * 244 <= 64 ** 2
+    assert _grid_distances(discretize(CompactSet.cantor(), 3.0 ** -4).points) is None
+    assert _grid_distances(discretize(CompactSet.cantor(0.25), 4.0 ** -5).points) is None
+    dist, index = _grid_distances(_two_blocks())
+    assert dist.size == 340 and index.tolist() == list(range(40)) + list(range(300, 340))
+    assert _grid_distances(np.r_[0:40, 360:400] / 399.0)[0].size == 400    # 16 * 400 = 80^2
+    assert _grid_distances(np.r_[0:40, 361:401] / 400.0) is None           # 16 * 401 > 80^2
 
 
-def test_grid_kernel_matches_dense_kernel_on_cantor_nets():
-    """On Cantor nets of ratios 1/3 and 1/4, the grid kernel's rows agree
+def test_exact_family_on_a_grid_subset_is_evaluated_at_used_steps(monkeypatch):
+    """An `exact` family costs a rung no more evaluations on the grid
+    route than `build_kernel`'s one per distinct distance: on a grid
+    subset it is evaluated once per step |m_i - m_j| the net uses, and
+    the rung's Z is the dense route's."""
+    evaluated = []
+
+    def counted(self, eps, r):
+        evaluated.append(r.size)
+        return np.exp(-r / eps)
+
+    monkeypatch.setattr(KernelFamily, "_evaluate_exact", counted)
+    fam = KernelFamily.exact(LevyModel.isotropic_stable(1.5))
+    # (net, grid size, steps used): steps 0..39 and 261..339 on two blocks;
+    # every step on a ratio-1/3 Cantor net; on a block of 300 points and
+    # two far ones, steps its first _ROW_BLOCK rows do not use; no grid
+    # at ratio 1/4
+    far = np.r_[0:300, 2000, 5000]
+    far_steps = np.unique(np.abs(far[:, None] - far)).size
+    for pts, N, used in ((_two_blocks(), 340, 40 + 79),
+                         (discretize(CompactSet.cantor(), 3.0 ** -6).points, 730, 730),
+                         (far / 5000.0, 5001, far_steps),
+                         (discretize(CompactSet.cantor(0.25), 4.0 ** -5).points, None, None)):
+        grid = _grid_distances(pts)
+        if N is None:
+            assert grid is None
+        else:
+            m = grid[1]
+            assert grid[0].size == N and np.unique(np.abs(m[:, None] - m)).size == used
+        distinct = np.unique(np.abs(pts[:, None] - pts)).size
+        evaluated.clear()
+        res = rung_min_energy(fam, 0.05, DeltaNet(pts), restarts=2)
+        assert sum(evaluated) == (distinct if used is None else used) <= distinct
+        dense = min_energy(build_kernel(fam, 0.05, DeltaNet(pts)), restarts=2)
+        assert res.converged and abs(res.value - dense.value) <= 1e-9 * dense.value
+    first_rows = np.unique(np.abs(far[:_ROW_BLOCK, None] - far)).size
+    assert first_rows < far_steps
+
+
+def test_grid_kernel_matches_dense_kernel_on_cantor_nets(c6_cantor):
+    """On Cantor nets of ratio 1/3 and on two blocks of a grid (no Cantor
+    net of ratio 1/4 uses its grid), the grid kernel's rows agree
     with `build_kernel`'s dense matrix (built on the net's own distances)
     within the bound `_grid_distances` states, L (2 off + 4 ulps of the
     span) with L = s / eps for fh and off <= _GRID_RTOL h the largest
@@ -481,14 +552,16 @@ def test_grid_kernel_matches_dense_kernel_on_cantor_nets():
     rows.  Each C6 Cantor rung's Z is within 1e-9 relative of the dense
     route's."""
     rng = np.random.default_rng(4)
-    for ratio, depth in ((1 / 3, 7), (1 / 3, 10), (1 / 4, 5), (1 / 4, 8)):
-        net = discretize(CompactSet.cantor(ratio), ratio ** depth)
+    for depth in (5, 7, 10, None):
+        net = (DeltaNet(_two_blocks()) if depth is None
+               else discretize(CompactSet.cantor(), 3.0 ** -depth))
         pts, n = net.points, net.n
         grid = _grid_distances(pts)
         h = grid[0][1]
         off = np.max(np.abs(pts - pts[0] - grid[0][grid[1]]))
-        assert grid[1] is not None and n == 2 ** (depth + 1) and off <= _GRID_RTOL * h
-        for s, eps in ((0.5, ratio ** (depth - 2)), (1.5, 10 * h)):
+        assert grid[1] is not None and off <= _GRID_RTOL * h
+        assert n == (80 if depth is None else 2 ** (depth + 1))
+        for s, eps in ((0.5, 9 * h), (1.5, 10 * h)):
             fam = KernelFamily.fh(s)
             T = _assemble(lambda r: fam.evaluate(eps, r), pts, grid).values
             D = build_kernel(fam, eps, net).values
@@ -501,8 +574,7 @@ def test_grid_kernel_matches_dense_kernel_on_cantor_nets():
                 assert (np.max(np.abs(T @ w - ref))
                         <= bound * np.abs(w).sum() + 1e-13 * np.max(np.abs(ref)))
     fam = KernelFamily.fh(1.5)
-    rep = fh_profile(CompactSet.cantor(), 1.5, 3.0 ** -np.arange(2, 8, dtype=float),
-                     restarts=2, seed=0)
+    rep = c6_cantor[0]
     for eps, mesh, rung in zip(rep.ladder.scales, rep.mesh_per_scale, rep.rungs):
         net = discretize(CompactSet.cantor(), mesh)
         G = _assemble(lambda r: fam.convex_minorant(eps, r), net.points, None).values
@@ -591,8 +663,8 @@ def _column_frank_wolfe(K, w0, tol, max_iter):
 
 
 def test_frank_wolfe_bit_identical_to_column_reference():
-    """Dense kernels, and `ToeplitzKernel`s on interval nets and on Cantor
-    nets (grid subsets), whose curvature rows `_frank_wolfe` reads from
+    """Dense kernels, and `ToeplitzKernel`s on interval nets and on grid
+    subsets (Cantor nets and two blocks of a grid), whose curvature rows `_frank_wolfe` reads from
     vectors built once per run."""
     rng = np.random.default_rng(5)
     kernels = []
@@ -603,9 +675,9 @@ def test_frank_wolfe_bit_identical_to_column_reference():
                                     float(rng.uniform(0.02, 0.3)), net).values)
     for pts in [np.linspace(0, 1, n) for n in (9, 60, 301)] + [
             discretize(CompactSet.cantor(ratio), ratio ** depth).points
-            for ratio, depth in ((1 / 3, 3), (1 / 3, 6), (1 / 4, 5))]:
+            for ratio, depth in ((1 / 3, 5), (1 / 3, 7))] + [_two_blocks()]:
         fam = KernelFamily.fh(float(rng.uniform(0.3, 1.5)))
-        T = _assemble(lambda r: fam.evaluate(0.05, r), pts, _grid_distances(pts)).values
+        T = _assemble(lambda r: fam.evaluate(0.01, r), pts, _grid_distances(pts)).values
         assert isinstance(T, ToeplitzKernel)
         kernels.append(T)
     most_iters = subset_iters = 0
