@@ -19,7 +19,9 @@ linear minimization oracle over the simplex is a coordinate argmin, ties
 broken at the lowest index, and the duality gap 2(w'Kw - min_i (Kw)_i)
 comes for free.
 The away vertex is the support point whose step lowers w'Kw most, as in
-SVM-dual solvers (Fan, Chen and Lin 2005).
+SVM-dual solvers (Fan, Chen and Lin 2005); its score is the step's line
+search and exact decrease, so a run stalls on one test, a best score
+that is not positive.
 A solve always returns, with the status of its best run: "gap" (the
 test gap <= tol * w'Kw met), "stall" (no descent step left, which on a
 PSD kernel cannot happen while the gap exceeds tol, so the kernel is
@@ -82,9 +84,9 @@ class SimplexWeights:
         self.points = np.asarray(self.points, dtype=float)
         if self.w.shape != self.points.shape:
             raise ValueError("weights and points length mismatch")
-        if np.any(self.w < 0):
+        if not np.all(self.w >= 0):              # a NaN weight fails too
             raise ValueError("weights must be nonnegative")
-        if abs(self.w.sum() - 1.0) > _SUM_TOL:
+        if not abs(self.w.sum() - 1.0) <= _SUM_TOL:
             raise ValueError(f"weights sum to {self.w.sum()!r}, not 1")
 
     @classmethod
@@ -158,12 +160,13 @@ class ToeplitzKernel:
 class KernelMatrix:
     """Kernel matrix over a net.
 
-    `values` is a dense array (`build_kernel`) or, on nets whose points
-    lie on an equal-step grid (`_grid_distances`), a `ToeplitzKernel`
-    (symmetric by construction, so never scanned).  A caller's dense
-    array is used as given: Frank-Wolfe reads its diagonal, and it must
-    be exactly symmetric (A == A.T elementwise, as `build_kernel` writes
-    it), since the update reads rows where it means columns;
+    `values` is a dense array or, on nets whose points lie on an
+    equal-step grid (`_grid_distances`), a `ToeplitzKernel` (symmetric
+    by construction, so never scanned); `_assemble` lays out both.  A
+    caller's dense array is used as given: Frank-Wolfe reads its
+    diagonal, and it must be exactly symmetric (A == A.T elementwise, as
+    `_assemble` writes it), since the update reads rows where it means
+    columns;
     `min_energy` scans it and raises ValueError otherwise.
     """
 
@@ -217,33 +220,52 @@ def _duality_bound(f: float, gap: float) -> float | None:
 # ---------------------------------------------------------------------------
 
 def build_kernel(family: KernelFamily, scale: float, net: DeltaNet) -> KernelMatrix:
-    """Assemble K_ij = K_scale(|t_i - t_j|) densely over a net (`_assemble`).
+    """K_ij = K_scale(|t_i - t_j|) as a dense matrix over a net: `_assemble`
+    with no grid, so one cap check and one distinct-distance rule hold
+    here as on a rung.  The dense reference of the grid route; no rung
+    calls it."""
+    return _assemble(lambda r: family.evaluate(scale, r), net.points, None,
+                     distinct=family.kind == "exact")
 
-    Quadrature and Monte Carlo ("exact") kernels are evaluated once per
-    distinct distance of the net and looked up, which matters on regular
-    and self-similar nets.
-    """
-    pts = net.points
+
+def _distinct_gaps(x: np.ndarray) -> np.ndarray:
+    """The sorted distinct |x_i - x_j|, gathered _ROW_BLOCK rows at a time
+    so that no n x n array is held."""
+    gaps = np.empty(0, dtype=x.dtype)
+    for i in range(0, x.size, _ROW_BLOCK):
+        gaps = np.union1d(gaps, np.abs(x[i:i + _ROW_BLOCK, None] - x))
+    return gaps
+
+
+def _assemble(kernel, pts: np.ndarray, grid, distinct: bool = False) -> KernelMatrix:
+    """K_ij = kernel(|t_i - t_j|) over a net of at most DENSE_NET_CAP
+    points (NetTooLarge otherwise, before the kernel is called), laid out
+    as the kernel returns it: given the grid (distances k h, grid index m)
+    of a net on an equal-step grid (`_grid_distances`), a `ToeplitzKernel`
+    of kernel(k h), so no n x n array is formed; else dense, written in
+    blocks of _ROW_BLOCK rows.  Either way K_ji comes from the same
+    distance as K_ij, so K is exactly symmetric.
+
+    With `distinct` (quadrature and Monte Carlo families) the kernel is
+    called once, on the sorted distinct distances the net uses
+    (`_distinct_gaps`): of the grid index on a grid subset, whose unused
+    steps are 0 and never read, and of the points on a dense net, whose
+    entries are looked up.  A whole grid uses every step as it is."""
     if pts.size > DENSE_NET_CAP:
         raise NetTooLarge(f"net has {pts.size} points, dense cap is {DENSE_NET_CAP}")
-    kernel = lambda r: family.evaluate(scale, r)
-    if family.kind == "exact":
-        uniq = np.unique(np.abs(pts[:, None] - pts))
-        table = family.evaluate(scale, uniq)
-        kernel = lambda r: table[np.searchsorted(uniq, r)]
-    return _assemble(kernel, pts, None)
-
-
-def _assemble(kernel, pts: np.ndarray, grid) -> KernelMatrix:
-    """K_ij = kernel(|t_i - t_j|), laid out as the kernel returns it: given
-    the grid (distances k h, grid index m) of a net on an equal-step grid
-    (`_grid_distances`), a `ToeplitzKernel` of kernel(k h), so the kernel
-    is evaluated at the N grid distances and no n x n array is formed;
-    else dense, written in blocks of _ROW_BLOCK rows.  Either way K_ji
-    comes from the same distance as K_ij, so K is exactly symmetric."""
     if grid is not None:
         dist, index = grid
-        return KernelMatrix(ToeplitzKernel(kernel(dist), index), pts)
+        if distinct and index is not None:
+            steps = _distinct_gaps(index)
+            col = np.zeros(dist.size)
+            col[steps] = kernel(dist[steps])
+        else:
+            col = kernel(dist)
+        return KernelMatrix(ToeplitzKernel(col, index), pts)
+    if distinct:
+        uniq = _distinct_gaps(pts)
+        table = kernel(uniq)
+        kernel = lambda r: table[np.searchsorted(uniq, r)]
     K = np.empty((pts.size, pts.size))
     for i in range(0, pts.size, _ROW_BLOCK):
         K[i:i + _ROW_BLOCK] = kernel(np.abs(pts[i:i + _ROW_BLOCK, None] - pts))
@@ -275,21 +297,24 @@ def _frank_wolfe(K, w0: np.ndarray, tol: float, max_iter: int):
 
     Each step moves mass from an away vertex aw on the support straight
     to the Frank-Wolfe vertex fw (argmin of the potential g, lowest index
-    on ties), with exact line search along that segment; this is the
-    pairwise variant, which converges linearly on simplex quadratics
-    where the classical toward-vertex iteration zigzags.  The exit test
-    is the classical Frank-Wolfe duality gap 2(w'Kw - min_i (Kw)_i) <=
-    tol * w'Kw.
+    on ties); this is the pairwise variant, which converges linearly on
+    simplex quadratics where the classical toward-vertex iteration
+    zigzags.  The exit test is the classical Frank-Wolfe duality gap
+    2(w'Kw - min_i (Kw)_i) <= tol * w'Kw.
 
     aw maximizes the decrease of its own step (second-order working-set
     selection; Fan, Chen and Lin, JMLR 6, 2005), lowest index on ties:
     with delta_i = g_i - g_fw and c_i = K_ii + K_fw,fw - 2 K_fw,i, the
     step gamma_i = min(w_i, delta_i / max(c_i, tau)) lowers w'Kw by
-    gamma_i (2 delta_i - gamma_i c_i).  LIBSVM's WSS2 drops the cap w_i;
-    on fh kernels that empties the points within eps of fw (c_i <= 0)
-    first, and left the C6 interval rungs at stationary points 0.4%
-    higher.  Off the support the cap is 0, so those points score 0 like
-    fw, with no mask, and a best score of 0 stalls below.
+    exactly gamma_i (2 delta_i - gamma_i c_i).  That score is the line
+    search: the loop moves gamma_aw (the exact minimizer on [0, w_aw]
+    wherever c_aw > tau) and lowers f by the best score.  LIBSVM's WSS2
+    drops the cap w_i; on fh kernels that empties the points within eps
+    of fw (c_i <= 0) first, and left the C6 interval rungs at stationary
+    points 0.4% higher.  Off the support the cap is 0, so those points
+    score 0 like fw, with no mask.  One test stalls: a best score that
+    is not positive (NaN included), which holds exactly when aw = fw,
+    delta_aw = 0 or the step is empty.
 
     Returns (w, f, gap, iterations, status) with status one of "gap"
     (convergence test met), "stall" (no movable descent direction; a
@@ -333,13 +358,11 @@ def _frank_wolfe(K, w0: np.ndarray, tol: float, max_iter: int):
         if toeplitz:
             sel = K.select(fw)
             row_fw, curv, floor = K.full[sel], curv_all[sel], floor_all[sel]
-            k_fwfw = k00
         else:
             row_fw = K[fw]
-            k_fwfw = row_fw.item(fw)
             np.multiply(row_fw, -2.0, out=curv)  # curvature c_i
             curv += diag
-            curv += k_fwfw
+            curv += row_fw.item(fw)
             np.maximum(curv, _WSS_TAU, out=floor)
         np.subtract(g, g_fw, out=score)          # delta_i
         np.divide(score, floor, out=step)
@@ -349,32 +372,20 @@ def _frank_wolfe(K, w0: np.ndarray, tol: float, max_iter: int):
         score -= dbuf
         score *= step                            # gamma_i (2 delta_i - gamma_i c_i)
         aw = int(score.argmax())                 # lowest index on ties
-        if aw == fw:
+        decrease = score.item(aw)
+        if not decrease > 0:                     # a NaN score stalls too
             return w, f, gap, it, "stall"
-        # pairwise direction d = e_fw - e_aw, feasible for gamma <= w_aw
-        dKw = g_fw - g.item(aw)
-        if dKw >= 0:
-            return w, f, gap, it, "stall"
-        row_aw = K[aw]
-        dKd = k_fwfw + row_aw.item(aw) - 2.0 * row_fw.item(aw)
-        wa = w.item(aw)
-        # exact line search on [0, wa]; along a concave direction,
-        # descent means going to the boundary
-        if dKd > 0:
-            gamma = min(wa, max(0.0, -dKw / dKd))
-        else:
-            gamma = wa if 2 * wa * dKw + wa * wa * dKd < 0 else 0.0
-        if gamma <= 0:
-            return w, f, gap, it, "stall"
-        if gamma >= wa * (1.0 - 1e-12):
+        # pairwise step gamma along d = e_fw - e_aw, feasible for gamma <= w_aw
+        gamma = step.item(aw)
+        if gamma >= w.item(aw) * (1.0 - 1e-12):
             w[aw] = 0.0
         else:
             w[aw] -= gamma
         w[fw] += gamma
-        np.subtract(row_fw, row_aw, out=dbuf)
+        np.subtract(row_fw, K[aw], out=dbuf)
         dbuf *= gamma
         g += dbuf
-        f += 2.0 * gamma * dKw + gamma * gamma * dKd
+        f -= decrease
         if it % _RESYNC_EVERY == 0:              # control incremental drift
             w /= w.sum()
             g = K @ w
@@ -581,23 +592,6 @@ def _grid_distances(points):
     return None
 
 
-def _at_used_steps(kernel, index: np.ndarray):
-    """`kernel` on a grid's distances, evaluated only at the steps
-    |m_i - m_j| some pair of net points is apart and 0 elsewhere, where
-    no row or product at the net's points reads it: a quadrature or
-    Monte Carlo kernel then costs no more evaluations than
-    `build_kernel`'s one per distinct distance."""
-    used = np.zeros(index.item(-1) + 1, dtype=bool)
-    for i in range(0, index.size, _ROW_BLOCK):
-        used[np.abs(index[i:i + _ROW_BLOCK, None] - index)] = True
-
-    def at_used(dist):
-        col = np.zeros(dist.size)
-        col[used] = kernel(dist[used])
-        return col
-    return at_used
-
-
 def _minorant_solve(G) -> np.ndarray | None:
     """v = G^-1 1 for a positive definite G: Levinson (O(n) memory) on a
     `ToeplitzKernel` of a whole grid, else Cholesky in place on G.T (the
@@ -622,35 +616,28 @@ def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
     """Minimum energy of one family at one scale over a net, passing
     `solver_kw` (restarts, seed, max_iter) to `min_energy`.
 
-    Nets above DENSE_NET_CAP points raise NetTooLarge before any solve.
-    Each kernel is a `ToeplitzKernel` on nets whose points lie on an
+    The kernel, and a power-law rung's convex minorant g, are laid out by
+    `_assemble`, which raises NetTooLarge above DENSE_NET_CAP points
+    before any solve: a `ToeplitzKernel` on nets whose points lie on an
     equal-step grid (`_grid_distances`: interval nets, and Cantor nets of
-    ratio 1/3), with no n x n kernel, and dense (`build_kernel`)
-    otherwise; a quadrature or Monte Carlo family on a grid subset is
-    evaluated only at the steps the net uses (`_at_used_steps`).
-    Power-law rungs (ValueError if eps is out of range) first solve their
-    convex minorant g exactly (`_minorant_solve`: on a Cantor net, the
-    Cholesky factor of g's matrix gathered from the grid vector), free it, and
-    hand v = G^-1 1 to `min_energy` as its `minorant`: when every
-    v_i > 0, Z_lower = 1/1'v satisfies Z_lower <= Z <= R(s) Z_lower up
-    to rounding.  Other rungs, and a minorant solve that fails, are
-    probed like a caller's matrix.
+    ratio 1/3), with no n x n kernel, and dense otherwise; a quadrature or
+    Monte Carlo family is evaluated once per distinct distance the net
+    uses.  Power-law rungs (ValueError if eps is out of range) first solve
+    g exactly (`_minorant_solve`: on a Cantor net, the Cholesky factor of
+    g's matrix gathered from the grid vector), free it, and hand
+    v = G^-1 1 to `min_energy` as its `minorant`: when every v_i > 0,
+    Z_lower = 1/1'v satisfies Z_lower <= Z <= R(s) Z_lower up to
+    rounding.  Other rungs, and a minorant solve that fails, are probed
+    like a caller's matrix.
     """
     pts = net.points
-    if pts.size > DENSE_NET_CAP:
-        raise NetTooLarge(f"net has {pts.size} points, dense cap is {DENSE_NET_CAP}")
     grid = _grid_distances(pts)
     v = None
     if family.power_law(scale) is not None:
         v = _minorant_solve(_assemble(lambda r: family.convex_minorant(scale, r),
                                       pts, grid).values)
-    if grid is None:
-        K = build_kernel(family, scale, net)
-    else:
-        kernel = lambda r: family.evaluate(scale, r)
-        if family.kind == "exact" and grid[1] is not None:
-            kernel = _at_used_steps(kernel, grid[1])
-        K = _assemble(kernel, pts, grid)
+    K = _assemble(lambda r: family.evaluate(scale, r), pts, grid,
+                  distinct=family.kind == "exact")
     return min_energy(K, tol=tol, minorant=v, **solver_kw)
 
 

@@ -197,8 +197,10 @@ class LevyModel:
     def isotropic_stable(cls, alpha: float, c: float = 1.0, d: int = 1) -> "LevyModel":
         if not 0 < alpha <= 2:
             raise ValueError("alpha must be in (0, 2]")
-        if c <= 0 or d < 1:
-            raise ValueError("need scale c > 0 and dimension d >= 1")
+        if not (math.isfinite(c) and c > 0):
+            raise ValueError(f"scale c must be finite and > 0, got {c!r}")
+        if d < 1:
+            raise ValueError("need dimension d >= 1")
         return cls("isotropic_stable", d, lambda r: c * np.abs(r) ** alpha,
                    params={"alpha": alpha, "c": c})
 
@@ -241,11 +243,8 @@ class LevyModel:
                     return (scale * symmetric_stable(rng, alpha, m))[:, None]
             else:
                 # Gaussian subordination: X(t) = B(2 T(ct)), T an (alpha/2)-subordinator
-                scale = (c * gaps) ** (2.0 / alpha)
-
-                def draw(rng):
-                    clock = scale * one_sided_stable(rng, alpha / 2.0, m)
-                    return np.sqrt(2.0 * clock)[:, None] * rng.standard_normal((m, d))
+                clock = LaplaceExponent.stable(alpha / 2.0)
+                return LevyModel.subordinate_brownian(clock, d).increment_sampler(c * gaps)
         elif self.kind == "subordinator":
             clock = self.phi.increment_sampler(gaps)
 
@@ -390,8 +389,8 @@ class KernelFamily:
     @classmethod
     def fh(cls, s: float) -> "KernelFamily":
         """Power-law profile kernel (the Falconer-Howroyd family)."""
-        if s <= 0:
-            raise ValueError("profile parameter s must be > 0")
+        if not (math.isfinite(s) and s > 0):
+            raise ValueError(f"profile parameter s must be finite and > 0, got {s!r}")
         return cls("fh", {"s": s})
 
     @classmethod

@@ -182,12 +182,12 @@ def theta_index(phi: LaplaceExponent, s: float, lam_max: float = THETA_LAM_MAX) 
     The cumulative integral sums the segments of a geometric grid up to
     lam_max, all integrated by one vector quadrature (log-substituted,
     which keeps wide segments well conditioned); the slope is clamped to
-    [0, 1].  Requires s >= 1/2;
+    [0, 1].  Requires a finite s >= 1/2;
     smaller s is outside the validity of the downstream identity and is
     rejected rather than extrapolated.
     """
-    if s < 0.5:
-        raise ValueError("s must be >= 1/2")
+    if not (np.isfinite(s) and s >= 0.5):
+        raise ValueError(f"s must be finite and >= 1/2, got {s!r}")
     if not 10.0 < lam_max < np.inf:
         raise ValueError(f"lam_max must be finite and > 10, got {lam_max!r}")
     decades = np.log10(lam_max)

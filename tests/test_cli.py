@@ -13,6 +13,13 @@ from fracdim.cli import (EXIT_CONFIG, EXIT_NUMERICAL, build_parser, main,
                          parse_family, parse_model, parse_phi, parse_set)
 
 
+def _strict_json(text: str):
+    """A report parsed as strict JSON: a NaN or Infinity token raises."""
+    def reject(token):
+        raise ValueError(f"report holds the non-JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 # ---------------------------------------------------------------------------
 # descriptor parsing
 # ---------------------------------------------------------------------------
@@ -133,6 +140,31 @@ def test_non_finite_set_point_is_a_config_error(point, monkeypatch, capsys):
     assert main(["profile", "--set", f"finite:0,{point},1", "--family", "fh",
                  "--s", "0.5", "--ladder", "0.1,0.5,3"]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: point {point} is not finite\n"
+
+
+_PROFILE = ["profile", "--set", "interval:0,1", "--ladder", "0.2,0.5,3"]
+_SIMULATE = ["simulate", "--set", "interval:0,1", "--ladder", "0.25,0.5,5",
+             "--paths", "2", "--seed", "0"]
+
+
+@pytest.mark.parametrize("argv, good, name", [
+    (_PROFILE + ["--family", "fh", "--s", "{}"], "0.5", "profile parameter s"),
+    (["theta", "--phi", "stable:0.5", "--s", "{}"], "0.7", "s must be finite"),
+    (_PROFILE + ["--family", "exact", "--model", "stable:1.5,{}"], "1", "scale c"),
+    (_SIMULATE + ["--model", "stable:1.5,{}"], "1", "scale c"),
+], ids=["profile-s", "theta-s", "exact-model-c", "simulate-model-c"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_parameter_is_a_config_error(argv, good, name, bad, tmp_path, capsys):
+    """A NaN or infinite parameter stops the run with one config-error
+    line that names it and writes no report; the same run with a finite
+    value writes a strict JSON report."""
+    out = tmp_path / "r.json"
+    assert main([a.format(bad) for a in argv] + ["--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and name in err
+    assert not out.exists()
+    assert main([a.format(good) for a in argv] + ["--out", str(out)]) == 0
+    _strict_json(out.read_text())
 
 
 def test_config_choice_fails_before_any_rung(tmp_path, monkeypatch, capsys):
@@ -398,7 +430,9 @@ def _readme_cli_examples():
     return [shlex.split(line)[1:] for line in lines if line.startswith("fracdim ")]
 
 
-def test_readme_cli_examples_exit_0(tmp_path, monkeypatch):
+def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys):
+    """Each example exits 0 and writes a strict JSON report, to its
+    `--out` file or to stdout."""
     examples = _readme_cli_examples()
     assert len(examples) == 7
     monkeypatch.chdir(tmp_path)
@@ -406,6 +440,9 @@ def test_readme_cli_examples_exit_0(tmp_path, monkeypatch):
         if argv[:3] == ["verify", "--suite", "full"]:
             continue
         assert main(argv) == 0, argv
+        stdout = capsys.readouterr().out
+        out = argv[argv.index("--out") + 1] if "--out" in argv else None
+        _strict_json(stdout if out is None else (tmp_path / out).read_text())
 
 
 def test_profile_report_byte_deterministic(tmp_path):

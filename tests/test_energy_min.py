@@ -22,7 +22,7 @@ from fracdim.energy_min import (_GRID_FLOATS, _GRID_RTOL, _RESYNC_EVERY,
                                 rung_min_energy)
 from fracdim.oracles import (cantor_exp_kernel_min_energy,
                              interval_exp_kernel_min_energy)
-from fracdim.process_models import KernelFamily, LevyModel
+from fracdim.process_models import KernelFamily, LaplaceExponent, LevyModel
 from fracdim.profiles import fh_profile
 from fracdim.set_models import CompactSet, DeltaNet, discretize
 from fracdim.utils import substream
@@ -426,21 +426,25 @@ def test_toeplitz_and_dense_frank_wolfe_agree_on_c7_rungs():
         assert abs(res.value - dense.value) <= 1e-9 * dense.value
 
 
+def _record_kernels(mp, kernels: list) -> None:
+    """Have every rung append the kernel it hands `min_energy` to `kernels`."""
+    def recorded(K, *args, **kwargs):
+        kernels.append(K)
+        return min_energy(K, *args, **kwargs)
+
+    mp.setattr(energy_min, "min_energy", recorded)
+
+
 @pytest.fixture(scope="module")
 def c6_cantor():
     """The C6 Cantor profile (rungs up to n = 2,048), computed once, and
-    the sizes of the nets it built a dense kernel on."""
-    dense_nets = []
-
-    def counted(family, scale, net):
-        dense_nets.append(net.n)
-        return build_kernel(family, scale, net)
-
+    the kernel layout (`values` type) each rung handed `min_energy`."""
+    kernels = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(energy_min, "build_kernel", counted)
+        _record_kernels(mp, kernels)
         rep = fh_profile(CompactSet.cantor(), 1.5, 3.0 ** -np.arange(2, 8, dtype=float),
                          restarts=2, seed=0)
-    return rep, dense_nets
+    return rep, [type(K.values) for K in kernels]
 
 
 def _two_blocks():
@@ -451,33 +455,32 @@ def _two_blocks():
 
 def test_equal_gap_rungs_build_no_dense_kernel(monkeypatch, c6_cantor):
     """Interval rungs and the C6 Cantor rungs lie on an equal-step grid and
-    build no dense kernel; a `cantor:0.25` rung (n^2 = 4 N) and a net of
-    sorted random points do."""
-    rep, dense_nets = c6_cantor
-    assert rep.rungs[-1]["n"] == 2048 and dense_nets == []
-    calls = []
+    hand `min_energy` a `ToeplitzKernel`; a `cantor:0.25` rung (n^2 = 4 N)
+    and a net of sorted random points hand it a dense array, and no rung
+    calls `build_kernel`."""
+    rep, layouts = c6_cantor
+    assert rep.rungs[-1]["n"] == 2048
+    assert layouts == [ToeplitzKernel] * len(rep.rungs)
+    kernels = []
 
-    def counted(*args):
-        calls.append(args)
-        return build_kernel(*args)
+    def unreachable(*args):
+        raise AssertionError("a rung called build_kernel")
 
-    monkeypatch.setattr(energy_min, "build_kernel", counted)
+    _record_kernels(monkeypatch, kernels)
+    monkeypatch.setattr(energy_min, "build_kernel", unreachable)
     net = discretize(CompactSet.interval(0, 1), 0.028 / 5)
     for fam in (KernelFamily.fh(0.5), KernelFamily.stable_sandwich(1.3, 1),
                 KernelFamily.exact(LevyModel.isotropic_stable(1.5))):
         assert rung_min_energy(fam, 0.028, net, restarts=2).converged
-    assert calls == []
     with pytest.raises(NetTooLarge):
         rung_min_energy(KernelFamily.fh(1.0), 0.1,
                         DeltaNet(np.linspace(0, 1, DENSE_NET_CAP + 2)))
-    assert calls == []
     rung_min_energy(KernelFamily.fh(1.0), 4.0 ** -4,
                     discretize(CompactSet.cantor(0.25), 4.0 ** -5), restarts=2)
-    assert len(calls) == 1
     rng = np.random.default_rng(2)
     rung_min_energy(KernelFamily.fh(1.0), 0.05, DeltaNet(np.sort(rng.uniform(0, 1, 200))),
                     restarts=2)
-    assert len(calls) == 2
+    assert [type(K.values) for K in kernels] == [ToeplitzKernel] * 3 + [np.ndarray] * 2
 
 
 def test_duplicate_points_are_no_grid():
@@ -503,42 +506,84 @@ def test_duplicate_points_are_no_grid():
 
 
 def test_exact_family_on_a_grid_subset_is_evaluated_at_used_steps(monkeypatch):
-    """An `exact` family costs a rung no more evaluations on the grid
-    route than `build_kernel`'s one per distinct distance: on a grid
-    subset it is evaluated once per step |m_i - m_j| the net uses, and
-    the rung's Z is the dense route's."""
-    evaluated = []
+    """An `exact` family costs a rung no more evaluations on any layout
+    than `build_kernel`'s one per distinct distance: on a grid subset it
+    is evaluated once per step |m_i - m_j| the net uses, on a whole grid
+    once per step, and on a dense net once per distinct distance.  The
+    kernel is exactly symmetric and the same on a second call, both with
+    a stub of the family's values, where the rung's Z is the dense
+    route's, and with a Monte Carlo model's own, whose per-distance seeds
+    are keyed on the distance's bits (so only on a dense net is the
+    kernel `build_kernel`'s)."""
+    original = KernelFamily._evaluate_exact
+    evaluated, kernels = [], []
 
-    def counted(self, eps, r):
+    def stub(self, eps, r):
         evaluated.append(r.size)
         return np.exp(-r / eps)
 
-    monkeypatch.setattr(KernelFamily, "_evaluate_exact", counted)
+    def counted(self, eps, r):
+        evaluated.append(r.size)
+        return original(self, eps, r)
+
+    def rung_twice(fam, eps, pts):
+        """The rung's result and evaluation count; its kernel must be
+        symmetric, and a second call must repeat the count and kernel."""
+        runs = []
+        for _ in range(2):
+            evaluated.clear()
+            kernels.clear()
+            res = rung_min_energy(fam, eps, DeltaNet(pts), restarts=2)
+            A = kernels[0].values
+            A = A.dense() if isinstance(A, ToeplitzKernel) else A
+            assert np.array_equal(A, A.T)
+            runs.append((res, sum(evaluated), A))
+        assert runs[0][1] == runs[1][1] and np.array_equal(runs[0][2], runs[1][2])
+        return runs[0][:2]
+
+    _record_kernels(monkeypatch, kernels)
+    monkeypatch.setattr(KernelFamily, "_evaluate_exact", stub)
     fam = KernelFamily.exact(LevyModel.isotropic_stable(1.5))
     # (net, grid size, steps used): steps 0..39 and 261..339 on two blocks;
     # every step on a ratio-1/3 Cantor net; on a block of 300 points and
     # two far ones, steps its first _ROW_BLOCK rows do not use; no grid
-    # at ratio 1/4
+    # at ratio 1/4 or on random points
     far = np.r_[0:300, 2000, 5000]
     far_steps = np.unique(np.abs(far[:, None] - far)).size
     for pts, N, used in ((_two_blocks(), 340, 40 + 79),
                          (discretize(CompactSet.cantor(), 3.0 ** -6).points, 730, 730),
                          (far / 5000.0, 5001, far_steps),
-                         (discretize(CompactSet.cantor(0.25), 4.0 ** -5).points, None, None)):
+                         (np.linspace(0.0, 1.0, 50), 50, 50),
+                         (discretize(CompactSet.cantor(0.25), 4.0 ** -5).points, None, None),
+                         (np.sort(np.random.default_rng(6).uniform(0, 1, 60)), None, None)):
         grid = _grid_distances(pts)
         if N is None:
             assert grid is None
         else:
-            m = grid[1]
+            m = np.arange(N) if grid[1] is None else grid[1]
             assert grid[0].size == N and np.unique(np.abs(m[:, None] - m)).size == used
         distinct = np.unique(np.abs(pts[:, None] - pts)).size
-        evaluated.clear()
-        res = rung_min_energy(fam, 0.05, DeltaNet(pts), restarts=2)
-        assert sum(evaluated) == (distinct if used is None else used) <= distinct
+        res, evaluations = rung_twice(fam, 0.05, pts)
+        assert evaluations == (distinct if used is None else used) <= distinct
         dense = min_energy(build_kernel(fam, 0.05, DeltaNet(pts)), restarts=2)
         assert res.converged and abs(res.value - dense.value) <= 1e-9 * dense.value
     first_rows = np.unique(np.abs(far[:_ROW_BLOCK, None] - far)).size
     assert first_rows < far_steps
+    # a Monte Carlo kernel (one seeded sampler run per distance) on a
+    # dense net, a whole grid and a grid subset of 17 points out of 18
+    monkeypatch.setattr(KernelFamily, "_evaluate_exact", counted)
+    fam = KernelFamily.exact(LevyModel.subordinator(LaplaceExponent.stable(0.5)))
+    for pts, layout, used in ((np.array([0.0, 0.13, 0.5, 0.61]), np.ndarray, 7),
+                              (np.linspace(0.0, 1.0, 4), ToeplitzKernel, 4),
+                              (np.r_[0:8, 9:18] / 17.0, ToeplitzKernel, 18)):
+        distinct = np.unique(np.abs(pts[:, None] - pts)).size
+        res, evaluations = rung_twice(fam, 0.3, pts)
+        assert isinstance(kernels[0].values, layout)
+        assert evaluations == used <= distinct
+        assert res.converged
+        if layout is np.ndarray:
+            assert np.array_equal(kernels[0].values,
+                                  build_kernel(fam, 0.3, DeltaNet(pts)).values)
 
 
 def test_grid_kernel_matches_dense_kernel_on_cantor_nets(c6_cantor):
@@ -605,8 +650,8 @@ def test_min_energy_rejects_asymmetric_kernel():
 
 
 def _line_search(dKw: float, dKd: float, gmax: float) -> float:
-    """Exact step for f(w + g d) = f + 2 g dKw + g^2 dKd on [0, gmax]; the
-    rule `_frank_wolfe` inlines."""
+    """Exact step for f(w + g d) = f + 2 g dKw + g^2 dKd on [0, gmax], an
+    independent check of the step `_frank_wolfe` reads off its score."""
     if dKd > 0:
         return min(gmax, max(0.0, -dKw / dKd))
     # concave along d: descent means go to the boundary
@@ -618,7 +663,9 @@ def _column_frank_wolfe(K, w0, tol, max_iter):
     symmetric by construction) and a boolean support mask, with the away
     vertex scored as in `_frank_wolfe` and its curvature computed afresh
     at every step (the same arithmetic, so near-ties resolve alike); the
-    production loop must reproduce it bit for bit."""
+    step and the decrease of f are the best score's, and a best score
+    that is not positive stalls.  The production loop must reproduce it
+    bit for bit."""
     toeplitz = isinstance(K, ToeplitzKernel)
     column = (lambda i: K[i]) if toeplitz else (lambda i: K[:, i])
     w = w0.copy()
@@ -638,22 +685,17 @@ def _column_frank_wolfe(K, w0, tol, max_iter):
         score = (delta * 2.0 - curv * step) * step
         score[w <= 0.0] = -np.inf
         aw = int(np.argmax(score))
-        if aw == fw:
+        decrease = float(score[aw])
+        if not decrease > 0:
             return w, f, gap, it, "stall"
-        dKw = float(g[fw] - g[aw])
-        dKd = float(column(fw)[fw] + column(aw)[aw] - 2.0 * column(aw)[fw])
-        if dKw >= 0:
-            return w, f, gap, it, "stall"
-        gamma = _line_search(dKw, dKd, float(w[aw]))
-        if gamma <= 0:
-            return w, f, gap, it, "stall"
+        gamma = float(step[aw])
         drop = gamma >= w[aw] * (1.0 - 1e-12)
         w[aw] = 0.0 if drop else w[aw] - gamma
         w[fw] += gamma
         np.subtract(column(fw), column(aw), out=dbuf)
         dbuf *= gamma
         g += dbuf
-        f += 2.0 * gamma * dKw + gamma * gamma * dKd
+        f -= decrease
         if it % _RESYNC_EVERY == 0:
             np.clip(w, 0.0, None, out=w)
             w /= w.sum()
@@ -930,6 +972,12 @@ def test_kkt_holds_on_converged_outputs_fuzz():
         res = min_energy(km)
         ok, _ = kkt_certificate(km, res.weights, tol=1e-5)
         assert ok
+
+
+@pytest.mark.parametrize("w", [[np.nan, 1.0], [0.5, np.nan, 0.5], [np.nan, np.nan]])
+def test_simplex_weights_reject_nan(w):
+    with pytest.raises(ValueError):
+        SimplexWeights(np.array(w), np.linspace(0.0, 1.0, len(w)))
 
 
 def test_simplex_weights_validation():

@@ -183,6 +183,25 @@ def test_brownian_increments_equal_broadcast_normal_draw():
         assert got.shape == (gaps.size, d) and np.array_equal(got, ref)
 
 
+def test_planar_stable_increments_are_subordinated_brownian_draws():
+    # in d >= 2 the alpha-stable sampler is Brownian motion run at an
+    # (alpha/2)-stable clock of rate c; it must draw what the closed form
+    # sqrt(2 (c gaps)^(2/alpha) S) N(0, I_d) draws for one seed
+    rng = np.random.default_rng(21)
+    for case in range(40):
+        alpha, c = rng.uniform(0.1, 1.99), rng.uniform(0.05, 5.0)
+        d, seed = int(rng.integers(2, 5)), int(rng.integers(2 ** 31))
+        gaps = rng.uniform(0.0, 0.1, int(rng.integers(1, 300)))
+        gaps[0] = 0.0
+        got = LevyModel.isotropic_stable(alpha, c, d).increment_sampler(gaps)(
+            np.random.default_rng(seed))
+        ref_rng = np.random.default_rng(seed)
+        clock = (c * gaps) ** (2.0 / alpha) * one_sided_stable(ref_rng, alpha / 2.0,
+                                                               gaps.size)
+        ref = np.sqrt(2.0 * clock)[:, None] * ref_rng.standard_normal((gaps.size, d))
+        assert got.shape == (gaps.size, d) and np.array_equal(got, ref), case
+
+
 def test_increment_sampler_rejects_bad_gaps():
     for model in _models():
         for bad in (-1e-9, np.nan, np.inf):
