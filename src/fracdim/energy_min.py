@@ -28,16 +28,17 @@ PSD kernel cannot happen while the gap exceeds tol, so the kernel is
 nonconvex there) or "iters" (budget spent).  Only a stall is followed
 by seeded Dirichlet restarts.  `min_energy` alone sets each result's
 one certificate Z_lower <= Z, or None: a positive definite minorant's
-minimum when the caller hands in its solve, else, on a kernel that
-passes a Cholesky probe, the duality bound 2 min_i (Kw)_i - w'Kw.
+minimum when the caller hands in its solve, else the duality bound
+2 min_i (Kw)_i - w'Kw on a kernel that factors, and so is its own
+minorant (`_minorant_solve`, the one Cholesky routine).
 
 Kernel values come from `KernelFamily` alone.  `rung_min_energy` solves
 a power-law rung's positive definite convex minorant g <= K <= R(s) g
 (`KernelFamily.convex_minorant`) exactly (Levinson on equal-gap nets,
 else Cholesky of its matrix, gathered row by row on a grid subset)
 and hands the solve to `min_energy`, which starts at g's minimizer and
-reports its minimum as Z_lower <= Z <= R(s) Z_lower; these rungs are
-not probed.
+reports its minimum as Z_lower <= Z <= R(s) Z_lower; `min_energy`
+factors nothing more on these rungs.
 """
 
 from __future__ import annotations
@@ -60,8 +61,7 @@ ENUM_BUDGET = 200_000_000      # lattice points an exhaustive search may visit
 _ENUM_CHUNK_ROWS = 1 << 18     # bounds the rows held per enumerated block
 _GRID_RTOL = 1e-9              # grid test of the Toeplitz paths, relative to the step
 _GRID_FLOATS = 16              # floats per grid point a grid kernel and its FW run hold
-PSD_JITTER = 1e-10             # diagonal shift of the Cholesky probe
-PSD_PROBE_CAP = 1024           # factorization probe only below this size
+PSD_PROBE_CAP = 1024           # largest kernel without a minorant that is factored
 _RESYNC_EVERY = 512            # refresh the cached gradient this often
 _ROW_BLOCK = 256               # kernel rows assembled per evaluation
 _SUM_TOL = 1e-12
@@ -273,19 +273,8 @@ def _assemble(kernel, pts: np.ndarray, grid, distinct: bool = False) -> KernelMa
 
 
 def is_psd(K: np.ndarray) -> bool:
-    """Cholesky probe (with PSD_JITTER) for positive semidefiniteness.
-
-    The jitter admits semidefinite matrices such as nearly-low-rank
-    exponential kernels; genuinely indefinite kernels fail fast at the
-    first negative leading minor.
-    """
-    A = np.array(K, dtype=float)
-    A.flat[::A.shape[0] + 1] += PSD_JITTER
-    try:
-        np.linalg.cholesky(A)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+    """Whether K is positive definite: `_minorant_solve` factors a copy."""
+    return _minorant_solve(np.array(K, dtype=float)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +389,13 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
     """Minimum energy Z over the probability simplex, with certificate.
 
     `minorant`, if given, is v = G^-1 1 for a positive definite G <= K
-    (entrywise) on the net, as `_minorant_solve` returns it.  Then the
-    first Frank-Wolfe run starts at v+/1'v+ (`start` "minorant") if that
-    beats the uniform measure, so Z never exceeds the uniform energy;
-    Z_lower = 1/1'v if every v_i > 0; and no probe runs.  Otherwise a
-    kernel that passes the Cholesky probe (up to PSD_PROBE_CAP points)
-    gets Z_lower = Z - gap when positive.  Z_lower is None otherwise.
+    (entrywise) on the net, as `_minorant_solve` returns it, giving
+    Z_lower = 1/1'v if every v_i > 0.  Else K, up to PSD_PROBE_CAP
+    points, is its own if Cholesky of its dense matrix (never Levinson,
+    which tests no definiteness) gives v = K^-1 1, and Z_lower = Z - gap
+    when positive, the gap clamped at 0.  Either way the first run starts
+    at v+/1'v+ (`start` "minorant") if that beats the uniform measure, so
+    Z never exceeds the uniform energy.  Z_lower is None otherwise.
     `restarts` is the most runs made: only a first run ending with
     "stall" is followed by restarts - 1 seeded Dirichlet starts, and the
     lowest-energy run is returned with its status.  Exponential kernels
@@ -423,12 +413,14 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
     if not toeplitz and not np.array_equal(A, A.T):
         raise ValueError("kernel matrix is not exactly symmetric")
     w0, label = np.full(n, 1.0 / n), "uniform"
-    if minorant is None:
-        psd = n <= PSD_PROBE_CAP and is_psd(A.dense() if toeplitz else A)
+    if minorant is None:                     # K is its own, if it factors
+        v = (_minorant_solve(A.dense() if toeplitz else np.array(A, dtype=float))
+             if n <= PSD_PROBE_CAP else None)
     else:
         v = np.asarray(minorant, dtype=float)
         if v.shape != (n,) or not np.all(np.isfinite(v)) or not np.any(v > 0):
             raise ValueError("minorant must be finite on the net, with a positive entry")
+    if v is not None and np.any(v > 0):
         start = np.clip(v, 0.0, None)
         start /= start.sum()
         if float(start @ (A @ start)) < float(w0 @ (A @ w0)):
@@ -442,9 +434,9 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
     w /= w.sum()
     pot = A @ w
     f = float(w @ pot)
-    gap = 2.0 * (f - float(pot.min()))
+    gap = max(2.0 * (f - float(pot.min())), 0.0)   # < 0 only by rounding
     if minorant is None:
-        z_lower = _duality_bound(f, gap) if psd else None
+        z_lower = None if v is None else _duality_bound(f, gap)
     else:
         z_lower = 1.0 / float(v.sum()) if np.all(v > 0) else None
     return EnergyResult(value=f, weights=SimplexWeights(w, K.points),
@@ -593,10 +585,11 @@ def _grid_distances(points):
 
 
 def _minorant_solve(G) -> np.ndarray | None:
-    """v = G^-1 1 for a positive definite G: Levinson (O(n) memory) on a
-    `ToeplitzKernel` of a whole grid, else Cholesky in place on G.T (the
-    same matrix in Fortran order) of a dense G or of the matrix gathered
-    from a grid subset's `ToeplitzKernel`; None when the solve fails."""
+    """v = G^-1 1 for a positive definite G: Levinson (O(n) memory, no
+    test of definiteness) on a `ToeplitzKernel` of a whole grid, else
+    Cholesky in place on G.T (the same matrix in Fortran order; a dense
+    G is overwritten) of G or of a grid subset's gathered matrix; None
+    when the solve fails."""
     ones = np.ones(G.shape[0])
     try:
         if isinstance(G, ToeplitzKernel) and G.index is None:
@@ -627,8 +620,8 @@ def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
     g's matrix gathered from the grid vector), free it, and hand
     v = G^-1 1 to `min_energy` as its `minorant`: when every v_i > 0,
     Z_lower = 1/1'v satisfies Z_lower <= Z <= R(s) Z_lower up to
-    rounding.  Other rungs, and a minorant solve that fails, are probed
-    like a caller's matrix.
+    rounding.  Other rungs, and a minorant solve that fails, are factored
+    by `min_energy` like a caller's matrix.
     """
     pts = net.points
     grid = _grid_distances(pts)

@@ -41,6 +41,13 @@ KAPPA_MC_SAMPLES = 200_000     # Monte Carlo draws per exact-kernel distance
 EPS_MIN = float(np.finfo(float).tiny)   # least power-law eps, the least normal float
 
 
+def _finite(name: str, value: float, nonneg: bool = False) -> None:
+    """ValueError naming the parameter unless finite and > 0 (>= 0 with `nonneg`)."""
+    if not (math.isfinite(value) and (value >= 0 if nonneg else value > 0)):
+        raise ValueError(f"{name} must be finite and {'>=' if nonneg else '>'} 0, "
+                         f"got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # exact variate generators
 # ---------------------------------------------------------------------------
@@ -125,8 +132,8 @@ class LaplaceExponent:
     @classmethod
     def gamma(cls, a: float, b: float) -> "LaplaceExponent":
         """Phi(lam) = a*log(1 + lam/b); S(t) ~ Gamma(shape a*t, rate b)."""
-        if a <= 0 or b <= 0:
-            raise ValueError("gamma subordinator needs a, b > 0")
+        _finite("gamma subordinator a", a)
+        _finite("gamma subordinator b", b)
 
         def sampler(gaps):
             shape = a * gaps
@@ -144,8 +151,9 @@ class LaplaceExponent:
         Phi(lam) = drift*lam + rate*(1 - 1/(1 + jump_mean*lam)).  Pure
         drift (rate = 0) gives Phi(lam) = drift*lam.
         """
-        if rate < 0 or drift < 0 or (rate > 0 and jump_mean <= 0):
-            raise ValueError("need rate, drift >= 0 and jump_mean > 0 when jumping")
+        _finite("compound Poisson rate", rate, nonneg=True)
+        _finite("compound Poisson jump_mean", jump_mean, nonneg=rate == 0)
+        _finite("drift", drift, nonneg=True)
 
         def phi(lam):
             jumps = rate * jump_mean * lam / (1.0 + jump_mean * lam) if rate > 0 else 0.0
@@ -197,8 +205,7 @@ class LevyModel:
     def isotropic_stable(cls, alpha: float, c: float = 1.0, d: int = 1) -> "LevyModel":
         if not 0 < alpha <= 2:
             raise ValueError("alpha must be in (0, 2]")
-        if not (math.isfinite(c) and c > 0):
-            raise ValueError(f"scale c must be finite and > 0, got {c!r}")
+        _finite("scale c", c)
         if d < 1:
             raise ValueError("need dimension d >= 1")
         return cls("isotropic_stable", d, lambda r: c * np.abs(r) ** alpha,
@@ -296,8 +303,9 @@ def kappa_stable_1d(alpha: float, c: float, eps: float, t: float) -> float:
     """
     if not 0 < alpha <= 2:
         raise ValueError("alpha must be in (0, 2]")
-    if c <= 0 or eps <= 0 or t < 0:
-        raise ValueError("need c > 0, eps > 0, t >= 0")
+    _finite("c", c)
+    _finite("eps", eps)
+    _finite("t", t, nonneg=True)
     if t == 0.0:
         return 1.0
     log_zmax = math.log(TRUNC_LOG / (t * c)) / alpha
@@ -344,8 +352,8 @@ def kappa_monte_carlo(model: LevyModel, eps: float, t: float, n: int,
     Deterministic given `seed`; samples are drawn in batches so large n
     stays memory-flat.
     """
-    if eps <= 0 or t < 0:
-        raise ValueError("need eps > 0, t >= 0")
+    _finite("eps", eps)
+    _finite("t", t, nonneg=True)
     if n < 1000:
         raise ValueError("n must be at least 1000")
     if t == 0.0:
@@ -389,8 +397,7 @@ class KernelFamily:
     @classmethod
     def fh(cls, s: float) -> "KernelFamily":
         """Power-law profile kernel (the Falconer-Howroyd family)."""
-        if not (math.isfinite(s) and s > 0):
-            raise ValueError(f"profile parameter s must be finite and > 0, got {s!r}")
+        _finite("profile parameter s", s)
         return cls("fh", {"s": s})
 
     @classmethod
@@ -442,8 +449,7 @@ class KernelFamily:
 
     def evaluate(self, scale: float, r) -> np.ndarray:
         """Vectorized K_scale(r) for r >= 0."""
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        _finite("scale", scale)
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r < 0):
             raise ValueError("distances must be nonnegative")
@@ -495,8 +501,7 @@ def cauchy_weighted_energy(weights, psi: Callable, eps: float) -> float:
     0.01.  Every subordinator has the closed form w' exp(-D Phi(1/eps)) w,
     D_ij = |t_i - t_j| (C10's identity).
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    _finite("eps", eps)
     pts, w = weights.points, weights.w
     i, j = np.triu_indices(len(pts), k=1)
     if not i.size:

@@ -46,8 +46,8 @@ class CompactSet:
 
     @classmethod
     def interval(cls, a: float, b: float) -> "CompactSet":
-        if not (0 <= a <= b):
-            raise ValueError("need 0 <= a <= b")
+        if not (0 <= a <= b < np.inf):
+            raise ValueError(f"interval needs 0 <= a <= b < inf, got [{a!r}, {b!r}]")
         return cls("interval", {"a": float(a), "b": float(b)},
                    label=f"interval[{a},{b}]")
 

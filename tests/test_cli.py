@@ -152,7 +152,18 @@ _SIMULATE = ["simulate", "--set", "interval:0,1", "--ladder", "0.25,0.5,5",
     (["theta", "--phi", "stable:0.5", "--s", "{}"], "0.7", "s must be finite"),
     (_PROFILE + ["--family", "exact", "--model", "stable:1.5,{}"], "1", "scale c"),
     (_SIMULATE + ["--model", "stable:1.5,{}"], "1", "scale c"),
-], ids=["profile-s", "theta-s", "exact-model-c", "simulate-model-c"])
+    (["theta", "--phi", "cpd:{},1,0.1", "--s", "0.7"], "1", "compound Poisson rate"),
+    (["theta", "--phi", "gamma:{},1", "--s", "0.7"], "1", "gamma subordinator a"),
+    (["theta", "--phi", "drift:{}", "--s", "0.7"], "2", "drift must be finite"),
+    (["subordinator", "--phi", "cpd:1,{},0.1", "--set", "interval:0,1",
+      "--ladder", "10,4,3"], "0.5", "compound Poisson jump_mean"),
+    (["profile", "--set", "interval:0,{}", "--family", "fh", "--s", "0.5",
+      "--ladder", "0.1,0.5,3"], "1", "interval needs"),
+    (["simulate", "--set", "interval:0,{}"] + _SIMULATE[3:] + ["--model", "stable:1.5"],
+     "1", "interval needs"),
+], ids=["profile-s", "theta-s", "exact-model-c", "simulate-model-c", "theta-cpd-rate",
+        "theta-gamma-a", "theta-drift", "subordinator-cpd-jump-mean",
+        "profile-interval-b", "simulate-interval-b"])
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_non_finite_parameter_is_a_config_error(argv, good, name, bad, tmp_path, capsys):
     """A NaN or infinite parameter stops the run with one config-error

@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fracdim import energy_min
 from fracdim.errors import CertificateFailed, NetTooLarge, TooLarge
@@ -126,7 +128,7 @@ def test_min_energy_identity_matrix():
 
 
 def test_min_energy_matches_bruteforce_on_random_psd():
-    """Eight random PSD kernels and C2's 50 (seed 0): the probe passes, so
+    """Eight random PSD kernels and C2's 50 (seed 0): each factors, so
     Z_lower is the duality bound Z - gap, which never exceeds the lattice
     oracle, an upper bound on the minimum."""
     kernels = []
@@ -143,6 +145,8 @@ def test_min_energy_matches_bruteforce_on_random_psd():
         assert abs(res.value - bf) <= 1e-3
         assert res.converged and res.Z_lower == res.value - res.duality_gap
         assert 0 < res.Z_lower <= bf + 1e-12
+        # an exact start rounds the gap below 0 on some; it is reported as 0
+        assert res.duality_gap >= 0 and res.Z_lower <= res.value
         # reported value is exactly the energy of the reported weights
         recomputed = float(res.weights.w @ km.values @ res.weights.w)
         assert abs(recomputed - res.value) < 1e-12
@@ -159,6 +163,18 @@ def _counting_frank_wolfe(monkeypatch):
 
     monkeypatch.setattr(energy_min, "_frank_wolfe", counted)
     return statuses
+
+
+def _recording_starts(monkeypatch):
+    """Patch energy_min._frank_wolfe to record the w0 of every start."""
+    starts = []
+
+    def recorded(K, w0, tol, max_iter):
+        starts.append(w0.copy())
+        return _frank_wolfe(K, w0, tol, max_iter)
+
+    monkeypatch.setattr(energy_min, "_frank_wolfe", recorded)
+    return starts
 
 
 def test_min_energy_nonconvex_flag_and_multistart(monkeypatch):
@@ -236,14 +252,20 @@ def test_power_law_rung_with_an_underflowing_eps_raises_value_error():
         rung_min_energy(KernelFamily.stable_sandwich(2.0), 1e-170, net)
 
 
-def test_only_kernels_without_a_minorant_are_probed(monkeypatch):
-    """fh rungs hand their minorant solve to `min_energy` and are never
-    probed, on the C7 ladder and on a Cantor ladder; an exact Cauchy rung
-    and a caller's PSD matrix are probed, and carry Z_lower = Z - gap."""
-    def forbidden(A):
-        raise AssertionError("a power-law rung was probed")
+def test_only_kernels_without_a_minorant_get_their_own_solve(monkeypatch):
+    """fh rungs hand their minorant solve to `min_energy`, which factors
+    nothing more, on the C7 ladder and on a Cantor ladder; an exact
+    Cauchy rung and a caller's PSD matrix are factored once each by
+    `min_energy`, start at their own clipped K^-1 1 and carry
+    Z_lower = Z - gap."""
+    own = []
 
-    monkeypatch.setattr(energy_min, "is_psd", forbidden)
+    def recorded(G):
+        if sys._getframe(1).f_code.co_name == "min_energy":
+            own.append(G.shape)
+        return _minorant_solve(G)
+
+    monkeypatch.setattr(energy_min, "_minorant_solve", recorded)
     eps = 0.028 * (1.0 / 3.0) ** np.arange(4)
     for rep in (fh_profile(CompactSet.interval(0, 1), 0.5, eps, mesh_ratio=5.0,
                            restarts=2, seed=0),
@@ -251,20 +273,75 @@ def test_only_kernels_without_a_minorant_are_probed(monkeypatch):
                            restarts=2, seed=0)):
         for rung in rep.rungs:
             assert rung["start"] == "minorant" and rung["Z_lower"] is not None
-    probed = []
-
-    def counted(A):
-        probed.append(A.shape)
-        return is_psd(A)
-
-    monkeypatch.setattr(energy_min, "is_psd", counted)
+    assert own == []
     cauchy = rung_min_energy(KernelFamily.exact(LevyModel.isotropic_stable(1.0)),
                              0.2, discretize(CompactSet.interval(0, 1), 0.02))
     raw = min_energy(random_psd_kernel(np.random.default_rng(3), 6))
-    assert len(probed) == 2
+    n = cauchy.weights.w.size
+    assert own == [(n, n), (6, 6)]
     for res in (cauchy, raw):
-        assert res.start == "uniform"
+        assert res.start == "minorant"
         assert res.Z_lower == res.value - res.duality_gap
+
+
+def test_indefinite_whole_grid_kernel_without_a_minorant_is_not_certified():
+    """The fh kernel at s = 1/2, eps = 0.009 on the 101-point grid of
+    [0, 1] is indefinite: Cholesky of its gathered matrix fails, so no
+    certificate.  Levinson on its column would not fail: it returns a
+    finite v with 1/1'v above the Frank-Wolfe minimum."""
+    pts = np.linspace(0.0, 1.0, 101)
+    col = KernelFamily.fh(0.5).evaluate(0.009, pts - pts[0])
+    res = min_energy(KernelMatrix(ToeplitzKernel(col), pts))
+    assert res.status == "gap" and res.start == "uniform" and res.Z_lower is None
+    v = scipy.linalg.solve_toeplitz(col, np.ones(pts.size))
+    assert np.all(np.isfinite(v)) and 1.0 / v.sum() > res.value
+
+
+def test_positive_definite_kernel_starts_at_its_clipped_solve(monkeypatch):
+    """exp(-(dt/0.5)^2) on 6 equispaced points of [0, 1] factors, with a
+    K^-1 1 of mixed sign: Frank-Wolfe starts at its clipped, normalized
+    solve if that beats the uniform measure, converges, and its duality
+    bound lies below the lattice oracle."""
+    pts = np.linspace(0.0, 1.0, 6)
+    G = np.exp(-np.square((pts[:, None] - pts) / 0.5))
+    v = np.linalg.solve(G, np.ones(6))
+    np.testing.assert_allclose(v, [1.778, -1.838, 1.176, 1.176, -1.838, 1.778],
+                               atol=5e-4)
+    starts = _recording_starts(monkeypatch)
+    km = _km(G, pts)
+    res = min_energy(km)
+    clipped = np.clip(v, 0.0, None)
+    clipped /= clipped.sum()
+    uniform = np.full(6, 1.0 / 6)
+    if clipped @ G @ clipped < uniform @ G @ uniform:
+        assert res.start == "minorant"
+        np.testing.assert_allclose(starts[0], clipped, rtol=1e-12)
+    else:
+        assert res.start == "uniform" and np.array_equal(starts[0], uniform)
+    assert res.status == "gap"
+    bf = min_energy_bruteforce(km, resolution=1 / 60)
+    assert bf == pytest.approx(0.485179, abs=1e-6)
+    assert res.Z_lower == res.value - res.duality_gap <= bf
+
+
+def test_semidefinite_caller_matrix_with_equal_rows_returns():
+    """Random PSD kernels with one row and column repeated are singular,
+    which the Cholesky solve may or may not take for definite in
+    rounding; both happen below, and either way the solve returns with
+    status "gap" and Z_lower None or at most Z."""
+    rng = np.random.default_rng(0)
+    factored = set()
+    for _ in range(12):
+        n = int(rng.integers(3, 7))
+        R = random_psd_kernel(rng, n).values
+        j = int(rng.integers(0, n))
+        idx = np.insert(np.arange(n), j, j)
+        A = R[np.ix_(idx, idx)]
+        factored.add(_minorant_solve(A.copy()) is not None)
+        res = min_energy(_km(A))
+        assert res.status == "gap"
+        assert res.Z_lower is None or res.Z_lower <= res.value
+    assert factored == {True, False}
 
 
 def test_minorant_with_a_nonpositive_entry_gives_no_certificate(monkeypatch):
@@ -275,13 +352,7 @@ def test_minorant_with_a_nonpositive_entry_gives_no_certificate(monkeypatch):
     v = _minorant_v(fam, 0.05, net.points)
     assert np.all(v > 0)
     v[[0, 5]] = (-v[0], 0.0)
-    starts = []
-
-    def recorded(K, w0, tol, max_iter):
-        starts.append(w0.copy())
-        return _frank_wolfe(K, w0, tol, max_iter)
-
-    monkeypatch.setattr(energy_min, "_frank_wolfe", recorded)
+    starts = _recording_starts(monkeypatch)
     res = min_energy(build_kernel(fam, 0.05, net), minorant=v)
     assert res.start == "minorant" and res.Z_lower is None
     clipped = np.clip(v, 0.0, None)
@@ -631,7 +702,7 @@ def test_grid_kernel_matches_dense_kernel_on_cantor_nets(c6_cantor):
 
 def test_min_energy_probes_toeplitz_kernel():
     """A ToeplitzKernel with a positive definite column (the exponential
-    kernel) passes the Cholesky probe, needs one start, and matches the
+    kernel) factors in `min_energy`, needs one start, and matches the
     closed form."""
     pts = np.linspace(0.0, 1.0, 200)
     col = np.exp(-7.0 * (pts - pts[0]))
@@ -766,9 +837,8 @@ def test_away_vertex_maximizes_second_order_decrease():
 
 
 def test_min_energy_max_iter_exceeded_carries_result():
-    pts = np.array([0.0, 0.3, 1.0])
-    D = np.abs(pts[:, None] - pts[None, :])
-    km = _km(np.exp(-3.0 * D), pts)
+    # an indefinite fh matrix: no own solve, and Frank-Wolfe needs 3 steps
+    km = build_kernel(KernelFamily.fh(0.5), 0.3, DeltaNet(np.array([0.0, 0.3, 1.0])))
     res = min_energy(km, tol=1e-12, max_iter=1, restarts=4)
     assert isinstance(res, EnergyResult) and not res.converged
     assert res.status == "iters" and res.iterations == 1

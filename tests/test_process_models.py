@@ -346,11 +346,43 @@ def test_cauchy_weighted_energy_rejects_undamped_exponent():
         cauchy_weighted_energy(two, lambda xi: 1j * xi, 0.1)
 
 
-@pytest.mark.parametrize("eps", [0.0, -0.5, float("nan")])
+@pytest.mark.parametrize("eps", [0.0, -0.5, float("nan"), float("inf")])
 def test_cauchy_weighted_energy_rejects_nonpositive_eps(eps):
     two = SimplexWeights(np.array([0.5, 0.5]), np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match="eps"):
         cauchy_weighted_energy(two, np.abs, eps)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda x: LaplaceExponent.gamma(x, 1.0), "gamma subordinator a"),
+    (lambda x: LaplaceExponent.gamma(1.0, x), "gamma subordinator b"),
+    (lambda x: LaplaceExponent.compound_poisson_drift(x, 1.0, 0.1), "compound Poisson rate"),
+    (lambda x: LaplaceExponent.compound_poisson_drift(1.0, x, 0.1),
+     "compound Poisson jump_mean"),
+    (lambda x: LaplaceExponent.compound_poisson_drift(0.0, x, 0.1),
+     "compound Poisson jump_mean"),
+    (lambda x: LaplaceExponent.compound_poisson_drift(1.0, 0.5, x), "drift"),
+], ids=["gamma-a", "gamma-b", "cpd-rate", "cpd-jump-mean", "drift-jump-mean", "cpd-drift"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_laplace_exponent_rejects_non_finite_parameters(make, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        make(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_kappa_rejects_non_finite_arguments(bad):
+    """eps, c and t must be finite (eps, c > 0, t >= 0) before any
+    quadrature or sampling runs, and so must an exact kernel's scale."""
+    model = LevyModel.isotropic_stable(1.0)
+    with pytest.raises(ValueError, match="^scale must be finite"):
+        KernelFamily.exact(model).evaluate(bad, np.array([0.0, 0.5]))
+    for args, name in (((bad, 0.5), "eps"), ((0.1, bad), "t")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            kappa_monte_carlo(model, *args, n=1000, seed=0)
+    for args, name in (((bad, 0.1, 0.5), "c"), ((1.0, bad, 0.5), "eps"),
+                       ((1.0, 0.1, bad), "t")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            kappa_stable_1d(1.0, *args)
 
 
 def _full_range_energy(weights, psi, eps):

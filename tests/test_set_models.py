@@ -255,6 +255,13 @@ def test_delta_net_requires_sorted_points():
             DeltaNet(np.array(bad))
 
 
+@pytest.mark.parametrize("a, b", [(0.0, np.inf), (np.inf, np.inf), (0.0, np.nan),
+                                  (np.nan, 1.0)])
+def test_interval_needs_finite_endpoints(a, b):
+    with pytest.raises(ValueError, match=r"interval needs 0 <= a <= b < inf"):
+        CompactSet.interval(a, b)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nets_and_finite_sets_reject_non_finite_points(bad):
     with pytest.raises(ValueError, match=f"point {bad!r} is not finite"):
