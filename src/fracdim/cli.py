@@ -25,6 +25,8 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from . import oracles
 from .energy_min import DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_TOL
 from .errors import (FracdimError, MeshTooFine, NetTooLarge,
@@ -35,7 +37,6 @@ from .profiles import (MESH_RATIO, THETA_LAM_MAX, box_profile,
                        theta_index)
 from .set_models import CompactSet
 from .simulate import image_dim_experiment
-from .utils import geometric_ladder
 from .verify import report_bytes, run_suite
 
 EXIT_OK = 0
@@ -208,7 +209,7 @@ def _scales(cfg: argparse.Namespace, grow: bool):
     if not (ratio > 1 if grow else ratio < 1):
         raise ConfigError(f"{'lam' if grow else 'eps/r'} ladders need ratio "
                           f"{'> 1' if grow else 'in (0, 1)'}")
-    return geometric_ladder(start, ratio, count)
+    return start * ratio ** np.arange(count, dtype=float)
 
 
 def cmd_profile(cfg: argparse.Namespace) -> int:

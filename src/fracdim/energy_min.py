@@ -209,10 +209,15 @@ class EnergyResult:
         }
 
 
-def _duality_bound(f: float, gap: float) -> float | None:
-    """Z >= w'Kw - gap on a PSD kernel (convexity: Z >= f + min_v
-    grad'(v - w) over the simplex); None unless positive."""
-    return f - gap if f - gap > 0 else None
+def _gap_certificate(w: np.ndarray, pot: np.ndarray):
+    """(f, gap, bound) for weights w with potential pot = Kw: the energy
+    f = w'Kw, the duality gap 2(f - min_i pot_i) clamped at 0 (below 0
+    only by rounding), and the bound Z >= f - gap, which holds on a PSD
+    kernel (convexity: Z >= f + min_v grad'(v - w) over the simplex),
+    or None unless positive."""
+    f = float(w @ pot)
+    gap = max(2.0 * (f - float(pot.min())), 0.0)
+    return f, gap, (f - gap if f - gap > 0 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +437,9 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
                  for _ in range(restarts - 1)]
     w, f, _, iters, status = min(runs, key=lambda run: run[1])
     w /= w.sum()
-    pot = A @ w
-    f = float(w @ pot)
-    gap = max(2.0 * (f - float(pot.min())), 0.0)   # < 0 only by rounding
+    f, gap, bound = _gap_certificate(w, A @ w)
     if minorant is None:
-        z_lower = None if v is None else _duality_bound(f, gap)
+        z_lower = None if v is None else bound
     else:
         z_lower = 1.0 / float(v.sum()) if np.all(v > 0) else None
     return EnergyResult(value=f, weights=SimplexWeights(w, K.points),
@@ -466,7 +469,10 @@ def exp_kernel_potential(points, a: float, w) -> np.ndarray:
     F_i = w_i + rho_{i-1} F_{i-1} and B_i = w_i + rho_i B_{i+1}, so
     Kw = F + B - w without forming K.
     """
-    pts = _sorted_points(points)
+    return _exp_potential(_sorted_points(points), a, w)
+
+
+def _exp_potential(pts: np.ndarray, a: float, w) -> np.ndarray:
     rho = np.exp(-a * np.diff(pts)).tolist()
     wl = np.asarray(w, dtype=float).tolist()
     n = len(wl)
@@ -486,25 +492,26 @@ def exp_kernel_certificate(points, a: float, w,
     Computes the potential with `exp_kernel_potential` and the duality
     gap 2(w'Kw - min_i (Kw)_i), which bounds w'Kw - Z from above because
     the kernel is positive semidefinite, and reports w'Kw - gap as
-    Z_lower.  Raises CertificateFailed when a weight is negative or the
-    gap exceeds tol * w'Kw.
+    Z_lower, the gap clamped at 0 as in `min_energy`.  Raises
+    CertificateFailed when a weight is negative or the gap exceeds
+    tol * w'Kw.
     """
+    return _exp_certificate(_sorted_points(points), a, w, tol)
+
+
+def _exp_certificate(pts: np.ndarray, a: float, w, tol: float) -> EnergyResult:
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
-    pts = _sorted_points(points)
     w = np.asarray(w, dtype=float)
     if np.any(w < 0):
         raise CertificateFailed(f"negative weight {float(w.min())!r}")
-    pot = exp_kernel_potential(pts, a, w)
-    f = float(w @ pot)
-    gap = 2.0 * (f - float(pot.min()))
+    f, gap, bound = _gap_certificate(w, _exp_potential(pts, a, w))
     if not gap <= tol * f:
         raise CertificateFailed(
             f"duality gap {gap:.3e} exceeds {tol:g} * Z = {tol * f:.3e} "
             f"on {pts.size} points")
     return EnergyResult(value=f, weights=SimplexWeights(w, pts),
-                        duality_gap=gap, iterations=0,
-                        Z_lower=_duality_bound(f, gap))
+                        duality_gap=gap, iterations=0, Z_lower=bound)
 
 
 def exp_kernel_min_energy(points, a: float,
@@ -531,7 +538,7 @@ def exp_kernel_min_energy(points, a: float,
     pts = _sorted_points(points)
     tau = np.concatenate(([1.0], np.tanh(0.5 * a * np.diff(pts)), [1.0]))
     v = 0.5 * (tau[:-1] + tau[1:])
-    return exp_kernel_certificate(pts, a, v / v.sum(), tol)
+    return _exp_certificate(pts, a, v / v.sum(), tol)
 
 
 def _grid_distances(points):

@@ -27,6 +27,19 @@ TRANSFORMS = {"log": np.log, "neg_log": lambda v: -np.log(v),   # axes, by name
               "log_inv": lambda s: np.log(1.0 / s)}
 
 
+def scale_ladder(scales, name: str, min_size: int = 2) -> np.ndarray:
+    """`scales` sorted into an increasing float array, or ValueError unless
+    it holds at least `min_size` finite, positive, distinct values.
+    Callers check a ladder with it before they solve a rung or sample a
+    path; `name` labels the ladder in the message."""
+    x = np.sort(np.asarray(scales, dtype=float))
+    if not (x.ndim == 1 and x.size >= min_size and np.all(np.isfinite(x))
+            and x[0] > 0 and np.all(np.diff(x) > 0)):
+        raise ValueError(f"{name} ladder needs at least {min_size} finite, "
+                         f"positive, distinct scales, got {scales!r}")
+    return x
+
+
 def _chord_slopes(lx: np.ndarray, ly: np.ndarray) -> np.ndarray:
     """All pairwise chord slopes of (lx, ly)."""
     i, j = np.triu_indices(len(lx), k=1)

@@ -27,7 +27,7 @@ from scipy import integrate
 from .errors import NonConvergedQuadrature
 from .energy_min import (DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_TOL,
                          exp_kernel_min_energy, rung_min_energy)
-from .ladders import LadderEstimate
+from .ladders import LadderEstimate, scale_ladder
 from .process_models import KernelFamily, LaplaceExponent
 from .set_models import CompactSet, discretize
 
@@ -116,13 +116,12 @@ def box_profile(cset: CompactSet, family: KernelFamily, eps_ladder,
                 seed: int = 0, max_iter: int = DEFAULT_MAX_ITER) -> ProfileReport:
     """Box-dimension profile: envelope slope of log Z(eps) against log eps.
 
-    eps_ladder must decrease geometrically; the per-rung net mesh is
+    eps_ladder holds at least two finite, positive, distinct scales in any
+    order; rungs are solved from the largest eps down, on nets of mesh
     eps/mesh_ratio.  Both envelopes and the least-squares slope are kept
     in the report's ladder record.
     """
-    eps = np.sort(np.asarray(eps_ladder, dtype=float))[::-1]
-    if eps.size < 2 or eps[-1] <= 0:
-        raise ValueError("need a decreasing positive eps ladder")
+    eps = scale_ladder(eps_ladder, "eps")[::-1]
     if not 0 < mesh_ratio < np.inf:
         raise ValueError(f"mesh_ratio must be finite and > 0, got {mesh_ratio!r}")
     meshes, results = _energy_ladder(
@@ -145,7 +144,8 @@ def subordinator_box_dim(phi: LaplaceExponent, cset: CompactSet, lam_ladder,
                          tol: float = DEFAULT_TOL, mode: str = "upper") -> ProfileReport:
     """Growth exponent of 1 / Z(lam) for the kernel exp(-|t-s| Phi(lam)).
 
-    lam_ladder must increase geometrically.  The mesh rule keeps
+    lam_ladder holds at least two finite, positive, distinct scales in
+    any order, solved from the smallest up.  The mesh rule keeps
     Phi(lam) * delta <= 0.1 (and at least a handful of net points even
     when Phi(lam) is tiny).  Each rung is solved exactly in O(n) by
     `exp_kernel_min_energy`, with no kernel matrix and no net-size cap
@@ -153,9 +153,7 @@ def subordinator_box_dim(phi: LaplaceExponent, cset: CompactSet, lam_ladder,
     certificate must meet, and a rung that misses it raises
     CertificateFailed.
     """
-    lam = np.sort(np.asarray(lam_ladder, dtype=float))
-    if lam.size < 2 or lam[0] <= 0:
-        raise ValueError("need an increasing positive lam ladder")
+    lam = scale_ladder(lam_ladder, "lam")
     diam = max(cset.diameter, 1e-12)
 
     def mesh(l):

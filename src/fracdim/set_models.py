@@ -221,6 +221,7 @@ def _as_points(cloud) -> np.ndarray:
 
 
 SEPARATION_SLACK = 1e-9      # relative roundoff guard on >= r comparisons
+MIN_RADII = 5                # fewest radii of a Minkowski ladder
 
 
 def kolmogorov_capacity(cloud, r: float) -> int:
@@ -284,8 +285,8 @@ def minkowski_dim_estimate(cloud, r_ladder, mode: str = "upper") -> LadderEstima
     and raises DegenerateLadder.
     """
     r_ladder = np.asarray(r_ladder, dtype=float)
-    if r_ladder.size < 5:
-        raise ValueError("ladder needs at least 5 radii")
+    if r_ladder.size < MIN_RADII:
+        raise ValueError(f"ladder needs at least {MIN_RADII} radii")
     ratios = r_ladder[1:] / r_ladder[:-1]
     if np.any(ratios <= 0) or not (np.all(ratios < 1) or np.all(ratios > 1)):
         raise ValueError("ladder must be strictly monotone")

@@ -18,9 +18,11 @@ from typing import Callable
 
 import numpy as np
 
+from .ladders import scale_ladder
 from .process_models import LevyModel
-from .set_models import CompactSet, DeltaNet, discretize, minkowski_dim_estimate
-from .utils import parallel_map, substream
+from .set_models import (MIN_RADII, CompactSet, DeltaNet, discretize,
+                         minkowski_dim_estimate)
+from .utils import substream
 
 MESH_FACTOR = 0.25            # target typical increment = factor * r_min
 MIN_NET_POINTS = 512          # cheap floor: never undersample a path
@@ -100,28 +102,30 @@ def image_dim_experiment(model: LevyModel, cset: CompactSet, n_paths: int,
     Per path, the capacity ladder slope is estimated in `mode`.  The
     default is the upper envelope, matching the limsup in the dimension
     it estimates; heavy-tailed per-path noise is tamed by aggregating
-    with a median rather than a mean.  Deterministic given `seed`: path i
-    uses a substream derived from (seed, i).
+    with a median rather than a mean.  `r_ladder` holds at least
+    MIN_RADII finite, positive, distinct radii, checked before any path is
+    drawn.  Paths run one after another, and path i draws from a
+    substream derived from (seed, i), so the result is deterministic
+    given `seed`.
     """
     if n_paths < 1:
         raise ValueError("need n_paths >= 1")
-    r_ladder = np.sort(np.asarray(r_ladder, dtype=float))[::-1]
+    r_ladder = scale_ladder(r_ladder, "r", MIN_RADII)[::-1]
     # net gap over which the process typically moves ~ mesh_factor * r_min
     h = model.typical_inverse_scale(mesh_factor * float(r_ladder.min()))
     h = min(h, cset.diameter / MIN_NET_POINTS) if cset.diameter > 0 else h
     net = discretize(cset, h, point_cap=IMAGE_POINT_CAP)
     sampler = model.increment_sampler(np.diff(net.points, prepend=0.0))
 
-    def job(i):
+    slopes, counts = [], []
+    for i in range(n_paths):
         # per-path integer seed derived from (seed, i), stable across runs
         child = int(np.random.SeedSequence([seed, i]).generate_state(1, np.uint64)[0])
         path = sample_path(sampler, net, seed=child)
         est = minkowski_dim_estimate(path.values, r_ladder, mode=mode)
-        return est.slope, est.values
-
-    out = parallel_map(job, range(n_paths))
-    slopes = np.array([o[0] for o in out])
-    counts = np.array([o[1] for o in out])
+        slopes.append(est.slope)
+        counts.append(est.values)
+    slopes, counts = np.array(slopes), np.array(counts)
     q25, q50, q75 = np.percentile(slopes, [25, 50, 75])
     return ImageExperiment(model=model.to_config(), set_label=cset.label,
                            n_paths=n_paths, r_ladder=r_ladder, seed=seed,

@@ -1,51 +1,14 @@
-"""Small shared helpers: seeded substreams, capped parallel map, ladders."""
+"""Seeded substreams: one independent generator per task of a seeded job."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
-
-ENV_THREADS = "FRACDIM_THREADS"
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
     """Independent generator for task `index` of a seeded job.
 
-    Streams are derived from (seed, index) so fan-out over tasks is
-    deterministic regardless of execution order or worker count.
+    Streams are derived from (seed, index), so a task's draws depend on
+    neither the order in which tasks run nor how many there are.
     """
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
-
-
-def max_workers() -> int:
-    raw = os.environ.get(ENV_THREADS, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Map `fn` over `items`, results in input order.
-
-    Uses threads only when FRACDIM_THREADS > 1; numpy-heavy tasks release
-    the GIL enough for this to help, and ordered collection keeps output
-    deterministic either way.
-    """
-    items = list(items)
-    workers = max_workers()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def geometric_ladder(start: float, ratio: float, count: int) -> np.ndarray:
-    """Geometric scale ladder start * ratio**k, k = 0..count-1."""
-    if count < 1:
-        raise ValueError("ladder count must be >= 1")
-    if start <= 0 or ratio <= 0:
-        raise ValueError("ladder start and ratio must be positive")
-    return start * ratio ** np.arange(count, dtype=float)

@@ -915,6 +915,16 @@ def test_exp_kernel_edge_cases():
         exp_kernel_min_energy(np.array([0.0, 1.0]), -1.0)
 
 
+def test_exp_kernel_gap_is_never_negative():
+    # 2(w'Kw - min Kw) of the exact minimizer rounds below 0 on some nets;
+    # the certificate clamps it as min_energy does, so Z_lower <= Z
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        pts = np.sort(rng.uniform(0, 1, rng.integers(2, 50)))
+        res = exp_kernel_min_energy(pts, 10.0 ** rng.uniform(-1, 2))
+        assert res.duality_gap >= 0 and res.Z_lower <= res.value
+
+
 def test_exp_kernel_certificate_rejects_perturbed_weights():
     pts = np.linspace(0, 1, 41)
     w = exp_kernel_min_energy(pts, 20.0).weights.w

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fracdim import profiles
 from fracdim.energy_min import DENSE_NET_CAP, EnergyResult, SimplexWeights
 from fracdim.errors import NonConvergedQuadrature
 from fracdim.ladders import MODES, LadderEstimate
@@ -224,6 +225,24 @@ def test_unconverged_rung_flags_the_report():
         assert bad["converged"] is False
         assert [(r["converged"], r["status"]) for r in bad["rungs"]] == [
             (True, "gap"), (False, status)]
+
+
+def test_bad_ladder_is_rejected_before_any_rung(monkeypatch):
+    # repeated, non-finite, non-positive or single scales raise before a
+    # net is built or a rung solved
+    calls = []
+    for name in ("discretize", "rung_min_energy", "exp_kernel_min_energy"):
+        monkeypatch.setattr(profiles, name, lambda *a, **k: calls.append(a))
+    cset = CompactSet.interval(0, 1)
+    for eps in ([0.01, 0.01, 0.005], [0.1, np.nan, 0.01], [np.inf, 0.1, 0.01],
+                [0.1, 0.0], [0.1]):
+        with pytest.raises(ValueError, match="eps ladder"):
+            fh_profile(cset, 0.5, eps, mesh_ratio=5.0)
+    for lam in ([10.0, 10.0, 40.0], [10.0, np.nan, 40.0], [10.0, np.inf],
+                [0.0, 10.0], [10.0]):
+        with pytest.raises(ValueError, match="lam ladder"):
+            subordinator_box_dim(LaplaceExponent.stable(0.5), cset, lam)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Path sampling and image box-counting."""
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from fracdim import simulate
@@ -112,15 +113,19 @@ def test_image_experiment_csv_and_json(tmp_path):
     assert data["slopes"] == [float(s) for s in exp.slopes] and data["n_paths"] == 3
 
 
-def test_parallel_fanout_matches_serial(monkeypatch):
+def test_bad_radius_ladder_is_rejected_before_any_path(monkeypatch):
+    # repeated, non-finite, non-positive radii or fewer than five raise
+    # before the net is built or a path sampled
+    calls = []
+    for name in ("discretize", "sample_path"):
+        monkeypatch.setattr(simulate, name, lambda *a, **k: calls.append(a))
     m = LevyModel.subordinator(LaplaceExponent.stable(0.5))
     F = CompactSet.interval(0, 1)
-    r = 2.0 ** -np.arange(2, 8, dtype=float)
-    serial = image_dim_experiment(m, F, 6, r, seed=5)
-    monkeypatch.setenv("FRACDIM_THREADS", "4")
-    threaded = image_dim_experiment(m, F, 6, r, seed=5)
-    np.testing.assert_array_equal(serial.slopes, threaded.slopes)
-    np.testing.assert_array_equal(serial.counts, threaded.counts)
+    r = [0.5, 0.25, 0.125, 0.0625]
+    for bad in (r + [0.0625], r + [np.nan], r + [np.inf], r + [0.0], r):
+        with pytest.raises(ValueError, match="r ladder"):
+            image_dim_experiment(m, F, 2, bad, seed=0)
+    assert calls == []
 
 
 def test_theory_vs_empirical_singleton_trivial():
