@@ -27,18 +27,19 @@ test gap <= tol * w'Kw met), "stall" (no descent step left, which on a
 PSD kernel cannot happen while the gap exceeds tol, so the kernel is
 nonconvex there) or "iters" (budget spent).  Only a stall is followed
 by seeded Dirichlet restarts.  `min_energy` alone sets each result's
-one certificate Z_lower <= Z, or None: a positive definite minorant's
-minimum when the caller hands in its solve, else the duality bound
-2 min_i (Kw)_i - w'Kw on a kernel that factors, and so is its own
-minorant (`_minorant_solve`, the one Cholesky routine).
+one certificate Z_lower <= Z, or None: `_gap_certificate`'s bound
+(min_i (Gu)_i)^2 / u'Gu for a PSD G <= K, from the solve u = v of a
+minorant the caller hands in, else from Frank-Wolfe's u = w on a kernel
+that factors, and so is its own minorant (`_minorant_solve`, the one
+Cholesky routine).
 
 Kernel values come from `KernelFamily` alone.  `rung_min_energy` solves
 a power-law rung's positive definite convex minorant g <= K <= R(s) g
-(`KernelFamily.convex_minorant`) exactly (Levinson on equal-gap nets,
-else Cholesky of its matrix, gathered row by row on a grid subset)
-and hands the solve to `min_energy`, which starts at g's minimizer and
-reports its minimum as Z_lower <= Z <= R(s) Z_lower; `min_energy`
-factors nothing more on these rungs.
+(`KernelFamily.convex_minorant`) for (v, Gv), v = G^-1 1 (Levinson on
+equal-gap nets, else Cholesky of its matrix, gathered row by row on a
+grid subset), and hands it to `min_energy`, which starts at g's
+minimizer and reports Z_lower <= Z <= R(s) Z_lower, Z_lower g's minimum
+when v is exact; `min_energy` factors nothing more on these rungs.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft, linalg
+from scipy.linalg import blas
 
 from .errors import CertificateFailed, NetTooLarge, TooLarge
 from .process_models import KernelFamily
@@ -209,15 +211,22 @@ class EnergyResult:
         }
 
 
-def _gap_certificate(w: np.ndarray, pot: np.ndarray):
-    """(f, gap, bound) for weights w with potential pot = Kw: the energy
-    f = w'Kw, the duality gap 2(f - min_i pot_i) clamped at 0 (below 0
-    only by rounding), and the bound Z >= f - gap, which holds on a PSD
-    kernel (convexity: Z >= f + min_v grad'(v - w) over the simplex),
-    or None unless positive."""
-    f = float(w @ pot)
-    gap = max(2.0 * (f - float(pot.min())), 0.0)
-    return f, gap, (f - gap if f - gap > 0 else None)
+def _gap_certificate(u: np.ndarray, Gu: np.ndarray):
+    """(f, gap, bound) for any vector u and its product Gu with a PSD G:
+    f = u'Gu, gap = 2(f - m) with m = min_i (Gu)_i clamped at f (the
+    duality gap when u is on the simplex), and bound = m (m / f) if
+    m > 0, else None.  For w on the simplex w'Gu >= m, so for t > 0
+    0 <= (w - tu)'G(w - tu) <= w'Gw - 2tm + t^2 f; t = m/f gives
+    w'Gw >= m^2 / f, a bound on the minimum of any K >= G entrywise
+    that needs no exact solve.  Any 0 < m' <= m bounds too, so the
+    clamp keeps it valid, and keeps it <= f on the simplex, where
+    m <= f but for rounding.  While m <= f the bound does not change
+    when u is scaled; at u = G^-1 1 that holds when G's minimum is at
+    most 1 (every kernel here is 1 at distance 0), and the bound is
+    1/1'u.  On the simplex it is f - gap + (f - m)^2 / f."""
+    f = float(u @ Gu)
+    m = min(f, float(Gu.min()))              # NaN in f propagates
+    return f, 2.0 * (f - m), (m * (m / f) if m > 0 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +402,15 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
                minorant=None) -> EnergyResult:
     """Minimum energy Z over the probability simplex, with certificate.
 
-    `minorant`, if given, is v = G^-1 1 for a positive definite G <= K
-    (entrywise) on the net, as `_minorant_solve` returns it, giving
-    Z_lower = 1/1'v if every v_i > 0.  Else K, up to PSD_PROBE_CAP
-    points, is its own if Cholesky of its dense matrix (never Levinson,
-    which tests no definiteness) gives v = K^-1 1, and Z_lower = Z - gap
-    when positive, the gap clamped at 0.  Either way the first run starts
-    at v+/1'v+ (`start` "minorant") if that beats the uniform measure, so
-    Z never exceeds the uniform energy.  Z_lower is None otherwise.
+    `minorant`, if given, is (v, Gv) for a positive semidefinite G <= K
+    (entrywise) on the net, as `_minorant_solve` returns it, and
+    Z_lower is `_gap_certificate`'s bound from it, however inexact v
+    is.  Else K, up to PSD_PROBE_CAP points, is its own if Cholesky of
+    its dense matrix (never Levinson, which tests no definiteness)
+    gives v = K^-1 1, and Z_lower is the bound from (w, Kw) at the
+    returned w.  Either way the first run starts at v+/1'v+ (`start`
+    "minorant") if that beats the uniform measure, so Z never exceeds
+    the uniform energy.  Z_lower is None otherwise.
     `restarts` is the most runs made: only a first run ending with
     "stall" is followed by restarts - 1 seeded Dirichlet starts, and the
     lowest-energy run is returned with its status.  Exponential kernels
@@ -419,12 +429,14 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
         raise ValueError("kernel matrix is not exactly symmetric")
     w0, label = np.full(n, 1.0 / n), "uniform"
     if minorant is None:                     # K is its own, if it factors
-        v = (_minorant_solve(A.dense() if toeplitz else np.array(A, dtype=float))
-             if n <= PSD_PROBE_CAP else None)
+        own = (_minorant_solve(A.dense() if toeplitz else np.array(A, dtype=float))
+               if n <= PSD_PROBE_CAP else None)
+        v = None if own is None else own[0]
     else:
-        v = np.asarray(minorant, dtype=float)
-        if v.shape != (n,) or not np.all(np.isfinite(v)) or not np.any(v > 0):
-            raise ValueError("minorant must be finite on the net, with a positive entry")
+        v, gv = (np.asarray(x, dtype=float) for x in minorant)
+        if not (v.shape == gv.shape == (n,) and np.all(np.isfinite(v))
+                and np.all(np.isfinite(gv)) and np.any(v > 0)):
+            raise ValueError("minorant must be (v, Gv), finite on the net, with a positive entry")
     if v is not None and np.any(v > 0):
         start = np.clip(v, 0.0, None)
         start /= start.sum()
@@ -438,30 +450,18 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
     w, f, _, iters, status = min(runs, key=lambda run: run[1])
     w /= w.sum()
     f, gap, bound = _gap_certificate(w, A @ w)
-    if minorant is None:
-        z_lower = None if v is None else bound
-    else:
-        z_lower = 1.0 / float(v.sum()) if np.all(v > 0) else None
+    cert = bound if minorant is None else _gap_certificate(v, gv)[2]
     return EnergyResult(value=f, weights=SimplexWeights(w, K.points),
                         duality_gap=gap, iterations=iters,
                         restarts_used=len(runs), status=status, start=label,
-                        Z_lower=z_lower)
+                        Z_lower=None if v is None else cert)
 
 
 # ---------------------------------------------------------------------------
 # exponential kernels: exact minimizer in O(n)
 # ---------------------------------------------------------------------------
 
-def _sorted_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 1 or pts.size == 0:
-        raise ValueError("need a nonempty 1-d array of points")
-    if np.any(np.diff(pts) < 0):
-        raise ValueError("points must be sorted")
-    return pts
-
-
-def exp_kernel_potential(points, a: float, w) -> np.ndarray:
+def _exp_potential(pts: np.ndarray, a: float, w) -> np.ndarray:
     """Potential (Kw)_i for K_ij = exp(-a|t_i - t_j|) on sorted points, in O(n).
 
     With rho_i = exp(-a (t_{i+1} - t_i)), the one-sided sums
@@ -469,10 +469,6 @@ def exp_kernel_potential(points, a: float, w) -> np.ndarray:
     F_i = w_i + rho_{i-1} F_{i-1} and B_i = w_i + rho_i B_{i+1}, so
     Kw = F + B - w without forming K.
     """
-    return _exp_potential(_sorted_points(points), a, w)
-
-
-def _exp_potential(pts: np.ndarray, a: float, w) -> np.ndarray:
     rho = np.exp(-a * np.diff(pts)).tolist()
     wl = np.asarray(w, dtype=float).tolist()
     n = len(wl)
@@ -485,21 +481,11 @@ def _exp_potential(pts: np.ndarray, a: float, w) -> np.ndarray:
     return np.array(fwd) + np.array(bwd) - np.array(wl)
 
 
-def exp_kernel_certificate(points, a: float, w,
-                           tol: float = DEFAULT_TOL) -> EnergyResult:
-    """Certify a candidate minimizer w of the exponential kernel's energy.
-
-    Computes the potential with `exp_kernel_potential` and the duality
-    gap 2(w'Kw - min_i (Kw)_i), which bounds w'Kw - Z from above because
-    the kernel is positive semidefinite, and reports w'Kw - gap as
-    Z_lower, the gap clamped at 0 as in `min_energy`.  Raises
-    CertificateFailed when a weight is negative or the gap exceeds
-    tol * w'Kw.
-    """
-    return _exp_certificate(_sorted_points(points), a, w, tol)
-
-
 def _exp_certificate(pts: np.ndarray, a: float, w, tol: float) -> EnergyResult:
+    """Certify weights w on sorted points for the exponential kernel:
+    gap and Z_lower are `_gap_certificate`'s from (w, `_exp_potential`).
+    Raises CertificateFailed when a weight is negative or the gap
+    exceeds tol * w'Kw."""
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
     w = np.asarray(w, dtype=float)
@@ -530,12 +516,16 @@ def exp_kernel_min_energy(points, a: float,
     the hyperplane sum w = 1, and Z = 1 / (1 + sum_i tanh(a h_i / 2)).
     Coincident points (h_i = 0) split one atom and leave Z unchanged.
 
-    The returned w is certified by `exp_kernel_certificate`, which does
-    not use this formula; the result reports 0 iterations and one start.
+    The returned w is certified by `_exp_certificate`, which does not
+    use this formula; the result reports 0 iterations and one start.
     """
     if not (math.isfinite(a) and a >= 0):
         raise ValueError(f"kernel rate must be finite and >= 0, got {a!r}")
-    pts = _sorted_points(points)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 1 or pts.size == 0:
+        raise ValueError("need a nonempty 1-d array of points")
+    if np.any(np.diff(pts) < 0):
+        raise ValueError("points must be sorted")
     tau = np.concatenate(([1.0], np.tanh(0.5 * a * np.diff(pts)), [1.0]))
     v = 0.5 * (tau[:-1] + tau[1:])
     return _exp_certificate(pts, a, v / v.sum(), tol)
@@ -591,24 +581,27 @@ def _grid_distances(points):
     return None
 
 
-def _minorant_solve(G) -> np.ndarray | None:
-    """v = G^-1 1 for a positive definite G: Levinson (O(n) memory, no
-    test of definiteness) on a `ToeplitzKernel` of a whole grid, else
-    Cholesky in place on G.T (the same matrix in Fortran order; a dense
-    G is overwritten) of G or of a grid subset's gathered matrix; None
-    when the solve fails."""
+def _minorant_solve(G):
+    """(v, Gv), v = G^-1 1, for a positive definite G, or None when the
+    solve fails or is not finite: Levinson (O(n) memory, no test of
+    definiteness) and an FFT product on a `ToeplitzKernel` of a whole
+    grid, else Cholesky in place on G.T (the same matrix in Fortran
+    order; a dense G is overwritten by its factor U) of G or of a grid
+    subset's gathered matrix, and Gv = U'(Uv).  Gv is computed, not
+    taken to be 1, so its bound holds however inexact v is."""
     ones = np.ones(G.shape[0])
     try:
         if isinstance(G, ToeplitzKernel) and G.index is None:
             v = linalg.solve_toeplitz(G.col, ones, check_finite=False)
+            gv = G @ v
         else:
             A = G.dense() if isinstance(G, ToeplitzKernel) else G
-            v = linalg.cho_solve(linalg.cho_factor(A.T, overwrite_a=True,
-                                                   check_finite=False),
-                                 ones, check_finite=False)
+            U, lower = linalg.cho_factor(A.T, overwrite_a=True, check_finite=False)
+            v = linalg.cho_solve((U, lower), ones, check_finite=False)
+            gv = blas.dtrmv(U, blas.dtrmv(U, v, lower=lower), lower=lower, trans=1)
     except np.linalg.LinAlgError:
         return None
-    return v if np.all(np.isfinite(v)) else None
+    return (v, gv) if np.all(np.isfinite(v)) and np.all(np.isfinite(gv)) else None
 
 
 def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
@@ -623,22 +616,22 @@ def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
     ratio 1/3), with no n x n kernel, and dense otherwise; a quadrature or
     Monte Carlo family is evaluated once per distinct distance the net
     uses.  Power-law rungs (ValueError if eps is out of range) first solve
-    g exactly (`_minorant_solve`: on a Cantor net, the Cholesky factor of
-    g's matrix gathered from the grid vector), free it, and hand
-    v = G^-1 1 to `min_energy` as its `minorant`: when every v_i > 0,
-    Z_lower = 1/1'v satisfies Z_lower <= Z <= R(s) Z_lower up to
-    rounding.  Other rungs, and a minorant solve that fails, are factored
+    g (`_minorant_solve`: on a Cantor net, the Cholesky factor of g's
+    matrix gathered from the grid vector), free it, and hand (v, Gv) to
+    `min_energy` as its `minorant`: Z_lower = (min_i (Gv)_i)^2 / v'Gv,
+    g's minimum 1/1'v when v = G^-1 1 exactly, so Z_lower <= Z <= R(s)
+    Z_lower.  Other rungs, and a minorant solve that fails, are factored
     by `min_energy` like a caller's matrix.
     """
     pts = net.points
     grid = _grid_distances(pts)
-    v = None
+    minorant = None
     if family.power_law(scale) is not None:
-        v = _minorant_solve(_assemble(lambda r: family.convex_minorant(scale, r),
-                                      pts, grid).values)
+        minorant = _minorant_solve(_assemble(lambda r: family.convex_minorant(scale, r),
+                                             pts, grid).values)
     K = _assemble(lambda r: family.evaluate(scale, r), pts, grid,
                   distinct=family.kind == "exact")
-    return min_energy(K, tol=tol, minorant=v, **solver_kw)
+    return min_energy(K, tol=tol, minorant=minorant, **solver_kw)
 
 
 # ---------------------------------------------------------------------------

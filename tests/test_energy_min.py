@@ -15,11 +15,11 @@ from fracdim.energy_min import (_GRID_FLOATS, _GRID_RTOL, _RESYNC_EVERY,
                                 DEFAULT_TOL, DENSE_NET_CAP,
                                 EnergyResult, KernelMatrix, SimplexWeights,
                                 ToeplitzKernel, _assemble, _frank_wolfe,
-                                _grid_distances,
+                                _exp_certificate, _exp_potential,
+                                _gap_certificate, _grid_distances,
                                 _minorant_solve,
-                                build_kernel,
-                                exp_kernel_certificate, exp_kernel_min_energy,
-                                exp_kernel_potential, is_psd, kkt_certificate,
+                                build_kernel, exp_kernel_min_energy,
+                                is_psd, kkt_certificate,
                                 min_energy, min_energy_bruteforce,
                                 rung_min_energy)
 from fracdim.oracles import (cantor_exp_kernel_min_energy,
@@ -37,6 +37,15 @@ def _km(values, pts=None):
     values = np.asarray(values, dtype=float)
     pts = np.arange(values.shape[0], dtype=float) if pts is None else pts
     return KernelMatrix(values, pts)
+
+
+def _assert_bound_from_weights(res, pot):
+    """Z_lower is m (m / Z), m = min_i (Kw)_i, recomputed from the
+    reported weights' potential pot, and lies in [Z - gap, Z]."""
+    assert float(res.weights.w @ pot) == res.value
+    m = min(res.value, float(pot.min()))
+    assert res.Z_lower == m * (m / res.value)
+    assert res.value - res.duality_gap <= res.Z_lower <= res.value
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +138,9 @@ def test_min_energy_identity_matrix():
 
 def test_min_energy_matches_bruteforce_on_random_psd():
     """Eight random PSD kernels and C2's 50 (seed 0): each factors, so
-    Z_lower is the duality bound Z - gap, which never exceeds the lattice
-    oracle, an upper bound on the minimum."""
+    Z_lower is the bound m (m / Z) from the returned weights, at least
+    Z - gap, and never exceeds the lattice oracle, an upper bound on the
+    minimum."""
     kernels = []
     for _ in range(8):
         n = int(RNG.integers(2, 7))
@@ -143,7 +153,8 @@ def test_min_energy_matches_bruteforce_on_random_psd():
         res = min_energy(km)
         bf = min_energy_bruteforce(km, resolution=resolution)
         assert abs(res.value - bf) <= 1e-3
-        assert res.converged and res.Z_lower == res.value - res.duality_gap
+        assert res.converged
+        _assert_bound_from_weights(res, km.values @ res.weights.w)
         assert 0 < res.Z_lower <= bf + 1e-12
         # an exact start rounds the gap below 0 on some; it is reported as 0
         assert res.duality_gap >= 0 and res.Z_lower <= res.value
@@ -210,22 +221,29 @@ def test_fh_start_never_exceeds_uniform_energy():
             # a point mass (energy 1) loses to the uniform measure
             mass = np.zeros(net.points.size)
             mass[0] = 1.0
-            res = min_energy(km, restarts=2, minorant=mass)
+            g_mass = fam.convex_minorant(0.05, net.points - net.points[0])
+            res = min_energy(km, restarts=2, minorant=(mass, g_mass))
             assert res.start == "uniform" and res.value <= uniform + 1e-12
+    negative = np.full(net.points.size, -0.5)
     with pytest.raises(ValueError, match="positive entry"):
-        min_energy(km, minorant=np.full(net.points.size, -0.5))
+        min_energy(km, minorant=(negative, -g_mass))
 
 
 def _minorant_v(fam, scale, pts):
-    """v = G^-1 1 for the convex minorant on the rung's own route."""
-    return _minorant_solve(_assemble(lambda r: fam.convex_minorant(scale, r),
-                                     pts, _grid_distances(pts)).values)
+    """(v, Gv), v = G^-1 1, for the convex minorant on the rung's own
+    route, or None; Gv is finite and of shape (n,)."""
+    solve = _minorant_solve(_assemble(lambda r: fam.convex_minorant(scale, r),
+                                      pts, _grid_distances(pts)).values)
+    if solve is not None:
+        assert all(x.shape == (pts.size,) and np.all(np.isfinite(x)) for x in solve)
+    return solve
 
 
-def test_fh_companion_solve_matches_dense_solve():
+def test_fh_minorant_solve_matches_dense_solve():
     """The convex minorant's solve (Toeplitz on the interval net, Cholesky
-    on the others) against a dense solve of g written out in full; g lies
-    between fh / R(s) and fh."""
+    on the others) against a dense solve of g written out in full, and its
+    Gv (an FFT product, or U'(Uv) from the Cholesky factor) against the
+    dense product; g lies between fh / R(s) and fh."""
     for net in _fh_test_nets():
         pts = net.points
         D = np.abs(pts[:, None] - pts)
@@ -239,9 +257,10 @@ def test_fh_companion_solve_matches_dense_solve():
             K = fam.evaluate(scale, D)
             R = 1 / (1 - s / (1 + s) * (1 + s) ** (-1 / s))
             assert np.all(G <= K) and np.all(K <= R * G * (1 + 1e-12))
-            v = _minorant_v(fam, scale, pts)
+            v, gv = _minorant_v(fam, scale, pts)
             ref = np.linalg.solve(G, np.ones(pts.size))
             assert np.max(np.abs(v - ref)) <= 1e-9 * np.max(np.abs(ref))
+            assert np.max(np.abs(gv - G @ v)) <= 1e-12 * np.max(np.abs(G @ v))
     assert _minorant_v(KernelFamily.fh(1.0), 0.1, np.array([0.0, 0.0, 1.0])) is None
 
 
@@ -256,8 +275,8 @@ def test_only_kernels_without_a_minorant_get_their_own_solve(monkeypatch):
     """fh rungs hand their minorant solve to `min_energy`, which factors
     nothing more, on the C7 ladder and on a Cantor ladder; an exact
     Cauchy rung and a caller's PSD matrix are factored once each by
-    `min_energy`, start at their own clipped K^-1 1 and carry
-    Z_lower = Z - gap."""
+    `min_energy`, start at their own clipped K^-1 1 and carry the bound
+    m (m / Z) from their returned weights."""
     own = []
 
     def recorded(G):
@@ -276,12 +295,16 @@ def test_only_kernels_without_a_minorant_get_their_own_solve(monkeypatch):
     assert own == []
     cauchy = rung_min_energy(KernelFamily.exact(LevyModel.isotropic_stable(1.0)),
                              0.2, discretize(CompactSet.interval(0, 1), 0.02))
-    raw = min_energy(random_psd_kernel(np.random.default_rng(3), 6))
+    raw_km = random_psd_kernel(np.random.default_rng(3), 6)
+    raw = min_energy(raw_km)
     n = cauchy.weights.w.size
     assert own == [(n, n), (6, 6)]
-    for res in (cauchy, raw):
+    cauchy_km = _assemble(
+        lambda r: KernelFamily.exact(LevyModel.isotropic_stable(1.0)).evaluate(0.2, r),
+        cauchy.weights.points, _grid_distances(cauchy.weights.points), distinct=True)
+    for res, km in ((cauchy, cauchy_km), (raw, raw_km)):
         assert res.start == "minorant"
-        assert res.Z_lower == res.value - res.duality_gap
+        _assert_bound_from_weights(res, km.values @ res.weights.w)
 
 
 def test_indefinite_whole_grid_kernel_without_a_minorant_is_not_certified():
@@ -301,7 +324,7 @@ def test_positive_definite_kernel_starts_at_its_clipped_solve(monkeypatch):
     """exp(-(dt/0.5)^2) on 6 equispaced points of [0, 1] factors, with a
     K^-1 1 of mixed sign: Frank-Wolfe starts at its clipped, normalized
     solve if that beats the uniform measure, converges, and its duality
-    bound lies below the lattice oracle."""
+    bound from its weights lies below the lattice oracle."""
     pts = np.linspace(0.0, 1.0, 6)
     G = np.exp(-np.square((pts[:, None] - pts) / 0.5))
     v = np.linalg.solve(G, np.ones(6))
@@ -321,7 +344,8 @@ def test_positive_definite_kernel_starts_at_its_clipped_solve(monkeypatch):
     assert res.status == "gap"
     bf = min_energy_bruteforce(km, resolution=1 / 60)
     assert bf == pytest.approx(0.485179, abs=1e-6)
-    assert res.Z_lower == res.value - res.duality_gap <= bf
+    _assert_bound_from_weights(res, G @ res.weights.w)
+    assert res.Z_lower <= bf
 
 
 def test_semidefinite_caller_matrix_with_equal_rows_returns():
@@ -346,17 +370,31 @@ def test_semidefinite_caller_matrix_with_equal_rows_returns():
 
 def test_minorant_with_a_nonpositive_entry_gives_no_certificate(monkeypatch):
     """v with a nonpositive entry still seeds the start, clipped at 0 and
-    normalized, but certifies nothing."""
+    normalized.  Passed with its own Gv it certifies exactly when
+    min_i (Gv)_i > 0: flipping the largest entry drives Gv negative, and
+    Z_lower is None; flipping a small one leaves Gv positive, and Z_lower
+    is the bound (min_i (Gv)_i)^2 / v'Gv, at most Z."""
     net = discretize(CompactSet.cantor(), 3.0 ** -5)
     fam = KernelFamily.fh(1.5)
-    v = _minorant_v(fam, 0.05, net.points)
+    v, _ = _minorant_v(fam, 0.05, net.points)
     assert np.all(v > 0)
-    v[[0, 5]] = (-v[0], 0.0)
+    G = fam.convex_minorant(0.05, np.abs(net.points[:, None] - net.points))
+    km = build_kernel(fam, 0.05, net)
+    big = v.copy()
+    big[[0, 5]] = (-v[0], 0.0)
     starts = _recording_starts(monkeypatch)
-    res = min_energy(build_kernel(fam, 0.05, net), minorant=v)
+    res = min_energy(km, minorant=(big, G @ big))
+    assert float((G @ big).min()) < 0
     assert res.start == "minorant" and res.Z_lower is None
-    clipped = np.clip(v, 0.0, None)
+    clipped = np.clip(big, 0.0, None)
     np.testing.assert_array_equal(starts[0], clipped / clipped.sum())
+    small = v.copy()
+    small[5] = -v[5]
+    gv = G @ small
+    res = min_energy(km, minorant=(small, gv))
+    m = float(gv.min())
+    assert m > 0 and res.Z_lower == m * (m / float(small @ gv))
+    assert res.Z_lower <= res.value
 
 
 def test_minorant_must_be_finite_on_the_net_with_a_positive_entry():
@@ -364,9 +402,12 @@ def test_minorant_must_be_finite_on_the_net_with_a_positive_entry():
     n = km.n
     nan, inf = np.ones(n), np.ones(n)
     nan[2], inf[3] = np.nan, np.inf
-    for v in (np.ones(n + 1), np.ones((n, 1)), nan, inf, np.zeros(n), -np.ones(n)):
+    ones = np.ones(n)
+    bad_v = (np.ones(n + 1), np.ones((n, 1)), nan, inf, np.zeros(n), -np.ones(n))
+    bad_gv = (np.ones(n + 1), np.ones((n, 1)), nan, inf)
+    for pair in [(v, ones) for v in bad_v] + [(ones, gv) for gv in bad_gv]:
         with pytest.raises(ValueError, match="minorant"):
-            min_energy(km, minorant=v)
+            min_energy(km, minorant=pair)
 
 
 def test_sandwich_rung_is_the_fh_rung_at_mapped_parameters():
@@ -437,7 +478,7 @@ def test_min_energy_restarts_after_a_stall(monkeypatch):
     assert abs(res.value - runs[best][1]) <= 1e-12
 
 
-def test_companion_start_matches_two_start_reference():
+def test_minorant_start_matches_two_start_reference():
     """fh_profile rungs up to n = 537: one minorant-started solve against
     the better of the uniform and the seed-k Dirichlet Frank-Wolfe runs."""
     ladders = [(CompactSet.interval(0, 1), 0.5, 0.028 * 3.0 ** -np.arange(2),
@@ -700,7 +741,7 @@ def test_grid_kernel_matches_dense_kernel_on_cantor_nets(c6_cantor):
         assert abs(rung["Z_lower"] - dense.Z_lower) <= 1e-9 * dense.Z_lower
 
 
-def test_min_energy_probes_toeplitz_kernel():
+def test_min_energy_factors_toeplitz_kernel():
     """A ToeplitzKernel with a positive definite column (the exponential
     kernel) factors in `min_energy`, needs one start, and matches the
     closed form."""
@@ -897,7 +938,7 @@ def test_exp_kernel_potential_matches_dense_product():
     pts = np.sort(rng.uniform(0, 1, 40))
     w = rng.dirichlet(np.ones(40))
     dense = _exp_km(pts, 7.0).values @ w
-    np.testing.assert_allclose(exp_kernel_potential(pts, 7.0, w), dense,
+    np.testing.assert_allclose(_exp_potential(pts, 7.0, w), dense,
                                rtol=1e-13)
 
 
@@ -917,26 +958,67 @@ def test_exp_kernel_edge_cases():
 
 def test_exp_kernel_gap_is_never_negative():
     # 2(w'Kw - min Kw) of the exact minimizer rounds below 0 on some nets;
-    # the certificate clamps it as min_energy does, so Z_lower <= Z
+    # the certificate clamps min Kw at w'Kw as min_energy does, so
+    # Z - gap <= Z_lower <= Z
     rng = np.random.default_rng(0)
     for _ in range(2000):
         pts = np.sort(rng.uniform(0, 1, rng.integers(2, 50)))
         res = exp_kernel_min_energy(pts, 10.0 ** rng.uniform(-1, 2))
         assert res.duality_gap >= 0 and res.Z_lower <= res.value
+        assert res.value - res.duality_gap <= res.Z_lower
 
 
 def test_exp_kernel_certificate_rejects_perturbed_weights():
     pts = np.linspace(0, 1, 41)
     w = exp_kernel_min_energy(pts, 20.0).weights.w
-    exp_kernel_certificate(pts, 20.0, w)
+    _exp_certificate(pts, 20.0, w, DEFAULT_TOL)
     bumped = w.copy()
     bumped[[0, 20]] += [-1e-3, 1e-3]
     with pytest.raises(CertificateFailed):
-        exp_kernel_certificate(pts, 20.0, bumped)
+        _exp_certificate(pts, 20.0, bumped, DEFAULT_TOL)
     negative = w.copy()
     negative[[1, 2]] += [-w[1] - 1e-9, w[1] + 1e-9]
     with pytest.raises(CertificateFailed):
-        exp_kernel_certificate(pts, 20.0, negative, tol=1.0)
+        _exp_certificate(pts, 20.0, negative, 1.0)
+
+
+def test_gap_certificate_bounds_the_exp_minimum_from_any_vector():
+    """(min_i (Gu)_i)^2 / u'Gu never exceeds the exact minimum
+    1 / (1 + sum_i tanh(a h_i / 2)) of an exponential kernel G, computed
+    here from the closed form, for seeded random u of either sign, and
+    equals it at u = G^-1 1."""
+    rng = np.random.default_rng(21)
+    signed = 0                               # bounds from u with a negative entry
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        pts = np.sort(rng.uniform(0, 1, n))
+        a = 10.0 ** rng.uniform(-1, 2)
+        G = np.exp(-a * np.abs(pts[:, None] - pts))
+        z_min = 1.0 / (1.0 + np.tanh(0.5 * a * np.diff(pts)).sum())
+        for u in (rng.uniform(0, 1, n), rng.standard_normal(n),
+                  rng.standard_normal(n) + 2.0):
+            bound = _gap_certificate(u, G @ u)[2]
+            assert bound is None or bound <= z_min
+            signed += bound is not None and u.min() < 0
+        v = np.linalg.solve(G, np.ones(n))
+        assert abs(_gap_certificate(v, G @ v)[2] - z_min) <= 1e-12 * z_min
+    assert signed >= 20
+
+
+def test_mis_scaled_minorant_solve_keeps_its_bound(monkeypatch):
+    """The bound does not change when u is scaled: a Levinson solve
+    returning 0.9 v on the C7 rung at eps = 0.028 still gives
+    Z_lower <= Z, equal to the exact solve's bound.  1/1'v would read
+    0.406 there, above Z = 0.367."""
+    net = discretize(CompactSet.interval(0, 1), 0.028 / 5)
+    fam = KernelFamily.fh(0.5)
+    exact = rung_min_energy(fam, 0.028, net)
+    solve_toeplitz = energy_min.linalg.solve_toeplitz
+    monkeypatch.setattr(energy_min.linalg, "solve_toeplitz",
+                        lambda *args, **kw: 0.9 * solve_toeplitz(*args, **kw))
+    res = rung_min_energy(fam, 0.028, net)
+    assert res.Z_lower <= res.value
+    assert abs(res.Z_lower - exact.Z_lower) <= 1e-12 * exact.Z_lower
 
 
 def test_exp_kernel_cantor_nets_decrease_to_mesh_free_oracle():

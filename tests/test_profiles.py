@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from fracdim import profiles
-from fracdim.energy_min import DENSE_NET_CAP, EnergyResult, SimplexWeights
+from fracdim.energy_min import (DENSE_NET_CAP, EnergyResult, SimplexWeights,
+                                _assemble, _exp_potential, _grid_distances,
+                                exp_kernel_min_energy, rung_min_energy)
 from fracdim.errors import NonConvergedQuadrature
 from fracdim.ladders import MODES, LadderEstimate
 from fracdim.oracles import (fh_interval_uniform_energy,
@@ -119,12 +121,30 @@ def test_profile_report_roundtrip(tmp_path):
                for r in others[1].rungs)
 
 
-def test_psd_rungs_carry_the_duality_bound():
+def test_psd_rungs_carry_the_duality_bound(monkeypatch):
     """Exponential (closed-form) rungs and exact Cauchy rungs, whose
-    kernels are positive semidefinite, report Z_lower = Z - gap, so their
-    ratio is at most 1 / (1 - tol)."""
+    kernels are positive semidefinite, report Z_lower = m (m / Z) with
+    m = min_i (Kw)_i at the returned weights, recomputed here by each
+    rung's own product; Z - gap <= Z_lower <= Z, and the ratio is at
+    most 1 / (1 - tol)."""
     tol = 1e-6
     cauchy = KernelFamily.exact(LevyModel.isotropic_stable(1.0))
+    potentials = []
+
+    def exp_rung(points, a, tol):
+        res = exp_kernel_min_energy(points, a, tol)
+        potentials.append(_exp_potential(res.weights.points, a, res.weights.w))
+        return res
+
+    def cauchy_rung(family, e, net, tol, **kw):
+        res = rung_min_energy(family, e, net, tol, **kw)
+        K = _assemble(lambda r: family.evaluate(e, r), net.points,
+                      _grid_distances(net.points), distinct=True)
+        potentials.append(K.values @ res.weights.w)
+        return res
+
+    monkeypatch.setattr(profiles, "exp_kernel_min_energy", exp_rung)
+    monkeypatch.setattr(profiles, "rung_min_energy", cauchy_rung)
     reports = [
         subordinator_box_dim(LaplaceExponent.stable(0.5), CompactSet.interval(0, 1),
                              10.0 * 4.0 ** np.arange(5), tol=tol),
@@ -133,14 +153,17 @@ def test_psd_rungs_carry_the_duality_bound():
         box_profile(CompactSet.interval(0, 1), cauchy, 0.2 * 0.5 ** np.arange(3),
                     tol=tol),
     ]
-    for rep in reports:
-        for rung in rep.rungs:
-            assert rung["status"] == "gap"
-            assert rung["Z_lower"] == rung["Z"] - rung["duality_gap"]
-            assert 1.0 <= rung["ratio"] <= 1.0 / (1.0 - tol)
+    rungs = [rung for rep in reports for rung in rep.rungs]
+    assert len(potentials) == len(rungs)
+    for rung, pot in zip(rungs, potentials):
+        assert rung["status"] == "gap"
+        m = min(rung["Z"], float(pot.min()))
+        assert rung["Z_lower"] == m * (m / rung["Z"])
+        assert rung["Z"] - rung["duality_gap"] <= rung["Z_lower"] <= rung["Z"]
+        assert 1.0 <= rung["ratio"] <= 1.0 / (1.0 - tol)
 
 
-def test_fh_rungs_bracketed_by_companion_on_c6_c7_ladders():
+def test_fh_rungs_bracketed_by_minorant_on_c6_c7_ladders():
     """Every rung is bracketed by its convex minorant's minimum,
     Z_lower <= Z <= R(s) Z_lower, and the minorant start keeps the
     Frank-Wolfe work of the C7 and C6 Cantor ladders (the fh_profile
