@@ -9,12 +9,12 @@ Exponential kernels exp(-a|t_i - t_j|) have an exact O(n) minimizer
 matrix is formed and no iteration runs.  Every other kernel is solved by
 pairwise Frank-Wolfe over the simplex (mass moves from an away vertex on
 the support to the Frank-Wolfe vertex, so positive semidefinite kernels
-converge linearly instead of zigzagging).  A net whose points lie on an
-equal-step grid (interval nets, and Cantor nets of ratio 1/3 on their
-3^-k grid) gets a `ToeplitzKernel`: one vector of the kernel's values on
-the grid, whose rows are slices or gathers and whose products are FFTs,
-so no n x n kernel is formed.  Other nets, and grids too sparse in net
-points to save memory (`_grid_distances`), get a dense matrix.  The
+converge linearly instead of zigzagging).  A net that records its
+equal-step grid (`DeltaNet.grid`: interval nets, and Cantor nets of
+ratio 1/3 on their 3^-k grid) gets a `ToeplitzKernel`: one vector of the
+kernel's values on the grid, whose rows are slices or gathers and whose
+products are FFTs, so no n x n kernel is formed.  Other nets, and grids
+too sparse in net points to save memory (`_grid_layout`), are dense.  The
 linear minimization oracle over the simplex is a coordinate argmin, ties
 broken at the lowest index, and the duality gap 2(w'Kw - min_i (Kw)_i)
 comes for free.
@@ -61,7 +61,6 @@ DEFAULT_MAX_ITER = 200_000
 DEFAULT_RESTARTS = 4
 ENUM_BUDGET = 200_000_000      # lattice points an exhaustive search may visit
 _ENUM_CHUNK_ROWS = 1 << 18     # bounds the rows held per enumerated block
-_GRID_RTOL = 1e-9              # grid test of the Toeplitz paths, relative to the step
 _GRID_FLOATS = 16              # floats per grid point a grid kernel and its FW run hold
 PSD_PROBE_CAP = 1024           # largest kernel without a minorant that is factored
 _RESYNC_EVERY = 512            # refresh the cached gradient this often
@@ -162,9 +161,9 @@ class ToeplitzKernel:
 class KernelMatrix:
     """Kernel matrix over a net.
 
-    `values` is a dense array or, on nets whose points lie on an
-    equal-step grid (`_grid_distances`), a `ToeplitzKernel` (symmetric
-    by construction, so never scanned); `_assemble` lays out both.  A
+    `values` is a dense array or, on nets that record an equal-step
+    grid (`_grid_layout`), a `ToeplitzKernel` (symmetric by
+    construction, so never scanned); `_assemble` lays out both.  A
     caller's dense array is used as given: Frank-Wolfe reads its
     diagonal, and it must be exactly symmetric (A == A.T elementwise, as
     `_assemble` writes it), since the update reads rows where it means
@@ -254,9 +253,9 @@ def _distinct_gaps(x: np.ndarray) -> np.ndarray:
 def _assemble(kernel, pts: np.ndarray, grid, distinct: bool = False) -> KernelMatrix:
     """K_ij = kernel(|t_i - t_j|) over a net of at most DENSE_NET_CAP
     points (NetTooLarge otherwise, before the kernel is called), laid out
-    as the kernel returns it: given the grid (distances k h, grid index m)
-    of a net on an equal-step grid (`_grid_distances`), a `ToeplitzKernel`
-    of kernel(k h), so no n x n array is formed; else dense, written in
+    as the kernel returns it: given the layout (distances k h, grid index
+    m) of the grid a net records (`_grid_layout`), a `ToeplitzKernel` of
+    kernel(k h), so no n x n array is formed; else dense, written in
     blocks of _ROW_BLOCK rows.  Either way K_ji comes from the same
     distance as K_ij, so K is exactly symmetric.
 
@@ -531,54 +530,19 @@ def exp_kernel_min_energy(points, a: float,
     return _exp_certificate(pts, a, v / v.sum(), tol)
 
 
-def _grid_distances(points):
-    """(dist, index) of a net whose points lie on an equal-step grid, or None.
-
-    A net of n > 2 sorted points lies on the grid t_0 + m h, m = 0..N-1,
-    when every point is within _GRID_RTOL * h of t_0 + m_i h, with h the
-    smallest gap refined to span / (N - 1); duplicate points (a zero
-    gap) are no grid.  The test is relative to h, not the span, because
-    a Cantor net's endpoints come from the IFS maps (measured within
-    2.2e-16, 2e-11 of a step, on [0, 1] at depth 11).  Returns dist = k h
-    for k = 0..N-1, and index = m, or None when the net is the whole grid
-    (N = n: equal-gap nets).
-
-    A whole grid is always used.  A subset of a grid is used only when
-    _GRID_FLOATS * N <= n^2, so that the grid route holds no more than
-    the n x n dense kernel: a `ToeplitzKernel` holds `full` and its
-    spectrum (about 2N floats each), `_frank_wolfe` adds its two
-    curvature vectors (2N each), and each product allocates three more
-    vectors of the FFT length (about 2N each) while it runs.  Traced
-    peaks of kernel and solve on Cantor nets of ratios 1/3 and 1/4 are
-    10 to 15.2 floats per grid point.  So Cantor nets of ratio 1/3
-    (n^2 / N from 16.8 at depth 5 up) use their grid and those of ratio
-    1/4 (n^2 / N = 4) stay dense.
-
-    A kernel built from these exact distances is Toeplitz on the grid.
-    With off = max_i |t_i - t_0 - m_i h| <= _GRID_RTOL h, the net's own
-    distances |t_i - t_j| differ from |m_i - m_j| h by at most 2 off plus
-    the rounding of the subtractions (4 ulps of the span), so the entries
-    move by at most L times that for a kernel with Lipschitz constant L
-    in the distance (fh: s / eps).  Measured fh differences: below 3e-14
-    on interval nets of [0, 1], and 8e-13 on Cantor nets of [0, 1] up to
-    n = 2,048, where off is at most 2.2e-16.
-    """
-    pts = np.asarray(points, dtype=float)
-    n = pts.size
-    if n <= 2:
+def _grid_layout(net: DeltaNet):
+    """(dist, index) of the grid a net records (`DeltaNet.grid`), dist =
+    k h for k = 0..N-1 and index m, or None: a net with no grid, or a
+    grid subset with _GRID_FLOATS * N > n^2, where the grid route would
+    hold more than the n x n dense kernel (`full`, spectrum, curvature
+    and FFT products: traced peaks of 10 to 15.2 floats per grid point).
+    So Cantor nets of ratio 1/3 (n^2 / N from 16.8 at depth 5 up) use
+    their grid and those of ratio 1/4 (n^2 / N = 4) stay dense."""
+    if net.grid is None:
         return None
-    span = pts[-1] - pts[0]
-    h = np.diff(pts).min()
-    if not (h > 0 and span <= h * n * n):
-        return None
-    m = np.rint((pts - pts[0]) / h).astype(np.intp)
-    N = int(m[-1]) + 1
-    if N > n and _GRID_FLOATS * N > n * n:
-        return None
-    dist = span / (N - 1) * np.arange(N)
-    if np.max(np.abs(pts - pts[0] - dist[m])) <= _GRID_RTOL * dist[1]:
-        return dist, (None if N == n else m)
-    return None
+    _, h, m = net.grid
+    N = net.n if m is None else int(m[-1]) + 1
+    return (h * np.arange(N), m) if m is None or _GRID_FLOATS * N <= net.n ** 2 else None
 
 
 def _minorant_solve(G):
@@ -611,11 +575,11 @@ def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
 
     The kernel, and a power-law rung's convex minorant g, are laid out by
     `_assemble`, which raises NetTooLarge above DENSE_NET_CAP points
-    before any solve: a `ToeplitzKernel` on nets whose points lie on an
-    equal-step grid (`_grid_distances`: interval nets, and Cantor nets of
-    ratio 1/3), with no n x n kernel, and dense otherwise; a quadrature or
-    Monte Carlo family is evaluated once per distinct distance the net
-    uses.  Power-law rungs (ValueError if eps is out of range) first solve
+    before any solve: a `ToeplitzKernel` on the grid the net records
+    (`_grid_layout`: interval nets, and Cantor nets of ratio 1/3), with
+    no n x n kernel, and dense otherwise; a quadrature or Monte Carlo
+    family is evaluated once per distinct distance the net uses.
+    Power-law rungs (ValueError if eps is out of range) first solve
     g (`_minorant_solve`: on a Cantor net, the Cholesky factor of g's
     matrix gathered from the grid vector), free it, and hand (v, Gv) to
     `min_energy` as its `minorant`: Z_lower = (min_i (Gv)_i)^2 / v'Gv,
@@ -624,7 +588,7 @@ def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
     by `min_energy` like a caller's matrix.
     """
     pts = net.points
-    grid = _grid_distances(pts)
+    grid = _grid_layout(net)
     minorant = None
     if family.power_law(scale) is not None:
         minorant = _minorant_solve(_assemble(lambda r: family.convex_minorant(scale, r),

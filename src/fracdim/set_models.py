@@ -32,10 +32,10 @@ class CompactSet:
     """A compact subset of [0, inf) given by construction, not by oracle.
 
     kind: "interval" {a, b}, "finite" {points}, "ifs" {ratios,
-    translations, hull}.  IFS members are the maps x -> ratios[i]*x +
-    translations[i]; their depth-1 images of the convex hull must be
-    disjoint (up to touching endpoints), which makes net certification
-    and self-similarity bookkeeping exact.
+    translations, hull, digits (`_ifs_digits`)}.  IFS members are the maps
+    x -> ratios[i]*x + translations[i]; their depth-1 images of the convex
+    hull must be disjoint (up to touching endpoints), which makes net
+    certification and self-similarity bookkeeping exact.
     """
 
     kind: str
@@ -75,7 +75,8 @@ class CompactSet:
             if h0 > l1 + _FIX_TOL:
                 raise ValueError("depth-1 images overlap; IFS not supported")
         return cls("ifs", {"ratios": ratios, "translations": trans,
-                           "hull": (float(lo), float(hi))},
+                           "hull": (float(lo), float(hi)),
+                           "digits": _ifs_digits(ratios, trans, lo, hi)},
                    label=f"ifs[{ratios.size} maps]")
 
     @classmethod
@@ -130,6 +131,18 @@ def _ifs_hull(ratios, trans) -> tuple[float, float]:
     return float(fix.min()), float(fix.max())
 
 
+def _ifs_digits(ratios, trans, lo, hi):
+    """(q, c) when every ratio r is 1/q and every c_i = (t_i - lo (1 - r))
+    / (r (hi - lo)) is an integer, within _FIX_TOL; else None.  The maps
+    are then u -> (u + c_i) / q in u = (x - lo) / (hi - lo)."""
+    q = round(1.0 / ratios[0])
+    if not (hi > lo and np.all(np.abs(ratios * q - 1.0) <= _FIX_TOL)):
+        return None
+    c = (trans - lo * (1.0 - ratios)) / (ratios * (hi - lo))
+    digits = np.rint(c)
+    return (q, digits.astype(np.int64)) if np.all(np.abs(c - digits) <= _FIX_TOL) else None
+
+
 @dataclass
 class DeltaNet:
     """A certified finite delta-net of a parent set.
@@ -137,14 +150,30 @@ class DeltaNet:
     Every point of the parent lies within the requested delta of some net
     point, and the net points lie in the parent set; both hold by
     construction for the supported kinds (see `discretize`).
+
+    `grid`, if known, is (t0, h, m), h finite and > 0: point i is t0 +
+    m_i h, m strictly increasing integers >= 0, None on a whole grid.
+    Any other grid raises ValueError.
     """
 
     points: np.ndarray
+    grid: tuple | None = None
 
     def __post_init__(self):
         self.points = _finite_points(self.points)
         if np.any(np.diff(self.points) <= 0):
             raise ValueError("net points must be strictly increasing")
+        if self.grid is not None:
+            t0, h, m = self.grid
+            if not (np.isfinite([t0, h]).all() and h > 0):
+                raise ValueError(f"grid needs a finite origin and step > 0, got {t0!r}, {h!r}")
+            if m is not None:
+                m = np.asarray(m)
+                if not (m.dtype.kind in "iu" and m.shape == self.points.shape
+                        and np.all(m[:1] >= 0) and np.all(m[1:] > m[:-1])):
+                    raise ValueError("grid index must be one increasing integer >= 0 per point")
+                m = None if m.size == 0 or m[-1] == m.size - 1 else m.astype(np.int64, copy=False)
+            self.grid = (float(t0), float(h), m)
 
     @property
     def n(self) -> int:
@@ -163,33 +192,30 @@ def discretize(cset: CompactSet, delta: float,
     endpoints; attractors are expanded to the first depth at which every
     cylinder is no longer than delta and contribute both endpoints of
     each cylinder.  Every kind yields its points strictly increasing, so
-    they are sorted once, here or by the set's constructor.
+    they are sorted once, here or by the set's constructor.  An interval
+    net records its whole grid (a, (b - a) / steps), and an IFS net with
+    digits (`_ifs_digits`) its index on the grid of step (hi - lo) / q^k.
     """
     if not 0 < delta < np.inf:
         raise ValueError(f"delta must be finite and positive, got {delta!r}")
-    pts = _net_points(cset, delta, point_cap)
-    if pts.size > point_cap:
-        raise MeshTooFine(f"net would need {pts.size} points (cap {point_cap})")
-    return DeltaNet(points=pts)
-
-
-def _net_points(cset, delta, cap) -> np.ndarray:
     if cset.kind == "interval":
         a, b = cset.params["a"], cset.params["b"]
-        if b == a:
-            return np.array([a])
         steps = int(np.ceil((b - a) / delta))
-        if steps + 1 > cap:
-            raise MeshTooFine(f"interval grid needs {steps + 1} points (cap {cap})")
-        return np.linspace(a, b, steps + 1)
-    if cset.kind == "finite":
-        return cset.params["points"].copy()
-    if cset.kind == "ifs":
-        return _ifs_net(cset, delta, cap)
-    raise ValueError(f"unknown set kind {cset.kind!r}")
+        if steps + 1 > point_cap:
+            raise MeshTooFine(f"interval grid needs {steps + 1} points (cap {point_cap})")
+        pts, grid = np.linspace(a, b, steps + 1), (a, (b - a) / steps, None) if steps else None
+    elif cset.kind == "finite":
+        pts, grid = cset.params["points"].copy(), None
+    elif cset.kind == "ifs":
+        pts, grid = _ifs_net(cset, delta, point_cap)
+    else:
+        raise ValueError(f"unknown set kind {cset.kind!r}")
+    if pts.size > point_cap:
+        raise MeshTooFine(f"net would need {pts.size} points (cap {point_cap})")
+    return DeltaNet(points=pts, grid=grid)
 
 
-def _ifs_net(cset, delta, cap) -> np.ndarray:
+def _ifs_net(cset, delta, cap):
     ratios = cset.params["ratios"]
     trans = cset.params["translations"]
     lo, hi = cset.params["hull"]
@@ -202,11 +228,20 @@ def _ifs_net(cset, delta, cap) -> np.ndarray:
             raise MeshTooFine("IFS depth budget exhausted before reaching delta")
         if len(ratios) ** depth * 2 > cap:
             raise MeshTooFine(f"IFS net would exceed {cap} points at depth {depth}")
+    digits = cset.params["digits"]
+    # a step above 4 ulps of hi keeps lo + m h strictly increasing and m in int64
+    if digits is not None and digits[0] ** depth < width / np.spacing(4.0 * hi):
+        q, c = digits            # on integers, depth j adds c_i q^(j-1)
+        m = np.array([0, 1], dtype=np.int64)
+        for j in range(depth):
+            m = np.unique(np.concatenate([m + ci * q ** j for ci in c.tolist()]))
+        h = width / q ** depth
+        return lo + m * h, (lo, h, m)
     # iterate interval endpoints through all words of the chosen depth
     ends = np.array([lo, hi])
     for _ in range(depth):
         ends = np.concatenate([r * ends + t for r, t in zip(ratios, trans)])
-    return np.unique(ends)
+    return np.unique(ends), None
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,13 @@ import scipy.linalg
 
 from fracdim import energy_min
 from fracdim.errors import CertificateFailed, NetTooLarge, TooLarge
-from fracdim.energy_min import (_GRID_FLOATS, _GRID_RTOL, _RESYNC_EVERY,
+from fracdim.energy_min import (_GRID_FLOATS, _RESYNC_EVERY,
                                 _ROW_BLOCK, DEFAULT_MAX_ITER, DEFAULT_RESTARTS,
                                 DEFAULT_TOL, DENSE_NET_CAP,
                                 EnergyResult, KernelMatrix, SimplexWeights,
                                 ToeplitzKernel, _assemble, _frank_wolfe,
                                 _exp_certificate, _exp_potential,
-                                _gap_certificate, _grid_distances,
+                                _gap_certificate, _grid_layout,
                                 _minorant_solve,
                                 build_kernel, exp_kernel_min_energy,
                                 is_psd, kkt_certificate,
@@ -229,13 +229,13 @@ def test_fh_start_never_exceeds_uniform_energy():
         min_energy(km, minorant=(negative, -g_mass))
 
 
-def _minorant_v(fam, scale, pts):
+def _minorant_v(fam, scale, net):
     """(v, Gv), v = G^-1 1, for the convex minorant on the rung's own
     route, or None; Gv is finite and of shape (n,)."""
     solve = _minorant_solve(_assemble(lambda r: fam.convex_minorant(scale, r),
-                                      pts, _grid_distances(pts)).values)
+                                      net.points, _grid_layout(net)).values)
     if solve is not None:
-        assert all(x.shape == (pts.size,) and np.all(np.isfinite(x)) for x in solve)
+        assert all(x.shape == (net.n,) and np.all(np.isfinite(x)) for x in solve)
     return solve
 
 
@@ -257,11 +257,13 @@ def test_fh_minorant_solve_matches_dense_solve():
             K = fam.evaluate(scale, D)
             R = 1 / (1 - s / (1 + s) * (1 + s) ** (-1 / s))
             assert np.all(G <= K) and np.all(K <= R * G * (1 + 1e-12))
-            v, gv = _minorant_v(fam, scale, pts)
+            v, gv = _minorant_v(fam, scale, net)
             ref = np.linalg.solve(G, np.ones(pts.size))
             assert np.max(np.abs(v - ref)) <= 1e-9 * np.max(np.abs(ref))
             assert np.max(np.abs(gv - G @ v)) <= 1e-12 * np.max(np.abs(G @ v))
-    assert _minorant_v(KernelFamily.fh(1.0), 0.1, np.array([0.0, 0.0, 1.0])) is None
+    coincident = np.array([0.0, 0.0, 1.0])
+    assert _minorant_solve(_assemble(lambda r: KernelFamily.fh(1.0).convex_minorant(0.1, r),
+                                     coincident, None).values) is None
 
 
 def test_power_law_rung_with_an_underflowing_eps_raises_value_error():
@@ -293,15 +295,16 @@ def test_only_kernels_without_a_minorant_get_their_own_solve(monkeypatch):
         for rung in rep.rungs:
             assert rung["start"] == "minorant" and rung["Z_lower"] is not None
     assert own == []
+    cauchy_net = discretize(CompactSet.interval(0, 1), 0.02)
     cauchy = rung_min_energy(KernelFamily.exact(LevyModel.isotropic_stable(1.0)),
-                             0.2, discretize(CompactSet.interval(0, 1), 0.02))
+                             0.2, cauchy_net)
     raw_km = random_psd_kernel(np.random.default_rng(3), 6)
     raw = min_energy(raw_km)
     n = cauchy.weights.w.size
     assert own == [(n, n), (6, 6)]
     cauchy_km = _assemble(
         lambda r: KernelFamily.exact(LevyModel.isotropic_stable(1.0)).evaluate(0.2, r),
-        cauchy.weights.points, _grid_distances(cauchy.weights.points), distinct=True)
+        cauchy_net.points, _grid_layout(cauchy_net), distinct=True)
     for res, km in ((cauchy, cauchy_km), (raw, raw_km)):
         assert res.start == "minorant"
         _assert_bound_from_weights(res, km.values @ res.weights.w)
@@ -376,7 +379,7 @@ def test_minorant_with_a_nonpositive_entry_gives_no_certificate(monkeypatch):
     is the bound (min_i (Gv)_i)^2 / v'Gv, at most Z."""
     net = discretize(CompactSet.cantor(), 3.0 ** -5)
     fam = KernelFamily.fh(1.5)
-    v, _ = _minorant_v(fam, 0.05, net.points)
+    v, _ = _minorant_v(fam, 0.05, net)
     assert np.all(v > 0)
     G = fam.convex_minorant(0.05, np.abs(net.points[:, None] - net.points))
     km = build_kernel(fam, 0.05, net)
@@ -430,10 +433,10 @@ def test_net_too_large_raises_before_any_solve(monkeypatch):
 
     monkeypatch.setattr(energy_min.linalg, "solve_toeplitz", unreachable)
     monkeypatch.setattr(energy_min.linalg, "cho_factor", unreachable)
-    big = np.linspace(0, 1, DENSE_NET_CAP + 2)
-    for pts in (big, big ** 2):
+    big = np.arange(DENSE_NET_CAP + 2)
+    for net in (_grid_net(big, 1.0 / big[-1]), DeltaNet((big / big[-1]) ** 2)):
         with pytest.raises(NetTooLarge):
-            rung_min_energy(KernelFamily.fh(0.5), 0.1, DeltaNet(pts))
+            rung_min_energy(KernelFamily.fh(0.5), 0.1, net)
 
 
 def test_min_energy_restarts_only_after_failed_first_run(monkeypatch):
@@ -518,9 +521,9 @@ def test_toeplitz_rows_and_product_match_dense_kernel():
               (KernelFamily.stable_sandwich(0.7, 2), 0.05, 400),
               (KernelFamily.exact(LevyModel.isotropic_stable(1.5)), 0.1, 41)]
     for fam, scale, n in cases:
-        net = DeltaNet(np.linspace(0.0, 1.0, n))
+        net = DeltaNet(np.linspace(0.0, 1.0, n), grid=(0.0, 1.0 / (n - 1), None))
         T = _assemble(lambda r: fam.evaluate(scale, r), net.points,
-                      _grid_distances(net.points)).values
+                      _grid_layout(net)).values
         D = build_kernel(fam, scale, net).values
         assert isinstance(T, ToeplitzKernel) and T.shape == D.shape
         assert max(np.max(np.abs(T[i] - D[i])) for i in range(n)) <= 3e-14
@@ -533,7 +536,7 @@ def test_toeplitz_and_dense_frank_wolfe_agree_on_c7_rungs():
     for k, (fam, e, net) in enumerate(_c7_rungs()):
         res = rung_min_energy(fam, e, net, restarts=2, seed=k)
         dense = min_energy(build_kernel(fam, e, net), restarts=2, seed=k,
-                           minorant=_minorant_v(fam, e, net.points))
+                           minorant=_minorant_v(fam, e, net))
         assert res.converged and dense.converged
         assert abs(res.value - dense.value) <= 1e-9 * dense.value
 
@@ -559,10 +562,16 @@ def c6_cantor():
     return rep, [type(K.values) for K in kernels]
 
 
+def _grid_net(m, h, t0=0.0):
+    """The net t0 + m h, carrying its grid (t0, h, m)."""
+    m = np.asarray(m)
+    return DeltaNet(t0 + m * h, grid=(t0, h, m))
+
+
 def _two_blocks():
     """80 points on a grid of 340 (16 N <= n^2) that use no step from 40
     to 260."""
-    return np.r_[0:40, 300:340] / 339.0
+    return _grid_net(np.r_[0:40, 300:340], 1.0 / 339.0)
 
 
 def test_equal_gap_rungs_build_no_dense_kernel(monkeypatch, c6_cantor):
@@ -586,7 +595,7 @@ def test_equal_gap_rungs_build_no_dense_kernel(monkeypatch, c6_cantor):
         assert rung_min_energy(fam, 0.028, net, restarts=2).converged
     with pytest.raises(NetTooLarge):
         rung_min_energy(KernelFamily.fh(1.0), 0.1,
-                        DeltaNet(np.linspace(0, 1, DENSE_NET_CAP + 2)))
+                        _grid_net(np.arange(DENSE_NET_CAP + 2), 1.0 / (DENSE_NET_CAP + 1)))
     rung_min_energy(KernelFamily.fh(1.0), 4.0 ** -4,
                     discretize(CompactSet.cantor(0.25), 4.0 ** -5), restarts=2)
     rng = np.random.default_rng(2)
@@ -595,26 +604,63 @@ def test_equal_gap_rungs_build_no_dense_kernel(monkeypatch, c6_cantor):
     assert [type(K.values) for K in kernels] == [ToeplitzKernel] * 3 + [np.ndarray] * 2
 
 
-def test_duplicate_points_are_no_grid():
-    """A zero gap is no grid step (and no division by it); the grid of an
-    equal-gap net is the net itself, a Cantor net's is its 3^-k grid, and
-    a net that is part of a grid of N points uses it only when
-    _GRID_FLOATS N <= n^2."""
-    for pts in ([0.0, 0.0, 1.0], [0.0, 0.5, 0.5, 1.0], [0.2, 0.2, 0.2]):
-        assert _grid_distances(np.array(pts)) is None
-    dist, index = _grid_distances(np.linspace(0.0, 1.0, 7))
+def test_grid_layout_uses_a_grid_subset_only_when_it_saves_memory():
+    """The layout is read from the grid a net records: an interval net is
+    its whole grid, a Cantor net's is its 3^-k grid, and a net that is
+    part of a grid of N points uses it only when _GRID_FLOATS N <= n^2.
+    Nets with no grid (a finite set, a bare point array) are dense."""
+    dist, index = _grid_layout(discretize(CompactSet.interval(0, 1), 1.0 / 6.0))
     assert index is None and np.array_equal(dist, 1.0 / 6.0 * np.arange(7))
-    dist, index = _grid_distances(discretize(CompactSet.cantor(), 3.0 ** -5).points)
+    dist, index = _grid_layout(discretize(CompactSet.cantor(), 3.0 ** -5))
     lefts = [sum(d * 3 ** k for k, d in enumerate(digits))   # base-3 digits 0 and 2
              for digits in itertools.product((0, 2), repeat=5)]
     assert dist.size == 244 and index.tolist() == sorted(lefts + [k + 1 for k in lefts])
     assert _GRID_FLOATS * 244 <= 64 ** 2
-    assert _grid_distances(discretize(CompactSet.cantor(), 3.0 ** -4).points) is None
-    assert _grid_distances(discretize(CompactSet.cantor(0.25), 4.0 ** -5).points) is None
-    dist, index = _grid_distances(_two_blocks())
+    assert _grid_layout(discretize(CompactSet.cantor(), 3.0 ** -4)) is None
+    assert _grid_layout(discretize(CompactSet.cantor(0.25), 4.0 ** -5)) is None
+    dist, index = _grid_layout(_two_blocks())
     assert dist.size == 340 and index.tolist() == list(range(40)) + list(range(300, 340))
-    assert _grid_distances(np.r_[0:40, 360:400] / 399.0)[0].size == 400    # 16 * 400 = 80^2
-    assert _grid_distances(np.r_[0:40, 361:401] / 400.0) is None           # 16 * 401 > 80^2
+    assert _grid_layout(_grid_net(np.r_[0:40, 360:400], 1 / 399))[0].size == 400  # 16 * 400 = 80^2
+    assert _grid_layout(_grid_net(np.r_[0:40, 361:401], 1 / 400)) is None         # 16 * 401 > 80^2
+    grid_points = np.linspace(0.0, 1.0, 7)
+    assert _grid_layout(DeltaNet(grid_points)) is None
+    assert _grid_layout(discretize(CompactSet.finite(grid_points), 0.1)) is None
+
+
+def test_depth_14_cantor_net_keeps_its_grid():
+    """At depth 14 the net's index is its points' base-3 digits (0 and 2,
+    then 1 at the last place for each right endpoint), and the layout
+    uses the grid of 3^14 + 1 points: 16 N <= n^2 holds there."""
+    net = discretize(CompactSet.cantor(), 3.0 ** -14, point_cap=2 ** 15)
+    lefts = np.zeros(1, dtype=np.int64)
+    for k in range(14):
+        lefts = np.concatenate([lefts, lefts + 2 * 3 ** k])
+    want = np.sort(np.concatenate([lefts, lefts + 1]))
+    t0, h, m = net.grid
+    assert net.n == 2 ** 15 and np.array_equal(m, want)
+    assert (t0, h) == (0.0, 3.0 ** -14)
+    dist, index = _grid_layout(net)
+    assert index is m and dist.size == 3 ** 14 + 1
+
+
+def test_touching_ifs_net_is_the_whole_grid(monkeypatch):
+    """[0, 1] as three touching maps of ratio 1/3: the net is the whole
+    3^k grid (no near-duplicate endpoints), so its fh rung is Toeplitz,
+    starts at the minorant, is certified, and matches the interval net of
+    the same step."""
+    fam = KernelFamily.fh(0.5)
+    touching = CompactSet.ifs([1 / 3] * 3, [0, 1 / 3, 2 / 3])
+    net = discretize(touching, 0.01)
+    assert net.n == 3 ** 5 + 1
+    kernels = []
+    _record_kernels(monkeypatch, kernels)
+    res = rung_min_energy(fam, 0.1, net, restarts=2)
+    assert isinstance(kernels[0].values, ToeplitzKernel)
+    assert res.start == "minorant" and res.Z_lower is not None
+    interval = discretize(CompactSet.interval(*touching.bounds()), net.grid[1])
+    assert interval.n == net.n and interval.grid[1] == net.grid[1]
+    ref = rung_min_energy(fam, 0.1, interval, restarts=2)
+    assert abs(res.value - ref.value) <= 1e-12 * ref.value
 
 
 def test_exact_family_on_a_grid_subset_is_evaluated_at_used_steps(monkeypatch):
@@ -638,14 +684,14 @@ def test_exact_family_on_a_grid_subset_is_evaluated_at_used_steps(monkeypatch):
         evaluated.append(r.size)
         return original(self, eps, r)
 
-    def rung_twice(fam, eps, pts):
+    def rung_twice(fam, eps, net):
         """The rung's result and evaluation count; its kernel must be
         symmetric, and a second call must repeat the count and kernel."""
         runs = []
         for _ in range(2):
             evaluated.clear()
             kernels.clear()
-            res = rung_min_energy(fam, eps, DeltaNet(pts), restarts=2)
+            res = rung_min_energy(fam, eps, net, restarts=2)
             A = kernels[0].values
             A = A.dense() if isinstance(A, ToeplitzKernel) else A
             assert np.array_equal(A, A.T)
@@ -662,22 +708,23 @@ def test_exact_family_on_a_grid_subset_is_evaluated_at_used_steps(monkeypatch):
     # at ratio 1/4 or on random points
     far = np.r_[0:300, 2000, 5000]
     far_steps = np.unique(np.abs(far[:, None] - far)).size
-    for pts, N, used in ((_two_blocks(), 340, 40 + 79),
-                         (discretize(CompactSet.cantor(), 3.0 ** -6).points, 730, 730),
-                         (far / 5000.0, 5001, far_steps),
-                         (np.linspace(0.0, 1.0, 50), 50, 50),
-                         (discretize(CompactSet.cantor(0.25), 4.0 ** -5).points, None, None),
-                         (np.sort(np.random.default_rng(6).uniform(0, 1, 60)), None, None)):
-        grid = _grid_distances(pts)
+    for net, N, used in ((_two_blocks(), 340, 40 + 79),
+                         (discretize(CompactSet.cantor(), 3.0 ** -6), 730, 730),
+                         (_grid_net(far, 1 / 5000), 5001, far_steps),
+                         (_grid_net(np.arange(50), 1 / 49), 50, 50),
+                         (discretize(CompactSet.cantor(0.25), 4.0 ** -5), None, None),
+                         (DeltaNet(np.sort(np.random.default_rng(6).uniform(0, 1, 60))),
+                          None, None)):
+        pts, grid = net.points, _grid_layout(net)
         if N is None:
             assert grid is None
         else:
             m = np.arange(N) if grid[1] is None else grid[1]
             assert grid[0].size == N and np.unique(np.abs(m[:, None] - m)).size == used
         distinct = np.unique(np.abs(pts[:, None] - pts)).size
-        res, evaluations = rung_twice(fam, 0.05, pts)
+        res, evaluations = rung_twice(fam, 0.05, net)
         assert evaluations == (distinct if used is None else used) <= distinct
-        dense = min_energy(build_kernel(fam, 0.05, DeltaNet(pts)), restarts=2)
+        dense = min_energy(build_kernel(fam, 0.05, net), restarts=2)
         assert res.converged and abs(res.value - dense.value) <= 1e-9 * dense.value
     first_rows = np.unique(np.abs(far[:_ROW_BLOCK, None] - far)).size
     assert first_rows < far_steps
@@ -685,11 +732,12 @@ def test_exact_family_on_a_grid_subset_is_evaluated_at_used_steps(monkeypatch):
     # dense net, a whole grid and a grid subset of 17 points out of 18
     monkeypatch.setattr(KernelFamily, "_evaluate_exact", counted)
     fam = KernelFamily.exact(LevyModel.subordinator(LaplaceExponent.stable(0.5)))
-    for pts, layout, used in ((np.array([0.0, 0.13, 0.5, 0.61]), np.ndarray, 7),
-                              (np.linspace(0.0, 1.0, 4), ToeplitzKernel, 4),
-                              (np.r_[0:8, 9:18] / 17.0, ToeplitzKernel, 18)):
+    for net, layout, used in ((DeltaNet(np.array([0.0, 0.13, 0.5, 0.61])), np.ndarray, 7),
+                              (_grid_net(np.arange(4), 1 / 3), ToeplitzKernel, 4),
+                              (_grid_net(np.r_[0:8, 9:18], 1 / 17), ToeplitzKernel, 18)):
+        pts = net.points
         distinct = np.unique(np.abs(pts[:, None] - pts)).size
-        res, evaluations = rung_twice(fam, 0.3, pts)
+        res, evaluations = rung_twice(fam, 0.3, net)
         assert isinstance(kernels[0].values, layout)
         assert evaluations == used <= distinct
         assert res.converged
@@ -702,27 +750,26 @@ def test_grid_kernel_matches_dense_kernel_on_cantor_nets(c6_cantor):
     """On Cantor nets of ratio 1/3 and on two blocks of a grid (no Cantor
     net of ratio 1/4 uses its grid), the grid kernel's rows agree
     with `build_kernel`'s dense matrix (built on the net's own distances)
-    within the bound `_grid_distances` states, L (2 off + 4 ulps of the
-    span) with L = s / eps for fh and off <= _GRID_RTOL h the largest
-    offset of a point from its grid point, and its FFT products within
-    that bound times |w|_1 plus 1e-13 relative; `dense` gathers the same
-    rows.  Each C6 Cantor rung's Z is within 1e-9 relative of the dense
-    route's."""
+    within L times 4 ulps of the span, with L = s / eps for fh: each net
+    point is t0 + m_i h rounded once (t0 = 0 here), and t_i, t_j, their
+    difference and the grid distance |m_i - m_j| h are each within half
+    an ulp of the span.  Its FFT products agree within that bound times
+    |w|_1 plus 1e-13 relative; `dense` gathers the same rows.  Each C6
+    Cantor rung's Z is within 1e-9 relative of the dense route's."""
     rng = np.random.default_rng(4)
     for depth in (5, 7, 10, None):
-        net = (DeltaNet(_two_blocks()) if depth is None
+        net = (_two_blocks() if depth is None
                else discretize(CompactSet.cantor(), 3.0 ** -depth))
         pts, n = net.points, net.n
-        grid = _grid_distances(pts)
-        h = grid[0][1]
-        off = np.max(np.abs(pts - pts[0] - grid[0][grid[1]]))
-        assert grid[1] is not None and off <= _GRID_RTOL * h
+        grid = _grid_layout(net)
+        h = net.grid[1]
+        assert net.grid[0] == 0.0 and grid[1] is not None
         assert n == (80 if depth is None else 2 ** (depth + 1))
         for s, eps in ((0.5, 9 * h), (1.5, 10 * h)):
             fam = KernelFamily.fh(s)
             T = _assemble(lambda r: fam.evaluate(eps, r), pts, grid).values
             D = build_kernel(fam, eps, net).values
-            bound = s / eps * (2 * off + 4 * np.spacing(pts[-1] - pts[0]))
+            bound = s / eps * 4 * np.spacing(pts[-1] - pts[0])
             rows = np.array([T[i] for i in range(n)])
             assert np.array_equal(T.dense(), rows)
             assert np.max(np.abs(rows - D)) <= bound
@@ -827,11 +874,12 @@ def test_frank_wolfe_bit_identical_to_column_reference():
         net = DeltaNet(np.sort(rng.uniform(0, 1, n)))
         kernels.append(build_kernel(KernelFamily.fh(float(rng.uniform(0.3, 1.5))),
                                     float(rng.uniform(0.02, 0.3)), net).values)
-    for pts in [np.linspace(0, 1, n) for n in (9, 60, 301)] + [
-            discretize(CompactSet.cantor(ratio), ratio ** depth).points
-            for ratio, depth in ((1 / 3, 5), (1 / 3, 7))] + [_two_blocks()]:
+    for net in [_grid_net(np.arange(n), 1 / (n - 1)) for n in (9, 60, 301)] + [
+            discretize(CompactSet.cantor(ratio), ratio ** depth)
+            for ratio, depth in ((1 / 3, 5), (1 / 3, 7))] + [
+            _two_blocks()]:
         fam = KernelFamily.fh(float(rng.uniform(0.3, 1.5)))
-        T = _assemble(lambda r: fam.evaluate(0.01, r), pts, _grid_distances(pts)).values
+        T = _assemble(lambda r: fam.evaluate(0.01, r), net.points, _grid_layout(net)).values
         assert isinstance(T, ToeplitzKernel)
         kernels.append(T)
     most_iters = subset_iters = 0

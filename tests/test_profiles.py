@@ -8,7 +8,7 @@ import pytest
 
 from fracdim import profiles
 from fracdim.energy_min import (DENSE_NET_CAP, EnergyResult, SimplexWeights,
-                                _assemble, _exp_potential, _grid_distances,
+                                _assemble, _exp_potential, _grid_layout,
                                 exp_kernel_min_energy, rung_min_energy)
 from fracdim.errors import NonConvergedQuadrature
 from fracdim.ladders import MODES, LadderEstimate
@@ -139,7 +139,7 @@ def test_psd_rungs_carry_the_duality_bound(monkeypatch):
     def cauchy_rung(family, e, net, tol, **kw):
         res = rung_min_energy(family, e, net, tol, **kw)
         K = _assemble(lambda r: family.evaluate(e, r), net.points,
-                      _grid_distances(net.points), distinct=True)
+                      _grid_layout(net), distinct=True)
         potentials.append(K.values @ res.weights.w)
         return res
 

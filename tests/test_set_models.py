@@ -255,6 +255,42 @@ def test_delta_net_requires_sorted_points():
             DeltaNet(np.array(bad))
 
 
+def test_delta_net_rejects_a_bad_grid():
+    """A grid needs a finite step h > 0 and, if an index m is given, one
+    strictly increasing nonnegative integer per point."""
+    pts = np.array([0.0, 0.5, 1.0])
+    for grid in ((0.0, 0.0, None),                          # step not positive
+                 (0.0, 0.25, np.array([0, 2, 2])),          # index not increasing
+                 (0.0, 0.25, np.array([0.0, 2.0, 4.0])),    # index not integer
+                 (0.0, 0.25, np.array([0, 2, 3, 4]))):      # one index per point
+        with pytest.raises(ValueError, match="grid"):
+            DeltaNet(pts, grid=grid)
+    assert DeltaNet(pts, grid=(0.0, 0.5, np.array([0, 1, 2]))).grid == (0.0, 0.5, None)
+
+
+def test_nets_carry_their_integer_grid():
+    """Interval nets are their whole grid, with `np.linspace`'s points;
+    an IFS net with ratio 1/q and integer digits sits at lo + m h, h =
+    (hi - lo) / q^k.  Finite sets and IFS off their 1/q grid carry none."""
+    net = discretize(CompactSet.interval(0.2, 1.7), 0.0103)
+    steps = net.n - 1
+    assert net.grid == (0.2, 1.5 / steps, None)
+    assert np.array_equal(net.points, np.linspace(0.2, 1.7, steps + 1))
+    net = discretize(CompactSet.cantor(), 1.0 / 27.0)
+    t0, h, m = net.grid
+    assert (t0, h) == (0.0, 1.0 / 27.0)
+    assert m.tolist() == [0, 1, 2, 3, 6, 7, 8, 9, 18, 19, 20, 21, 24, 25, 26, 27]
+    assert np.array_equal(net.points, t0 + m * h)
+    touching = discretize(CompactSet.ifs([1 / 3] * 3, [0, 1 / 3, 2 / 3]), 0.01)
+    assert touching.n == 3 ** 5 + 1 and touching.grid[2] is None
+    for cset in (CompactSet.finite(np.linspace(0.0, 1.0, 7)),
+                 CompactSet.ifs([0.25] * 3, [0, 0.375, 0.75])):
+        assert discretize(cset, 0.01).grid is None
+    # q = 100 has digits, but 100^11 steps at depth 11 are finer than the floats
+    deep = CompactSet.ifs([0.01, 0.01], [0, 0.99])
+    assert deep.params["digits"][0] == 100 and discretize(deep, 1e-20).grid is None
+
+
 @pytest.mark.parametrize("a, b", [(0.0, np.inf), (np.inf, np.inf), (0.0, np.nan),
                                   (np.nan, 1.0)])
 def test_interval_needs_finite_endpoints(a, b):
