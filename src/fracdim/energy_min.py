@@ -9,12 +9,12 @@ Exponential kernels exp(-a|t_i - t_j|) have an exact O(n) minimizer
 matrix is formed and no iteration runs.  Every other kernel is solved by
 pairwise Frank-Wolfe over the simplex (mass moves from an away vertex on
 the support to the Frank-Wolfe vertex, so positive semidefinite kernels
-converge linearly instead of zigzagging).  A net that records its
-equal-step grid (`DeltaNet.grid`: interval nets, and Cantor nets of
-ratio 1/3 on their 3^-k grid) gets a `ToeplitzKernel`: one vector of the
-kernel's values on the grid, whose rows are slices or gathers and whose
-products are FFTs, so no n x n kernel is formed.  Other nets, and grids
-too sparse in net points to save memory (`_grid_layout`), are dense.  The
+converge linearly instead of zigzagging).  A net whose set gives it an
+equal-step grid (`DeltaNet.grid`: interval nets, and IFS nets with
+digits) gets a `ToeplitzKernel`: one vector of the kernel's values on
+the grid, whose rows are slices or gathers and whose products are FFTs,
+so no n x n kernel is formed.  Other nets, and grids too sparse in net
+points to save memory (`_grid_layout`), are dense.  The
 linear minimization oracle over the simplex is a coordinate argmin, ties
 broken at the lowest index, and the duality gap 2(w'Kw - min_i (Kw)_i)
 comes for free.
@@ -575,17 +575,17 @@ def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
 
     The kernel, and a power-law rung's convex minorant g, are laid out by
     `_assemble`, which raises NetTooLarge above DENSE_NET_CAP points
-    before any solve: a `ToeplitzKernel` on the grid the net records
-    (`_grid_layout`: interval nets, and Cantor nets of ratio 1/3), with
-    no n x n kernel, and dense otherwise; a quadrature or Monte Carlo
-    family is evaluated once per distinct distance the net uses.
-    Power-law rungs (ValueError if eps is out of range) first solve
-    g (`_minorant_solve`: on a Cantor net, the Cholesky factor of g's
-    matrix gathered from the grid vector), free it, and hand (v, Gv) to
-    `min_energy` as its `minorant`: Z_lower = (min_i (Gv)_i)^2 / v'Gv,
-    g's minimum 1/1'v when v = G^-1 1 exactly, so Z_lower <= Z <= R(s)
-    Z_lower.  Other rungs, and a minorant solve that fails, are factored
-    by `min_energy` like a caller's matrix.
+    before any solve: a `ToeplitzKernel` on the grid the net's set gives
+    it (`_grid_layout`), with no n x n kernel, and dense otherwise; a
+    quadrature or Monte Carlo family is evaluated once per distinct
+    distance the net uses.  Power-law rungs (ValueError if eps is out of
+    range) first solve g (`_minorant_solve`: on a grid subset, the
+    Cholesky factor of g's matrix gathered from the grid vector), free
+    it, and hand (v, Gv) to `min_energy` as its `minorant`: Z_lower =
+    (min_i (Gv)_i)^2 / v'Gv, g's minimum 1/1'v when v = G^-1 1 exactly,
+    so Z_lower <= Z <= R(s) Z_lower.  Other rungs, and a minorant solve
+    that fails, are factored by `min_energy` like a caller's matrix, but
+    a `sampled` family's Z_lower (a bound on its sample) is None.
     """
     pts = net.points
     grid = _grid_layout(net)
@@ -595,7 +595,9 @@ def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
                                              pts, grid).values)
     K = _assemble(lambda r: family.evaluate(scale, r), pts, grid,
                   distinct=family.kind == "exact")
-    return min_energy(K, tol=tol, minorant=minorant, **solver_kw)
+    result = min_energy(K, tol=tol, minorant=minorant, **solver_kw)
+    result.Z_lower = None if family.sampled else result.Z_lower
+    return result
 
 
 # ---------------------------------------------------------------------------

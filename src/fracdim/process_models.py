@@ -409,11 +409,7 @@ class KernelFamily:
 
     @classmethod
     def exact(cls, model: LevyModel, seed: int = 0) -> "KernelFamily":
-        """The model's own small-ball kernel.
-
-        1-d symmetric stable models use quadrature; anything else falls
-        back to seeded Monte Carlo (l-inf balls in d > 1 do not factor).
-        """
+        """The model's own small-ball kernel, by quadrature or `sampled`."""
         return cls("exact", {}, model=model, seed=seed)
 
     def power_law(self, scale: float) -> tuple[float, float] | None:
@@ -461,14 +457,19 @@ class KernelFamily:
             return self._evaluate_exact(scale, r)
         raise ValueError(f"unknown kernel kind {self.kind!r}")
 
+    @property
+    def sampled(self) -> bool:
+        """`exact` by seeded Monte Carlo: models other than 1-d symmetric
+        stable, which use quadrature (l-inf balls in d > 1 do not factor)."""
+        return self.kind == "exact" and (self.model.kind, self.model.d) != ("isotropic_stable", 1)
+
     def _evaluate_exact(self, eps: float, r: np.ndarray) -> np.ndarray:
         model = self.model
         res = np.empty(r.size)
-        use_quad = model.kind == "isotropic_stable" and model.d == 1
         for i, t in enumerate(r.flat):
             if t == 0.0:
                 res[i] = 1.0
-            elif use_quad:
+            elif not self.sampled:
                 res[i] = kappa_stable_1d(model.params["alpha"], model.params["c"],
                                          eps, t)
             else:

@@ -19,7 +19,6 @@ from .errors import DegenerateLadder, MeshTooFine
 from .ladders import LadderEstimate
 
 NET_POINT_CAP = 200_000      # default discretization cap
-IFS_DEPTH_BUDGET = 30        # deepest IFS word a net may expand to
 _FIX_TOL = 1e-12
 
 
@@ -31,11 +30,12 @@ _FIX_TOL = 1e-12
 class CompactSet:
     """A compact subset of [0, inf) given by construction, not by oracle.
 
-    kind: "interval" {a, b}, "finite" {points}, "ifs" {ratios,
-    translations, hull, digits (`_ifs_digits`)}.  IFS members are the maps
-    x -> ratios[i]*x + translations[i]; their depth-1 images of the convex
-    hull must be disjoint (up to touching endpoints), which makes net
-    certification and self-similarity bookkeeping exact.
+    kind: "interval" {a, b}, "finite" {points}, "ifs" {ratios, translations,
+    hull, digits (`_ifs_digits`)}; only intervals and IFS with digits give
+    their nets a grid.  IFS members are the maps x -> ratios[i]*x +
+    translations[i]; their depth-1 images of the convex hull must be
+    disjoint (up to touching endpoints), which makes net certification
+    and self-similarity bookkeeping exact.
     """
 
     kind: str
@@ -66,7 +66,8 @@ class CompactSet:
             raise ValueError("need matching ratios/translations, at least two maps")
         if np.any(ratios <= 0) or np.any(ratios >= 1):
             raise ValueError("contraction ratios must lie in (0, 1)")
-        lo, hi = _ifs_hull(ratios, trans)
+        fix = trans / (1.0 - ratios)        # the hull's ends are extreme fixed points
+        lo, hi = float(fix.min()), float(fix.max())
         if lo < -_FIX_TOL:
             raise ValueError("attractor leaves [0, inf)")
         # non-overlap after one iteration: sorted depth-1 images disjoint
@@ -125,22 +126,17 @@ def _finite_points(points) -> np.ndarray:
     return pts
 
 
-def _ifs_hull(ratios, trans) -> tuple[float, float]:
-    # hull endpoints are the extreme fixed points t/(1-r) of the maps
-    fix = trans / (1.0 - ratios)
-    return float(fix.min()), float(fix.max())
-
-
 def _ifs_digits(ratios, trans, lo, hi):
-    """(q, c) when every ratio r is 1/q and every c_i = (t_i - lo (1 - r))
-    / (r (hi - lo)) is an integer, within _FIX_TOL; else None.  The maps
-    are then u -> (u + c_i) / q in u = (x - lo) / (hi - lo)."""
+    """(q, d, e) when every ratio r is 1/q and every c_i = (t_i - lo (1 - r))
+    / (r (hi - lo)) is e_i / d, e_i integer and d <= 16 least, within
+    _FIX_TOL; else None.  The maps are u -> (u + c_i) / q in u."""
     q = round(1.0 / ratios[0])
     if not (hi > lo and np.all(np.abs(ratios * q - 1.0) <= _FIX_TOL)):
         return None
     c = (trans - lo * (1.0 - ratios)) / (ratios * (hi - lo))
-    digits = np.rint(c)
-    return (q, digits.astype(np.int64)) if np.all(np.abs(c - digits) <= _FIX_TOL) else None
+    d = next((d for d in range(1, 17)
+              if np.all(np.abs(d * c - np.rint(d * c)) <= d * _FIX_TOL)), None)
+    return None if d is None else (q, d, np.rint(d * c).astype(np.int64))
 
 
 @dataclass
@@ -151,33 +147,29 @@ class DeltaNet:
     point, and the net points lie in the parent set; both hold by
     construction for the supported kinds (see `discretize`).
 
-    `grid`, if known, is (t0, h, m), h finite and > 0: point i is t0 +
-    m_i h, m strictly increasing integers >= 0, None on a whole grid.
-    Any other grid raises ValueError.
+    `grid` is (t0, h, m) when the set gives one (`_grid_net`): point i
+    rounds t0 + m_i h, m strictly increasing integers >= 0 (None: 0..n-1).
     """
 
     points: np.ndarray
-    grid: tuple | None = None
+    grid: tuple | None = field(default=None, init=False)
 
     def __post_init__(self):
         self.points = _finite_points(self.points)
         if np.any(np.diff(self.points) <= 0):
             raise ValueError("net points must be strictly increasing")
-        if self.grid is not None:
-            t0, h, m = self.grid
-            if not (np.isfinite([t0, h]).all() and h > 0):
-                raise ValueError(f"grid needs a finite origin and step > 0, got {t0!r}, {h!r}")
-            if m is not None:
-                m = np.asarray(m)
-                if not (m.dtype.kind in "iu" and m.shape == self.points.shape
-                        and np.all(m[:1] >= 0) and np.all(m[1:] > m[:-1])):
-                    raise ValueError("grid index must be one increasing integer >= 0 per point")
-                m = None if m.size == 0 or m[-1] == m.size - 1 else m.astype(np.int64, copy=False)
-            self.grid = (float(t0), float(h), m)
 
     @property
     def n(self) -> int:
         return self.points.size
+
+
+def _grid_net(t0: float, h: float, m=None, points=None) -> DeltaNet:
+    """The net t0 + m h with its grid, or `points` (a whole grid, rounded
+    its own way) when m is None; an index 0..n-1 is stored as None."""
+    net = DeltaNet(t0 + m * h if points is None else points)
+    net.grid = (float(t0), float(h), None if m is None or m[-1] == m.size - 1 else m)
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +184,9 @@ def discretize(cset: CompactSet, delta: float,
     endpoints; attractors are expanded to the first depth at which every
     cylinder is no longer than delta and contribute both endpoints of
     each cylinder.  Every kind yields its points strictly increasing, so
-    they are sorted once, here or by the set's constructor.  An interval
-    net records its whole grid (a, (b - a) / steps), and an IFS net with
-    digits (`_ifs_digits`) its index on the grid of step (hi - lo) / q^k.
+    they are sorted once, here or by the set's constructor.  The grid is
+    the set's: an interval net is its whole grid (a, (b - a) / steps), an
+    IFS net with digits its index on the grid of step (hi - lo) / (d q^k).
     """
     if not 0 < delta < np.inf:
         raise ValueError(f"delta must be finite and positive, got {delta!r}")
@@ -203,16 +195,17 @@ def discretize(cset: CompactSet, delta: float,
         steps = int(np.ceil((b - a) / delta))
         if steps + 1 > point_cap:
             raise MeshTooFine(f"interval grid needs {steps + 1} points (cap {point_cap})")
-        pts, grid = np.linspace(a, b, steps + 1), (a, (b - a) / steps, None) if steps else None
+        pts = np.linspace(a, b, steps + 1)
+        net = _grid_net(a, (b - a) / steps, points=pts) if steps else DeltaNet(pts)
     elif cset.kind == "finite":
-        pts, grid = cset.params["points"].copy(), None
+        net = DeltaNet(cset.params["points"].copy())
     elif cset.kind == "ifs":
-        pts, grid = _ifs_net(cset, delta, point_cap)
+        net = _ifs_net(cset, delta, point_cap)
     else:
         raise ValueError(f"unknown set kind {cset.kind!r}")
-    if pts.size > point_cap:
-        raise MeshTooFine(f"net would need {pts.size} points (cap {point_cap})")
-    return DeltaNet(points=pts, grid=grid)
+    if net.n > point_cap:
+        raise MeshTooFine(f"net would need {net.n} points (cap {point_cap})")
+    return net
 
 
 def _ifs_net(cset, delta, cap):
@@ -220,28 +213,31 @@ def _ifs_net(cset, delta, cap):
     trans = cset.params["translations"]
     lo, hi = cset.params["hull"]
     width = hi - lo
-    rmax = float(ratios.max())
     depth = 0
-    while width * rmax ** depth > delta:
+    while width * float(ratios.max()) ** depth > delta:
         depth += 1
-        if depth > IFS_DEPTH_BUDGET:
-            raise MeshTooFine("IFS depth budget exhausted before reaching delta")
         if len(ratios) ** depth * 2 > cap:
             raise MeshTooFine(f"IFS net would exceed {cap} points at depth {depth}")
     digits = cset.params["digits"]
-    # a step above 4 ulps of hi keeps lo + m h strictly increasing and m in int64
-    if digits is not None and digits[0] ** depth < width / np.spacing(4.0 * hi):
-        q, c = digits            # on integers, depth j adds c_i q^(j-1)
-        m = np.array([0, 1], dtype=np.int64)
-        for j in range(depth):
-            m = np.unique(np.concatenate([m + ci * q ** j for ci in c.tolist()]))
-        h = width / q ** depth
-        return lo + m * h, (lo, h, m)
-    # iterate interval endpoints through all words of the chosen depth
-    ends = np.array([lo, hi])
-    for _ in range(depth):
-        ends = np.concatenate([r * ends + t for r, t in zip(ratios, trans)])
-    return np.unique(ends), None
+    # the finest spacing the net must resolve, and the roundings each point carries
+    if digits is None:      # smallest cylinder or gap (not touching ends); k roundings
+        rmin, roundings = float(ratios.min()), depth
+        gaps = np.sort(ratios * lo + trans)[1:] - np.sort(ratios * hi + trans)[:-1]
+        spacing = min([rmin * width, *gaps[gaps > _FIX_TOL]]) * rmin ** (depth - 1)
+    else:                   # the grid step; one rounding in lo + m h
+        q, d, e = digits
+        spacing, roundings = width / (d * q ** depth), 1
+    if depth and not spacing > 4 * roundings * np.spacing(hi):      # 4 ulps of hi per rounding
+        raise MeshTooFine(f"IFS net at depth {depth} is below float resolution at {hi:g}")
+    if digits is None:      # iterate interval endpoints through all words of the depth
+        ends = np.array([lo, hi])
+        for _ in range(depth):
+            ends = np.concatenate([r * ends + t for r, t in zip(ratios, trans)])
+        return DeltaNet(np.unique(ends))
+    m = np.array([0, d], dtype=np.int64)         # on integers, depth j adds d c_i q^j
+    for j in range(depth):
+        m = np.unique(np.concatenate([m + ei * q ** j for ei in e.tolist()]))
+    return _grid_net(lo, spacing, m)
 
 
 # ---------------------------------------------------------------------------

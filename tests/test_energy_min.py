@@ -26,7 +26,7 @@ from fracdim.oracles import (cantor_exp_kernel_min_energy,
                              interval_exp_kernel_min_energy)
 from fracdim.process_models import KernelFamily, LaplaceExponent, LevyModel
 from fracdim.profiles import fh_profile
-from fracdim.set_models import CompactSet, DeltaNet, discretize
+from fracdim.set_models import CompactSet, DeltaNet, _grid_net, discretize
 from fracdim.utils import substream
 from fracdim.verify import _BF_RESOLUTION, random_psd_kernel
 
@@ -434,7 +434,7 @@ def test_net_too_large_raises_before_any_solve(monkeypatch):
     monkeypatch.setattr(energy_min.linalg, "solve_toeplitz", unreachable)
     monkeypatch.setattr(energy_min.linalg, "cho_factor", unreachable)
     big = np.arange(DENSE_NET_CAP + 2)
-    for net in (_grid_net(big, 1.0 / big[-1]), DeltaNet((big / big[-1]) ** 2)):
+    for net in (_grid_net(0.0, 1.0 / big[-1], big), DeltaNet((big / big[-1]) ** 2)):
         with pytest.raises(NetTooLarge):
             rung_min_energy(KernelFamily.fh(0.5), 0.1, net)
 
@@ -521,7 +521,7 @@ def test_toeplitz_rows_and_product_match_dense_kernel():
               (KernelFamily.stable_sandwich(0.7, 2), 0.05, 400),
               (KernelFamily.exact(LevyModel.isotropic_stable(1.5)), 0.1, 41)]
     for fam, scale, n in cases:
-        net = DeltaNet(np.linspace(0.0, 1.0, n), grid=(0.0, 1.0 / (n - 1), None))
+        net = _grid_net(0.0, 1.0 / (n - 1), points=np.linspace(0.0, 1.0, n))
         T = _assemble(lambda r: fam.evaluate(scale, r), net.points,
                       _grid_layout(net)).values
         D = build_kernel(fam, scale, net).values
@@ -562,16 +562,10 @@ def c6_cantor():
     return rep, [type(K.values) for K in kernels]
 
 
-def _grid_net(m, h, t0=0.0):
-    """The net t0 + m h, carrying its grid (t0, h, m)."""
-    m = np.asarray(m)
-    return DeltaNet(t0 + m * h, grid=(t0, h, m))
-
-
 def _two_blocks():
     """80 points on a grid of 340 (16 N <= n^2) that use no step from 40
     to 260."""
-    return _grid_net(np.r_[0:40, 300:340], 1.0 / 339.0)
+    return _grid_net(0.0, 1.0 / 339.0, np.r_[0:40, 300:340])
 
 
 def test_equal_gap_rungs_build_no_dense_kernel(monkeypatch, c6_cantor):
@@ -595,7 +589,7 @@ def test_equal_gap_rungs_build_no_dense_kernel(monkeypatch, c6_cantor):
         assert rung_min_energy(fam, 0.028, net, restarts=2).converged
     with pytest.raises(NetTooLarge):
         rung_min_energy(KernelFamily.fh(1.0), 0.1,
-                        _grid_net(np.arange(DENSE_NET_CAP + 2), 1.0 / (DENSE_NET_CAP + 1)))
+                        _grid_net(0.0, 1.0 / (DENSE_NET_CAP + 1), np.arange(DENSE_NET_CAP + 2)))
     rung_min_energy(KernelFamily.fh(1.0), 4.0 ** -4,
                     discretize(CompactSet.cantor(0.25), 4.0 ** -5), restarts=2)
     rng = np.random.default_rng(2)
@@ -620,8 +614,9 @@ def test_grid_layout_uses_a_grid_subset_only_when_it_saves_memory():
     assert _grid_layout(discretize(CompactSet.cantor(0.25), 4.0 ** -5)) is None
     dist, index = _grid_layout(_two_blocks())
     assert dist.size == 340 and index.tolist() == list(range(40)) + list(range(300, 340))
-    assert _grid_layout(_grid_net(np.r_[0:40, 360:400], 1 / 399))[0].size == 400  # 16 * 400 = 80^2
-    assert _grid_layout(_grid_net(np.r_[0:40, 361:401], 1 / 400)) is None         # 16 * 401 > 80^2
+    fits = _grid_net(0.0, 1 / 399, np.r_[0:40, 360:400])         # 16 * 400 = 80^2
+    assert _grid_layout(fits)[0].size == 400
+    assert _grid_layout(_grid_net(0.0, 1 / 400, np.r_[0:40, 361:401])) is None  # 16 * 401 > 80^2
     grid_points = np.linspace(0.0, 1.0, 7)
     assert _grid_layout(DeltaNet(grid_points)) is None
     assert _grid_layout(discretize(CompactSet.finite(grid_points), 0.1)) is None
@@ -661,6 +656,52 @@ def test_touching_ifs_net_is_the_whole_grid(monkeypatch):
     assert interval.n == net.n and interval.grid[1] == net.grid[1]
     ref = rung_min_energy(fam, 0.1, interval, restarts=2)
     assert abs(res.value - ref.value) <= 1e-12 * ref.value
+
+
+def test_rational_ifs_nets_use_their_grid(monkeypatch):
+    """ifs([1/4]*3, [0, 3/8, 3/4]) has digits 0, 3/2 and 3, so its nets
+    lie on the grid of step 1 / (2 4^k): N = 129, 513 and 2,049 grid
+    points for n = 54, 162 and 486, each with 16 N <= n^2.  Their fh(1/2)
+    rungs are Toeplitz and match the dense solve of `build_kernel`'s
+    matrix from the same minorant start within 1e-9 relative."""
+    fam = KernelFamily.fh(0.5)
+    rational = CompactSet.ifs([0.25] * 3, [0, 0.375, 0.75])
+    kernels = []
+    _record_kernels(monkeypatch, kernels)
+    for delta, n, N in ((0.02, 54, 129), (0.005, 162, 513), (0.001, 486, 2049)):
+        net = discretize(rational, delta)
+        t0, h, m = net.grid
+        assert net.n == n and m[-1] + 1 == N and _GRID_FLOATS * N <= n ** 2
+        assert (t0, h) == (0.0, 1.0 / (N - 1)) and np.array_equal(net.points, t0 + m * h)
+        kernels.clear()
+        res = rung_min_energy(fam, 0.05, net)
+        assert isinstance(kernels[0].values, ToeplitzKernel) and res.converged
+        G = fam.convex_minorant(0.05, np.abs(net.points[:, None] - net.points))
+        dense = min_energy(build_kernel(fam, 0.05, net), minorant=_minorant_solve(G))
+        assert abs(res.value - dense.value) <= 1e-9 * dense.value
+
+
+def test_sampled_exact_rungs_report_no_bound(monkeypatch):
+    """A Monte Carlo `exact` rung's kernel factors, but a bound from it
+    holds for its sample, not for kappa: the seed-1 rung's Z lies below
+    the bound `min_energy` certifies for the seed-0 sample.  Both rungs
+    report Z_lower and ratio null; a quadrature (Cauchy) rung keeps its
+    bound."""
+    net = discretize(CompactSet.interval(0, 1), 0.05)
+    model = LevyModel.subordinator(LaplaceExponent.stable(0.5))
+    kernels = []
+    _record_kernels(monkeypatch, kernels)
+    rungs = [rung_min_energy(KernelFamily.exact(model, seed=seed), 0.3, net)
+             for seed in (0, 1)]
+    sample_bound = min_energy(kernels[0]).Z_lower
+    assert net.n == 21 and rungs[1].value < sample_bound <= rungs[0].value
+    for res in rungs:
+        assert res.converged and res.Z_lower is None
+        assert res.to_json_dict()["Z_lower"] is None and res.to_json_dict()["ratio"] is None
+    cauchy = KernelFamily.exact(LevyModel.isotropic_stable(1.0))
+    assert KernelFamily.exact(model).sampled and not cauchy.sampled
+    res = rung_min_energy(cauchy, 0.3, net)
+    assert res.Z_lower is not None and res.Z_lower <= res.value
 
 
 def test_exact_family_on_a_grid_subset_is_evaluated_at_used_steps(monkeypatch):
@@ -710,8 +751,8 @@ def test_exact_family_on_a_grid_subset_is_evaluated_at_used_steps(monkeypatch):
     far_steps = np.unique(np.abs(far[:, None] - far)).size
     for net, N, used in ((_two_blocks(), 340, 40 + 79),
                          (discretize(CompactSet.cantor(), 3.0 ** -6), 730, 730),
-                         (_grid_net(far, 1 / 5000), 5001, far_steps),
-                         (_grid_net(np.arange(50), 1 / 49), 50, 50),
+                         (_grid_net(0.0, 1 / 5000, far), 5001, far_steps),
+                         (_grid_net(0.0, 1 / 49, np.arange(50)), 50, 50),
                          (discretize(CompactSet.cantor(0.25), 4.0 ** -5), None, None),
                          (DeltaNet(np.sort(np.random.default_rng(6).uniform(0, 1, 60))),
                           None, None)):
@@ -733,8 +774,8 @@ def test_exact_family_on_a_grid_subset_is_evaluated_at_used_steps(monkeypatch):
     monkeypatch.setattr(KernelFamily, "_evaluate_exact", counted)
     fam = KernelFamily.exact(LevyModel.subordinator(LaplaceExponent.stable(0.5)))
     for net, layout, used in ((DeltaNet(np.array([0.0, 0.13, 0.5, 0.61])), np.ndarray, 7),
-                              (_grid_net(np.arange(4), 1 / 3), ToeplitzKernel, 4),
-                              (_grid_net(np.r_[0:8, 9:18], 1 / 17), ToeplitzKernel, 18)):
+                              (_grid_net(0.0, 1 / 3, np.arange(4)), ToeplitzKernel, 4),
+                              (_grid_net(0.0, 1 / 17, np.r_[0:8, 9:18]), ToeplitzKernel, 18)):
         pts = net.points
         distinct = np.unique(np.abs(pts[:, None] - pts)).size
         res, evaluations = rung_twice(fam, 0.3, net)
@@ -874,7 +915,7 @@ def test_frank_wolfe_bit_identical_to_column_reference():
         net = DeltaNet(np.sort(rng.uniform(0, 1, n)))
         kernels.append(build_kernel(KernelFamily.fh(float(rng.uniform(0.3, 1.5))),
                                     float(rng.uniform(0.02, 0.3)), net).values)
-    for net in [_grid_net(np.arange(n), 1 / (n - 1)) for n in (9, 60, 301)] + [
+    for net in [_grid_net(0.0, 1 / (n - 1), np.arange(n)) for n in (9, 60, 301)] + [
             discretize(CompactSet.cantor(ratio), ratio ** depth)
             for ratio, depth in ((1 / 3, 5), (1 / 3, 7))] + [
             _two_blocks()]:

@@ -255,23 +255,10 @@ def test_delta_net_requires_sorted_points():
             DeltaNet(np.array(bad))
 
 
-def test_delta_net_rejects_a_bad_grid():
-    """A grid needs a finite step h > 0 and, if an index m is given, one
-    strictly increasing nonnegative integer per point."""
-    pts = np.array([0.0, 0.5, 1.0])
-    for grid in ((0.0, 0.0, None),                          # step not positive
-                 (0.0, 0.25, np.array([0, 2, 2])),          # index not increasing
-                 (0.0, 0.25, np.array([0.0, 2.0, 4.0])),    # index not integer
-                 (0.0, 0.25, np.array([0, 2, 3, 4]))):      # one index per point
-        with pytest.raises(ValueError, match="grid"):
-            DeltaNet(pts, grid=grid)
-    assert DeltaNet(pts, grid=(0.0, 0.5, np.array([0, 1, 2]))).grid == (0.0, 0.5, None)
-
-
 def test_nets_carry_their_integer_grid():
     """Interval nets are their whole grid, with `np.linspace`'s points;
-    an IFS net with ratio 1/q and integer digits sits at lo + m h, h =
-    (hi - lo) / q^k.  Finite sets and IFS off their 1/q grid carry none."""
+    an IFS net with ratio 1/q and digits e_i / d sits at lo + m h, h =
+    (hi - lo) / (d q^k).  Finite sets and IFS with no digits carry none."""
     net = discretize(CompactSet.interval(0.2, 1.7), 0.0103)
     steps = net.n - 1
     assert net.grid == (0.2, 1.5 / steps, None)
@@ -283,12 +270,82 @@ def test_nets_carry_their_integer_grid():
     assert np.array_equal(net.points, t0 + m * h)
     touching = discretize(CompactSet.ifs([1 / 3] * 3, [0, 1 / 3, 2 / 3]), 0.01)
     assert touching.n == 3 ** 5 + 1 and touching.grid[2] is None
+    # digits 0, 3/2 and 3: the grid of step 1 / (2 4^k), index from {0, 2}
+    rational = CompactSet.ifs([0.25] * 3, [0, 0.375, 0.75])
+    q, d, e = rational.params["digits"]
+    assert (q, d, e.tolist()) == (4, 2, [0, 3, 6])
+    t0, h, m = discretize(rational, 0.1).grid
+    assert (t0, h) == (0.0, 1.0 / 32.0)
+    assert m.tolist() == sorted({a + 4 * b for a in (0, 2, 3, 5, 6, 8) for b in (0, 3, 6)})
+    fifths = CompactSet.ifs([0.25] * 3, [0, 0.3, 0.75])          # c = 1.2: d = 5
+    assert fifths.params["digits"][1] == 5 and discretize(fifths, 0.01).grid[1] == 1 / 1280
     for cset in (CompactSet.finite(np.linspace(0.0, 1.0, 7)),
-                 CompactSet.ifs([0.25] * 3, [0, 0.375, 0.75])):
+                 CompactSet.ifs([0.25] * 3, [0, 0.37, 0.75])):     # c = 1.48: d = 25
+        assert cset.kind == "finite" or cset.params["digits"] is None
         assert discretize(cset, 0.01).grid is None
-    # q = 100 has digits, but 100^11 steps at depth 11 are finer than the floats
+
+
+@pytest.mark.parametrize("cset", [CompactSet.interval(0.2, 1.7), CompactSet.cantor(),
+                                  CompactSet.cantor(0.25),
+                                  CompactSet.ifs([1 / 3] * 3, [0, 1 / 3, 2 / 3]),
+                                  CompactSet.ifs([0.25] * 3, [0, 0.375, 0.75]),
+                                  CompactSet.ifs([0.25] * 3, [0, 0.3, 0.75])],
+                         ids=["interval", "cantor3", "cantor0.25", "touching", "halves",
+                              "fifths"])
+def test_grid_matches_points(cset):
+    """Every net a set grids has point i at t0 + m_i h within 4 ulps of
+    its span; interval points are `np.linspace`'s exactly."""
+    for delta in (0.1, 0.003, 1e-4):
+        net = discretize(cset, delta)
+        t0, h, m = net.grid
+        m = np.arange(net.n) if m is None else m
+        assert m.dtype == np.int64 and m[0] >= 0 and np.all(np.diff(m) > 0)
+        span = net.points[-1] - net.points[0]
+        assert np.max(np.abs(net.points - (t0 + m * h))) <= 4 * np.spacing(span)
+        if cset.kind == "interval":
+            assert np.array_equal(net.points, np.linspace(0.2, 1.7, net.n))
+
+
+def test_ifs_net_finer_than_the_floats_is_refused():
+    """Ratio 1/100 has digits, and its step 100^-k passes 4 ulps of hi = 1
+    at depth 8: the net is refused there and deeper, never handed to the
+    float route (which merged it to 502 of 512 and 1,105 of 4,096
+    points).  At delta 1e-12 it is still its integer grid."""
     deep = CompactSet.ifs([0.01, 0.01], [0, 0.99])
-    assert deep.params["digits"][0] == 100 and discretize(deep, 1e-20).grid is None
+    assert deep.params["digits"][:2] == (100, 1)
+    for delta in (1e-14, 1e-20):
+        with pytest.raises(MeshTooFine, match="float resolution"):
+            discretize(deep, delta)
+    net = discretize(deep, 1e-12)
+    t0, h, m = net.grid
+    assert net.n == 256 and m is not None and np.array_equal(net.points, t0 + m * h)
+
+
+def _ifs_endpoints(ratios, trans, depth):
+    # direct expansion oracle over the hull [0, 1], independent of the library walk
+    ends = np.array([0.0, 1.0])
+    for _ in range(depth):
+        ends = np.concatenate([r * ends + t for r, t in zip(ratios, trans)])
+    return np.unique(ends)
+
+
+@pytest.mark.parametrize("ratios, trans, refused_at", [
+    ([0.3, 0.45], [0, 0.55], 17),           # the point cap ends it first
+    ([0.011, 0.013], [0, 0.987], 8)])       # r_min^8 = 2.1e-16 < 4 * 8 ulps of 1
+def test_float_route_nets_are_full_at_every_depth_the_guard_allows(ratios, trans,
+                                                                 refused_at):
+    """Non-touching maps with no digits: each allowed depth gives all
+    2^(k+1) cylinder endpoints, as the expansion oracle does; the first
+    refused depth, and every deeper one, raises MeshTooFine."""
+    cset = CompactSet.ifs(ratios, trans)
+    assert cset.params["digits"] is None and cset.params["hull"] == (0.0, 1.0)
+    for k in range(refused_at):
+        net = discretize(cset, max(ratios) ** k)
+        assert net.grid is None and net.n == 2 ** (k + 1)
+        assert np.array_equal(net.points, _ifs_endpoints(ratios, trans, k))
+    for k in (refused_at, refused_at + 3):
+        with pytest.raises(MeshTooFine):
+            discretize(cset, max(ratios) ** k)
 
 
 @pytest.mark.parametrize("a, b", [(0.0, np.inf), (np.inf, np.inf), (0.0, np.nan),
