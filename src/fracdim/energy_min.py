@@ -36,10 +36,15 @@ Cholesky routine).
 Kernel values come from `KernelFamily` alone.  `rung_min_energy` solves
 a power-law rung's positive definite convex minorant g <= K <= R(s) g
 (`KernelFamily.convex_minorant`) for (v, Gv), v = G^-1 1 (Levinson on
-equal-gap nets, else Cholesky of its matrix, gathered row by row on a
-grid subset), and hands it to `min_energy`, which starts at g's
-minimizer and reports Z_lower <= Z <= R(s) Z_lower, Z_lower g's minimum
-when v is exact; `min_energy` factors nothing more on these rungs.
+equal-gap nets; block PCG on a grid subset of more than 1,024 points
+made of translated blocks, such as a deep Cantor net; else Cholesky of
+its matrix, gathered row by row on a grid subset), and hands it to
+`min_energy`, which starts at g's minimizer and reports
+Z_lower <= Z <= R(s) Z_lower, Z_lower g's minimum when v is exact;
+`min_energy` factors nothing more on these rungs.  A ladder rung whose
+grid index is copies of the previous rung's (an IFS net one depth
+deeper) may instead start at the previous weights, tiled
+(`_warm_start`), when that start's energy is lower.
 """
 
 from __future__ import annotations
@@ -63,6 +68,9 @@ ENUM_BUDGET = 200_000_000      # lattice points an exhaustive search may visit
 _ENUM_CHUNK_ROWS = 1 << 18     # bounds the rows held per enumerated block
 _GRID_FLOATS = 16              # floats per grid point a grid kernel and its FW run hold
 PSD_PROBE_CAP = 1024           # largest kernel without a minorant that is factored
+_PCG_BLOCK = 1024              # largest diagonal block block PCG factors
+_PCG_MAX_ITER = 50
+_PCG_RTOL = 1e-13              # max |1 - Gv| at which block PCG stops
 _RESYNC_EVERY = 512            # refresh the cached gradient this often
 _ROW_BLOCK = 256               # kernel rows assembled per evaluation
 _SUM_TOL = 1e-12
@@ -144,15 +152,17 @@ class ToeplitzKernel:
         u[self.index] = w
         return fft.irfft(self._spectrum * fft.rfft(u), L)[self.index]
 
-    def dense(self) -> np.ndarray:
-        """The n x n matrix, gathered row by row into it, so that no
-        block of indices or values is held beside it."""
-        n = self.shape[0]
-        m = self._base - (self.col.size - 1)
+    def dense(self, size: int | None = None) -> np.ndarray:
+        """The leading size x size block (the n x n matrix by default),
+        gathered row by row into it, so that no block of indices or
+        values is held beside it."""
+        n = self.shape[0] if size is None else size
+        base = self._base[:n]
+        m = base - (self.col.size - 1)
         A = np.empty((n, n))
         idx = np.empty(n, dtype=np.intp)
         for i in range(n):
-            np.subtract(self._base, m.item(i), out=idx)
+            np.subtract(base, m.item(i), out=idx)
             np.take(self.full, idx, out=A[i])
         return A
 
@@ -187,7 +197,7 @@ class EnergyResult:
     iterations: int
     restarts_used: int = 1
     status: str = "gap"              # how the best run ended: "gap", "stall" or "iters"
-    start: str | None = None         # "minorant" or "uniform"; None if no iteration ran
+    start: str | None = None         # "uniform", "minorant" or "warm"; None if no iteration ran
     Z_lower: float | None = None     # certified lower bound on the minimum, if known
 
     @property
@@ -398,7 +408,7 @@ def _frank_wolfe(K, w0: np.ndarray, tol: float, max_iter: int):
 def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
                max_iter: int = DEFAULT_MAX_ITER,
                restarts: int = DEFAULT_RESTARTS, seed: int = 0,
-               minorant=None) -> EnergyResult:
+               minorant=None, warm=None) -> EnergyResult:
     """Minimum energy Z over the probability simplex, with certificate.
 
     `minorant`, if given, is (v, Gv) for a positive semidefinite G <= K
@@ -409,7 +419,10 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
     gives v = K^-1 1, and Z_lower is the bound from (w, Kw) at the
     returned w.  Either way the first run starts at v+/1'v+ (`start`
     "minorant") if that beats the uniform measure, so Z never exceeds
-    the uniform energy.  Z_lower is None otherwise.
+    the uniform energy.  Z_lower is None otherwise.  `warm`, if given, is
+    one more first start on the net (nonnegative, normalized here),
+    reported as "warm" when its energy is the lowest of the three; ties
+    go to uniform, then minorant.
     `restarts` is the most runs made: only a first run ending with
     "stall" is followed by restarts - 1 seeded Dirichlet starts, and the
     lowest-energy run is returned with its status.  Exponential kernels
@@ -426,7 +439,6 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
     toeplitz = isinstance(A, ToeplitzKernel)
     if not toeplitz and not np.array_equal(A, A.T):
         raise ValueError("kernel matrix is not exactly symmetric")
-    w0, label = np.full(n, 1.0 / n), "uniform"
     if minorant is None:                     # K is its own, if it factors
         own = (_minorant_solve(A.dense() if toeplitz else np.array(A, dtype=float))
                if n <= PSD_PROBE_CAP else None)
@@ -436,11 +448,19 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
         if not (v.shape == gv.shape == (n,) and np.all(np.isfinite(v))
                 and np.all(np.isfinite(gv)) and np.any(v > 0)):
             raise ValueError("minorant must be (v, Gv), finite on the net, with a positive entry")
+    starts = [(np.full(n, 1.0 / n), "uniform")]
     if v is not None and np.any(v > 0):
-        start = np.clip(v, 0.0, None)
+        starts.append((np.clip(v, 0.0, None), "minorant"))
+    if warm is not None:
+        warm = np.array(warm, dtype=float)
+        if not (warm.shape == (n,) and np.all(warm >= 0) and np.all(np.isfinite(warm))
+                and warm.sum() > 0):
+            raise ValueError("warm start must be finite and nonnegative on the net, "
+                             "with a positive entry")
+        starts.append((warm, "warm"))
+    for start, _ in starts[1:]:
         start /= start.sum()
-        if float(start @ (A @ start)) < float(w0 @ (A @ w0)):
-            w0, label = start, "minorant"
+    w0, label = min(starts, key=lambda st: float(st[0] @ (A @ st[0])))   # first on ties
     runs = [_frank_wolfe(A, w0, tol, max_iter)]
     if runs[0][4] == "stall":
         rng = np.random.default_rng(seed)
@@ -545,19 +565,82 @@ def _grid_layout(net: DeltaNet):
     return (h * np.arange(N), m) if m is None or _GRID_FLOATS * N <= net.n ** 2 else None
 
 
+def _translate_blocks(m: np.ndarray, lead: np.ndarray) -> bool:
+    """Whether the index m splits into consecutive blocks of lead.size
+    points, each lead moved by an integer.  On a grid kernel, whose
+    entries depend only on m_i - m_j, every diagonal block of such an
+    index is then the leading block's matrix exactly."""
+    if m.size % lead.size:
+        return False
+    blocks = m.reshape(-1, lead.size)
+    return np.array_equal(blocks - blocks[:, :1], np.broadcast_to(lead - lead[0], blocks.shape))
+
+
+def _block_pcg(G, ones: np.ndarray):
+    """(v, Gv), v = G^-1 1, by conjugate gradients on G's FFT product,
+    preconditioned by G's diagonal blocks (block Jacobi; Concus, Golub
+    and Meurant 1985), or None.  In scope is a `ToeplitzKernel` grid
+    subset of more than _PCG_BLOCK points whose index splits into blocks
+    of b points (_PCG_BLOCK / 2 < b <= _PCG_BLOCK, the largest such b)
+    that are translates of its leading block (`_translate_blocks`): its
+    diagonal blocks are then all one matrix, Cholesky-factored once in
+    place, and each preconditioning is one triangular solve with n / b
+    right-hand sides.  The run stops once max |1 - Gv| <= _PCG_RTOL, and
+    Gv is then a fresh product; None too when _PCG_MAX_ITER iterations
+    do not reach it.  LinAlgError when the block does not factor, or a
+    step finds p'Gp <= 0: G is not positive definite."""
+    n = G.shape[0]
+    if not isinstance(G, ToeplitzKernel) or G.index is None or n <= _PCG_BLOCK:
+        return None
+    b = next((b for b in range(_PCG_BLOCK, _PCG_BLOCK // 2, -1)
+              if _translate_blocks(G.index, G.index[:b])), None)
+    if b is None:
+        return None
+    factor = linalg.cho_factor(G.dense(b).T, overwrite_a=True, check_finite=False)
+
+    def precondition(r):
+        return linalg.cho_solve(factor, r.reshape(-1, b).T, check_finite=False).T.ravel()
+
+    v, gv, r = np.zeros(n), np.zeros(n), ones.copy()
+    p = rz = None
+    for _ in range(_PCG_MAX_ITER):
+        z = precondition(r)
+        rz, rz_prev = float(r @ z), rz
+        p = z if p is None else z + (rz / rz_prev) * p
+        gp = G @ p
+        pgp = float(p @ gp)
+        if not pgp > 0:
+            raise np.linalg.LinAlgError("minorant is not positive definite")
+        alpha = rz / pgp
+        v += alpha * p
+        gv += alpha * gp
+        r = ones - gv
+        if np.max(np.abs(r)) <= _PCG_RTOL:        # confirmed on a fresh product
+            gv = G @ v
+            r = ones - gv
+            if np.max(np.abs(r)) <= _PCG_RTOL:
+                return v, gv
+    return None
+
+
 def _minorant_solve(G):
     """(v, Gv), v = G^-1 1, for a positive definite G, or None when the
-    solve fails or is not finite: Levinson (O(n) memory, no test of
-    definiteness) and an FFT product on a `ToeplitzKernel` of a whole
-    grid, else Cholesky in place on G.T (the same matrix in Fortran
-    order; a dense G is overwritten by its factor U) of G or of a grid
-    subset's gathered matrix, and Gv = U'(Uv).  Gv is computed, not
-    taken to be 1, so its bound holds however inexact v is."""
+    solve fails or is not finite.  Three routes: Levinson (O(n) memory,
+    no test of definiteness) and an FFT product on a `ToeplitzKernel` of
+    a whole grid; block PCG (`_block_pcg`, which tests definiteness only
+    on its block and its steps) on a grid subset of more than _PCG_BLOCK
+    points made of translated blocks; else Cholesky in place
+    on G.T (the same matrix in Fortran order; a dense G is overwritten by
+    its factor U) of G or of a grid subset's gathered matrix, and
+    Gv = U'(Uv).  Gv is computed, not taken to be 1, so its bound holds
+    however inexact v is."""
     ones = np.ones(G.shape[0])
     try:
         if isinstance(G, ToeplitzKernel) and G.index is None:
             v = linalg.solve_toeplitz(G.col, ones, check_finite=False)
             gv = G @ v
+        elif (solved := _block_pcg(G, ones)) is not None:
+            v, gv = solved
         else:
             A = G.dense() if isinstance(G, ToeplitzKernel) else G
             U, lower = linalg.cho_factor(A.T, overwrite_a=True, check_finite=False)
@@ -568,10 +651,29 @@ def _minorant_solve(G):
     return (v, gv) if np.all(np.isfinite(v)) and np.all(np.isfinite(gv)) else None
 
 
+def _warm_start(net: DeltaNet, prev):
+    """tile(w_prev) / M when the net's grid index is M >= 2 blocks, each
+    the previous rung's index moved by an integer (`_translate_blocks`),
+    else None.  prev is (net, EnergyResult) of the previous rung, or
+    None.  An IFS net with digits at depth k + 1 is the union of the
+    depth-k index moved by e_i q^k, so consecutive rungs of its ladder
+    qualify; whole grids (interval nets) and repeated nets never do."""
+    if prev is None or net.grid is None or prev[0].grid is None:
+        return None
+    m, m_prev = net.grid[2], prev[0].grid[2]
+    if m is None or m_prev is None or m.size <= m_prev.size or not _translate_blocks(m, m_prev):
+        return None
+    M = m.size // m_prev.size
+    return np.tile(prev[1].weights.w, M) / M
+
+
 def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
-                    tol: float = DEFAULT_TOL, **solver_kw) -> EnergyResult:
+                    tol: float = DEFAULT_TOL, prev=None, **solver_kw) -> EnergyResult:
     """Minimum energy of one family at one scale over a net, passing
-    `solver_kw` (restarts, seed, max_iter) to `min_energy`.
+    `solver_kw` (restarts, seed, max_iter) to `min_energy`.  `prev` is
+    the previous ladder rung's (net, EnergyResult), or None; when the
+    net is copies of it, `min_energy` also tries the start `_warm_start`
+    builds from its weights.
 
     The kernel, and a power-law rung's convex minorant g, are laid out by
     `_assemble`, which raises NetTooLarge above DENSE_NET_CAP points
@@ -579,9 +681,10 @@ def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
     it (`_grid_layout`), with no n x n kernel, and dense otherwise; a
     quadrature or Monte Carlo family is evaluated once per distinct
     distance the net uses.  Power-law rungs (ValueError if eps is out of
-    range) first solve g (`_minorant_solve`: on a grid subset, the
-    Cholesky factor of g's matrix gathered from the grid vector), free
-    it, and hand (v, Gv) to `min_energy` as its `minorant`: Z_lower =
+    range) first solve g (`_minorant_solve`: on a grid subset, block
+    PCG above 1,024 points made of translated blocks, else the Cholesky
+    factor of g's matrix gathered from the grid vector), free it, and
+    hand (v, Gv) to `min_energy` as its `minorant`: Z_lower =
     (min_i (Gv)_i)^2 / v'Gv, g's minimum 1/1'v when v = G^-1 1 exactly,
     so Z_lower <= Z <= R(s) Z_lower.  Other rungs, and a minorant solve
     that fails, are factored by `min_energy` like a caller's matrix, but
@@ -595,7 +698,8 @@ def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
                                              pts, grid).values)
     K = _assemble(lambda r: family.evaluate(scale, r), pts, grid,
                   distinct=family.kind == "exact")
-    result = min_energy(K, tol=tol, minorant=minorant, **solver_kw)
+    result = min_energy(K, tol=tol, minorant=minorant, warm=_warm_start(net, prev),
+                        **solver_kw)
     result.Z_lower = None if family.sampled else result.Z_lower
     return result
 

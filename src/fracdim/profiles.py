@@ -94,11 +94,16 @@ class ProfileReport:
 
 def _energy_ladder(cset: CompactSet, scales, mesh_for_scale, solve):
     """Rung meshes and EnergyResults over a ladder, solved in order; rung
-    k's net is solved by solve(k, scale, net)."""
+    k's net is solved by solve(k, scale, net, prev), prev the previous
+    rung's (net, result), None on the first."""
     scales = np.asarray(scales, dtype=float)
     meshes = [mesh_for_scale(scale) for scale in scales]
-    return meshes, [solve(k, scale, discretize(cset, delta))
-                    for k, (scale, delta) in enumerate(zip(scales, meshes))]
+    results, prev = [], None
+    for k, (scale, delta) in enumerate(zip(scales, meshes)):
+        net = discretize(cset, delta)
+        results.append(solve(k, scale, net, prev))
+        prev = (net, results[-1])
+    return meshes, results
 
 
 def _ladder_report(cset: CompactSet, family_tag: str, param: dict,
@@ -126,8 +131,9 @@ def box_profile(cset: CompactSet, family: KernelFamily, eps_ladder,
         raise ValueError(f"mesh_ratio must be finite and > 0, got {mesh_ratio!r}")
     meshes, results = _energy_ladder(
         cset, eps, lambda e: e / mesh_ratio,
-        lambda k, e, net: rung_min_energy(family, e, net, tol, restarts=restarts,
-                                          seed=seed + k, max_iter=max_iter))
+        lambda k, e, net, prev: rung_min_energy(family, e, net, tol, prev=prev,
+                                                restarts=restarts, seed=seed + k,
+                                                max_iter=max_iter))
     ladder = LadderEstimate.fit(eps, np.array([r.value for r in results]),
                                 mode=mode)
     return _ladder_report(cset, family.kind,
@@ -163,7 +169,7 @@ def subordinator_box_dim(phi: LaplaceExponent, cset: CompactSet, lam_ladder,
 
     meshes, results = _energy_ladder(
         cset, lam, mesh,
-        lambda k, l, net: exp_kernel_min_energy(net.points, float(phi(l)), tol))
+        lambda k, l, net, prev: exp_kernel_min_energy(net.points, float(phi(l)), tol))
     ladder = LadderEstimate.fit(lam, np.array([r.value for r in results]),
                                 mode=mode, y_transform="neg_log")
     return _ladder_report(cset, "subexp", {"phi": phi.to_config()}, ladder,

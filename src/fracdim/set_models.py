@@ -227,17 +227,32 @@ def _ifs_net(cset, delta, cap):
     else:                   # the grid step; one rounding in lo + m h
         q, d, e = digits
         spacing, roundings = width / (d * q ** depth), 1
-    if depth and not spacing > 4 * roundings * np.spacing(hi):      # 4 ulps of hi per rounding
+    margin = 4 * roundings * np.spacing(hi)     # 4 ulps of hi per rounding
+    if depth and not spacing > margin:
         raise MeshTooFine(f"IFS net at depth {depth} is below float resolution at {hi:g}")
-    if digits is None:      # iterate interval endpoints through all words of the depth
-        ends = np.array([lo, hi])
+    if digits is None:      # iterate interval endpoints through all words of the depth;
+        ends = np.array([lo, hi])   # touching cylinders round a shared end twice, within margin
         for _ in range(depth):
             ends = np.concatenate([r * ends + t for r, t in zip(ratios, trans)])
-        return DeltaNet(np.unique(ends))
+        return DeltaNet(_merge_within(np.unique(ends), margin))
     m = np.array([0, d], dtype=np.int64)         # on integers, depth j adds d c_i q^j
     for j in range(depth):
         m = np.unique(np.concatenate([m + ei * q ** j for ei in e.tolist()]))
     return _grid_net(lo, spacing, m)
+
+
+def _merge_within(x: np.ndarray, margin: float) -> np.ndarray:
+    """Sorted x less each point within margin of the last point kept
+    before it, in one left-to-right sweep over the close pairs: the kept
+    points are more than margin apart, and every point of x lies within
+    margin of one."""
+    keep = np.ones(x.size, dtype=bool)
+    anchor = 0
+    for i in (np.flatnonzero(np.diff(x) <= margin) + 1).tolist():
+        if keep[i - 1]:
+            anchor = i - 1
+        keep[i] = x[i] - x[anchor] > margin
+    return x[keep]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from fracdim.energy_min import (_GRID_FLOATS, _RESYNC_EVERY,
                                 EnergyResult, KernelMatrix, SimplexWeights,
                                 ToeplitzKernel, _assemble, _frank_wolfe,
                                 _exp_certificate, _exp_potential,
-                                _gap_certificate, _grid_layout,
+                                _block_pcg, _gap_certificate, _grid_layout,
                                 _minorant_solve,
                                 build_kernel, exp_kernel_min_energy,
                                 is_psd, kkt_certificate,
@@ -266,6 +266,50 @@ def test_fh_minorant_solve_matches_dense_solve():
                                      coincident, None).values) is None
 
 
+@pytest.mark.parametrize("depth, blocks", [(10, 2), (11, 4)])
+def test_block_pcg_minorant_matches_cholesky_on_cantor_nets(depth, blocks):
+    """The depth-10 and depth-11 Cantor nets (n = 2,048 and 4,096) are 2
+    and 4 translates of the depth-9 net's 1,024-point index, so their
+    minorants are solved by block PCG; at s = 1/2 and 3/2 its Z_lower is
+    within 1e-12 relative of Cholesky's on the gathered matrix, and Gv
+    is finite and within 1e-13 of 1."""
+    net = discretize(CompactSet.cantor(), 3.0 ** -depth, point_cap=DENSE_NET_CAP)
+    m = net.grid[2]
+    assert net.n == 1024 * blocks
+    assert energy_min._translate_blocks(m, m[:1024])
+    for s in (0.5, 1.5):
+        fam = KernelFamily.fh(s)
+        G = _assemble(lambda r: fam.convex_minorant(10 * 3.0 ** -depth, r),
+                      net.points, _grid_layout(net)).values
+        pcg = _block_pcg(G, np.ones(net.n))
+        assert pcg is not None
+        v, gv = _minorant_solve(G)
+        assert np.array_equal(v, pcg[0]) and np.array_equal(gv, pcg[1])
+        assert np.all(np.isfinite(gv)) and np.max(np.abs(1 - gv)) <= 1e-13
+        ref = _gap_certificate(*_minorant_solve(G.dense()))[2]
+        assert abs(_gap_certificate(v, gv)[2] - ref) <= 1e-12 * ref
+
+
+def test_grid_subsets_without_translated_blocks_or_past_the_cap_use_cholesky(monkeypatch):
+    """A 1,200-point grid subset made of two unequal 600-point blocks
+    (unit and double steps) is not in block PCG's scope: its minorant
+    solve is the Cholesky solve of its gathered matrix, bit for bit.  So
+    is a Cantor minorant when PCG spends its iteration cap."""
+    fam = KernelFamily.fh(1.5)
+    index = np.concatenate((np.arange(600), 1000 + 2 * np.arange(600)))
+    G = ToeplitzKernel(fam.convex_minorant(0.01, 1e-3 * np.arange(2200)), index)
+    assert _block_pcg(G, np.ones(1200)) is None
+    for got, want in zip(_minorant_solve(G), _minorant_solve(G.dense())):
+        assert np.array_equal(got, want)
+    net = discretize(CompactSet.cantor(), 3.0 ** -10)
+    G = _assemble(lambda r: fam.convex_minorant(10 * 3.0 ** -10, r),
+                  net.points, _grid_layout(net)).values
+    monkeypatch.setattr(energy_min, "_PCG_MAX_ITER", 0)
+    assert _block_pcg(G, np.ones(net.n)) is None
+    for got, want in zip(_minorant_solve(G), _minorant_solve(G.dense())):
+        assert np.array_equal(got, want)
+
+
 def test_power_law_rung_with_an_underflowing_eps_raises_value_error():
     # sandwich:2 at scale 1e-170 has eps = 1e-340, which underflows to 0
     net = DeltaNet(np.array([0.0, 0.5, 1.0]))
@@ -275,8 +319,10 @@ def test_power_law_rung_with_an_underflowing_eps_raises_value_error():
 
 def test_only_kernels_without_a_minorant_get_their_own_solve(monkeypatch):
     """fh rungs hand their minorant solve to `min_energy`, which factors
-    nothing more, on the C7 ladder and on a Cantor ladder; an exact
-    Cauchy rung and a caller's PSD matrix are factored once each by
+    nothing more, on the C7 ladder and on a Cantor ladder, where every
+    interval rung and the first Cantor rung start at the minorant and
+    later Cantor rungs at the previous rung's weights; an exact Cauchy
+    rung and a caller's PSD matrix are factored once each by
     `min_energy`, start at their own clipped K^-1 1 and carry the bound
     m (m / Z) from their returned weights."""
     own = []
@@ -288,12 +334,12 @@ def test_only_kernels_without_a_minorant_get_their_own_solve(monkeypatch):
 
     monkeypatch.setattr(energy_min, "_minorant_solve", recorded)
     eps = 0.028 * (1.0 / 3.0) ** np.arange(4)
-    for rep in (fh_profile(CompactSet.interval(0, 1), 0.5, eps, mesh_ratio=5.0,
-                           restarts=2, seed=0),
-                fh_profile(CompactSet.cantor(), 1.5, 3.0 ** -np.arange(2, 6.0),
-                           restarts=2, seed=0)):
-        for rung in rep.rungs:
-            assert rung["start"] == "minorant" and rung["Z_lower"] is not None
+    for rep, starts in ((fh_profile(CompactSet.interval(0, 1), 0.5, eps, mesh_ratio=5.0,
+                                    restarts=2, seed=0), ["minorant"] * 4),
+                        (fh_profile(CompactSet.cantor(), 1.5, 3.0 ** -np.arange(2, 6.0),
+                                    restarts=2, seed=0), ["minorant"] + ["warm"] * 3)):
+        assert [rung["start"] for rung in rep.rungs] == starts
+        assert all(rung["Z_lower"] is not None for rung in rep.rungs)
     assert own == []
     cauchy_net = discretize(CompactSet.interval(0, 1), 0.02)
     cauchy = rung_min_energy(KernelFamily.exact(LevyModel.isotropic_stable(1.0)),
@@ -411,6 +457,26 @@ def test_minorant_must_be_finite_on_the_net_with_a_positive_entry():
     for pair in [(v, ones) for v in bad_v] + [(ones, gv) for gv in bad_gv]:
         with pytest.raises(ValueError, match="minorant"):
             min_energy(km, minorant=pair)
+    for warm in (np.ones(n + 1), np.ones((n, 1)), nan, inf, np.zeros(n), -np.ones(n)):
+        with pytest.raises(ValueError, match="warm start"):
+            min_energy(km, warm=warm)
+
+
+def test_warm_start_runs_only_when_its_energy_is_lowest():
+    """`min_energy` starts from the lowest-energy of the uniform measure
+    and a caller's warm start (normalized, the caller's array untouched);
+    an equal-energy warm start loses the tie, and a start at the solved
+    minimum takes no iteration."""
+    km = build_kernel(KernelFamily.fh(0.5), 0.1, discretize(CompactSet.interval(0, 1), 0.05))
+    n = km.n
+    best = min_energy(km, tol=0.0, max_iter=5000)
+    assert best.start == "uniform" and best.iterations > 0
+    warm = 3.0 * best.weights.w
+    res = min_energy(km, tol=0.0, max_iter=5000, warm=warm)
+    assert np.array_equal(warm, 3.0 * best.weights.w)
+    assert res.start == "warm" and res.value <= best.value * (1 + 1e-12)
+    assert min_energy(km, warm=np.ones(n)).start == "uniform"
+    assert min_energy(km, warm=2.0 * best.weights.w).iterations == 0
 
 
 def test_sandwich_rung_is_the_fh_rung_at_mapped_parameters():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fracdim import profiles
+from fracdim import energy_min, profiles
 from fracdim.energy_min import (DENSE_NET_CAP, EnergyResult, SimplexWeights,
                                 _assemble, _exp_potential, _grid_layout,
                                 exp_kernel_min_energy, rung_min_energy)
@@ -102,8 +102,12 @@ def test_profile_report_roundtrip(tmp_path):
     for rung in data["rungs"]:
         assert set(rung) == RUNG_KEYS
         assert rung["n"] >= 2 and rung["restarts_used"] >= 1
-        assert rung["start"] in ("minorant", "uniform")
         assert rung["converged"] is (rung["status"] == "gap")
+    # eps halves and the Cantor depth steps 5, 5, 6, 7: only a rung after
+    # the first may start warm, the repeated net cannot, and at depth 7
+    # the minorant start is lower
+    assert [r["n"] for r in data["rungs"]] == [64, 64, 128, 256]
+    assert [r["start"] for r in data["rungs"]] == ["minorant", "minorant", "warm", "minorant"]
     assert data["converged"] is all(r["converged"] for r in data["rungs"])
     rows = cpath.read_text().strip().splitlines()
     assert rows[0] == "set,family,s_or_phi,scale,Z_or_value"
@@ -165,10 +169,12 @@ def test_psd_rungs_carry_the_duality_bound(monkeypatch):
 
 def test_fh_rungs_bracketed_by_minorant_on_c6_c7_ladders():
     """Every rung is bracketed by its convex minorant's minimum,
-    Z_lower <= Z <= R(s) Z_lower, and the minorant start keeps the
-    Frank-Wolfe work of the C7 and C6 Cantor ladders (the fh_profile
-    benchmark's two) under 20,000 iterations, one start per rung.
-    Iteration counts are deterministic."""
+    Z_lower <= Z <= R(s) Z_lower.  Interval rungs and the first Cantor
+    rung start at the minorant, Cantor rungs 2-6 at the previous rung's
+    weights, and together these starts keep the Frank-Wolfe work of the
+    C7 and C6 Cantor ladders (the fh_profile benchmark's two) under
+    11,000 iterations, one start per rung.  Iteration counts are
+    deterministic."""
     eps_i = 0.028 * (1.0 / 3.0) ** np.arange(4)
     reports = [
         (0.5, fh_profile(CompactSet.interval(0, 1), 0.5, eps_i, mesh_ratio=5.0,
@@ -178,16 +184,89 @@ def test_fh_rungs_bracketed_by_minorant_on_c6_c7_ladders():
         (1.5, fh_profile(CompactSet.cantor(), 1.5, 3.0 ** -np.arange(2, 8.0),
                          restarts=2, seed=0)),
     ]
-    for s, rep in reports:
+    starts = [["minorant"] * 4, ["minorant"] * 4, ["minorant"] + ["warm"] * 5]
+    for (s, rep), want in zip(reports, starts):
         R = 1.0 / (1.0 - s / (1.0 + s) * (1.0 + s) ** (-1.0 / s))
+        assert [rung["start"] for rung in rep.rungs] == want
         for rung in rep.rungs:
-            assert rung["start"] == "minorant" and rung["restarts_used"] == 1
+            assert rung["restarts_used"] == 1
             assert rung["Z_lower"] is not None
             assert rung["Z_lower"] <= rung["Z"] * (1 + 1e-9)
             assert rung["Z"] <= R * rung["Z_lower"] * (1 + 1e-9)
             assert rung["ratio"] == rung["Z"] / rung["Z_lower"]
     assert sum(rung["iterations"] for i in (0, 2)
-               for rung in reports[i][1].rungs) <= 20_000
+               for rung in reports[i][1].rungs) <= 11_000
+
+
+def _cold_ladder(monkeypatch, *args, **kw):
+    """fh_profile with no warm start offered, as before warm starts."""
+    with monkeypatch.context() as patch:
+        patch.setattr(energy_min, "_warm_start", lambda net, prev: None)
+        return fh_profile(*args, **kw)
+
+
+def test_interval_ladders_never_warm_start(monkeypatch):
+    """Interval nets are whole grids, not translates of the previous
+    rung, so no rung of the C6 interval or C7 ladder is offered a warm
+    start, and each report is byte-identical to one solved with warm
+    starts switched off."""
+    offered = []
+    warm_start = energy_min._warm_start
+    monkeypatch.setattr(energy_min, "_warm_start",
+                        lambda net, prev: offered.append(warm_start(net, prev)))
+    eps_i = 0.028 * (1.0 / 3.0) ** np.arange(4)
+    for s in (0.5, 1.5):
+        args = (CompactSet.interval(0, 1), s, eps_i)
+        kw = dict(mesh_ratio=5.0, restarts=2, seed=0)
+        rep = fh_profile(*args, **kw)
+        assert offered == [None] * 4
+        offered.clear()
+        assert json.dumps(rep.to_json_dict()) == json.dumps(
+            _cold_ladder(monkeypatch, *args, **kw).to_json_dict())
+
+
+def test_cantor_ladder_warm_starts_only_where_the_index_is_translated(monkeypatch):
+    """With eps halving (depths 5, 5, 6, 7, 7, 8) or falling ninefold
+    (depths 4, 6, 8), a rung is offered the warm start exactly when its
+    index is M >= 2 translates of the previous rung's, and a rung whose
+    net repeats the previous one starts at the minorant."""
+    offered = []
+    warm_start = energy_min._warm_start
+
+    def recorded(net, prev):
+        warm = warm_start(net, prev)
+        offered.append(warm is not None)
+        return warm
+
+    monkeypatch.setattr(energy_min, "_warm_start", recorded)
+    for eps, depths in ((0.1 * 0.5 ** np.arange(6), [5, 5, 6, 7, 7, 8]),
+                        (0.3 / 9.0 ** np.arange(3), [4, 6, 8])):
+        offered.clear()
+        rep = fh_profile(CompactSet.cantor(), 1.5, eps, restarts=2, seed=0)
+        assert [r["n"] for r in rep.rungs] == [2 ** (k + 1) for k in depths]
+        nets = [discretize(CompactSet.cantor(), e / 10) for e in eps]
+        translated = [False] + [b.n > a.n and energy_min._translate_blocks(b.grid[2], a.grid[2])
+                                for a, b in zip(nets, nets[1:])]
+        assert translated == [k > 0 and depths[k] > depths[k - 1] for k in range(len(depths))]
+        assert offered == translated
+        for rung, ok in zip(rep.rungs, translated):
+            assert rung["start"] in (("minorant", "warm") if ok else ("minorant",))
+        assert any(r["start"] == "warm" for r in rep.rungs)
+
+
+def test_c6_warm_started_rungs_match_minorant_started_solves(monkeypatch):
+    """Each warm-started C6 Cantor rung (rungs 2-6) reaches Z within
+    1e-12 relative of the same rung started at the minorant, and the
+    same Z_lower: the minorant solve does not depend on the start."""
+    eps = 3.0 ** -np.arange(2, 8.0)
+    warm = fh_profile(CompactSet.cantor(), 1.5, eps, restarts=2, seed=0)
+    cold = _cold_ladder(monkeypatch, CompactSet.cantor(), 1.5, eps, restarts=2, seed=0)
+    assert [r["start"] for r in warm.rungs] == ["minorant"] + ["warm"] * 5
+    assert all(r["start"] == "minorant" for r in cold.rungs)
+    for a, b in zip(warm.rungs, cold.rungs):
+        assert abs(a["Z"] - b["Z"]) <= 1e-12 * b["Z"]
+        assert a["Z_lower"] == b["Z_lower"]
+    assert abs(warm.estimate - cold.estimate) <= 1e-12
 
 
 def test_c6_interval_rungs_stay_within_3_3_percent_of_the_minorant():

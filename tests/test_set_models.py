@@ -321,9 +321,9 @@ def test_ifs_net_finer_than_the_floats_is_refused():
     assert net.n == 256 and m is not None and np.array_equal(net.points, t0 + m * h)
 
 
-def _ifs_endpoints(ratios, trans, depth):
-    # direct expansion oracle over the hull [0, 1], independent of the library walk
-    ends = np.array([0.0, 1.0])
+def _ifs_endpoints(ratios, trans, depth, hull=(0.0, 1.0)):
+    # direct expansion oracle over the hull, independent of the library walk
+    ends = np.array(hull)
     for _ in range(depth):
         ends = np.concatenate([r * ends + t for r, t in zip(ratios, trans)])
     return np.unique(ends)
@@ -346,6 +346,28 @@ def test_float_route_nets_are_full_at_every_depth_the_guard_allows(ratios, trans
     for k in (refused_at, refused_at + 3):
         with pytest.raises(MeshTooFine):
             discretize(cset, max(ratios) ** k)
+
+
+def test_touching_float_route_nets_merge_shared_ends():
+    """ifs([0.3, 0.7], [0, 0.3]) tiles its hull [0, 1 - 2^-52]: the two
+    depth-k cylinders that meet at a point round it apart by up to 1e-12
+    (6e-22 apart at delta 0.02, 50 such pairs), and the net keeps one of
+    them.  At depths 3, 6 and 9 its 2^k + 1 points lie more than the
+    resolution margin (4 ulps of hi per rounding) apart, and every
+    endpoint of a direct expansion lies within it of a net point."""
+    cset = CompactSet.ifs([0.3, 0.7], [0, 0.3])
+    hull = cset.params["hull"]
+    assert cset.params["digits"] is None and hull == (0.0, 1.0 - 2.0 ** -52)
+    assert discretize(cset, 0.02).n == 2 ** 11 + 1
+    for k in (3, 6, 9):
+        net = discretize(cset, 0.7 ** k)
+        margin = 4 * k * np.spacing(hull[1])
+        assert net.grid is None and net.n == 2 ** k + 1
+        assert np.min(np.diff(net.points)) > margin
+        ends = _ifs_endpoints([0.3, 0.7], [0, 0.3], k, hull)
+        near = np.clip(np.searchsorted(net.points, ends), 1, net.n - 1)
+        gap = np.minimum(np.abs(ends - net.points[near - 1]), np.abs(ends - net.points[near]))
+        assert ends.size > net.n and np.max(gap) <= margin
 
 
 @pytest.mark.parametrize("a, b", [(0.0, np.inf), (np.inf, np.inf), (0.0, np.nan),
