@@ -11,6 +11,7 @@ log-log ladder slopes of it.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -290,27 +291,53 @@ def kolmogorov_capacity(cloud, r: float) -> int:
 
 
 def capacity_counts(cloud, radii) -> list[int]:
-    """`kolmogorov_capacity` of one cloud at each radius; a 1-d cloud is
-    sorted once for the whole list."""
+    """`kolmogorov_capacity` of one cloud at each radius.
+
+    A 1-d cloud is read as it is when it is already sorted and contiguous
+    (a net, or a path sorted in place); otherwise one sorted copy serves
+    the whole list.  The input is never modified.  A NaN or infinite
+    point raises ValueError.
+    """
     radii = [float(r) for r in radii]
     if any(not r > 0 for r in radii):
         raise ValueError("radius must be positive")
     pts = _as_points(cloud)
     seps = [r * (1.0 - SEPARATION_SLACK) for r in radii]
-    if pts.shape[1] == 1:
-        x = np.sort(pts[:, 0])
-        return [_capacity_1d(x, sep) for sep in seps]
-    return [_occupied_cells(pts, sep) for sep in seps]
+    if pts.shape[1] > 1:
+        if not np.isfinite(pts).all():
+            raise ValueError("cloud holds a non-finite point")
+        return [_occupied_cells(pts, sep) for sep in seps]
+    x = pts[:, 0]
+    if not (x.flags.c_contiguous and _is_sorted(x)):
+        x = np.sort(x)                          # NaN sorts last
+    if x.size and not np.isfinite(x[[0, -1]]).all():   # sorted: ends bound all
+        raise ValueError("cloud holds a non-finite point")
+    return [_capacity_1d(x, sep) for sep in seps]
+
+
+SORTED_CHECK_BLOCK = 1 << 16     # elements compared per step of _is_sorted
+
+
+def _is_sorted(x: np.ndarray) -> bool:
+    # nondecreasing, and False on any NaN; compared in blocks so that no
+    # temporary grows with x
+    lo, hi = x[:-1], x[1:]
+    return all(np.all(lo[i:i + SORTED_CHECK_BLOCK] <= hi[i:i + SORTED_CHECK_BLOCK])
+               for i in range(0, lo.size, SORTED_CHECK_BLOCK))
 
 
 def _capacity_1d(x: np.ndarray, r: float) -> int:
-    # greedy from the left is the exact maximum in one dimension
+    # greedy from the left is the exact maximum in one dimension.  bisect
+    # on a memoryview holds the interpreter lock through the sweep, where
+    # searchsorted drops it at every step and two sweeps on two threads
+    # would hand it back and forth at every step
+    v = memoryview(x)
     count = 0
     i = 0
-    n = x.size
+    n = len(v)
     while i < n:
         count += 1
-        i = int(x.searchsorted(x[i] + r))
+        i = bisect.bisect_left(v, v[i] + r)
     return count
 
 

@@ -8,11 +8,20 @@ The mesh rule ties the net gap h to the smallest counted radius through
 h * |Psi(e / (factor * r_min))| = 1, i.e. the process typically moves
 much less than r_min between samples, making the missed oscillation
 invisible at the counted scales.
+
+Paths run on a thread pool, one array per path in flight: a path's
+values are drawn, summed and (in one dimension) sorted in place before
+they are counted.  Path i draws from a substream of (seed, i) and
+results are kept in path order, so an experiment's counts, slopes and
+reports do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -80,6 +89,14 @@ class ImageExperiment:
                 writer.writerow([i, repr(float(sl))] + [int(c) for c in row])
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def sample_path(sampler: Callable[[np.random.Generator], np.ndarray],
                 net: DeltaNet, seed: int) -> PathSample:
     """Exact path values at net times, started from X(0) = 0.
@@ -104,9 +121,16 @@ def image_dim_experiment(model: LevyModel, cset: CompactSet, n_paths: int,
     it estimates; heavy-tailed per-path noise is tamed by aggregating
     with a median rather than a mean.  `r_ladder` holds at least
     MIN_RADII finite, positive, distinct radii, checked before any path is
-    drawn.  Paths run one after another, and path i draws from a
-    substream derived from (seed, i), so the result is deterministic
-    given `seed`.
+    drawn.  Path i draws from a substream derived from (seed, i), so the
+    result is deterministic given `seed`.
+
+    Paths run on min(n_paths, usable CPUs, 2 * IMAGE_POINT_CAP // (n * d))
+    threads, n the net size: each path in flight holds one (n, d) array,
+    sorted in place when d = 1, so the paths in flight never hold more
+    values than one path and its sorted copy at the cap.  Results keep
+    path order, so they do not depend on the worker count.  The first
+    path to raise stops every path not yet started, and its exception
+    propagates.
     """
     if n_paths < 1:
         raise ValueError("need n_paths >= 1")
@@ -116,20 +140,33 @@ def image_dim_experiment(model: LevyModel, cset: CompactSet, n_paths: int,
     h = min(h, cset.diameter / MIN_NET_POINTS) if cset.diameter > 0 else h
     net = discretize(cset, h, point_cap=IMAGE_POINT_CAP)
     sampler = model.increment_sampler(np.diff(net.points, prepend=0.0))
+    failed = threading.Event()
 
-    slopes, counts = [], []
-    for i in range(n_paths):
-        # per-path integer seed derived from (seed, i), stable across runs
-        child = int(np.random.SeedSequence([seed, i]).generate_state(1, np.uint64)[0])
-        path = sample_path(sampler, net, seed=child)
-        est = minkowski_dim_estimate(path.values, r_ladder, mode=mode)
-        slopes.append(est.slope)
-        counts.append(est.values)
-    slopes, counts = np.array(slopes), np.array(counts)
+    def job(i):
+        if failed.is_set():
+            return None             # a path has raised: start no more
+        try:
+            # per-path integer seed derived from (seed, i), stable across runs
+            child = int(np.random.SeedSequence([seed, i]).generate_state(1, np.uint64)[0])
+            values = sample_path(sampler, net, seed=child).values
+            if values.shape[1] == 1:
+                values.sort(axis=0)         # counted as is, with no sorted copy
+            est = minkowski_dim_estimate(values, r_ladder, mode=mode)
+        except BaseException:
+            failed.set()
+            raise
+        return est.slope, est.values
+
+    workers = min(n_paths, _usable_cpus(), 2 * IMAGE_POINT_CAP // (net.n * model.d))
+    pool = ThreadPoolExecutor(max(workers, 1))
+    try:
+        out = list(pool.map(job, range(n_paths)))
+    finally:
+        pool.shutdown(cancel_futures=True)
+    slopes, counts = map(np.array, zip(*out))
     q25, q50, q75 = np.percentile(slopes, [25, 50, 75])
     return ImageExperiment(model=model.to_config(), set_label=cset.label,
                            n_paths=n_paths, r_ladder=r_ladder, seed=seed,
                            slopes=slopes, counts=counts,
                            median=float(q50), iqr=float(q75 - q25),
                            mode=mode, net_mesh=h)
-

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fracdim import set_models
 from fracdim.errors import DegenerateLadder, MeshTooFine
 from fracdim.ladders import LadderEstimate
 from fracdim.oracles import max_separated_1d
@@ -137,6 +138,58 @@ def test_capacity_counts_sorts_once_and_matches_oracle():
                                              for r in radii]
     with pytest.raises(ValueError):
         capacity_counts(pts, [0.5, 0.0])
+    # a sorted contiguous cloud is read as it is, anything else through a
+    # sorted copy; counts equal the sort-every-time sweep, and no input
+    # is modified
+    srt = np.sort(RNG.uniform(0, 2, 400))
+    shuffled = RNG.permutation(srt)
+    column = np.stack([srt, -srt], axis=1)[:, :1]          # sorted, strided
+    for cloud in (srt, shuffled, srt[:, None], srt[::2], column):
+        before = cloud.copy()
+        assert capacity_counts(cloud, radii) == _sort_then_sweep(cloud.ravel(), radii)
+        assert np.array_equal(cloud, before)
+    for cloud in (srt, shuffled):
+        assert capacity_counts(cloud, radii) == [max_separated_1d(cloud, r) for r in radii]
+
+
+def _sort_then_sweep(x, radii):
+    """1-d counts as computed when every call sorted a copy of its cloud."""
+    x = np.sort(x)
+    out = []
+    for r in radii:
+        sep, count, i = r * (1.0 - SEPARATION_SLACK), 0, 0
+        while i < x.size:
+            count += 1
+            i = int(x.searchsorted(x[i] + sep))
+        out.append(count)
+    return out
+
+
+def test_non_finite_cloud_raises_instead_of_sweeping_forever():
+    # a NaN or infinite point used to stall the 1-d sweep (x[i] + r lands
+    # back at i); sorted or not, 1-d or 2-d, it is now a ValueError
+    srt = np.linspace(0.0, 1.0, 50)
+    for bad in (np.nan, np.inf, -np.inf):
+        for cloud in (np.insert(srt, 20, bad), np.append(srt, bad),
+                      np.insert(srt, 0, bad), np.array([bad]),
+                      np.stack([np.append(srt, 0.5), np.append(srt, bad)], axis=1)):
+            with pytest.raises(ValueError, match="non-finite"):
+                capacity_counts(cloud, [0.1, 0.01])
+    assert capacity_counts(np.array([]), [0.1]) == [0]
+
+
+def test_sorted_check_spans_block_edges(monkeypatch):
+    monkeypatch.setattr(set_models, "SORTED_CHECK_BLOCK", 7)
+    x = np.arange(30.0)
+    assert set_models._is_sorted(x) and set_models._is_sorted(x[:1])
+    assert set_models._is_sorted(x[:0]) and set_models._is_sorted(np.zeros(15))
+    for j in range(29):
+        y = x.copy()
+        y[j], y[j + 1] = y[j + 1], y[j]
+        assert not set_models._is_sorted(y)
+        y = x.copy()
+        y[j] = np.nan
+        assert not set_models._is_sorted(y)
 
 
 def _greedy_separated(pts, r):

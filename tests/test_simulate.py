@@ -1,5 +1,10 @@
 """Path sampling and image box-counting."""
 
+import threading
+import time
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -203,3 +208,109 @@ def test_image_experiment_bit_identical_to_per_path_reference(monkeypatch):
             ref = image_dim_experiment(model, F, 3, r, seed=9)
         assert np.array_equal(got.counts, ref.counts)
         assert np.array_equal(got.slopes, ref.slopes)
+
+
+_POOL_CASES = (LevyModel.isotropic_stable(2.0, 1.0, 1),
+               LevyModel.isotropic_stable(0.8, 1.0, 1),
+               LevyModel.subordinator(LaplaceExponent.stable(0.5)),
+               LevyModel.isotropic_stable(1.5, 0.6, 2))
+
+
+def _recording_pool(monkeypatch, cpus):
+    """Hold the pool to `cpus` usable CPUs; returns the worker counts used."""
+    sizes = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", Pool)
+    return sizes
+
+
+@pytest.mark.parametrize("model", _POOL_CASES,
+                         ids=["brownian", "stable0.8", "subordinator", "planar1.5"])
+def test_image_experiment_independent_of_worker_count(monkeypatch, model):
+    F = CompactSet.interval(0, 1)
+    r = 2.0 ** -np.arange(2, 7, dtype=float)
+    runs = []
+    for cpus in (1, 2, 3, 4):
+        with monkeypatch.context() as mp:
+            sizes = _recording_pool(mp, cpus)
+            runs.append(image_dim_experiment(model, F, 6, r, seed=21))
+        assert sizes == [cpus]
+    for exp in runs[1:]:
+        assert np.array_equal(exp.counts, runs[0].counts)
+        assert np.array_equal(exp.slopes, runs[0].slopes)
+        assert exp.to_json_dict() == runs[0].to_json_dict()
+
+
+def test_pool_holds_at_most_two_paths_of_values_at_the_cap(monkeypatch):
+    # with the cap at the net's own size, the paths in flight may hold two
+    # (n, d) arrays: two workers in one dimension, one in two
+    F = CompactSet.interval(0, 1)
+    r = 2.0 ** -np.arange(2, 7, dtype=float)
+    for model, want in ((_POOL_CASES[0], 2), (_POOL_CASES[3], 1)):
+        h = image_dim_experiment(model, F, 1, r, seed=0).net_mesh
+        n = discretize(F, h, point_cap=simulate.IMAGE_POINT_CAP).n
+        with monkeypatch.context() as mp:
+            mp.setattr(simulate, "IMAGE_POINT_CAP", n)
+            sizes = _recording_pool(mp, 4)
+            image_dim_experiment(model, F, 8, r, seed=0)
+        assert sizes == [want]
+
+
+class _SamplerFault(RuntimeError):
+    pass
+
+
+def test_failing_path_stops_the_pool_and_propagates(monkeypatch):
+    # the first draw stalls, the second raises: the other worker must not
+    # start the remaining paths while the first is still in flight
+    calls, lock = [], threading.Lock()
+    real = LevyModel.increment_sampler
+
+    def faulty(self, gaps):
+        draw = real(self, gaps)
+
+        def flaky(rng):
+            with lock:
+                calls.append(None)
+                k = len(calls)
+            if k == 1:
+                time.sleep(0.3)
+            elif k == 2:
+                raise _SamplerFault("path failed")
+            return draw(rng)
+        return flaky
+
+    monkeypatch.setattr(LevyModel, "increment_sampler", faulty)
+    _recording_pool(monkeypatch, 2)
+    threads = threading.active_count()
+    with pytest.raises(_SamplerFault):
+        image_dim_experiment(LevyModel.isotropic_stable(0.8, 1.0, 1),
+                             CompactSet.interval(0, 1), 32,
+                             2.0 ** -np.arange(2, 7, dtype=float), seed=0)
+    assert len(calls) == 2
+    assert threading.active_count() == threads
+
+
+def test_paths_in_flight_hold_one_array_each(monkeypatch):
+    # 1-d Brownian images of [0, 1] on a net of 2^18 + 1 points, two paths
+    # in flight: the traced peak is the net, the sampler's per-gap scale
+    # and one array per path in flight (no sorted copies), within 10%
+    model = LevyModel.isotropic_stable(2.0, 1.0, 1)
+    F = CompactSet.interval(0, 1)
+    r = 2.0 ** -np.arange(3, 8, dtype=float)
+    sizes = _recording_pool(monkeypatch, 2)
+    tracemalloc.start()
+    try:
+        exp = image_dim_experiment(model, F, 4, r, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = discretize(F, exp.net_mesh, point_cap=simulate.IMAGE_POINT_CAP).n
+    assert n == 2 ** 18 + 1 and sizes == [2]
+    assert peak <= 1.1 * (n + n + 2 * n) * 8
