@@ -14,37 +14,20 @@ equal-step grid (`DeltaNet.grid`: interval nets, and IFS nets with
 digits) gets a `ToeplitzKernel`: one vector of the kernel's values on
 the grid, whose rows are slices or gathers and whose products are FFTs,
 so no n x n kernel is formed.  Other nets, and grids too sparse in net
-points to save memory (`_grid_layout`), are dense.  The
-linear minimization oracle over the simplex is a coordinate argmin, ties
-broken at the lowest index, and the duality gap 2(w'Kw - min_i (Kw)_i)
-comes for free.
-The away vertex is the support point whose step lowers w'Kw most, as in
-SVM-dual solvers (Fan, Chen and Lin 2005); its score is the step's line
-search and exact decrease, so a run stalls on one test, a best score
-that is not positive.
-A solve always returns, with the status of its best run: "gap" (the
-test gap <= tol * w'Kw met), "stall" (no descent step left, which on a
-PSD kernel cannot happen while the gap exceeds tol, so the kernel is
-nonconvex there) or "iters" (budget spent).  Only a stall is followed
-by seeded Dirichlet restarts.  `min_energy` alone sets each result's
-one certificate Z_lower <= Z, or None: `_gap_certificate`'s bound
-(min_i (Gu)_i)^2 / u'Gu for a PSD G <= K, from the solve u = v of a
-minorant the caller hands in, else from Frank-Wolfe's u = w on a kernel
-that factors, and so is its own minorant (`_minorant_solve`, the one
-Cholesky routine).
+points to save memory (`_grid_layout`), are dense.  `_frank_wolfe`
+states its oracle, away-vertex score and the status a run ends with
+("gap", "stall" or "iters"); a solve always returns, and only a stall
+is followed by seeded restarts.  `min_energy` alone sets each result's
+one certificate Z_lower <= Z, or None (`_gap_certificate`), from a
+minorant the caller hands in or from a kernel that factors, and so is
+its own minorant (`_minorant_solve`, the one Cholesky routine).
 
-Kernel values come from `KernelFamily` alone.  `rung_min_energy` solves
-a power-law rung's positive definite convex minorant g <= K <= R(s) g
-(`KernelFamily.convex_minorant`) for (v, Gv), v = G^-1 1 (Levinson on
-equal-gap nets; block PCG on a grid subset of more than 1,024 points
-made of translated blocks, such as a deep Cantor net; else Cholesky of
-its matrix, gathered row by row on a grid subset), and hands it to
-`min_energy`, which starts at g's minimizer and reports
-Z_lower <= Z <= R(s) Z_lower, Z_lower g's minimum when v is exact;
-`min_energy` factors nothing more on these rungs.  A ladder rung whose
-grid index is copies of the previous rung's (an IFS net one depth
-deeper) may instead start at the previous weights, tiled
-(`_warm_start`), when that start's energy is lower.
+Kernel values come from `KernelFamily` alone.  `rung_min_energy` starts
+a power-law rung at the minimizer of its convex minorant g <= K <=
+R(s) g, which certifies Z_lower <= Z <= R(s) Z_lower, or a self-similar
+ladder's rung at the previous rung's weights (`_warm_start`).  A rung
+raises NetTooLarge before it allocates the bytes it states above
+MEMORY_BUDGET (`_assemble`, `exp_kernel_min_energy`).
 """
 
 from __future__ import annotations
@@ -59,16 +42,17 @@ from scipy.linalg import blas
 from .errors import CertificateFailed, NetTooLarge, TooLarge
 from .process_models import KernelFamily
 from .set_models import DeltaNet
+from .utils import check_budget
 
-DENSE_NET_CAP = 5000
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 200_000
 DEFAULT_RESTARTS = 4
 ENUM_BUDGET = 200_000_000      # lattice points an exhaustive search may visit
 _ENUM_CHUNK_ROWS = 1 << 18     # bounds the rows held per enumerated block
-_GRID_FLOATS = 16              # floats per grid point a grid kernel and its FW run hold
-PSD_PROBE_CAP = 1024           # largest kernel without a minorant that is factored
-_PCG_BLOCK = 1024              # largest diagonal block block PCG factors
+_GRID_FLOATS = 16              # floats per grid point a grid rung holds (traced: 5-13.4)
+_NET_FLOATS = 10               # and per net point (whole grids trace 25.1 in all)
+PSD_PROBE_CAP = 1024           # bounds time, not memory: largest kernel factored with no minorant
+_PCG_BLOCK = 1024              # bounds time, not memory: largest block block PCG factors
 _PCG_MAX_ITER = 50
 _PCG_RTOL = 1e-13              # max |1 - Gv| at which block PCG stops
 _RESYNC_EVERY = 512            # refresh the cached gradient this often
@@ -155,8 +139,9 @@ class ToeplitzKernel:
     def dense(self, size: int | None = None) -> np.ndarray:
         """The leading size x size block (the n x n matrix by default),
         gathered row by row into it, so that no block of indices or
-        values is held beside it."""
+        values is held beside it; NetTooLarge above MEMORY_BUDGET."""
         n = self.shape[0] if size is None else size
+        check_budget(f"gathered {n} x {n} kernel", 8 * n * n, NetTooLarge)
         base = self._base[:n]
         m = base - (self.col.size - 1)
         A = np.empty((n, n))
@@ -244,7 +229,7 @@ def _gap_certificate(u: np.ndarray, Gu: np.ndarray):
 
 def build_kernel(family: KernelFamily, scale: float, net: DeltaNet) -> KernelMatrix:
     """K_ij = K_scale(|t_i - t_j|) as a dense matrix over a net: `_assemble`
-    with no grid, so one cap check and one distinct-distance rule hold
+    with no grid, so one budget check and one distinct-distance rule hold
     here as on a rung.  The dense reference of the grid route; no rung
     calls it."""
     return _assemble(lambda r: family.evaluate(scale, r), net.points, None,
@@ -260,27 +245,41 @@ def _distinct_gaps(x: np.ndarray) -> np.ndarray:
     return gaps
 
 
+def _kernel_bytes(n: int, N: int | None = None) -> int:
+    """Bytes of a kernel on n points: dense, or on a grid of N points."""
+    return 8 * n * n if N is None else 8 * _GRID_FLOATS * N
+
+
 def _assemble(kernel, pts: np.ndarray, grid, distinct: bool = False) -> KernelMatrix:
-    """K_ij = kernel(|t_i - t_j|) over a net of at most DENSE_NET_CAP
-    points (NetTooLarge otherwise, before the kernel is called), laid out
-    as the kernel returns it: given the layout (distances k h, grid index
-    m) of the grid a net records (`_grid_layout`), a `ToeplitzKernel` of
-    kernel(k h), so no n x n array is formed; else dense, written in
-    blocks of _ROW_BLOCK rows.  Either way K_ji comes from the same
-    distance as K_ij, so K is exactly symmetric.
+    """K_ij = kernel(|t_i - t_j|) over a net, laid out as the kernel
+    returns it: given the layout (h, N, m) of the grid a net records
+    (`_grid_layout`), a `ToeplitzKernel` of kernel(k h), k < N, so no
+    n x n array is formed; else dense, written in blocks of _ROW_BLOCK
+    rows.  Either way K_ji and K_ij share a distance: K is exactly symmetric.
+
+    NetTooLarge, before the kernel is called, when the rung would hold
+    more than MEMORY_BUDGET (traced): `_kernel_bytes`; per point, three
+    blocks of _ROW_BLOCK rows in assembly on a dense net, else
+    _NET_FLOATS of the solve's vectors; and 8 k^2 for the largest matrix
+    factored beside it, k = b on a grid subset block PCG solves
+    (`_pcg_block`), n on another or on up to PSD_PROBE_CAP points, else 0.
 
     With `distinct` (quadrature and Monte Carlo families) the kernel is
     called once, on the sorted distinct distances the net uses
     (`_distinct_gaps`): of the grid index on a grid subset, whose unused
     steps are 0 and never read, and of the points on a dense net, whose
     entries are looked up.  A whole grid uses every step as it is."""
-    if pts.size > DENSE_NET_CAP:
-        raise NetTooLarge(f"net has {pts.size} points, dense cap is {DENSE_NET_CAP}")
+    n, index = pts.size, grid and grid[2]
+    side = n * (n <= PSD_PROBE_CAP) if index is None else (_pcg_block(index) or n)
+    held = _kernel_bytes(n, grid and grid[1]) + 8 * side ** 2
+    held += 8 * n * (3 * _ROW_BLOCK if grid is None else _NET_FLOATS)
+    check_budget(f"{'grid' if grid else 'dense'} rung on {n} points", held, NetTooLarge)
     if grid is not None:
-        dist, index = grid
+        h, N, index = grid
+        dist = h * np.arange(N)
         if distinct and index is not None:
             steps = _distinct_gaps(index)
-            col = np.zeros(dist.size)
+            col = np.zeros(N)
             col[steps] = kernel(dist[steps])
         else:
             col = kernel(dist)
@@ -437,7 +436,8 @@ def min_energy(K: KernelMatrix, tol: float = DEFAULT_TOL,
     A = K.values
     n = A.shape[0]
     toeplitz = isinstance(A, ToeplitzKernel)
-    if not toeplitz and not np.array_equal(A, A.T):
+    if not toeplitz and not all(np.array_equal(A[i:i + _ROW_BLOCK], A[:, i:i + _ROW_BLOCK].T)
+                                for i in range(0, n, _ROW_BLOCK)):
         raise ValueError("kernel matrix is not exactly symmetric")
     if minorant is None:                     # K is its own, if it factors
         own = (_minorant_solve(A.dense() if toeplitz else np.array(A, dtype=float))
@@ -522,7 +522,7 @@ def _exp_certificate(pts: np.ndarray, a: float, w, tol: float) -> EnergyResult:
 def exp_kernel_min_energy(points, a: float,
                           tol: float = DEFAULT_TOL) -> EnergyResult:
     """Exact minimum energy of K_ij = exp(-a|t_i - t_j|), a >= 0, on sorted
-    points, in O(n) time and memory.
+    points, in O(n) time and 168 bytes a point (NetTooLarge above MEMORY_BUDGET).
 
     K is the covariance of the Markov chain X_1 ~ N(0, 1),
     X_{i+1} = rho_i X_i + sqrt(1 - rho_i^2) xi_i with rho_i =
@@ -543,6 +543,7 @@ def exp_kernel_min_energy(points, a: float,
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1 or pts.size == 0:
         raise ValueError("need a nonempty 1-d array of points")
+    check_budget(f"exponential rung on {pts.size} points", 168 * pts.size, NetTooLarge)
     if np.any(np.diff(pts) < 0):
         raise ValueError("points must be sorted")
     tau = np.concatenate(([1.0], np.tanh(0.5 * a * np.diff(pts)), [1.0]))
@@ -551,18 +552,19 @@ def exp_kernel_min_energy(points, a: float,
 
 
 def _grid_layout(net: DeltaNet):
-    """(dist, index) of the grid a net records (`DeltaNet.grid`), dist =
-    k h for k = 0..N-1 and index m, or None: a net with no grid, or a
-    grid subset with _GRID_FLOATS * N > n^2, where the grid route would
-    hold more than the n x n dense kernel (`full`, spectrum, curvature
-    and FFT products: traced peaks of 10 to 15.2 floats per grid point).
-    So Cantor nets of ratio 1/3 (n^2 / N from 16.8 at depth 5 up) use
-    their grid and those of ratio 1/4 (n^2 / N = 4) stay dense."""
+    """(h, N, m) of the grid a net records (`DeltaNet.grid`): its step, its
+    N points and the net's index m, or None: a net with no grid, or a
+    grid subset whose grid kernel would hold more bytes than the dense
+    one (`_kernel_bytes`, which `_assemble` checks against the budget:
+    _GRID_FLOATS N > n^2).  So Cantor nets of ratio 1/3 (n^2 / N from
+    16.8 at depth 5 up) use their grid and those of ratio 1/4
+    (n^2 / N = 4) stay dense."""
     if net.grid is None:
         return None
     _, h, m = net.grid
     N = net.n if m is None else int(m[-1]) + 1
-    return (h * np.arange(N), m) if m is None or _GRID_FLOATS * N <= net.n ** 2 else None
+    fits = m is None or _kernel_bytes(net.n, N) <= _kernel_bytes(net.n)
+    return (h, N, m) if fits else None
 
 
 def _translate_blocks(m: np.ndarray, lead: np.ndarray) -> bool:
@@ -576,24 +578,29 @@ def _translate_blocks(m: np.ndarray, lead: np.ndarray) -> bool:
     return np.array_equal(blocks - blocks[:, :1], np.broadcast_to(lead - lead[0], blocks.shape))
 
 
+def _pcg_block(index: np.ndarray) -> int | None:
+    """Block PCG's block size on a grid subset's index of more than
+    _PCG_BLOCK points: the largest b in (_PCG_BLOCK / 2, _PCG_BLOCK] whose
+    blocks translate the leading one (`_translate_blocks`), or None."""
+    if index is None or index.size <= _PCG_BLOCK:
+        return None
+    return next((b for b in range(_PCG_BLOCK, _PCG_BLOCK // 2, -1)
+                 if _translate_blocks(index, index[:b])), None)
+
+
 def _block_pcg(G, ones: np.ndarray):
     """(v, Gv), v = G^-1 1, by conjugate gradients on G's FFT product,
     preconditioned by G's diagonal blocks (block Jacobi; Concus, Golub
     and Meurant 1985), or None.  In scope is a `ToeplitzKernel` grid
-    subset of more than _PCG_BLOCK points whose index splits into blocks
-    of b points (_PCG_BLOCK / 2 < b <= _PCG_BLOCK, the largest such b)
-    that are translates of its leading block (`_translate_blocks`): its
-    diagonal blocks are then all one matrix, Cholesky-factored once in
-    place, and each preconditioning is one triangular solve with n / b
-    right-hand sides.  The run stops once max |1 - Gv| <= _PCG_RTOL, and
+    subset with a block size b (`_pcg_block`): its diagonal blocks are
+    then all one matrix, Cholesky-factored once in place, and each
+    preconditioning is one triangular solve with n / b right-hand
+    sides.  The run stops once max |1 - Gv| <= _PCG_RTOL, and
     Gv is then a fresh product; None too when _PCG_MAX_ITER iterations
     do not reach it.  LinAlgError when the block does not factor, or a
     step finds p'Gp <= 0: G is not positive definite."""
     n = G.shape[0]
-    if not isinstance(G, ToeplitzKernel) or G.index is None or n <= _PCG_BLOCK:
-        return None
-    b = next((b for b in range(_PCG_BLOCK, _PCG_BLOCK // 2, -1)
-              if _translate_blocks(G.index, G.index[:b])), None)
+    b = _pcg_block(G.index) if isinstance(G, ToeplitzKernel) else None
     if b is None:
         return None
     factor = linalg.cho_factor(G.dense(b).T, overwrite_a=True, check_finite=False)
@@ -628,12 +635,12 @@ def _minorant_solve(G):
     solve fails or is not finite.  Three routes: Levinson (O(n) memory,
     no test of definiteness) and an FFT product on a `ToeplitzKernel` of
     a whole grid; block PCG (`_block_pcg`, which tests definiteness only
-    on its block and its steps) on a grid subset of more than _PCG_BLOCK
-    points made of translated blocks; else Cholesky in place
-    on G.T (the same matrix in Fortran order; a dense G is overwritten by
-    its factor U) of G or of a grid subset's gathered matrix, and
-    Gv = U'(Uv).  Gv is computed, not taken to be 1, so its bound holds
-    however inexact v is."""
+    on its block and its steps) on a grid subset in its scope
+    (`_pcg_block`); else Cholesky in place on G.T (the same matrix in
+    Fortran order; a dense G is overwritten by its factor U) of G or of
+    a grid subset's gathered matrix (`ToeplitzKernel.dense`, within the
+    budget), and Gv = U'(Uv).  Gv is computed, not taken to be 1, so
+    its bound holds however inexact v is."""
     ones = np.ones(G.shape[0])
     try:
         if isinstance(G, ToeplitzKernel) and G.index is None:
@@ -676,19 +683,17 @@ def rung_min_energy(family: KernelFamily, scale: float, net: DeltaNet,
     builds from its weights.
 
     The kernel, and a power-law rung's convex minorant g, are laid out by
-    `_assemble`, which raises NetTooLarge above DENSE_NET_CAP points
-    before any solve: a `ToeplitzKernel` on the grid the net's set gives
-    it (`_grid_layout`), with no n x n kernel, and dense otherwise; a
+    `_assemble`, which raises NetTooLarge before any solve above
+    MEMORY_BUDGET: a `ToeplitzKernel` on the grid the net's set gives it
+    (`_grid_layout`), with no n x n kernel, and dense otherwise; a
     quadrature or Monte Carlo family is evaluated once per distinct
     distance the net uses.  Power-law rungs (ValueError if eps is out of
-    range) first solve g (`_minorant_solve`: on a grid subset, block
-    PCG above 1,024 points made of translated blocks, else the Cholesky
-    factor of g's matrix gathered from the grid vector), free it, and
-    hand (v, Gv) to `min_energy` as its `minorant`: Z_lower =
-    (min_i (Gv)_i)^2 / v'Gv, g's minimum 1/1'v when v = G^-1 1 exactly,
-    so Z_lower <= Z <= R(s) Z_lower.  Other rungs, and a minorant solve
-    that fails, are factored by `min_energy` like a caller's matrix, but
-    a `sampled` family's Z_lower (a bound on its sample) is None.
+    range) first solve g (`_minorant_solve`), free it, and hand (v, Gv)
+    to `min_energy` as its `minorant`: Z_lower = (min_i (Gv)_i)^2 / v'Gv,
+    g's minimum 1/1'v when v = G^-1 1 exactly, so Z_lower <= Z <= R(s)
+    Z_lower.  Other rungs, and a minorant solve that fails, are factored
+    by `min_energy` like a caller's matrix, but a `sampled` family's
+    Z_lower (a bound on its sample) is None.
     """
     pts = net.points
     grid = _grid_layout(net)

@@ -10,11 +10,11 @@ class NonConvergedQuadrature(FracdimError):
 
 
 class MeshTooFine(FracdimError):
-    """A discretization request would exceed the configured point cap."""
+    """A net would peak above MEMORY_BUDGET as it is built, or pass float resolution."""
 
 
 class NetTooLarge(FracdimError):
-    """A net exceeds the dense kernel-matrix cap."""
+    """A rung or image experiment would hold more than MEMORY_BUDGET bytes."""
 
 
 class TooLarge(FracdimError):

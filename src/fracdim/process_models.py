@@ -319,7 +319,8 @@ def kappa_stable_1d(alpha: float, c: float, eps: float, t: float) -> float:
         return np.sin(eps * z) / z * np.exp(-t * c * z ** alpha)
 
     try:
-        with warnings.catch_warnings():
+        # the tail rule may round its left end to z = 0: 1/z = inf fails it, unwarned
+        with warnings.catch_warnings(), np.errstate(divide="ignore"):
             warnings.simplefilter("error", integrate.IntegrationWarning)
             if eps * zmax <= 40.0:
                 val, err = integrate.quad(integrand, 0.0, zmax, limit=300,
@@ -333,7 +334,7 @@ def kappa_stable_1d(alpha: float, c: float, eps: float, t: float) -> float:
                                         limit=800, epsabs=KAPPA_QUAD_TOL / 4)
                 val, err = v1 + v2, e1 + e2
     except Exception as exc:  # quadrature blow-up on extreme parameters
-        raise NonConvergedQuadrature(str(exc)) from exc
+        raise NonConvergedQuadrature(" ".join(str(exc).split())) from exc
     if not np.isfinite(val) or err > KAPPA_QUAD_TOL:
         raise NonConvergedQuadrature(
             f"ball-probability quadrature error {err:.2e} exceeds {KAPPA_QUAD_TOL:.0e}")

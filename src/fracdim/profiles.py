@@ -154,8 +154,8 @@ def subordinator_box_dim(phi: LaplaceExponent, cset: CompactSet, lam_ladder,
     any order, solved from the smallest up.  The mesh rule keeps
     Phi(lam) * delta <= 0.1 (and at least a handful of net points even
     when Phi(lam) is tiny).  Each rung is solved exactly in O(n) by
-    `exp_kernel_min_energy`, with no kernel matrix and no net-size cap
-    beyond the discretization's; `tol` is the relative duality gap its
+    `exp_kernel_min_energy`, with no kernel matrix, in 168 bytes a point
+    (NetTooLarge above MEMORY_BUDGET); `tol` is the relative duality gap its
     certificate must meet, and a rung that misses it raises
     CertificateFailed.
     """

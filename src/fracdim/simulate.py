@@ -27,15 +27,16 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import NetTooLarge
 from .ladders import scale_ladder
 from .process_models import LevyModel
 from .set_models import (MIN_RADII, CompactSet, DeltaNet, discretize,
                          minkowski_dim_estimate)
-from .utils import substream
+from .utils import check_budget, substream
 
 MESH_FACTOR = 0.25            # target typical increment = factor * r_min
 MIN_NET_POINTS = 512          # cheap floor: never undersample a path
-IMAGE_POINT_CAP = 8_000_000
+_CELL_BYTES = 20              # traced bytes per value of a cell count in d > 1
 
 
 @dataclass
@@ -124,13 +125,14 @@ def image_dim_experiment(model: LevyModel, cset: CompactSet, n_paths: int,
     drawn.  Path i draws from a substream derived from (seed, i), so the
     result is deterministic given `seed`.
 
-    Paths run on min(n_paths, usable CPUs, 2 * IMAGE_POINT_CAP // (n * d))
-    threads, n the net size: each path in flight holds one (n, d) array,
-    sorted in place when d = 1, so the paths in flight never hold more
-    values than one path and its sorted copy at the cap.  Results keep
-    path order, so they do not depend on the worker count.  The first
-    path to raise stops every path not yet started, and its exception
-    propagates.
+    It holds the net's points and grid index, the sampler's per-gap
+    scale (8 bytes a point) and per path in flight one (n, d) array,
+    sorted in place when d = 1, plus _CELL_BYTES per value counted when
+    d > 1.  Paths run on min(n_paths, usable CPUs, paths that fit in
+    MEMORY_BUDGET) threads, NetTooLarge before the sampler is built if
+    none does, and keep path order, so results do not depend on the
+    worker count.  The first path to raise stops every path not yet
+    started, and its exception propagates.
     """
     if n_paths < 1:
         raise ValueError("need n_paths >= 1")
@@ -138,7 +140,10 @@ def image_dim_experiment(model: LevyModel, cset: CompactSet, n_paths: int,
     # net gap over which the process typically moves ~ mesh_factor * r_min
     h = model.typical_inverse_scale(mesh_factor * float(r_ladder.min()))
     h = min(h, cset.diameter / MIN_NET_POINTS) if cset.diameter > 0 else h
-    net = discretize(cset, h, point_cap=IMAGE_POINT_CAP)
+    net = discretize(cset, h)
+    path_bytes = net.n * model.d * (8 if model.d == 1 else 8 + _CELL_BYTES)
+    held = 8 * net.n * (2 if net.grid is None or net.grid[2] is None else 3)
+    left = check_budget(f"image experiment on {net.n} points", held + path_bytes, NetTooLarge)
     sampler = model.increment_sampler(np.diff(net.points, prepend=0.0))
     failed = threading.Event()
 
@@ -157,8 +162,7 @@ def image_dim_experiment(model: LevyModel, cset: CompactSet, n_paths: int,
             raise
         return est.slope, est.values
 
-    workers = min(n_paths, _usable_cpus(), 2 * IMAGE_POINT_CAP // (net.n * model.d))
-    pool = ThreadPoolExecutor(max(workers, 1))
+    pool = ThreadPoolExecutor(min(n_paths, _usable_cpus(), 1 + left // path_bytes))
     try:
         out = list(pool.map(job, range(n_paths)))
     finally:

@@ -140,7 +140,7 @@ def check_capacity_exact(seed: int = 0) -> CheckResult:
 def check_minkowski(seed: int = 0) -> CheckResult:
     net = discretize(CompactSet.interval(0, 1), 2.0 ** -16)
     est_i = minkowski_dim_estimate(net, 2.0 ** -np.arange(4, 13))
-    cantor = discretize(CompactSet.cantor(), 3.0 ** -12, point_cap=20_000)
+    cantor = discretize(CompactSet.cantor(), 3.0 ** -12)
     est_c = minkowski_dim_estimate(cantor, 3.0 ** -np.arange(2, 11))
     want_c = math.log(2) / math.log(3)
     ok = abs(est_i.slope - 1.0) <= 0.02 and abs(est_c.slope - want_c) <= 0.03

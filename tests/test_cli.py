@@ -2,6 +2,8 @@
 
 import json
 import shlex
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -207,6 +209,18 @@ def test_numerical_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     for k, rung in enumerate(rep["rungs"]):
         assert f"rung {k} (n={rung['n']}) ended with iters" in err
+
+
+def test_stable_kernel_quadrature_failure_is_one_line():
+    # the 0.1-stable kernel's sin-weighted tail rounds its left end to
+    # z = 0 and fails: exit 3 with one stderr line, and no numpy warning
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracdim.cli", "profile", "--set", "interval:0,1",
+         "--family", "exact", "--model", "stable:0.1", "--ladder", "0.1,0.5,3"],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_NUMERICAL
+    assert proc.stderr.startswith("numerical non-convergence:")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_unconverged_profile_writes_report_and_exits_3(tmp_path, monkeypatch):

@@ -3,21 +3,22 @@
 import itertools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from fracdim import energy_min
+from fracdim import energy_min, utils
 from fracdim.errors import CertificateFailed, NetTooLarge, TooLarge
-from fracdim.energy_min import (_GRID_FLOATS, _RESYNC_EVERY,
+from fracdim.energy_min import (_GRID_FLOATS, _NET_FLOATS, _RESYNC_EVERY,
                                 _ROW_BLOCK, DEFAULT_MAX_ITER, DEFAULT_RESTARTS,
-                                DEFAULT_TOL, DENSE_NET_CAP,
+                                DEFAULT_TOL,
                                 EnergyResult, KernelMatrix, SimplexWeights,
                                 ToeplitzKernel, _assemble, _frank_wolfe,
                                 _exp_certificate, _exp_potential,
                                 _block_pcg, _gap_certificate, _grid_layout,
-                                _minorant_solve,
+                                _kernel_bytes, _minorant_solve,
                                 build_kernel, exp_kernel_min_energy,
                                 is_psd, kkt_certificate,
                                 min_energy, min_energy_bruteforce,
@@ -71,10 +72,37 @@ def test_build_kernel_invariants_random():
         np.testing.assert_array_equal(K, K.T)
 
 
-def test_build_kernel_net_cap():
-    net = DeltaNet(np.linspace(0, 1, DENSE_NET_CAP + 2))
-    with pytest.raises(NetTooLarge):
-        build_kernel(KernelFamily.fh(1.0), 0.1, net)
+def _dense_bytes(n):
+    """A dense rung's stated bytes: its kernel, and three blocks of
+    _ROW_BLOCK rows while it is assembled."""
+    return 8 * n * n + 3 * 8 * _ROW_BLOCK * n
+
+
+def _counting_kernel(calls):
+    def kernel(r):
+        calls.append(r.shape)
+        return np.ones_like(r)
+    return kernel
+
+
+def test_build_kernel_net_cap(monkeypatch):
+    """At the memory budget of 2^28 bytes the largest dense net has 5,421
+    points: one more raises NetTooLarge before the kernel is called.  A
+    net at a budget is assembled and one point over it is refused, and
+    up to PSD_PROBE_CAP points the stated bytes count `min_energy`'s
+    copy too."""
+    calls = []
+    assert _dense_bytes(5421) <= utils.MEMORY_BUDGET < _dense_bytes(5422)
+    with pytest.raises(NetTooLarge, match="dense rung on 5422 points"):
+        _assemble(_counting_kernel(calls), np.linspace(0, 1, 5422), None)
+    assert calls == []
+    fam = KernelFamily.fh(1.0)
+    for n, nbytes in ((1100, _dense_bytes(1100)), (1024, _dense_bytes(1024) + 8 * 1024 ** 2)):
+        monkeypatch.setattr(utils, "MEMORY_BUDGET", nbytes)
+        assert build_kernel(fam, 0.1, DeltaNet(np.linspace(0, 1, n))).n == n
+        monkeypatch.setattr(utils, "MEMORY_BUDGET", nbytes - 1)
+        with pytest.raises(NetTooLarge):
+            build_kernel(fam, 0.1, DeltaNet(np.linspace(0, 1, n)))
 
 
 def _assert_laid_out_as_evaluated(K, ref):
@@ -273,7 +301,7 @@ def test_block_pcg_minorant_matches_cholesky_on_cantor_nets(depth, blocks):
     minorants are solved by block PCG; at s = 1/2 and 3/2 its Z_lower is
     within 1e-12 relative of Cholesky's on the gathered matrix, and Gv
     is finite and within 1e-13 of 1."""
-    net = discretize(CompactSet.cantor(), 3.0 ** -depth, point_cap=DENSE_NET_CAP)
+    net = discretize(CompactSet.cantor(), 3.0 ** -depth)
     m = net.grid[2]
     assert net.n == 1024 * blocks
     assert energy_min._translate_blocks(m, m[:1024])
@@ -493,16 +521,107 @@ def test_sandwich_rung_is_the_fh_rung_at_mapped_parameters():
             assert (sw.value, sw.Z_lower, sw.start) == (fh.value, fh.Z_lower, fh.start)
 
 
-def test_net_too_large_raises_before_any_solve(monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("solve ran on a net above the cap")
+def _route_cases():
+    """(net, scale, stated bytes) of one fh(1/2) rung on each route: a
+    dense net; a whole grid above PSD_PROBE_CAP points, whose minorant is
+    solved by Levinson; a depth-10 Cantor net, whose minorant block PCG
+    solves from one 1,024-point block; and a 486-point net of
+    ifs([1/4]*3, [0, 3/8, 3/4]) on a grid of 2,049, without translated
+    blocks, whose minorant matrix is factored."""
+    dense = DeltaNet(np.sort(np.random.default_rng(3).uniform(0, 1, 1100)))
+    grid = discretize(CompactSet.interval(0, 1), 1 / 2000)
+    cantor = discretize(CompactSet.cantor(), 3.0 ** -10)
+    rational = discretize(CompactSet.ifs([0.25] * 3, [0, 0.375, 0.75]), 0.001)
+    return [(dense, 0.05, _dense_bytes(1100)),
+            (grid, 0.01, 8 * (_GRID_FLOATS + _NET_FLOATS) * 2001),
+            (cantor, 10 * 3.0 ** -10,
+             8 * _GRID_FLOATS * (3 ** 10 + 1) + 8 * _NET_FLOATS * 2048 + 8 * 1024 ** 2),
+            (rational, 0.05, 8 * _GRID_FLOATS * 2049 + 8 * _NET_FLOATS * 486 + 8 * 486 ** 2)]
 
-    monkeypatch.setattr(energy_min.linalg, "solve_toeplitz", unreachable)
-    monkeypatch.setattr(energy_min.linalg, "cho_factor", unreachable)
-    big = np.arange(DENSE_NET_CAP + 2)
-    for net in (_grid_net(0.0, 1.0 / big[-1], big), DeltaNet((big / big[-1]) ** 2)):
-        with pytest.raises(NetTooLarge):
-            rung_min_energy(KernelFamily.fh(0.5), 0.1, net)
+
+def test_net_too_large_raises_before_any_solve(monkeypatch):
+    """One byte over its stated bytes, a rung on each route raises
+    NetTooLarge before its kernel or minorant is evaluated and before any
+    solve; at them, it is solved."""
+    calls = []
+
+    def counted(name):
+        real = getattr(KernelFamily, name)
+
+        def method(self, *args):
+            calls.append(name)
+            return real(self, *args)
+        return method
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solve ran on a net above the budget")
+
+    for net, scale, nbytes in _route_cases():
+        with monkeypatch.context() as mp:
+            mp.setattr(utils, "MEMORY_BUDGET", nbytes - 1)
+            for name in ("evaluate", "convex_minorant"):
+                mp.setattr(KernelFamily, name, counted(name))
+            for name in ("solve_toeplitz", "cho_factor"):
+                mp.setattr(energy_min.linalg, name, unreachable)
+            with pytest.raises(NetTooLarge, match=f"rung on {net.n} points"):
+                rung_min_energy(KernelFamily.fh(0.5), scale, net)
+        assert calls == []
+        monkeypatch.setattr(utils, "MEMORY_BUDGET", nbytes)
+        assert rung_min_energy(KernelFamily.fh(0.5), scale, net, restarts=2).converged
+
+
+def test_rungs_hold_the_bytes_they_state():
+    """The traced peak of a rung on each route lies between 80% of the
+    bytes it states and 10% above them."""
+    for net, scale, nbytes in _route_cases():
+        tracemalloc.start()
+        try:
+            assert rung_min_energy(KernelFamily.fh(0.5), scale, net, restarts=2).converged
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.8 * nbytes <= peak <= 1.1 * nbytes, (net.n, peak, nbytes)
+
+
+def test_whole_grid_and_cantor_rungs_stop_at_the_budget():
+    """At the budget of 2^28 bytes a whole grid of 1,290,555 points is
+    laid out (its kernel is evaluated) and one of 1,290,556 is refused
+    before that; Cantor grids stop at 3^14 + 1 points, while a depth-13
+    net, on a grid of 3^13 + 1, is within it."""
+    class Reached(Exception):
+        pass
+
+    def reached(r):
+        raise Reached
+
+    calls = []
+    N = utils.MEMORY_BUDGET // (8 * (_GRID_FLOATS + _NET_FLOATS))
+    assert N == 1_290_555
+    nets = [_grid_net(0.0, 1.0 / (size - 1), np.arange(size)) for size in (N, N + 1)]
+    nets += [discretize(CompactSet.cantor(), 3.0 ** -depth) for depth in (13, 14)]
+    for net, fits in zip(nets, (True, False, True, False)):
+        kernel = reached if fits else _counting_kernel(calls)
+        with pytest.raises(Reached if fits else NetTooLarge):
+            _assemble(kernel, net.points, _grid_layout(net))
+    assert calls == []
+
+
+def test_exponential_rung_holds_168_bytes_a_point(monkeypatch):
+    """`exp_kernel_min_energy` traces 168 bytes a point (within 1%), and
+    raises NetTooLarge before any sweep one point over the budget."""
+    pts = np.linspace(0.0, 1.0, 200_000)
+    tracemalloc.start()
+    try:
+        exp_kernel_min_energy(pts, 50.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(peak / (168 * pts.size) - 1) <= 0.01
+    monkeypatch.setattr(utils, "MEMORY_BUDGET", 168 * 1000)
+    assert exp_kernel_min_energy(pts[:1000], 50.0).converged
+    monkeypatch.setattr(energy_min, "_exp_potential", None)
+    with pytest.raises(NetTooLarge, match="exponential rung on 1001 points"):
+        exp_kernel_min_energy(pts[:1001], 50.0)
 
 
 def test_min_energy_restarts_only_after_failed_first_run(monkeypatch):
@@ -653,9 +772,9 @@ def test_equal_gap_rungs_build_no_dense_kernel(monkeypatch, c6_cantor):
     for fam in (KernelFamily.fh(0.5), KernelFamily.stable_sandwich(1.3, 1),
                 KernelFamily.exact(LevyModel.isotropic_stable(1.5))):
         assert rung_min_energy(fam, 0.028, net, restarts=2).converged
+    N = utils.MEMORY_BUDGET // (8 * (_GRID_FLOATS + _NET_FLOATS)) + 1
     with pytest.raises(NetTooLarge):
-        rung_min_energy(KernelFamily.fh(1.0), 0.1,
-                        _grid_net(0.0, 1.0 / (DENSE_NET_CAP + 1), np.arange(DENSE_NET_CAP + 2)))
+        rung_min_energy(KernelFamily.fh(1.0), 0.1, _grid_net(0.0, 1.0 / (N - 1), np.arange(N)))
     rung_min_energy(KernelFamily.fh(1.0), 4.0 ** -4,
                     discretize(CompactSet.cantor(0.25), 4.0 ** -5), restarts=2)
     rng = np.random.default_rng(2)
@@ -667,21 +786,21 @@ def test_equal_gap_rungs_build_no_dense_kernel(monkeypatch, c6_cantor):
 def test_grid_layout_uses_a_grid_subset_only_when_it_saves_memory():
     """The layout is read from the grid a net records: an interval net is
     its whole grid, a Cantor net's is its 3^-k grid, and a net that is
-    part of a grid of N points uses it only when _GRID_FLOATS N <= n^2.
+    part of a grid of N points uses it only when its grid kernel holds no
+    more bytes than the dense one (`_kernel_bytes`: _GRID_FLOATS N <= n^2).
     Nets with no grid (a finite set, a bare point array) are dense."""
-    dist, index = _grid_layout(discretize(CompactSet.interval(0, 1), 1.0 / 6.0))
-    assert index is None and np.array_equal(dist, 1.0 / 6.0 * np.arange(7))
-    dist, index = _grid_layout(discretize(CompactSet.cantor(), 3.0 ** -5))
+    assert _grid_layout(discretize(CompactSet.interval(0, 1), 1.0 / 6.0)) == (1.0 / 6.0, 7, None)
+    h, N, index = _grid_layout(discretize(CompactSet.cantor(), 3.0 ** -5))
     lefts = [sum(d * 3 ** k for k, d in enumerate(digits))   # base-3 digits 0 and 2
              for digits in itertools.product((0, 2), repeat=5)]
-    assert dist.size == 244 and index.tolist() == sorted(lefts + [k + 1 for k in lefts])
-    assert _GRID_FLOATS * 244 <= 64 ** 2
+    assert (h, N) == (3.0 ** -5, 244) and index.tolist() == sorted(lefts + [k + 1 for k in lefts])
+    assert _kernel_bytes(64, 244) <= _kernel_bytes(64)
     assert _grid_layout(discretize(CompactSet.cantor(), 3.0 ** -4)) is None
     assert _grid_layout(discretize(CompactSet.cantor(0.25), 4.0 ** -5)) is None
-    dist, index = _grid_layout(_two_blocks())
-    assert dist.size == 340 and index.tolist() == list(range(40)) + list(range(300, 340))
+    h, N, index = _grid_layout(_two_blocks())
+    assert N == 340 and index.tolist() == list(range(40)) + list(range(300, 340))
     fits = _grid_net(0.0, 1 / 399, np.r_[0:40, 360:400])         # 16 * 400 = 80^2
-    assert _grid_layout(fits)[0].size == 400
+    assert _grid_layout(fits)[1] == 400
     assert _grid_layout(_grid_net(0.0, 1 / 400, np.r_[0:40, 361:401])) is None  # 16 * 401 > 80^2
     grid_points = np.linspace(0.0, 1.0, 7)
     assert _grid_layout(DeltaNet(grid_points)) is None
@@ -691,8 +810,10 @@ def test_grid_layout_uses_a_grid_subset_only_when_it_saves_memory():
 def test_depth_14_cantor_net_keeps_its_grid():
     """At depth 14 the net's index is its points' base-3 digits (0 and 2,
     then 1 at the last place for each right endpoint), and the layout
-    uses the grid of 3^14 + 1 points: 16 N <= n^2 holds there."""
-    net = discretize(CompactSet.cantor(), 3.0 ** -14, point_cap=2 ** 15)
+    uses the grid of 3^14 + 1 points: 16 N <= n^2 holds there.  Its rung
+    would hold 612 MB on that grid, over the memory budget
+    (`test_whole_grid_and_cantor_rungs_stop_at_the_budget`)."""
+    net = discretize(CompactSet.cantor(), 3.0 ** -14)
     lefts = np.zeros(1, dtype=np.int64)
     for k in range(14):
         lefts = np.concatenate([lefts, lefts + 2 * 3 ** k])
@@ -700,8 +821,8 @@ def test_depth_14_cantor_net_keeps_its_grid():
     t0, h, m = net.grid
     assert net.n == 2 ** 15 and np.array_equal(m, want)
     assert (t0, h) == (0.0, 3.0 ** -14)
-    dist, index = _grid_layout(net)
-    assert index is m and dist.size == 3 ** 14 + 1
+    h, N, index = _grid_layout(net)
+    assert index is m and (h, N) == (3.0 ** -14, 3 ** 14 + 1)
 
 
 def test_touching_ifs_net_is_the_whole_grid(monkeypatch):
@@ -737,7 +858,7 @@ def test_rational_ifs_nets_use_their_grid(monkeypatch):
     for delta, n, N in ((0.02, 54, 129), (0.005, 162, 513), (0.001, 486, 2049)):
         net = discretize(rational, delta)
         t0, h, m = net.grid
-        assert net.n == n and m[-1] + 1 == N and _GRID_FLOATS * N <= n ** 2
+        assert net.n == n and m[-1] + 1 == N and _kernel_bytes(n, N) <= _kernel_bytes(n)
         assert (t0, h) == (0.0, 1.0 / (N - 1)) and np.array_equal(net.points, t0 + m * h)
         kernels.clear()
         res = rung_min_energy(fam, 0.05, net)
@@ -826,8 +947,8 @@ def test_exact_family_on_a_grid_subset_is_evaluated_at_used_steps(monkeypatch):
         if N is None:
             assert grid is None
         else:
-            m = np.arange(N) if grid[1] is None else grid[1]
-            assert grid[0].size == N and np.unique(np.abs(m[:, None] - m)).size == used
+            m = np.arange(N) if grid[2] is None else grid[2]
+            assert grid[1] == N and np.unique(np.abs(m[:, None] - m)).size == used
         distinct = np.unique(np.abs(pts[:, None] - pts)).size
         res, evaluations = rung_twice(fam, 0.05, net)
         assert evaluations == (distinct if used is None else used) <= distinct
@@ -870,7 +991,7 @@ def test_grid_kernel_matches_dense_kernel_on_cantor_nets(c6_cantor):
         pts, n = net.points, net.n
         grid = _grid_layout(net)
         h = net.grid[1]
-        assert net.grid[0] == 0.0 and grid[1] is not None
+        assert net.grid[0] == 0.0 and grid[2] is not None
         assert n == (80 if depth is None else 2 ** (depth + 1))
         for s, eps in ((0.5, 9 * h), (1.5, 10 * h)):
             fam = KernelFamily.fh(s)
@@ -906,6 +1027,21 @@ def test_min_energy_factors_toeplitz_kernel():
     assert res.value / res.Z_lower <= 1.0 / (1.0 - 1e-9)
     exact = exp_kernel_min_energy(pts, 7.0).value
     assert abs(res.value - exact) <= 1e-8 * exact
+
+
+def test_symmetry_scan_holds_row_blocks():
+    # a symmetric 2,000-point matrix is scanned _ROW_BLOCK rows at a time:
+    # one one-iteration solve traces less than an n x n boolean array
+    n = 2000
+    A = np.minimum(1.0, 0.01 / (np.abs(np.subtract.outer(np.arange(n), np.arange(n))) + 1.0))
+    K = _km(A)
+    tracemalloc.start()
+    try:
+        min_energy(K, max_iter=1, restarts=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n // 4
 
 
 def test_min_energy_rejects_asymmetric_kernel():

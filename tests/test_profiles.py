@@ -2,12 +2,13 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
-from fracdim import energy_min, profiles
-from fracdim.energy_min import (DENSE_NET_CAP, EnergyResult, SimplexWeights,
+from fracdim import energy_min, profiles, utils
+from fracdim.energy_min import (EnergyResult, SimplexWeights,
                                 _assemble, _exp_potential, _grid_layout,
                                 exp_kernel_min_energy, rung_min_energy)
 from fracdim.errors import NonConvergedQuadrature
@@ -198,6 +199,39 @@ def test_fh_rungs_bracketed_by_minorant_on_c6_c7_ladders():
                for rung in reports[i][1].rungs) <= 11_000
 
 
+def _timed_bracketed_ladder(s, budget_s, *args, **kw):
+    """fh_profile(*args, **kw), run within budget_s seconds, with every rung
+    converged inside its minorant bracket Z_lower <= Z <= R(s) Z_lower."""
+    t0 = time.perf_counter()
+    rep = fh_profile(*args, **kw)
+    assert time.perf_counter() - t0 <= budget_s
+    R = 1.0 / (1.0 - s / (1.0 + s) * (1.0 + s) ** (-1.0 / s))
+    for rung in rep.rungs:
+        assert rung["converged"] and rung["Z_lower"] is not None
+        assert rung["Z_lower"] <= rung["Z"] * (1 + 1e-9)
+        assert rung["Z"] <= R * rung["Z_lower"] * (1 + 1e-9)
+    return rep
+
+
+def test_c7_ladder_with_a_fifth_rung():
+    """C7's ladder with a fifth rung, eps = 0.028 3^-4 on 14,466 points,
+    whose grid rung is within the memory budget.  Time budget 10 s: it
+    took 2.0-2.6 s on 2 cores (Xeon)."""
+    rep = _timed_bracketed_ladder(0.5, 10.0, CompactSet.interval(0, 1), 0.5,
+                                  0.028 * 3.0 ** -np.arange(5), mesh_ratio=5.0,
+                                  restarts=2, seed=0)
+    assert [rung["n"] for rung in rep.rungs] == [180, 537, 1609, 4823, 14466]
+
+
+def test_c6_cantor_ladder_to_depth_9():
+    """C6's Cantor ladder (s = 3/2) to eps = 3^-9: 8,192 points on a grid
+    of 3^12 + 1, within the memory budget.  Time budget 6 s: it took
+    1.1-1.4 s on 2 cores (Xeon)."""
+    rep = _timed_bracketed_ladder(1.5, 6.0, CompactSet.cantor(), 1.5,
+                                  3.0 ** -np.arange(2, 10.0), restarts=2, seed=0)
+    assert [rung["n"] for rung in rep.rungs] == [2 ** k for k in range(6, 14)]
+
+
 def _cold_ladder(monkeypatch, *args, **kw):
     """fh_profile with no warm start offered, as before warm starts."""
     with monkeypatch.context() as patch:
@@ -364,12 +398,13 @@ def test_subordinator_drift_against_exact_integral():
 
 
 def test_subordinator_rung_beyond_dense_cap_is_exact():
-    # Phi(lam) = lam: a rung at lam = 1000 needs a 10001-point net, twice
-    # the dense-matrix cap, and is solved without forming a matrix
+    # Phi(lam) = lam: a rung at lam = 1000 needs a 10001-point net, whose
+    # dense matrix would hold 800 MB, three times the memory budget, and
+    # is solved without forming a matrix
     drift = LaplaceExponent.compound_poisson_drift(0.0, 1.0, 1.0)
     lam = np.array([10.0, 100.0, 1000.0])
     rep = subordinator_box_dim(drift, CompactSet.interval(0, 1), lam)
-    assert rep.rungs[-1]["n"] > DENSE_NET_CAP
+    assert 8 * rep.rungs[-1]["n"] ** 2 > 2 * utils.MEMORY_BUDGET
     for a, mesh, z in zip(lam, rep.mesh_per_scale, rep.ladder.values):
         m = math.ceil(1.0 / mesh)
         assert abs(z - 1.0 / (1.0 + m * math.tanh(a / (2.0 * m)))) <= 1e-12 * z

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fracdim import set_models
+from fracdim import set_models, utils
 from fracdim.errors import DegenerateLadder, MeshTooFine
 from fracdim.ladders import LadderEstimate
 from fracdim.oracles import max_separated_1d
@@ -70,11 +70,23 @@ def test_net_certificate_covers_parent():
             assert np.min(np.abs(net.points - p)) <= delta + 1e-12
 
 
-def test_mesh_too_fine():
-    with pytest.raises(MeshTooFine):
+def test_mesh_too_fine(monkeypatch):
+    """A net that would peak above the memory budget while it is built
+    raises MeshTooFine first: an interval net at 17 bytes a point, an IFS
+    net at 32 per each of its 2 M^k endpoints, so Cantor nets are
+    refused from depth 23.  At a budget a net is built, and one step finer is not."""
+    with pytest.raises(MeshTooFine, match="interval net of 1000000001 points"):
         discretize(CompactSet.interval(0, 1), 1e-9)
+    with pytest.raises(MeshTooFine, match="IFS net at depth 23"):
+        discretize(CompactSet.cantor(), 1e-12)
+    monkeypatch.setattr(utils, "MEMORY_BUDGET", 17 * 1001)
+    assert discretize(CompactSet.interval(0, 1), 1e-3).n == 1001
     with pytest.raises(MeshTooFine):
-        discretize(CompactSet.cantor(), 1e-9, point_cap=1000)
+        discretize(CompactSet.interval(0, 1), 0.999e-3)
+    monkeypatch.setattr(utils, "MEMORY_BUDGET", 32 * 2 ** 9)
+    assert discretize(CompactSet.cantor(), 3.0 ** -8).n == 2 ** 9
+    with pytest.raises(MeshTooFine):
+        discretize(CompactSet.cantor(), 3.0 ** -9)
     for delta in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             discretize(CompactSet.interval(0, 1), delta)
@@ -271,7 +283,7 @@ def test_minkowski_interval():
 
 
 def test_minkowski_cantor_triadic():
-    net = discretize(CompactSet.cantor(), 3.0 ** -12, point_cap=20_000)
+    net = discretize(CompactSet.cantor(), 3.0 ** -12)
     est = minkowski_dim_estimate(net, 3.0 ** -np.arange(2, 11))
     assert abs(est.slope - math.log(2) / math.log(3)) <= 0.03
     # counts at triadic radii are exactly twice the cylinder count
@@ -294,7 +306,7 @@ def test_minkowski_ladder_validation():
 
 
 def test_ladder_estimate_recompute_invariant():
-    net = discretize(CompactSet.cantor(), 3.0 ** -10, point_cap=20_000)
+    net = discretize(CompactSet.cantor(), 3.0 ** -10)
     est = minkowski_dim_estimate(net, 3.0 ** -np.arange(2, 9), mode="least_squares")
     refit = LadderEstimate.fit(est.scales, est.values, mode=est.mode,
                                x_transform="log_inv")
@@ -383,13 +395,16 @@ def _ifs_endpoints(ratios, trans, depth, hull=(0.0, 1.0)):
 
 
 @pytest.mark.parametrize("ratios, trans, refused_at", [
-    ([0.3, 0.45], [0, 0.55], 17),           # the point cap ends it first
+    ([0.3, 0.45], [0, 0.55], 17),           # the memory budget ends it first
     ([0.011, 0.013], [0, 0.987], 8)])       # r_min^8 = 2.1e-16 < 4 * 8 ulps of 1
 def test_float_route_nets_are_full_at_every_depth_the_guard_allows(ratios, trans,
-                                                                 refused_at):
+                                                                 refused_at, monkeypatch):
     """Non-touching maps with no digits: each allowed depth gives all
     2^(k+1) cylinder endpoints, as the expansion oracle does; the first
-    refused depth, and every deeper one, raises MeshTooFine."""
+    refused depth, and every deeper one, raises MeshTooFine.  The memory
+    budget is set to 2^22 bytes, 32 per each of the 2^17 endpoints at
+    depth 16."""
+    monkeypatch.setattr(utils, "MEMORY_BUDGET", 32 * 2 ** 17)
     cset = CompactSet.ifs(ratios, trans)
     assert cset.params["digits"] is None and cset.params["hull"] == (0.0, 1.0)
     for k in range(refused_at):

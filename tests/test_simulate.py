@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fracdim import simulate
+from fracdim import simulate, utils
+from fracdim.errors import NetTooLarge
 from fracdim.process_models import (LaplaceExponent, LevyModel, one_sided_stable,
                                     symmetric_stable)
 from fracdim.profiles import fh_profile
@@ -247,19 +248,42 @@ def test_image_experiment_independent_of_worker_count(monkeypatch, model):
         assert exp.to_json_dict() == runs[0].to_json_dict()
 
 
+def _image_bytes(n, d, paths):
+    """An image experiment's stated bytes on an interval net of n points:
+    the net and the sampler's per-gap scale, and per path in flight its
+    (n, d) values, with 20 bytes per value more for the cell count when
+    d > 1."""
+    return 16 * n + paths * n * d * (8 if d == 1 else 28)
+
+
 def test_pool_holds_at_most_two_paths_of_values_at_the_cap(monkeypatch):
-    # with the cap at the net's own size, the paths in flight may hold two
-    # (n, d) arrays: two workers in one dimension, one in two
+    # with the budget at the bytes of the net and two paths, two paths
+    # are in flight, in one dimension and in two; a byte less leaves one,
+    # and below one path the experiment raises before any sampler is built
     F = CompactSet.interval(0, 1)
     r = 2.0 ** -np.arange(2, 7, dtype=float)
-    for model, want in ((_POOL_CASES[0], 2), (_POOL_CASES[3], 1)):
-        h = image_dim_experiment(model, F, 1, r, seed=0).net_mesh
-        n = discretize(F, h, point_cap=simulate.IMAGE_POINT_CAP).n
+    built = []
+    real = LevyModel.increment_sampler
+
+    def counted(self, gaps):
+        built.append(gaps.size)
+        return real(self, gaps)
+
+    for model in (_POOL_CASES[0], _POOL_CASES[3]):
+        n = discretize(F, image_dim_experiment(model, F, 1, r, seed=0).net_mesh).n
+        for budget, want in ((_image_bytes(n, model.d, 2), 2),
+                             (_image_bytes(n, model.d, 2) - 1, 1)):
+            with monkeypatch.context() as mp:
+                mp.setattr(utils, "MEMORY_BUDGET", budget)
+                sizes = _recording_pool(mp, 4)
+                image_dim_experiment(model, F, 8, r, seed=0)
+            assert sizes == [want]
         with monkeypatch.context() as mp:
-            mp.setattr(simulate, "IMAGE_POINT_CAP", n)
-            sizes = _recording_pool(mp, 4)
-            image_dim_experiment(model, F, 8, r, seed=0)
-        assert sizes == [want]
+            mp.setattr(utils, "MEMORY_BUDGET", _image_bytes(n, model.d, 1) - 1)
+            mp.setattr(LevyModel, "increment_sampler", counted)
+            with pytest.raises(NetTooLarge, match=f"image experiment on {n} points"):
+                image_dim_experiment(model, F, 8, r, seed=0)
+        assert built == []
 
 
 class _SamplerFault(RuntimeError):
@@ -311,6 +335,26 @@ def test_paths_in_flight_hold_one_array_each(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    n = discretize(F, exp.net_mesh, point_cap=simulate.IMAGE_POINT_CAP).n
+    n = discretize(F, exp.net_mesh).n
     assert n == 2 ** 18 + 1 and sizes == [2]
-    assert peak <= 1.1 * (n + n + 2 * n) * 8
+    assert peak <= 1.1 * _image_bytes(n, 1, 2)
+
+
+def test_planar_paths_in_flight_hold_their_stated_bytes(monkeypatch):
+    # planar Brownian images of [0, 1] on a net of 2^17 + 1 points, two
+    # paths in flight: the traced peak is the net, the per-gap scale, and
+    # per path its (n, 2) values and the cell count's 20 bytes per value,
+    # within 10%, and at least that of one path
+    model = LevyModel.isotropic_stable(2.0, 0.5, 2)
+    F = CompactSet.interval(0, 1)
+    r = 2.0 ** -np.arange(3, 8, dtype=float)
+    sizes = _recording_pool(monkeypatch, 2)
+    tracemalloc.start()
+    try:
+        exp = image_dim_experiment(model, F, 4, r, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = discretize(F, exp.net_mesh).n
+    assert n == 2 ** 17 + 1 and sizes == [2]
+    assert _image_bytes(n, 2, 1) <= peak <= 1.1 * _image_bytes(n, 2, 2)
