@@ -258,9 +258,10 @@ def _assemble(kernel, pts: np.ndarray, grid, distinct: bool = False) -> KernelMa
     rows.  Either way K_ji and K_ij share a distance: K is exactly symmetric.
 
     NetTooLarge, before the kernel is called, when the rung would hold
-    more than MEMORY_BUDGET (traced): `_kernel_bytes`; per point, three
-    blocks of _ROW_BLOCK rows in assembly on a dense net, else
-    _NET_FLOATS of the solve's vectors; and 8 k^2 for the largest matrix
+    more than MEMORY_BUDGET (traced): `_kernel_bytes`; per point, on a
+    dense net, 17 bytes for each of the _ROW_BLOCK rows of the block in
+    assembly (its distance, the kernel's value and a minorant's mask),
+    else _NET_FLOATS of the solve's vectors; and 8 k^2 for the largest matrix
     factored beside it, k = b on a grid subset block PCG solves
     (`_pcg_block`), n on another or on up to PSD_PROBE_CAP points, else 0.
 
@@ -272,7 +273,7 @@ def _assemble(kernel, pts: np.ndarray, grid, distinct: bool = False) -> KernelMa
     n, index = pts.size, grid and grid[2]
     side = n * (n <= PSD_PROBE_CAP) if index is None else (_pcg_block(index) or n)
     held = _kernel_bytes(n, grid and grid[1]) + 8 * side ** 2
-    held += 8 * n * (3 * _ROW_BLOCK if grid is None else _NET_FLOATS)
+    held += n * (17 * _ROW_BLOCK if grid is None else 8 * _NET_FLOATS)
     check_budget(f"{'grid' if grid else 'dense'} rung on {n} points", held, NetTooLarge)
     if grid is not None:
         h, N, index = grid
@@ -287,10 +288,12 @@ def _assemble(kernel, pts: np.ndarray, grid, distinct: bool = False) -> KernelMa
     if distinct:
         uniq = _distinct_gaps(pts)
         table = kernel(uniq)
-        kernel = lambda r: table[np.searchsorted(uniq, r)]
+        # looked up into the block of distances itself, which is ours
+        kernel = lambda r: np.take(table, np.searchsorted(uniq, r), out=r, mode="clip")
     K = np.empty((pts.size, pts.size))
     for i in range(0, pts.size, _ROW_BLOCK):
-        K[i:i + _ROW_BLOCK] = kernel(np.abs(pts[i:i + _ROW_BLOCK, None] - pts))
+        r = pts[i:i + _ROW_BLOCK, None] - pts
+        K[i:i + _ROW_BLOCK] = kernel(np.abs(r, out=r))
     return KernelMatrix(K, pts)
 
 

@@ -31,12 +31,12 @@ import numpy as np
 from scipy import integrate
 
 from .errors import NonConvergedQuadrature
-from .utils import substream
+from .utils import substream, vector_quad
 
 # quadrature contracts
 KAPPA_QUAD_TOL = 1e-8          # error target for ball-probability inversion
 TRUNC_LOG = 36.85              # exp(-x) < 1e-16 beyond x = TRUNC_LOG
-CAUCHY_QUAD_TOL = 1e-6         # error target for Cauchy-weighted energies
+CAUCHY_QUAD_TOL = 1e-6         # error bound for Cauchy-weighted energies
 KAPPA_MC_SAMPLES = 200_000     # Monte Carlo draws per exact-kernel distance
 EPS_MIN = float(np.finfo(float).tiny)   # least power-law eps, the least normal float
 
@@ -441,8 +441,8 @@ class KernelFamily:
         r_star = eps * (1.0 + s) ** (1.0 / s)
         g = self.evaluate(scale, r)
         near = r <= r_star
-        g[near] = 1.0 - s / ((1.0 + s) * r_star) * r[near]
-        return g
+        np.multiply(s / ((1.0 + s) * r_star), r, out=g, where=near)
+        return np.subtract(1.0, g, out=g, where=near)
 
     def evaluate(self, scale: float, r) -> np.ndarray:
         """Vectorized K_scale(r) for r >= 0."""
@@ -453,7 +453,9 @@ class KernelFamily:
         power = self.power_law(scale)
         if power is not None:
             s, eps = power
-            return (eps / np.maximum(r, eps)) ** s       # exactly 1 at r <= eps
+            k = np.maximum(r, eps)          # in place from here: one array beside r
+            np.divide(eps, k, out=k)
+            return np.power(k, s, out=k)    # exactly 1 at r <= eps
         if self.kind == "exact":
             return self._evaluate_exact(scale, r)
         raise ValueError(f"unknown kernel kind {self.kind!r}")
@@ -491,17 +493,19 @@ def cauchy_weighted_energy(weights, psi: Callable, eps: float) -> float:
     """int f_C(z) * E_nu(z/eps) dz with f_C the standard Cauchy density on R.
 
     Computed pairwise: the factor int f_C(z) Re exp(-u psi(z/eps)) dz of
-    every gap u = |t_i - t_j|, i < j, comes from one vector quadrature
-    whose worst factor error stays below `CAUCHY_QUAD_TOL`; so does the
-    total error, because the pair masses sum to at most 1.  `psi` takes
-    arrays and must satisfy psi(-xi) = conj psi(xi), as the exponent of
-    every real-valued process does; the integrand is then even in z and
-    only z >= 0 is integrated.  A drift makes the factor oscillate
-    without decay as theta -> pi/2, so it raises NonConvergedQuadrature:
-    for `compound_poisson_drift(2, 0.5, 0.3)` on 10 random points the
-    error estimates are 4.6e-5, 2.1e-4 and 2.6e-3 at eps = 0.5, 0.1 and
-    0.01.  Every subordinator has the closed form w' exp(-D Phi(1/eps)) w,
-    D_ij = |t_i - t_j| (C10's identity).
+    every gap u = |t_i - t_j|, i < j, comes from one `vector_quad` whose
+    worst factor error stays below `CAUCHY_QUAD_TOL` (its estimate, below
+    CAUCHY_QUAD_TOL / 1000); so does the total error, because the pair
+    masses sum to at most 1.  `psi` takes arrays and must satisfy
+    psi(-xi) = conj psi(xi), as the exponent of every real-valued process
+    does; the integrand is then even in z and only z >= 0 is integrated.
+    A drift makes the factor oscillate without decay as theta -> pi/2, so
+    it raises NonConvergedQuadrature at the interval limit: for
+    `compound_poisson_drift(2, 0.5, 0.3)` on the 10 points of
+    `default_rng(3).uniform(0, 1, 10)` the error estimates are 5.7e-5,
+    2.6e-4 and 2.4e-3 at eps = 0.5, 0.1 and 0.01.  Every subordinator has
+    the closed form w' exp(-D Phi(1/eps)) w, D_ij = |t_i - t_j| (C10's
+    identity).
     """
     _finite("eps", eps)
     pts, w = weights.points, weights.w
@@ -511,12 +515,15 @@ def cauchy_weighted_energy(weights, psi: Callable, eps: float) -> float:
     gaps = np.abs(pts[i] - pts[j])
 
     # z = tan(theta) absorbs the Cauchy weight exactly; the integrand
-    # is then smooth and bounded on a compact interval
-    vals, err = integrate.quad_vec(
-        lambda theta: np.exp(-gaps * psi(np.tan(theta) / eps)).real * (2.0 / np.pi),
-        0.0, np.pi / 2, epsabs=CAUCHY_QUAD_TOL / 4,
-        epsrel=CAUCHY_QUAD_TOL / 4, limit=400, norm="max")
-    if not err <= CAUCHY_QUAD_TOL:
+    # is then smooth and bounded on a compact interval.  The target sits
+    # three digits below the bound: at the bound's 1/4, rounds of halving
+    # ended up to 4.7e-11 from C10's closed form (quad_vec: 7.5e-12), at
+    # 1e-9 they end 2.7e-13 from it
+    target = CAUCHY_QUAD_TOL * 1e-3
+    vals, err = vector_quad(
+        lambda theta: np.exp(-gaps * psi(np.tan(theta[:, None]) / eps)).real * (2.0 / np.pi),
+        0.0, np.pi / 2, target)
+    if not err < target:
         raise NonConvergedQuadrature(f"Cauchy-weighted quadrature error "
-                                     f"{err:.2e} exceeds {CAUCHY_QUAD_TOL:.0e}")
+                                     f"{err:.2e} exceeds {target:.0e}")
     return float(w @ w + 2.0 * (w[i] * w[j]) @ vals)

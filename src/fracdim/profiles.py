@@ -22,7 +22,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .errors import NonConvergedQuadrature
 from .energy_min import (DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_TOL,
@@ -30,11 +29,12 @@ from .energy_min import (DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_TOL,
 from .ladders import LadderEstimate, scale_ladder
 from .process_models import KernelFamily, LaplaceExponent
 from .set_models import CompactSet, discretize
+from .utils import vector_quad
 
 MESH_RATIO = 10.0             # delta(eps) = eps / MESH_RATIO
 SUBEXP_MESH_PRODUCT = 0.1     # Phi(lam) * delta <= this
 SANITY_WINDOW = (0.0, 2.0)    # plausible profile estimates for 1-d sets
-THETA_QUAD_TOL = 1e-9         # relative error target per theta segment
+THETA_QUAD_TOL = 1e-9         # summed error target, relative per theta segment
 THETA_RUNGS_PER_DECADE = 2.0  # theta quadrature segments per decade of lam
 THETA_LAM_MAX = 1e8           # top of the theta quadrature grid
 
@@ -184,9 +184,12 @@ def theta_index(phi: LaplaceExponent, s: float, lam_max: float = THETA_LAM_MAX) 
     """Lower-envelope slope of log int_1^lam dx / Phi(x^{1/s}) vs log lam.
 
     The cumulative integral sums the segments of a geometric grid up to
-    lam_max, all integrated by one vector quadrature (log-substituted,
-    which keeps wide segments well conditioned); the slope is clamped to
-    [0, 1].  Requires a finite s >= 1/2;
+    lam_max, all integrated by one `vector_quad` (log-substituted, which
+    keeps wide segments well conditioned) to a summed error below
+    THETA_QUAD_TOL, relative to each segment's integrand at its middle;
+    a non-finite integral or an unconverged quadrature (a non-finite
+    error, or the round or interval limit) raises NonConvergedQuadrature.
+    The slope is clamped to [0, 1].  Requires a finite s >= 1/2;
     smaller s is outside the validity of the downstream identity and is
     rejected rather than extrapolated.
     """
@@ -206,13 +209,12 @@ def theta_index(phi: LaplaceExponent, s: float, lam_max: float = THETA_LAM_MAX) 
 
     # one vector quadrature over u in [0, 1] for all segments, each scaled
     # by its integrand at u = 1/2, so the absolute target is per-segment
-    # relative
+    # relative; power-law exponents converge on the first 21 nodes
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         mid = integrand(0.5)
-        vals, err = integrate.quad_vec(lambda u: integrand(u) / mid, 0.0, 1.0,
-                                       epsabs=THETA_QUAD_TOL, epsrel=0.0,
-                                       limit=200, norm="max")
-    if not (np.all(np.isfinite(vals)) and err <= 1e-6):
+        vals, err = vector_quad(lambda u: integrand(u[:, None]) / mid, 0.0, 1.0,
+                                THETA_QUAD_TOL)
+    if not (np.all(np.isfinite(vals)) and err < THETA_QUAD_TOL):
         raise NonConvergedQuadrature(
             f"theta integrand up to lam = {lam_max:g}: error {err:.2e}")
     lam = grid[1:]

@@ -73,9 +73,9 @@ def test_build_kernel_invariants_random():
 
 
 def _dense_bytes(n):
-    """A dense rung's stated bytes: its kernel, and three blocks of
-    _ROW_BLOCK rows while it is assembled."""
-    return 8 * n * n + 3 * 8 * _ROW_BLOCK * n
+    """A dense rung's stated bytes: its kernel, and while it is assembled
+    two blocks of _ROW_BLOCK rows of floats and one of bools."""
+    return 8 * n * n + 17 * _ROW_BLOCK * n
 
 
 def _counting_kernel(calls):
@@ -86,15 +86,15 @@ def _counting_kernel(calls):
 
 
 def test_build_kernel_net_cap(monkeypatch):
-    """At the memory budget of 2^28 bytes the largest dense net has 5,421
+    """At the memory budget of 2^28 bytes the largest dense net has 5,527
     points: one more raises NetTooLarge before the kernel is called.  A
     net at a budget is assembled and one point over it is refused, and
     up to PSD_PROBE_CAP points the stated bytes count `min_energy`'s
     copy too."""
     calls = []
-    assert _dense_bytes(5421) <= utils.MEMORY_BUDGET < _dense_bytes(5422)
-    with pytest.raises(NetTooLarge, match="dense rung on 5422 points"):
-        _assemble(_counting_kernel(calls), np.linspace(0, 1, 5422), None)
+    assert _dense_bytes(5527) <= utils.MEMORY_BUDGET < _dense_bytes(5528)
+    with pytest.raises(NetTooLarge, match="dense rung on 5528 points"):
+        _assemble(_counting_kernel(calls), np.linspace(0, 1, 5528), None)
     assert calls == []
     fam = KernelFamily.fh(1.0)
     for n, nbytes in ((1100, _dense_bytes(1100)), (1024, _dense_bytes(1024) + 8 * 1024 ** 2)):

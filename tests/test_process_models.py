@@ -16,6 +16,8 @@ from fracdim.process_models import (CAUCHY_QUAD_TOL, EPS_MIN, KernelFamily,
                                     kappa_monte_carlo, kappa_stable_1d,
                                     one_sided_stable,
                                     symmetric_stable)
+from fracdim import utils
+from fracdim.utils import vector_quad
 
 RNG = np.random.default_rng(20240817)
 
@@ -478,3 +480,81 @@ def test_kernel_energy_upper_bound_small_fuzz():
         lhs = float(w.w @ kv[inv].reshape(D.shape) @ w.w)
         rhs = 2 * np.pi * cauchy_weighted_energy(w, np.abs, eps)
         assert lhs <= rhs + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# vector quadrature
+# ---------------------------------------------------------------------------
+
+def _counted(f, calls):
+    def g(x):
+        calls.append(x.size)
+        return f(x)
+    return g
+
+
+def _c10_factors(eps):
+    """C10's factor integrand over theta in [0, pi/2] for the 45 gaps of
+    10 random points, and its closed form exp(-u Phi(1/eps)), Phi(x) = x^(1/2)."""
+    phi = LaplaceExponent.stable(0.5)
+    pts = np.random.default_rng(10).uniform(0, 1, 10)
+    gaps = np.abs(np.subtract.outer(pts, pts))[np.triu_indices(10, k=1)]
+    return (lambda theta: np.exp(-gaps * phi.psi(np.tan(theta[:, None]) / eps)).real * (2 / np.pi),
+            np.exp(-gaps * float(phi(1 / eps))))
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.1, 0.01])
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+def test_vector_quad_error_bounds_c10_closed_form(eps, tol):
+    """The returned error bounds the true error of every factor, and one
+    integral takes at most 26 integrand calls (quad_vec: 1,239 to 1,365
+    on these factors at C10's old target)."""
+    f, exact = _c10_factors(eps)
+    calls = []
+    vals, err = vector_quad(_counted(f, calls), 0.0, np.pi / 2, tol)
+    assert err < tol and np.abs(vals - exact).max() <= err
+    assert len(calls) <= 26
+
+
+@pytest.mark.parametrize("lam, tol, converged", [
+    (10.0, 1e-9, True), (10.0, 1e-12, True), (1e4, 1e-9, True), (1e8, 1e-6, True),
+    (1e4, 1e-12, False), (1e8, 1e-9, False),    # the interval limit ends these
+])
+def test_vector_quad_error_bounds_theta_power_law(lam, tol, converged):
+    """int_1^lam x^(-beta/s) dx, the theta integrand of Phi(x) = x^beta, in
+    x (theta_index itself substitutes log x): converged or not, the
+    returned error bounds the true one, in at most 26 calls."""
+    p = np.array([0.3, 0.5 / 0.7, 1.0, 1.6, 2.5])     # beta / s
+    exact = np.where(p == 1, np.log(lam), (lam ** (1 - p) - 1) / np.where(p == 1, 1, 1 - p))
+    calls = []
+    vals, err = vector_quad(_counted(lambda x: x[:, None] ** -p, calls), 1.0, lam, tol)
+    assert (err < tol) == converged and np.abs(vals - exact).max() <= err
+    assert len(calls) <= 26
+
+
+def test_vector_quad_ends_unconverged_on_a_nan_or_the_round_limit(monkeypatch):
+    """A NaN error ends the quadrature unconverged with the last finite
+    summed error (NaN when the first round has none); so does the round
+    limit, after QUAD_MAX_ROUNDS + 1 calls."""
+    calls = []
+    first = lambda x: np.sqrt(x) if len(calls) == 1 else np.full_like(x, np.nan)
+    vals, err = vector_quad(_counted(first, calls), 0.0, 1.0, 1e-12)
+    assert len(calls) == 2 and err == vector_quad(np.sqrt, 0.0, 1.0, 1.0)[1] > 1e-12
+    assert np.isnan(vector_quad(lambda x: np.full_like(x, np.nan), 0.0, 1.0, 1.0)[1])
+    monkeypatch.setattr(utils, "QUAD_MAX_ROUNDS", 5)
+    calls = []
+    vals, err = vector_quad(_counted(np.log, calls), 0.0, 1.0, 1e-12)
+    assert len(calls) == 6 and np.isfinite(err) and err >= 1e-12
+
+
+def test_vector_quad_calls_in_blocks(monkeypatch):
+    """A round whose nodes hold more than QUAD_BLOCK_VALUES values is
+    evaluated in blocks of whole intervals, to the same integral."""
+    f, _ = _c10_factors(0.1)
+    want = vector_quad(f, 0.0, np.pi / 2, 1e-9)
+    monkeypatch.setattr(utils, "QUAD_BLOCK_VALUES", 3 * 21 * 45)
+    calls = []
+    vals, err = vector_quad(_counted(f, calls), 0.0, np.pi / 2, 1e-9)
+    assert max(calls) == 3 * 21 and len(calls) > 26
+    np.testing.assert_allclose(vals, want[0], rtol=0, atol=1e-15)
+    assert abs(err - want[1]) <= 1e-15

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,14 +73,15 @@ def test_net_certificate_covers_parent():
 
 def test_mesh_too_fine(monkeypatch):
     """A net that would peak above the memory budget while it is built
-    raises MeshTooFine first: an interval net at 17 bytes a point, an IFS
-    net at 32 per each of its 2 M^k endpoints, so Cantor nets are
-    refused from depth 23.  At a budget a net is built, and one step finer is not."""
+    raises MeshTooFine first: an interval net at 8 bytes a point and one
+    block of its order check, an IFS net at 32 per each of its 2 M^k
+    endpoints, so Cantor nets are refused from depth 23.  At a budget a
+    net is built, and one step finer is not."""
     with pytest.raises(MeshTooFine, match="interval net of 1000000001 points"):
         discretize(CompactSet.interval(0, 1), 1e-9)
     with pytest.raises(MeshTooFine, match="IFS net at depth 23"):
         discretize(CompactSet.cantor(), 1e-12)
-    monkeypatch.setattr(utils, "MEMORY_BUDGET", 17 * 1001)
+    monkeypatch.setattr(utils, "MEMORY_BUDGET", 8 * 1001 + set_models.SORTED_CHECK_BLOCK)
     assert discretize(CompactSet.interval(0, 1), 1e-3).n == 1001
     with pytest.raises(MeshTooFine):
         discretize(CompactSet.interval(0, 1), 0.999e-3)
@@ -202,6 +204,27 @@ def test_sorted_check_spans_block_edges(monkeypatch):
         y = x.copy()
         y[j] = np.nan
         assert not set_models._is_sorted(y)
+
+
+def test_net_order_check_spans_block_edges(monkeypatch):
+    """DeltaNet checks strict order in blocks: a tie or a swap anywhere
+    is refused.  An interval net of 10^6 points traces the bytes
+    `discretize` states for it, 8 a point and one block, within 1%."""
+    stated = 8 * 1_000_001 + set_models.SORTED_CHECK_BLOCK
+    tracemalloc.start()
+    try:
+        net = discretize(CompactSet.interval(0, 1), 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net.n == 1_000_001 and abs(peak / stated - 1) <= 0.01
+    monkeypatch.setattr(set_models, "SORTED_CHECK_BLOCK", 7)
+    x = np.arange(30.0)
+    assert DeltaNet(x).n == 30 and DeltaNet(x[:1]).n == 1 and DeltaNet(x[:0]).n == 0
+    for j in range(29):
+        for y in (np.r_[x[:j], x[j], x[j:29]], np.r_[x[:j], x[j + 1], x[j], x[j + 2:]]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                DeltaNet(y)
 
 
 def _greedy_separated(pts, r):
