@@ -158,26 +158,19 @@ def parse_model(desc: str) -> LevyModel:
 
 
 def parse_family(cfg: argparse.Namespace) -> KernelFamily:
-    """The kernel family of a profile run; --s and --model are errors
-    where the family does not read them."""
-    kind, colon, rest = cfg.family.partition(":")
-    if cfg.s is not None and kind != "fh":
-        raise ConfigError(f"family {kind!r} does not read --s")
-    if cfg.model and kind != "exact":
-        raise ConfigError(f"family {kind!r} does not read --model")
-    if kind == "fh":
-        if colon or cfg.s is None:
-            raise ConfigError("family 'fh' takes s from --s alone")
+    """The kernel family of a profile run, `fh` or `exact`: each needs its
+    own flag, --s or --model, and refuses the other's."""
+    if cfg.family == "fh":
+        if cfg.model:
+            raise ConfigError("family 'fh' does not read --model")
+        if cfg.s is None:
+            raise ConfigError("family 'fh' needs --s")
         return KernelFamily.fh(cfg.s)
-    if kind == "sandwich":
-        parts = [float(x) for x in rest.split(",")]
-        return KernelFamily.stable_sandwich(
-            parts[0], _dimension(parts[1]) if len(parts) > 1 else 1)
-    if kind == "exact":
-        if not cfg.model:
-            raise ConfigError("family 'exact' needs --model")
-        return KernelFamily.exact(parse_model(cfg.model), seed=cfg.seed or 0)
-    raise ConfigError(f"unknown kernel family {cfg.family!r}")
+    if cfg.s is not None:
+        raise ConfigError("family 'exact' does not read --s")
+    if not cfg.model:
+        raise ConfigError("family 'exact' needs --model")
+    return KernelFamily.exact(parse_model(cfg.model), seed=cfg.seed or 0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="box-dimension profile of a set")
     _add_ladder_run(p, "< 1")
-    p.add_argument("--family", required=True,
-                   help="fh | sandwich:alpha[,d] | exact")
+    p.add_argument("--family", choices=("fh", "exact"), required=True)
     p.add_argument("--s", type=float)
     p.add_argument("--model", default="")
     p.add_argument("--mesh-ratio", dest="mesh_ratio", type=float,

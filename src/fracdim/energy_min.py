@@ -237,12 +237,17 @@ def build_kernel(family: KernelFamily, scale: float, net: DeltaNet) -> KernelMat
 
 
 def _distinct_gaps(x: np.ndarray) -> np.ndarray:
-    """The sorted distinct |x_i - x_j|, gathered _ROW_BLOCK rows at a time
-    so that no n x n array is held."""
-    gaps = np.empty(0, dtype=x.dtype)
-    for i in range(0, x.size, _ROW_BLOCK):
-        gaps = np.union1d(gaps, np.abs(x[i:i + _ROW_BLOCK, None] - x))
-    return gaps
+    """The sorted distinct |x_i - x_j| of increasing points, from the
+    n (n + 1) / 2 distances x_j - x_i, j >= i (the bits of |x_i - x_j| in
+    either order), written a row at a time into one array: np.unique then
+    holds 25 bytes a pair (traced), and no n x n array is formed."""
+    n = x.size
+    gaps = np.empty(n * (n + 1) // 2)
+    k = 0
+    for i in range(n):
+        np.subtract(x[i:], x[i], out=gaps[k:k + n - i])
+        k += n - i
+    return np.unique(gaps)
 
 
 def _kernel_bytes(n: int, N: int | None = None) -> int:
@@ -261,25 +266,33 @@ def _assemble(kernel, pts: np.ndarray, grid, distinct: bool = False) -> KernelMa
     more than MEMORY_BUDGET (traced): `_kernel_bytes`; per point, on a
     dense net, 17 bytes for each of the _ROW_BLOCK rows of the block in
     assembly (its distance, the kernel's value and a minorant's mask),
-    else _NET_FLOATS of the solve's vectors; and 8 k^2 for the largest matrix
+    else _NET_FLOATS of the solve's vectors; 8 k^2 for the largest matrix
     factored beside it, k = b on a grid subset block PCG solves
-    (`_pcg_block`), n on another or on up to PSD_PROBE_CAP points, else 0.
+    (`_pcg_block`), n on another or on up to PSD_PROBE_CAP points, else 0;
+    and on a dense `distinct` net 16 bytes for each of its up to
+    n (n + 1) / 2 distinct distances, held with their values beside K.
 
     With `distinct` (quadrature and Monte Carlo families) the kernel is
-    called once, on the sorted distinct distances the net uses
-    (`_distinct_gaps`): of the grid index on a grid subset, whose unused
-    steps are 0 and never read, and of the points on a dense net, whose
-    entries are looked up.  A whole grid uses every step as it is."""
+    called once, on the sorted distinct distances the net uses: the steps
+    |m_i - m_j| of the grid index on a grid subset, marked row by row on
+    the grid (unused steps are 0 and never read), and on a dense net
+    `_distinct_gaps`, whose entries are looked up.  A whole grid uses every
+    step as it is."""
     n, index = pts.size, grid and grid[2]
     side = n * (n <= PSD_PROBE_CAP) if index is None else (_pcg_block(index) or n)
     held = _kernel_bytes(n, grid and grid[1]) + 8 * side ** 2
     held += n * (17 * _ROW_BLOCK if grid is None else 8 * _NET_FLOATS)
+    if distinct and grid is None:
+        held += 8 * n * (n + 1)
     check_budget(f"{'grid' if grid else 'dense'} rung on {n} points", held, NetTooLarge)
     if grid is not None:
         h, N, index = grid
         dist = h * np.arange(N)
         if distinct and index is not None:
-            steps = _distinct_gaps(index)
+            used = np.zeros(N, dtype=bool)
+            for i in range(n):
+                used[index[i:] - index[i]] = True
+            steps = np.flatnonzero(used)
             col = np.zeros(N)
             col[steps] = kernel(dist[steps])
         else:

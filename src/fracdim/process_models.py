@@ -382,7 +382,6 @@ class KernelFamily:
 
     kinds and scale semantics (`power_law` gives the fh pair (s, eps)):
       "fh"        min(1, (scale/r)**s)            scale = eps
-      "sandwich"  min(1, scale/r**(1/alpha))**d   = fh at (d/alpha, scale**alpha)
       "exact"     kappa_scale(r) of a LevyModel   scale = eps
     Every value lies in [0, 1] and is exactly 1 at r = 0, by construction,
     so kernel matrices lay values out as they come.  A power law needs eps
@@ -402,33 +401,20 @@ class KernelFamily:
         return cls("fh", {"s": s})
 
     @classmethod
-    def stable_sandwich(cls, alpha: float, d: int = 1) -> "KernelFamily":
-        """Envelope kernel min(1, eps/r**(1/alpha))**d bracketing stable kappa."""
-        if not 0 < alpha <= 2 or d < 1:
-            raise ValueError("need alpha in (0, 2] and d >= 1")
-        return cls("sandwich", {"alpha": alpha, "d": d})
-
-    @classmethod
     def exact(cls, model: LevyModel, seed: int = 0) -> "KernelFamily":
         """The model's own small-ball kernel, by quadrature or `sampled`."""
         return cls("exact", {}, model=model, seed=seed)
 
     def power_law(self, scale: float) -> tuple[float, float] | None:
-        """(s, eps) with K_scale(r) = min(1, (eps/r)**s), or None for
-        kernels that are not power laws.  Raises ValueError unless scale > 0
-        and eps is finite and at least EPS_MIN."""
-        if self.kind == "fh":
-            s, eps = self.params["s"], scale
-        elif self.kind == "sandwich":
-            alpha = self.params["alpha"]
-            with np.errstate(all="ignore"):         # inf or nan, raised below
-                s, eps = self.params["d"] / alpha, np.float64(scale) ** alpha
-        else:
+        """(s, eps) with K_scale(r) = min(1, (eps/r)**s), eps = scale, or
+        None for kernels that are not power laws.  Raises ValueError unless
+        eps is finite and at least EPS_MIN."""
+        if self.kind != "fh":
             return None
-        if not (scale > 0 and math.isfinite(eps) and eps >= EPS_MIN):
-            raise ValueError(f"power-law scale {scale:.4g} gives eps = {eps:.4g}; need "
-                             f"scale > 0 and a finite eps >= {EPS_MIN:.4g}")
-        return s, eps
+        if not (math.isfinite(scale) and scale >= EPS_MIN):
+            raise ValueError(f"power-law eps {scale:.4g} is not a finite "
+                             f"float >= {EPS_MIN:.4g}")
+        return self.params["s"], scale
 
     def convex_minorant(self, scale: float, r) -> np.ndarray:
         """g(r) at an array r >= 0, the greatest convex minorant of the power

@@ -1,6 +1,7 @@
 """Command-line runner: parsing, exit codes, determinism, artifacts."""
 
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -54,7 +55,9 @@ def test_parse_family_needs_parameters():
     with pytest.raises(Exception):
         parse_family(record("--family", "fh"))
     assert parse_family(record("--family", "fh", "--s", "1.0")).kind == "fh"
-    assert parse_family(record("--family", "sandwich:0.8,1")).kind == "sandwich"
+    with pytest.raises(Exception):
+        parse_family(record("--family", "exact"))
+    assert parse_family(record("--family", "exact", "--model", "stable:0.8")).kind == "exact"
 
 
 # ---------------------------------------------------------------------------
@@ -86,15 +89,12 @@ def test_validation_exit_codes():
     # s comes from --s alone, and a flag the family does not read is an error
     assert main(profile + ["--family", "fh:0.3", "--s", "0.7"]) == EXIT_CONFIG
     assert main(profile + ["--family", "fh:", "--s", "0.7"]) == EXIT_CONFIG
-    assert main(profile + ["--family", "sandwich:0.8", "--s", "0.5"]) == EXIT_CONFIG
     assert main(profile + ["--family", "exact", "--model", "stable:1.5",
                            "--s", "0.5"]) == EXIT_CONFIG
     assert main(fh + ["--model", "stable:1.5"]) == EXIT_CONFIG
-    assert main(profile + ["--family", "sandwich:0.8", "--model",
-                           "stable:1.5"]) == EXIT_CONFIG
+    assert main(profile + ["--family", "exact"]) == EXIT_CONFIG
     assert main(profile + ["--family", "subexp"]) == EXIT_CONFIG
     # a dimension must be an integer, not truncated to one
-    assert main(profile + ["--family", "sandwich:0.8,1.9"]) == EXIT_CONFIG
     assert main(profile + ["--family", "exact", "--model",
                            "stable:1.5,1,2.7"]) == EXIT_CONFIG
     assert main(["simulate", "--set", "interval:0,1", "--model", "stable:1.5,1,2.7",
@@ -120,12 +120,13 @@ def test_validation_exit_codes():
         assert main(["oracle", "--name", name, "--params", *params]) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("family", [["--family", "sandwich:2", "--ladder", "1e-170,0.5,3"],
+@pytest.mark.parametrize("family", [["--family", "fh", "--s", "2",
+                                     "--ladder", "2e-308,0.5,3"],
                                     ["--family", "fh", "--s", "0.5",
                                      "--ladder", "1e-320,0.5,3"]])
 def test_power_law_eps_outside_the_normal_floats_is_a_config_error(family, capsys):
-    # eps = 1e-340 underflows to 0, and 1e-320 is subnormal: either would
-    # reach 0/0 or an infinite minorant slope
+    # 2e-308 is just below the least normal float and 1e-320 deep among the
+    # subnormals: either would reach 0/0 or an infinite minorant slope
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["profile", "--set", "finite:0,0.5,1", *family]) == EXIT_CONFIG
@@ -178,6 +179,28 @@ def test_non_finite_parameter_is_a_config_error(argv, good, name, bad, tmp_path,
     assert not out.exists()
     assert main([a.format(good) for a in argv] + ["--out", str(out)]) == 0
     _strict_json(out.read_text())
+
+
+@pytest.mark.parametrize("family, flags", [("sandwich:1.5", []),
+                                           ("exact:junk", ["--model", "stable:2"]),
+                                           ("fh:0.3", [])])
+def test_family_outside_the_choices_exits_2_before_any_rung(family, flags, tmp_path,
+                                                            monkeypatch, capsys):
+    """`--family` is `fh` or `exact`; anything else, from the command line
+    or a config file (such as a retired `sandwich:alpha,d` record), exits 2
+    with one `config error:` line and solves no rung."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a rung was solved")
+
+    monkeypatch.setattr(profiles, "rung_min_energy", unreachable)
+    argv = ["profile", "--set", "interval:0,1", "--ladder", "0.05,0.5,5", *flags]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"command": "profile", "family": family}))
+    for run in (argv + ["--family", family], argv + ["--config", str(path)]):
+        assert main(run) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: argument --family: invalid choice: "
+                              f"{family!r}") and err.count("\n") == 1
 
 
 def test_config_choice_fails_before_any_rung(tmp_path, monkeypatch, capsys):
@@ -453,6 +476,18 @@ def _readme_cli_examples():
     block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("fracdim ")]
+
+
+def test_readme_family_list_is_the_parsers_choices():
+    """README's `profile --family takes ...` sentence names exactly the
+    parser's choices, which `fracdim profile --help` lists."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"`profile --family` takes (.+?)\.", " ".join(text.split()))
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    profile = sub.choices["profile"]
+    family = next(a for a in profile._actions if a.dest == "family")
+    assert re.findall(r"`([^`]+)`", sentence.group(1)) == list(family.choices)
+    assert "--family {fh,exact}" in profile.format_help()
 
 
 def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys):

@@ -17,7 +17,7 @@ from fracdim.energy_min import (_GRID_FLOATS, _NET_FLOATS, _RESYNC_EVERY,
                                 EnergyResult, KernelMatrix, SimplexWeights,
                                 ToeplitzKernel, _assemble, _frank_wolfe,
                                 _exp_certificate, _exp_potential,
-                                _block_pcg, _gap_certificate, _grid_layout,
+                                _block_pcg, _distinct_gaps, _gap_certificate, _grid_layout,
                                 _kernel_bytes, _minorant_solve,
                                 build_kernel, exp_kernel_min_energy,
                                 is_psd, kkt_certificate,
@@ -65,8 +65,8 @@ def test_build_kernel_examples():
 
 def test_build_kernel_invariants_random():
     net = discretize(CompactSet.interval(0, 1), 0.01)
-    for fam in (KernelFamily.fh(0.7), KernelFamily.stable_sandwich(1.2, 1)):
-        K = build_kernel(fam, 0.05, net).values
+    for fam, scale in ((KernelFamily.fh(0.7), 0.05), (KernelFamily.fh(1 / 1.2), 0.05 ** 1.2)):
+        K = build_kernel(fam, scale, net).values
         assert np.all(np.diag(K) == 1.0)
         assert np.all((K >= 0) & (K <= 1))
         np.testing.assert_array_equal(K, K.T)
@@ -124,8 +124,8 @@ def test_build_kernel_equals_full_matrix_evaluation():
         D = np.abs(net.points[:, None] - net.points[None, :])
         for fam, scale in ((KernelFamily.fh(0.5), 0.01),
                            (KernelFamily.fh(1.5), 0.003),
-                           (KernelFamily.stable_sandwich(1.3, 1), 0.02),
-                           (KernelFamily.stable_sandwich(0.7, 2), 0.05)):
+                           (KernelFamily.fh(1 / 1.3), 0.02 ** 1.3),
+                           (KernelFamily.fh(2 / 0.7), 0.05 ** 0.7)):
             _assert_laid_out_as_evaluated(build_kernel(fam, scale, net).values,
                                           fam.evaluate(scale, D))
             G = _assemble(lambda r: fam.convex_minorant(scale, r), net.points, None)
@@ -276,7 +276,7 @@ def test_fh_minorant_solve_matches_dense_solve():
         pts = net.points
         D = np.abs(pts[:, None] - pts)
         for fam, scale in ((KernelFamily.fh(0.5), 0.01), (KernelFamily.fh(1.5), 0.1),
-                           (KernelFamily.stable_sandwich(1.3, 1), 0.02)):
+                           (KernelFamily.fh(1 / 1.3), 0.02 ** 1.3)):
             s, eps = fam.power_law(scale)
             r_star = eps * (1 + s) ** (1 / s)
             G = np.where(D <= r_star, 1 - s / ((1 + s) * r_star) * D,
@@ -336,13 +336,6 @@ def test_grid_subsets_without_translated_blocks_or_past_the_cap_use_cholesky(mon
     assert _block_pcg(G, np.ones(net.n)) is None
     for got, want in zip(_minorant_solve(G), _minorant_solve(G.dense())):
         assert np.array_equal(got, want)
-
-
-def test_power_law_rung_with_an_underflowing_eps_raises_value_error():
-    # sandwich:2 at scale 1e-170 has eps = 1e-340, which underflows to 0
-    net = DeltaNet(np.array([0.0, 0.5, 1.0]))
-    with pytest.raises(ValueError, match="eps"):
-        rung_min_energy(KernelFamily.stable_sandwich(2.0), 1e-170, net)
 
 
 def test_only_kernels_without_a_minorant_get_their_own_solve(monkeypatch):
@@ -507,20 +500,6 @@ def test_warm_start_runs_only_when_its_energy_is_lowest():
     assert min_energy(km, warm=2.0 * best.weights.w).iterations == 0
 
 
-def test_sandwich_rung_is_the_fh_rung_at_mapped_parameters():
-    """stable_sandwich(alpha, d) at eps is fh(d/alpha) at eps^alpha: the
-    same Z, Z_lower and start, on an interval net and a Cantor net."""
-    for net in (discretize(CompactSet.interval(0, 1), 0.004),
-                discretize(CompactSet.cantor(), 3.0 ** -6)):
-        for alpha, d, eps in ((1.3, 1, 0.02), (0.7, 2, 0.05)):
-            sw = rung_min_energy(KernelFamily.stable_sandwich(alpha, d), eps, net,
-                                 restarts=2)
-            fh = rung_min_energy(KernelFamily.fh(d / alpha), eps ** alpha, net,
-                                 restarts=2)
-            assert sw.start == "minorant" and sw.Z_lower is not None
-            assert (sw.value, sw.Z_lower, sw.start) == (fh.value, fh.Z_lower, fh.start)
-
-
 def _route_cases():
     """(net, scale, stated bytes) of one fh(1/2) rung on each route: a
     dense net; a whole grid above PSD_PROBE_CAP points, whose minorant is
@@ -581,6 +560,44 @@ def test_rungs_hold_the_bytes_they_state():
         finally:
             tracemalloc.stop()
         assert 0.8 * nbytes <= peak <= 1.1 * nbytes, (net.n, peak, nbytes)
+
+
+def test_dense_exact_rungs_hold_their_distance_table(monkeypatch):
+    """A dense `exact` rung also holds its distinct distances and their
+    values beside the kernel, 16 bytes for each of up to n (n + 1) / 2: on
+    1,100 and 2,000 sorted uniform points (every distance distinct) its
+    traced peak lies between 80% of the bytes it states and 10% above
+    them, and gathering the distances alone traces 25 bytes a pair.  At
+    the budget of 2^28 bytes such nets stop at 3,962 points; one more is
+    refused before its distances are gathered."""
+    def table_bytes(n):
+        return _dense_bytes(n) + 8 * n * (n + 1)
+
+    def unreachable(*args):
+        raise AssertionError("distances gathered above the budget")
+
+    monkeypatch.setattr(KernelFamily, "_evaluate_exact", lambda self, eps, r: np.exp(-r / eps))
+    fam = KernelFamily.exact(LevyModel.isotropic_stable(1.5))
+    for n in (1100, 2000):
+        net = DeltaNet(np.sort(np.random.default_rng(3).uniform(0, 1, n)))
+        tracemalloc.start()
+        try:
+            assert rung_min_energy(fam, 0.05, net, restarts=2).converged
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.8 * table_bytes(n) <= peak <= 1.1 * table_bytes(n), (n, peak)
+        tracemalloc.start()
+        try:
+            _distinct_gaps(net.points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 25 * n * (n + 1) / 2, (n, peak)
+    assert table_bytes(3962) <= utils.MEMORY_BUDGET < table_bytes(3963)
+    monkeypatch.setattr(energy_min, "_distinct_gaps", unreachable)
+    with pytest.raises(NetTooLarge, match="dense rung on 3963 points"):
+        build_kernel(fam, 0.05, DeltaNet(np.linspace(0, 1, 3963)))
 
 
 def test_whole_grid_and_cantor_rungs_stop_at_the_budget():
@@ -702,8 +719,8 @@ def test_toeplitz_rows_and_product_match_dense_kernel():
     rng = np.random.default_rng(3)
     cases = [(fam, e, net.points.size) for fam, e, net in _c7_rungs()]
     cases += [(KernelFamily.fh(1.5), 0.003, 1609),
-              (KernelFamily.stable_sandwich(1.3, 1), 0.02, 668),
-              (KernelFamily.stable_sandwich(0.7, 2), 0.05, 400),
+              (KernelFamily.fh(1 / 1.3), 0.02 ** 1.3, 668),
+              (KernelFamily.fh(2 / 0.7), 0.05 ** 0.7, 400),
               (KernelFamily.exact(LevyModel.isotropic_stable(1.5)), 0.1, 41)]
     for fam, scale, n in cases:
         net = _grid_net(0.0, 1.0 / (n - 1), points=np.linspace(0.0, 1.0, n))
@@ -769,9 +786,9 @@ def test_equal_gap_rungs_build_no_dense_kernel(monkeypatch, c6_cantor):
     _record_kernels(monkeypatch, kernels)
     monkeypatch.setattr(energy_min, "build_kernel", unreachable)
     net = discretize(CompactSet.interval(0, 1), 0.028 / 5)
-    for fam in (KernelFamily.fh(0.5), KernelFamily.stable_sandwich(1.3, 1),
-                KernelFamily.exact(LevyModel.isotropic_stable(1.5))):
-        assert rung_min_energy(fam, 0.028, net, restarts=2).converged
+    for fam, scale in ((KernelFamily.fh(0.5), 0.028), (KernelFamily.fh(1 / 1.3), 0.028 ** 1.3),
+                       (KernelFamily.exact(LevyModel.isotropic_stable(1.5)), 0.028)):
+        assert rung_min_energy(fam, scale, net, restarts=2).converged
     N = utils.MEMORY_BUDGET // (8 * (_GRID_FLOATS + _NET_FLOATS)) + 1
     with pytest.raises(NetTooLarge):
         rung_min_energy(KernelFamily.fh(1.0), 0.1, _grid_net(0.0, 1.0 / (N - 1), np.arange(N)))
